@@ -31,3 +31,7 @@ class RankTooSmall(ForgeError):
 
 class BadWeight(ForgeError):
     """Orbit weights must have strictly positive entries."""
+
+
+class InvariantBroken(ForgeError):
+    """An internal invariant that the construction guarantees did not hold."""

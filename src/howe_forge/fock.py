@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import product
 
 from . import weights as W
-from .errors import ShapeMismatch, TooLarge
+from .errors import NotRenormalizable, ShapeMismatch, TooLarge
 from .tensor import ExactOperator, IndexedBasis, kernel_basis, commutant_dim
 
 DEFAULT_PIECE_CAP = 20_000
@@ -756,7 +756,7 @@ def verify_kv(k: int, M: int, N: int, degree: int,
         for m, n in strict_signed_pairs(M, N, degree):
             try:
                 r = W.renormalize_weight(W.SignedWeight(m, n), M, N)
-            except Exception:
+            except NotRenormalizable:
                 continue
             occurs = r.doubled in occurring
             if not r.is_integral and occurs:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import weights as W
-from .errors import ShapeMismatch, TooLarge
+from .errors import InvariantBroken, ShapeMismatch, TooLarge
 from .fock import FockModel, build_compact_model, build_oscillator_model, \
     joint_highest_weight_vectors, strict_signed_pairs
 from .tensor import ExactOperator, IndexedBasis, commutant_dim, kernel_basis, \
@@ -77,39 +77,6 @@ class _Span:
         return len(self.echelon)
 
 
-def _express_in_span(basis: list[dict], vec: dict) -> list[Fraction] | None:
-    """Coordinates of vec in the given (independent) basis, or None."""
-    if not basis:
-        return [] if not any(vec.values()) else None
-    support = sorted(set(vec).union(*map(set, basis)))
-    nb = len(basis)
-    rows = []
-    for s in support:
-        rows.append([b.get(s, _F0) for b in basis] + [vec.get(s, _F0)])
-    pivots = []
-    r = 0
-    for c in range(nb):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = _F1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    coeffs = [_F0] * nb
-    for i, c in enumerate(pivots):
-        coeffs[c] = rows[i][nb]
-    for i in range(r, len(rows)):
-        if rows[i][nb]:
-            return None
-    return coeffs
-
-
 def _ldl_positive(gram: list[list[Fraction]]) -> bool:
     """True iff the symmetric matrix is positive definite (exact)."""
     a = [row[:] for row in gram]
@@ -124,18 +91,6 @@ def _ldl_positive(gram: list[list[Fraction]]) -> bool:
                 for c in range(i, d):
                     a[r][c] -= f * a[i][c]
     return True
-
-
-def _restrict(apply_op, basis: list[dict]) -> tuple[tuple[Fraction, ...], ...]:
-    """Matrix of an operator that preserves the span, in the given basis."""
-    cols = []
-    for v in basis:
-        coeffs = _express_in_span(basis, apply_op(v))
-        if coeffs is None:
-            raise ShapeMismatch("operator does not preserve the subspace")
-        cols.append(coeffs)
-    d = len(basis)
-    return tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
 
 
 def _leaders(basis: list[dict]) -> list:
@@ -157,8 +112,9 @@ def _leaders(basis: list[dict]) -> list:
 
 def _restrict_by_leaders(apply_op, basis: list[dict],
                          leaders: list) -> tuple[tuple[Fraction, ...], ...]:
-    """Like _restrict, reading coordinates off the leader positions and
-    verifying the residual exactly."""
+    """Matrix of an operator that preserves the span of the basis, in that
+    basis: coordinates are read off the leader positions and the residual
+    is verified exactly."""
     d = len(basis)
     cols = []
     for v in basis:
@@ -208,9 +164,14 @@ def _module_commutant(ops: dict[tuple[int, int], ExactOperator], k: int) -> int:
 
 
 def _bracket_ok(ops: dict[tuple[int, int], ExactOperator], k: int) -> bool:
+    """[E_ij, E_lm] = d_jl E_im - d_mi E_lj for every pair of generators.
+
+    Both sides change sign when the pair is swapped and vanish when it
+    repeats a generator, so each unordered pair is checked once."""
+    items = list(ops.items())
     zero = None
-    for (i, j), a in ops.items():
-        for (l, m_), b in ops.items():
+    for s, ((i, j), a) in enumerate(items):
+        for (l, m_), b in items[s + 1:]:
             if zero is None:
                 zero = ExactOperator.zero(a.domain, a.codomain)
             lhs = a * b - b * a
@@ -326,13 +287,15 @@ def build_inducing_irrep(m, M: int) -> InducingIrrep:
     hw_wt = shape + (0,) * (M - len(shape))
     highest = basis_weights.index(hw_wt)
     # sanity: the highest-weight vector is unique and killed by raisers
-    assert basis_weights.count(hw_wt) == 1
+    if basis_weights.count(hw_wt) != 1:
+        raise InvariantBroken(f"highest weight {hw_wt} is not simple")
     unit = {highest: _F1}
     for a in range(M):
         for b in range(a + 1, M):
             image = [sum(ops[(a, b)][r][c] * unit.get(c, _F0)
                          for c in unit) for r in range(len(basis))]
-            assert not any(image), "highest vector not annihilated"
+            if any(image):
+                raise InvariantBroken("highest vector not annihilated")
     return InducingIrrep(shape, M, wb, basis, basis_weights, ops, highest)
 
 
@@ -708,23 +671,27 @@ def induce_noncompact_graded(k: int, M: int, N: int, inducing_weight,
                 W.partition(m_cand), W.partition(n_cand)).realize(k):
             target = h
             break
-    assert target is not None, "label list out of sync with the kernel solve"
+    if target is None:
+        raise InvariantBroken("label list out of sync with the kernel solve")
 
     fb = model.basis(*piece)
     lowers = [model.gl_k_op(i + 1, i, piece) for i in range(k - 1)]
     span = _Span()
     span.insert(target.vector)
-    basis = [dict(target.vector)]
     queue = [target.vector]
     while queue:
         v = queue.pop()
         for op in lowers:
             img = op.apply(v)
             if img and span.insert(img):
-                basis.append(img)
                 queue.append(img)
 
-    gl_mats = {(i, j): _restrict(model.gl_k_op(i, j, piece).apply, basis)
+    # the reduced rows keep a 1 at their own pivot and a 0 at every other
+    # row's pivot, so the pivots are leader coordinates
+    basis = [row for _, row in span.echelon]
+    leaders = [piv for piv, _ in span.echelon]
+    gl_mats = {(i, j): _restrict_by_leaders(model.gl_k_op(i, j, piece).apply,
+                                            basis, leaders)
                for i in range(k) for j in range(k)}
     facts = [Fraction(_fock_norm_sq(lab)) for lab in fb.labels]
     dim = len(basis)
@@ -764,7 +731,9 @@ def emptiness_survey(k: int, M: int, N: int, window: int) -> dict:
     label's weight -- such collisions must come back as that label's
     module); weights whose leading entry sits below the rank (always
     empty); and shifted labels with m+k on the left block (always the
-    module with the label's realized highest weight)."""
+    module with the label's realized highest weight).  Every nonempty
+    module must also have commutant 1, a positive Gram matrix and a gl(k)
+    action that satisfies the brackets."""
     cells = []
     collisions = []
     ok = True
@@ -778,6 +747,9 @@ def emptiness_survey(k: int, M: int, N: int, window: int) -> dict:
                 if d > 4 * window + 16:
                     raise
                 d = 2 * d + 1
+
+    def sound(mod):
+        return mod.commutant == 1 and mod.gram_positive and mod.bracket_ok
 
     def record(branch, weight_text, good, detail):
         nonlocal ok
@@ -793,7 +765,7 @@ def emptiness_survey(k: int, M: int, N: int, window: int) -> dict:
             record("renormalized", text, True, out.reason)
             continue
         hw = out.highest_weight
-        good = out.dimension == W.signed_weight_dim(hw, k)
+        good = sound(out) and out.dimension == W.signed_weight_dim(hw, k)
         try:
             good = good and hw != W.SignedWeight(m, n).realize(k)
         except ShapeMismatch:
@@ -820,7 +792,8 @@ def emptiness_survey(k: int, M: int, N: int, window: int) -> dict:
             w += tuple(-x for x in reversed(n + (0,) * (N - len(n))))
             out = run(w)
             want = W.SignedWeight(m, n).realize(k)
-            good = (not out.empty and out.highest_weight == want
+            good = (not out.empty and sound(out)
+                    and out.highest_weight == want
                     and out.dimension == W.signed_weight_dim(want, k))
             record("shifted-label", str(w), good,
                    f"dim {out.dimension}" if not out.empty else out.reason)

@@ -20,7 +20,8 @@ from functools import cache
 from itertools import permutations
 from typing import Iterable, Iterator, Sequence
 
-from .errors import EmptyShape, NotRenormalizable, ShapeMismatch
+from .errors import EmptyShape, InvariantBroken, NotRenormalizable, \
+    ShapeMismatch
 
 Partition = tuple[int, ...]
 
@@ -100,7 +101,8 @@ def weyl_dim(shape: Partition, k: int) -> int:
             den *= row - j + conj[j] - i - 1
     if num == 0:
         return 0
-    assert num % den == 0
+    if num % den:
+        raise InvariantBroken(f"hook product {num} not divisible by {den}")
     return num // den
 
 
@@ -116,7 +118,8 @@ def signed_weight_dim(w: Sequence[int], k: int) -> int:
     for i in range(k):
         for j in range(i + 1, k):
             d *= Fraction(ww[i] - ww[j] + j - i, j - i)
-    assert d.denominator == 1
+    if d.denominator != 1:
+        raise InvariantBroken(f"Weyl dimension {d} is not an integer")
     return int(d)
 
 

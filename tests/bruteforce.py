@@ -247,3 +247,45 @@ def dense_nullity(rows: list[list[Fraction]], ncols: int) -> int:
                 mat[r] = [x - coef * y for x, y in zip(mat[r], prow)]
         rank += 1
     return ncols - rank
+
+
+def dense_restriction(op_entries: dict, basis: list[dict]) -> list[list[Fraction]]:
+    """Matrix X with B X = A B, where the columns of B are the basis
+    vectors and A is given by its (row, col) -> value entries; solved by
+    Gauss-Jordan elimination on the dense augmented matrix [B | A B].
+
+    Entry [i][j] is coordinate i of the image of basis vector j.  Raises
+    ValueError if the vectors are dependent or A leaves their span."""
+    d = len(basis)
+    support = set()
+    for vec in basis:
+        support.update(vec)
+    for (r, c) in op_entries:
+        support.update((r, c))
+    coords = sorted(support)
+    at = {c: i for i, c in enumerate(coords)}
+    n = len(coords)
+    bmat = [[Fraction(0)] * d for _ in range(n)]
+    for j, vec in enumerate(basis):
+        for c, v in vec.items():
+            bmat[at[c]][j] = Fraction(v)
+    amat = [[Fraction(0)] * n for _ in range(n)]
+    for (r, c), v in op_entries.items():
+        amat[at[r]][at[c]] = Fraction(v)
+    ab = [[sum((amat[r][t] * bmat[t][j] for t in range(n)), Fraction(0))
+           for j in range(d)] for r in range(n)]
+    aug = [bmat[r] + ab[r] for r in range(n)]
+    for col in range(d):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("basis vectors are dependent")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    if any(x != 0 for row in aug[d:] for x in row[d:]):
+        raise ValueError("operator leaves the span")
+    return [row[d:] for row in aug[:d]]

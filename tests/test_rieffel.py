@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 
 import bruteforce as bf
 from howe_forge import weights as W
+from howe_forge import rieffel
 from howe_forge.errors import ShapeMismatch, TooLarge
+from howe_forge.fock import build_oscillator_model
 from howe_forge.rieffel import (
     build_inducing_irrep,
     degree_selection_check,
+    emptiness_survey,
     induce_compact,
     induce_noncompact_graded,
 )
@@ -217,3 +220,71 @@ def test_noncompact_rank_one_pairs_realize_their_label(k, a, b):
     assert mod.dimension == W.signed_weight_dim(label.realize(k), k)
     assert mod.highest_weight == label.realize(k)
     assert mod.gram_positive
+    assert_gl_k_matches_oracle(mod, k, 1, 1, a + b, (a, b))
+
+
+# ---------------------------------------------------------------------------
+# the restricted gl(k) action against a dense oracle
+
+
+def assert_gl_k_matches_oracle(mod, k, M, N, d, piece):
+    assert f"bidegree {piece}" in mod.ambient
+    model = build_oscillator_model(k, M, N, d, validate=False)
+    for i in range(k):
+        for j in range(k):
+            want = bf.dense_restriction(model.gl_k_op(i, j, piece).data,
+                                        mod.basis)
+            assert [list(row) for row in mod.gl_k[(i, j)]] == want
+
+
+@pytest.mark.parametrize("k,M,N,weight,d,piece", [
+    (3, 1, 1, (5, -2), 4, (2, 2)),
+    # renormalized-weight collision: (2, 2, -2) is the label n = (2)
+    (2, 2, 1, (2, 2, -2), 4, (0, 2)),
+    (2, 1, 1, (4, -2), 6, (2, 2)),
+])
+def test_graded_gl_k_matches_dense_oracle(k, M, N, weight, d, piece):
+    mod = induce_noncompact_graded(k, M, N, weight, d)
+    assert not mod.empty
+    assert_gl_k_matches_oracle(mod, k, M, N, d, piece)
+
+
+def test_restrict_by_leaders_rejects_an_operator_leaving_the_span():
+    basis = [{0: Fraction(1), 2: Fraction(3)}, {1: Fraction(1)}]
+    leaders = [0, 1]
+
+    def swap(vec):
+        return {1 - c if c < 2 else c: x for c, x in vec.items()}
+
+    def shift(vec):
+        return {c + 1: x for c, x in vec.items()}
+
+    with pytest.raises(ShapeMismatch):
+        rieffel._restrict_by_leaders(swap, basis, leaders)
+    with pytest.raises(ShapeMismatch):
+        rieffel._restrict_by_leaders(shift, basis, leaders)
+    assert rieffel._restrict_by_leaders(lambda v: v, basis, leaders) == (
+        (1, 0), (0, 1))
+
+
+def test_bracket_check_catches_each_rescaled_generator():
+    mod = induce_compact(2, 2, (2, 1))
+    fam = rieffel._as_operator_family(mod.gl_k)
+    assert rieffel._bracket_ok(fam, 2)
+    for key in fam:
+        bad = dict(fam)
+        bad[key] = fam[key].scaled(2)
+        assert not rieffel._bracket_ok(bad, 2), key
+
+
+def test_emptiness_verdict_requires_the_module_checks(monkeypatch):
+    rep = emptiness_survey(2, 1, 1, 2)
+    assert rep["ok"]
+    nonempty = [c for c in rep["cells"] if c["detail"].startswith(
+        ("dim", "collision"))]
+    assert nonempty
+    monkeypatch.setattr(rieffel, "_bracket_ok", lambda ops, k: False)
+    rep = emptiness_survey(2, 1, 1, 2)
+    assert not rep["ok"]
+    assert [c for c in rep["cells"] if not c["ok"]] == [
+        dict(c, ok=False) for c in nonempty]
