@@ -241,6 +241,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_induce(args) -> int:
+    if args.format != "json":
+        return fail_usage("induce prints a JSON report only; use --format json")
     if args.k < 1:
         return fail_usage("need k >= 1")
     if args.m_group is not None:

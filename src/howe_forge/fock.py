@@ -23,7 +23,8 @@ from fractions import Fraction
 from itertools import product
 
 from . import weights as W
-from .errors import NotRenormalizable, ShapeMismatch, TooLarge
+from .errors import InvariantBroken, NotRenormalizable, ShapeMismatch, \
+    TooLarge
 from .tensor import ExactOperator, IndexedBasis, kernel_basis, commutant_dim
 
 DEFAULT_PIECE_CAP = 20_000
@@ -300,7 +301,7 @@ def build_compact_model(k: int, M: int, degree: int,
         smoke = model.action_set((min(1, degree), 0))
         bad = smoke.bracket_failures()
         if bad:
-            raise AssertionError(f"bracket smoke check failed: {bad}")
+            raise InvariantBroken(f"bracket smoke check failed: {bad}")
     return model
 
 
@@ -314,7 +315,7 @@ def build_oscillator_model(k: int, M: int, N: int, degree: int,
         smoke = model.action_set((1, 1))
         bad = smoke.bracket_failures()
         if bad:
-            raise AssertionError(f"bracket smoke check failed: {bad}")
+            raise InvariantBroken(f"bracket smoke check failed: {bad}")
     return model
 
 

@@ -480,8 +480,8 @@ def induce_compact(k: int, M: int, m, cross_check: bool = False) -> InducedModul
         dimh = irrep.dim
         flat_a = [{f * dimh + h: v for (f, h), v in vec.items()} for vec in basis]
         flat_b = [{f * dimh + h: v for (f, h), v in vec.items()} for vec in cas]
-        if not spans_agree(flat_a, flat_b, len(fb) * dimh):
-            raise AssertionError("invariants disagree with the projector image")
+        if not spans_agree(flat_a, flat_b):
+            raise InvariantBroken("invariants disagree with the projector image")
 
     if not basis:
         return InducedModule(ambient, k, inputs, [], {}, None, None, True, True)

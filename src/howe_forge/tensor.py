@@ -2,9 +2,9 @@
 
 Operators are dicts keyed by (row, col) ordinals with Fraction values.
 All arithmetic is exact rational; there are no tolerance parameters in
-this module.  Rank uses fraction-free (Bareiss) elimination after
-clearing row denominators; kernels use sparse Gauss-Jordan over
-Fractions.
+this module.  Every rank comes from one sparse Markowitz elimination on
+integer rows, kept primitive after each update; kernels use sparse
+Gauss-Jordan over Fractions.
 
 The symmetric-group material (slot permutations, central projectors,
 row/column symmetrizers, commutants) lives here too, since those
@@ -13,6 +13,7 @@ operators are the main clients of the exact core.
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
 from functools import cache
@@ -126,8 +127,14 @@ class ExactOperator:
         return op
 
     def add_entry(self, row: int, col: int, value) -> None:
+        if not isinstance(value, (Fraction, int)):
+            value = Fraction(value)  # exact for floats and strings too
         key = (row, col)
-        new = self.data.get(key, Fraction(0)) + Fraction(value)
+        old = self.data.get(key)
+        if old is not None:
+            new = old + value
+        else:
+            new = value if isinstance(value, Fraction) else Fraction(value)
         if new:
             self.data[key] = new
         else:
@@ -143,13 +150,19 @@ class ExactOperator:
 
     def __add__(self, other: "ExactOperator") -> "ExactOperator":
         self._check_same_shape(other)
-        out = ExactOperator(self.domain, self.codomain, dict(self.data))
-        for key, v in other.data.items():
-            out.add_entry(key[0], key[1], v)
+        out = ExactOperator(self.domain, self.codomain)
+        out.data.update(self.data)
+        for (r, c), v in other.data.items():
+            out.add_entry(r, c, v)
         return out
 
     def __sub__(self, other: "ExactOperator") -> "ExactOperator":
-        return self + (-other)
+        self._check_same_shape(other)
+        out = ExactOperator(self.domain, self.codomain)
+        out.data.update(self.data)
+        for (r, c), v in other.data.items():
+            out.add_entry(r, c, -v)
+        return out
 
     def __neg__(self) -> "ExactOperator":
         return ExactOperator(
@@ -225,7 +238,7 @@ class ExactOperator:
         return list(out.values())
 
     def rank(self) -> int:
-        return rank_of_rows(self.rows(), len(self.domain))
+        return rank_of_rows(self.rows())
 
     # serialization ----------------------------------------------------------
 
@@ -257,50 +270,59 @@ class ExactOperator:
 # exact elimination
 
 
-def rank_of_rows(rows, ncols: int, cap: int = DEFAULT_BASIS_CAP) -> int:
-    """Rank by fraction-free (Bareiss) elimination on denominator-cleared
-    integer rows."""
-    dense = []
-    for row in rows:
-        if not row:
-            continue
-        lcm = 1
-        for v in row.values():
-            lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-        arr = [0] * ncols
-        for c, v in row.items():
-            arr[c] = int(v * lcm)
-        dense.append(arr)
-    if not dense:
-        return 0
-    if len(dense) * ncols > 64 * cap:
-        raise TooLarge(f"rank elimination on {len(dense)}x{ncols} refused")
-    mat = dense
-    m, n = len(mat), ncols
-    rank = 0
-    prev = 1
-    for col in range(n):
-        piv = None
-        for r in range(rank, m):
-            if mat[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        pv = mat[rank][col]
-        for r in range(rank + 1, m):
-            factor = mat[r][col]
-            if factor or True:
-                row_r = mat[r]
-                row_p = mat[rank]
-                for c in range(col, n):
-                    row_r[c] = (pv * row_r[c] - factor * row_p[c]) // prev
-        prev = pv
-        rank += 1
-        if rank == min(m, n):
-            break
-    return rank
+def rank_of_rows(rows) -> int:
+    """Exact rank over Q of sparse rational rows (dicts column -> value),
+    each read once into an integer row, by elimination with Markowitz
+    pivots: the live column with the fewest rows, then its shortest row."""
+    live: dict[int, dict[int, int]] = {}
+    where: dict[int, list[int]] = {}  # column -> rows that had an entry there
+    count: dict[int, int] = {}  # column -> live rows that have an entry there
+    for rid, row in enumerate(rows):
+        den = math.lcm(*(v.denominator for v in row.values()))
+        live[rid] = ints = {c: v.numerator * (den // v.denominator)
+                            for c, v in row.items() if v}
+        for c in ints:
+            where.setdefault(c, []).append(rid)
+            count[c] = count.get(c, 0) + 1
+    nrows = len(live)
+    heap = sorted((n, c) for c, n in count.items())  # a valid heap
+    while heap:
+        n, col = heapq.heappop(heap)
+        if count.get(col) != n:
+            continue  # stale entry: the count changed or col was eliminated
+        del count[col]
+        ids = {i for i in where.pop(col) if col in live.get(i, ())}
+        pid = min(ids, key=lambda i: len(live[i]))
+        ids.discard(pid)
+        prow = live.pop(pid)  # for good: only the rank is needed
+        p = prow.pop(col)
+        for rid in ids:  # row <- (p*row - a*prow) / content, dropping col
+            row = live[rid]
+            a = row.pop(col)
+            g = math.gcd(p, a)
+            pm, am = p // g, a // g
+            for c in row:
+                row[c] *= pm
+            for c, v in prow.items():
+                x = row.get(c)
+                if x is None:  # fill-in
+                    row[c] = -am * v
+                    where[c].append(rid)
+                    count[c] += 1
+                elif x := x - am * v:
+                    row[c] = x
+                else:  # cancellation
+                    del row[c]
+                    count[c] -= 1
+            g = math.gcd(*row.values())  # 0 once the row has cancelled
+            if g > 1:
+                for c in row:
+                    row[c] //= g
+        for c in prow:
+            count[c] -= 1  # the pivot row leaves
+            if count[c]:
+                heapq.heappush(heap, (count[c], c))
+    return nrows - len(live)  # the rows left over have all cancelled
 
 
 def kernel_basis(rows, ncols: int) -> list[dict[int, Fraction]]:
@@ -353,16 +375,9 @@ def kernel_basis(rows, ncols: int) -> list[dict[int, Fraction]]:
     return kernel
 
 
-def span_dim(vectors: list[dict[int, Fraction]], ncols: int) -> int:
-    return rank_of_rows([dict(v) for v in vectors], ncols)
-
-
-def spans_agree(a, b, ncols: int) -> bool:
-    """Exact equality of two spans via three rank computations."""
-    ra = span_dim(a, ncols)
-    rb = span_dim(b, ncols)
-    rall = span_dim(list(a) + list(b), ncols)
-    return ra == rb == rall
+def spans_agree(a, b) -> bool:
+    """Exact equality of two spans of sparse vectors via three ranks."""
+    return rank_of_rows(a) == rank_of_rows(b) == rank_of_rows(list(a) + list(b))
 
 
 # ---------------------------------------------------------------------------
@@ -525,10 +540,6 @@ def young_symmetrizer(shape, k: int, basis: IndexedBasis | None = None,
     return col_anti * row_sym
 
 
-def operator_image_dim(op: ExactOperator) -> int:
-    return op.rank()
-
-
 # ---------------------------------------------------------------------------
 # commutants
 
@@ -576,28 +587,29 @@ def commutant_dim(generators: list[ExactOperator],
     if nvars > cap:
         raise TooLarge(f"commutant solve with {nvars} unknowns exceeds cap {cap}")
 
-    rows: list[dict[int, Fraction]] = []
-    for g in generators:
-        by_row: dict[int, list[tuple[int, Fraction]]] = {}
-        by_col: dict[int, list[tuple[int, Fraction]]] = {}
-        for (r, c), v in g.data.items():
-            by_row.setdefault(r, []).append((c, v))
-            by_col.setdefault(c, []).append((r, v))
-        # equation for output entry (i, l): sum_j X[i,j] A[j,l] - A[i,j] X[j,l]
-        eq: dict[tuple[int, int], dict[int, Fraction]] = {}
-        for (i, jcol), var in var_id.items():
-            # X[i, jcol] multiplies A[jcol, l] in entry (i, l)
-            for (l, v) in by_row.get(jcol, ()):
-                row = eq.setdefault((i, l), {})
-                row[var] = row.get(var, Fraction(0)) + v
-        for (jrow, l), var in var_id.items():
-            # X[jrow, l] multiplies -A[i, jrow] in entry (i, l)
-            for (i, v) in by_col.get(jrow, ()):
-                row = eq.setdefault((i, l), {})
-                row[var] = row.get(var, Fraction(0)) - v
-        rows.extend(r for r in eq.values() if r)
-    kern = kernel_basis(rows, nvars)
-    return len(kern)
+    def equations():  # rows of XA - AX = 0, dropped once the rank read them
+        for g in generators:
+            by_row: dict[int, list[tuple[int, Fraction]]] = {}
+            by_col: dict[int, list[tuple[int, Fraction]]] = {}
+            for (r, c), v in g.data.items():
+                by_row.setdefault(r, []).append((c, v))
+                by_col.setdefault(c, []).append((r, v))
+            # equation for entry (i, l): sum_j X[i,j] A[j,l] - A[i,j] X[j,l]
+            eq: dict[tuple[int, int], dict[int, Fraction]] = {}
+            for (i, jcol), var in var_id.items():
+                # X[i, jcol] multiplies A[jcol, l] in entry (i, l)
+                for (l, v) in by_row.get(jcol, ()):
+                    row = eq.setdefault((i, l), {})
+                    row[var] = row.get(var, 0) + v
+            for (jrow, l), var in var_id.items():
+                # X[jrow, l] multiplies -A[i, jrow] in entry (i, l)
+                for (i, v) in by_col.get(jrow, ()):
+                    row = eq.setdefault((i, l), {})
+                    row[var] = row.get(var, 0) - v
+            while eq:
+                yield eq.popitem()[1]
+
+    return nvars - rank_of_rows(equations())
 
 
 # ---------------------------------------------------------------------------

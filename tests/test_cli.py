@@ -167,6 +167,16 @@ def test_induce_usage_errors(capsys):
     assert code == 2
 
 
+def test_induce_rejects_tsv_format(capsys):
+    code, out, err = run(capsys, "induce", "--k", "3", "--m-group", "2",
+                         "--weight", "2,1", "--format", "tsv")
+    assert code == 2 and out == ""
+    assert "--format json" in err
+    code, out, _ = run(capsys, "induce", "--k", "3", "--m-group", "2",
+                       "--weight", "2,1", "--format", "json")
+    assert code == 0 and json.loads(out)["dimension"] == 8
+
+
 def test_induce_window_overflow_is_infeasible(capsys):
     code, _, err = run(capsys, "induce", "--k", "2", "--mn-group", "1,1",
                        "--weight", "6,-3", "--deg", "4")

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
+from howe_forge import tensor as T
 from howe_forge import weights as W
-from howe_forge.errors import ShapeMismatch, TooLarge
+from howe_forge.errors import InvariantBroken, ShapeMismatch, TooLarge
 from howe_forge.fock import (
+    LieActionSet,
     build_compact_model,
     build_oscillator_model,
     compact_multiplicities,
@@ -57,6 +59,15 @@ def test_piece_cap_enforced():
     model = build_compact_model(3, 3, 6, validate=False, cap=100)
     with pytest.raises(TooLarge):
         model.basis(6, 0)
+
+
+def test_failed_bracket_smoke_check_raises(monkeypatch):
+    monkeypatch.setattr(LieActionSet, "bracket_failures",
+                        lambda self: ["[E_01, E_10]"])
+    with pytest.raises(InvariantBroken, match="bracket smoke check"):
+        build_compact_model(2, 2, 2)
+    with pytest.raises(InvariantBroken, match="bracket smoke check"):
+        build_oscillator_model(2, 1, 1, 2)
 
 
 def test_weight_key_reads_rows_and_columns():
@@ -252,6 +263,28 @@ def test_verify_howe_small_report():
     for d in js["degrees"]:
         assert d["dim"] == bf.monomial_count(4, d["degree"])
         assert d["commutant_route"] == "matrix"
+
+
+def test_commutant_dim_matches_kernel_count_on_howe_pieces(monkeypatch):
+    """Each commutant solve of verify_howe(2, 3, 4) gives the nullity that
+    the Gauss-Jordan kernel finds for the same equations."""
+    systems = []
+    real_rank = T.rank_of_rows
+
+    def recording_rank(rows):
+        rows = list(rows)
+        systems.append(rows)
+        return real_rank(rows)
+
+    monkeypatch.setattr(T, "rank_of_rows", recording_rank)
+    model = build_compact_model(2, 3, 4)
+    rep = verify_howe(2, 3, 4, model=model)
+    assert rep.ok and len(systems) == len(rep.degrees) == 5
+    for d, rows in zip(rep.degrees, systems):
+        assert d.commutant_route == "matrix"
+        blocks = model.weight_blocks((d.degree, 0)).values()
+        nvars = sum(len(b) ** 2 for b in blocks)
+        assert d.commutant == len(T.kernel_basis(rows, nvars))
 
 
 def test_verify_howe_dimension_factors_match_tableaux():

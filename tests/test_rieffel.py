@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import bruteforce as bf
 from howe_forge import weights as W
 from howe_forge import rieffel
-from howe_forge.errors import ShapeMismatch, TooLarge
+from howe_forge.errors import InvariantBroken, ShapeMismatch, TooLarge
 from howe_forge.fock import build_oscillator_model
 from howe_forge.rieffel import (
     build_inducing_irrep,
@@ -90,6 +90,12 @@ def test_compact_module_frozen_example():
     assert mod.highest_weight == (2, 1, 0)
     assert mod.commutant == 1
     assert mod.gram_positive and mod.bracket_ok and not mod.empty
+
+
+def test_compact_cross_check_disagreement_raises(monkeypatch):
+    monkeypatch.setattr(rieffel, "spans_agree", lambda a, b: False)
+    with pytest.raises(InvariantBroken, match="projector image"):
+        induce_compact(2, 1, (1,), cross_check=True)
 
 
 def test_compact_module_rank_one_inducing_data():

@@ -50,6 +50,24 @@ def test_operator_arithmetic_roundtrip():
     assert (a - a).is_zero()
 
 
+def test_add_entry_is_exact_for_every_value_type():
+    b = T.IndexedBasis.tensor_power(2, 1)
+    op = T.ExactOperator(b, b)
+    op.add_entry(0, 0, 1)
+    op.add_entry(0, 0, 0.25)
+    op.add_entry(0, 1, "1/3")
+    op.add_entry(0, 1, Fraction(1, 6))
+    op.add_entry(1, 1, 2)
+    assert op.data == {(0, 0): Fraction(5, 4), (0, 1): Fraction(1, 2),
+                       (1, 1): Fraction(2)}
+    assert all(type(v) is Fraction for v in op.data.values())
+    op.add_entry(0, 0, Fraction(-5, 4))
+    op.add_entry(1, 1, -2)
+    assert op.data == {(0, 1): Fraction(1, 2)}
+    assert op - op.scaled(3) == op.scaled(-2)
+    assert op.data == {(0, 1): Fraction(1, 2)}  # operands are unchanged
+
+
 def test_apply_matches_composition():
     b = T.IndexedBasis.tensor_power(2, 2)
     s = T.sn_action((1, 0), 2, 2, basis=b)
@@ -69,18 +87,100 @@ def test_triplet_text_roundtrip():
     assert back == op
 
 
-def test_rank_bareiss_against_dense_oracle():
-    b = T.IndexedBasis.tensor_power(2, 2)
-    op = T.gl_tensor_action(0, 1, 2, 2, basis=b) + T.sn_action((1, 0), 2, 2, basis=b)
-    rows = op.rows()
-    dense = []
+def dense(rows, ncols):
+    out = []
     for row in rows:
-        arr = [Fraction(0)] * len(b)
+        arr = [Fraction(0)] * ncols
         for c, v in row.items():
             arr[c] = v
-        dense.append(arr)
-    nullity = bf.dense_nullity(dense, len(b))
+        out.append(arr)
+    return out
+
+
+def combination(coeffs, rows):
+    """sum of coeffs[t] * rows[t], keeping entries that cancel as zeros"""
+    out = {}
+    for t, a in coeffs.items():
+        for c, v in rows[t].items():
+            out[c] = out.get(c, 0) + a * v
+    return out
+
+
+def test_operator_rank_against_dense_oracle():
+    b = T.IndexedBasis.tensor_power(2, 2)
+    op = T.gl_tensor_action(0, 1, 2, 2, basis=b) + T.sn_action((1, 0), 2, 2, basis=b)
+    nullity = bf.dense_nullity(dense(op.rows(), len(b)), len(b))
     assert op.rank() == len(b) - nullity
+
+
+@st.composite
+def sparse_systems(draw):
+    """Sparse rational rows and rational combinations of them, so that
+    elimination has to cancel rows exactly after fill-in; with non-unit
+    denominators, explicit zero entries, repeated and empty rows, and
+    columns that no row touches."""
+    ncols = draw(st.integers(min_value=1, max_value=9))
+    used = draw(st.integers(min_value=1, max_value=ncols))
+    entry = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 9))
+
+    def sparse(width):
+        return st.dictionaries(st.integers(0, width - 1), entry,
+                               min_size=min(width, 2), max_size=width)
+
+    rows = draw(st.lists(sparse(used), min_size=1, max_size=10))
+    rows += [combination(u, rows)
+             for u in draw(st.lists(sparse(len(rows)), max_size=6))]
+    rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    rows += [{}] * draw(st.integers(0, 2))
+    order = draw(st.permutations(range(len(rows))))
+    return [rows[i] for i in order], ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_systems())
+def test_rank_of_rows_against_dense_oracle(system):
+    rows, ncols = system
+    snapshot = [dict(r) for r in rows]
+    rank = T.rank_of_rows(rows)
+    assert ncols - rank == bf.dense_nullity(dense(rows, ncols), ncols)
+    assert rows == snapshot  # the caller's rows are left as they were
+    assert T.rank_of_rows(iter(rows)) == rank
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_rank_of_rows_on_a_cycle(n):
+    # rows (e_i + a e_{i+1}) / (i + 1), indices mod n: every column has two
+    # rows, so each pivot fills the next row in, and the last row cancels
+    # exactly when (-a)^n == 1
+    for a, rank in ((1, n - 1 + n % 2), (-1, n - 1), (Fraction(2, 3), n)):
+        rows = [{i: Fraction(1, i + 1), (i + 1) % n: a * Fraction(1, i + 1)}
+                for i in range(n)]
+        assert n - bf.dense_nullity(dense(rows, n), n) == rank
+        assert T.rank_of_rows(rows) == rank
+
+
+def test_rank_of_rows_keeps_count_of_filled_in_columns():
+    # the pivot on column 0 fills column 2 of the third row in; that row
+    # then pivots on column 1 and leaves, and column 2 must still count
+    # the last row
+    rows = [{3: Fraction(1)}, {0: Fraction(1), 1: Fraction(1), 2: Fraction(1)},
+            {0: Fraction(1), 1: Fraction(5, 7), 3: Fraction(1)},
+            {2: Fraction(1)}]
+    assert bf.dense_nullity(dense(rows, 4), 4) == 0
+    assert T.rank_of_rows(rows) == 4
+
+
+def test_rank_of_rows_sparse_low_rank_product():
+    # rows of U V with sparse U (9x5, one row of it zero in one slot) and
+    # banded V (5x7): four rows must cancel exactly, after fill-in
+    U = [{i % 5: Fraction(1, i + 1), (i + 2) % 5: Fraction(i - 4, 3)}
+         for i in range(9)]
+    V = [{c: Fraction(t + c + 1, c + 2) for c in range(t, t + 3)}
+         for t in range(5)]
+    rows = [combination(u, V) for u in U]
+    assert bf.dense_nullity(dense(rows, 7), 7) == 2
+    assert T.rank_of_rows(rows) == 5
+    assert T.rank_of_rows(rows + [{6: Fraction(1)}, {0: Fraction(2, 3)}]) == 7
 
 
 # ---------------------------------------------------------------------------
@@ -267,5 +367,5 @@ def test_kernel_basis_handles_cancelling_rows():
 def test_spans_agree():
     a = [{0: Fraction(1)}, {1: Fraction(1)}]
     b = [{0: Fraction(1), 1: Fraction(1)}, {0: Fraction(1), 1: Fraction(-1)}]
-    assert T.spans_agree(a, b, 2)
-    assert not T.spans_agree(a, [{0: Fraction(1)}], 2)
+    assert T.spans_agree(a, b)
+    assert not T.spans_agree(a, [{0: Fraction(1)}])
