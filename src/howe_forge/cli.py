@@ -248,6 +248,12 @@ def cmd_induce(args) -> int:
     if args.m_group is not None:
         if args.weight is None:
             return fail_usage("--m-group needs --weight")
+        unused = [flag for flag, value in (("--halfint", args.halfint),
+                                           ("--signed", args.signed),
+                                           ("--deg", args.deg))
+                  if value is not None]
+        if unused:
+            return fail_usage(f"--m-group takes no {', '.join(unused)}")
         try:
             m = W.partition(parse_int_tuple(args.weight))
         except ShapeMismatch as exc:

@@ -25,7 +25,8 @@ from itertools import product
 from . import weights as W
 from .errors import InvariantBroken, NotRenormalizable, ShapeMismatch, \
     TooLarge
-from .tensor import ExactOperator, IndexedBasis, kernel_basis, commutant_dim
+from .tensor import ExactOperator, IndexedBasis, gl_commutant_dim, \
+    gl_relation_failures, kernel_basis
 
 DEFAULT_PIECE_CAP = 20_000
 DEFAULT_COMMUTANT_UNKNOWN_CAP = 2_000
@@ -62,21 +63,8 @@ class LieActionSet:
         """Exact check of the gl relations and cross-commutation on this
         piece.  Returns human-readable labels of failing pairs."""
         bad: list[str] = []
-
-        def expect(name, got, want):
-            if got != want:
-                bad.append(name)
-
-        for (fam, ops) in (("k", self.gl_k), ("m", self.gl_m), ("n", self.gl_n)):
-            for (i, j), a in ops.items():
-                for (l, m_), b in ops.items():
-                    lhs = a * b - b * a
-                    rhs = ExactOperator.zero(a.domain, a.codomain)
-                    if j == l:
-                        rhs += ops[(i, m_)]
-                    if m_ == i:
-                        rhs -= ops[(l, j)]
-                    expect(f"gl({fam})[{i}{j},{l}{m_}]", lhs, rhs)
+        for fam, ops in (("k", self.gl_k), ("m", self.gl_m), ("n", self.gl_n)):
+            bad += gl_relation_failures(ops, fam)
         for (i, j), a in self.gl_k.items():
             for fam, ops in (("m", self.gl_m), ("n", self.gl_n)):
                 for key, b in ops.items():
@@ -361,12 +349,7 @@ def joint_highest_weight_vectors(model: FockModel, piece,
             for bb in range(model.N):
                 ops.append(model.lowerer_op(a, bb, piece))
 
-    cols_of: list[dict[int, list[tuple[int, Fraction]]]] = []
-    for op in ops:
-        cols: dict[int, list[tuple[int, Fraction]]] = {}
-        for (r, c), v in op.data.items():
-            cols.setdefault(c, []).append((r, v))
-        cols_of.append(cols)
+    cols_of = [op.columns() for op in ops]
 
     out: list[HighestWeightVector] = []
     for key, members in sorted(model.weight_blocks(piece).items()):
@@ -537,21 +520,11 @@ def verify_howe(k: int, M: int, degree: int, convention: str = "sq",
         blocks = model.weight_blocks((n, 0))
         unknowns = sum(len(m) ** 2 for m in blocks.values())
         if unknowns <= commutant_cap:
-            gens = []
-            for i in range(k - 1):
-                gens.append(model.gl_k_op(i, i + 1, (n, 0)))
-                gens.append(model.gl_k_op(i + 1, i, (n, 0)))
-            for a in range(M - 1):
-                gens.append(model.gl_m_op(a, a + 1, (n, 0)))
-                gens.append(model.gl_m_op(a + 1, a, (n, 0)))
-            carts = [model.gl_k_op(i, i, (n, 0)) for i in range(k)]
-            carts += [model.gl_m_op(a, a, (n, 0)) for a in range(M)]
-            if not gens:  # k = M = 1: everything is Cartan
-                gens = carts
-                commutant = commutant_dim(gens)
-            else:
-                commutant = commutant_dim(gens, cartans=carts,
-                                          cap=max(commutant_cap, 64))
+            piece = (n, 0)
+            commutant = gl_commutant_dim(
+                [(k, lambda i, j: model.gl_k_op(i, j, piece)),
+                 (M, lambda a, b: model.gl_m_op(a, b, piece))],
+                cap=max(commutant_cap, 64))
             route = "matrix"
         else:
             commutant = sum(v * v for v in mult.values())

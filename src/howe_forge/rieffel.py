@@ -24,8 +24,9 @@ from . import weights as W
 from .errors import InvariantBroken, ShapeMismatch, TooLarge
 from .fock import FockModel, build_compact_model, build_oscillator_model, \
     joint_highest_weight_vectors, strict_signed_pairs
-from .tensor import ExactOperator, IndexedBasis, commutant_dim, kernel_basis, \
-    gl_tensor_action, spans_agree, young_symmetrizer
+from .tensor import ExactOperator, IndexedBasis, ReducedSpan, \
+    gl_commutant_dim, gl_relation_failures, gl_tensor_action, gram_matrix, \
+    kernel_basis, restrict_by_leaders, spans_agree, young_symmetrizer
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -33,48 +34,6 @@ _F1 = Fraction(1)
 
 # ---------------------------------------------------------------------------
 # small exact-linear-algebra helpers (module-local)
-
-
-class _Span:
-    """Incrementally reduced (Jordan) span of sparse exact vectors.
-
-    Every stored row has a 1 in its pivot column and zeros in the pivot
-    columns of all other rows, so pivots act as leader coordinates."""
-
-    def __init__(self):
-        self.echelon: list[tuple[int, dict]] = []
-
-    def insert(self, vec: dict) -> bool:
-        """Add the vector; return True when it enlarged the span."""
-        v = {c: x for c, x in vec.items() if x}
-        for piv, row in self.echelon:
-            c = v.get(piv)
-            if c:
-                for col, val in row.items():
-                    nv = v.get(col, _F0) - c * val
-                    if nv:
-                        v[col] = nv
-                    else:
-                        v.pop(col, None)
-        if not v:
-            return False
-        piv = min(v)
-        inv = _F1 / v[piv]
-        v = {c: x * inv for c, x in v.items()}
-        for _, row in self.echelon:
-            c = row.get(piv)
-            if c:
-                for col, val in v.items():
-                    nv = row.get(col, _F0) - c * val
-                    if nv:
-                        row[col] = nv
-                    else:
-                        row.pop(col, None)
-        self.echelon.append((piv, v))
-        return True
-
-    def __len__(self) -> int:
-        return len(self.echelon)
 
 
 def _ldl_positive(gram: list[list[Fraction]]) -> bool:
@@ -93,48 +52,6 @@ def _ldl_positive(gram: list[list[Fraction]]) -> bool:
     return True
 
 
-def _leaders(basis: list[dict]) -> list:
-    """One coordinate per basis vector where all the others vanish.
-
-    Exists whenever the vectors come out of a reduced kernel solve (each
-    keeps a 1 in its own free column); lets coordinates be read off
-    instead of solved for."""
-    counts: dict = {}
-    for vec in basis:
-        for c in vec:
-            counts[c] = counts.get(c, 0) + 1
-    out = []
-    for vec in basis:
-        lead = next(c for c, x in vec.items() if counts[c] == 1 and x == 1)
-        out.append(lead)
-    return out
-
-
-def _restrict_by_leaders(apply_op, basis: list[dict],
-                         leaders: list) -> tuple[tuple[Fraction, ...], ...]:
-    """Matrix of an operator that preserves the span of the basis, in that
-    basis: coordinates are read off the leader positions and the residual
-    is verified exactly."""
-    d = len(basis)
-    cols = []
-    for v in basis:
-        w = apply_op(v)
-        coeffs = [w.get(l, _F0) for l in leaders]
-        resid = dict(w)
-        for u, cu in enumerate(coeffs):
-            if cu:
-                for key, val in basis[u].items():
-                    nv = resid.get(key, _F0) - cu * val
-                    if nv:
-                        resid[key] = nv
-                    else:
-                        resid.pop(key, None)
-        if any(resid.values()):
-            raise ShapeMismatch("operator does not preserve the subspace")
-        cols.append(coeffs)
-    return tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
-
-
 def _as_operator_family(gl_mats: dict[tuple[int, int], tuple]):
     if not gl_mats:
         return {}
@@ -150,39 +67,6 @@ def _as_operator_family(gl_mats: dict[tuple[int, int], tuple]):
                     op.data[(r, c)] = row[c]
         fam[key] = op
     return fam
-
-
-def _module_commutant(ops: dict[tuple[int, int], ExactOperator], k: int) -> int:
-    gens = []
-    for i in range(k - 1):
-        gens.append(ops[(i, i + 1)])
-        gens.append(ops[(i + 1, i)])
-    carts = [ops[(i, i)] for i in range(k)]
-    if not gens:
-        return commutant_dim(carts)
-    return commutant_dim(gens, cartans=carts)
-
-
-def _bracket_ok(ops: dict[tuple[int, int], ExactOperator], k: int) -> bool:
-    """[E_ij, E_lm] = d_jl E_im - d_mi E_lj for every pair of generators.
-
-    Both sides change sign when the pair is swapped and vanish when it
-    repeats a generator, so each unordered pair is checked once."""
-    items = list(ops.items())
-    zero = None
-    for s, ((i, j), a) in enumerate(items):
-        for (l, m_), b in items[s + 1:]:
-            if zero is None:
-                zero = ExactOperator.zero(a.domain, a.codomain)
-            lhs = a * b - b * a
-            rhs = zero
-            if j == l:
-                rhs = rhs + ops[(i, m_)]
-            if m_ == i:
-                rhs = rhs - ops[(l, j)]
-            if lhs != rhs:
-                return False
-    return True
 
 
 def _fock_norm_sq(label) -> int:
@@ -218,14 +102,7 @@ class InducingIrrep:
         return len(self.basis)
 
     def gram(self) -> list[list[Fraction]]:
-        g = [[_F0] * self.dim for _ in range(self.dim)]
-        for u in range(self.dim):
-            for v in range(u, self.dim):
-                s = sum((self.basis[u][w] * cv
-                         for w, cv in self.basis[v].items()
-                         if w in self.basis[u]), _F0)
-                g[u][v] = g[v][u] = s
-        return g
+        return gram_matrix(self.basis)
 
 
 def _word_weight(word, M) -> tuple[int, ...]:
@@ -257,22 +134,14 @@ def build_inducing_irrep(m, M: int) -> InducingIrrep:
     by_weight: dict[tuple[int, ...], list[int]] = {}
     for i, word in enumerate(wb.labels):
         by_weight.setdefault(_word_weight(word, M), []).append(i)
-    cols: dict[int, dict[int, Fraction]] = {}
-    for (r, c), v in sym.data.items():
-        cols.setdefault(c, {})[r] = v
-    basis: list[dict[int, Fraction]] = []
+    cols = sym.columns()
+    echelon: list[tuple[int, dict[int, Fraction]]] = []
     basis_weights: list[tuple[int, ...]] = []
-    leaders: list[int] = []
     for wt in sorted(by_weight, reverse=True):
-        span = _Span()
-        for c in by_weight[wt]:
-            vec = cols.get(c)
-            if vec:
-                span.insert(vec)
-        for piv, row in span.echelon:
-            basis.append(row)
-            basis_weights.append(wt)
-            leaders.append(piv)
+        span = ReducedSpan(dict(cols[c]) for c in by_weight[wt] if c in cols)
+        echelon += span.echelon
+        basis_weights += [wt] * len(span)
+    basis = [row for _, row in echelon]
     expected = W.weyl_dim(shape, M)
     if len(basis) != expected:
         raise ShapeMismatch(
@@ -282,7 +151,7 @@ def build_inducing_irrep(m, M: int) -> InducingIrrep:
     for a in range(M):
         for b in range(M):
             tens = gl_tensor_action(a, b, M, n)
-            ops[(a, b)] = _restrict_by_leaders(tens.apply, basis, leaders)
+            ops[(a, b)] = restrict_by_leaders(tens.apply, echelon)
 
     hw_wt = shape + (0,) * (M - len(shape))
     highest = basis_weights.index(hw_wt)
@@ -366,6 +235,21 @@ class Empty:
         }
 
 
+def _checked_module(ambient: str, k: int, inputs: dict, basis: list[dict],
+                    gl_mats: dict[tuple[int, int], tuple], highest_weight,
+                    gram: list[list[Fraction]]) -> InducedModule:
+    """The module with its three checks: commutant of the restricted
+    gl(k) action, positivity of the Gram matrix and the gl(k) relations."""
+    fam = _as_operator_family(gl_mats)
+    return InducedModule(
+        ambient, k, inputs, basis, gl_mats,
+        highest_weight=highest_weight,
+        commutant=gl_commutant_dim([(k, lambda i, j: fam[(i, j)])]),
+        gram_positive=_ldl_positive(gram),
+        bracket_ok=not gl_relation_failures(fam, "k"),
+    )
+
+
 def _compact_blocks(model: FockModel, piece, irrep: InducingIrrep,
                     zero_only: bool = False):
     """Group the combined basis (f, h) by joint weight so the diagonal
@@ -401,13 +285,7 @@ def _diagonal_invariants(model: FockModel, piece,
     M = model.M
     fb, blocks = _compact_blocks(model, piece, irrep, zero_only=True)
     offdiag = [(a, b) for a in range(M) for b in range(M) if a != b]
-    fcols = {}
-    for a, b in offdiag:
-        op = model.gl_m_op(a, b, piece)
-        cols: dict[int, list] = {}
-        for (r, c), v in op.data.items():
-            cols.setdefault(c, []).append((r, v))
-        fcols[(a, b)] = cols
+    fcols = {(a, b): model.gl_m_op(a, b, piece).columns() for a, b in offdiag}
     hmat = irrep.action
     dimh = irrep.dim
 
@@ -470,7 +348,7 @@ def induce_compact(k: int, M: int, m, cross_check: bool = False) -> InducedModul
     n = sum(shape)
     model = build_compact_model(k, M, n, validate=False)
     piece = (n, 0)
-    basis = _diagonal_invariants(model, piece, irrep)
+    invariants = _diagonal_invariants(model, piece, irrep)
     fb = model.basis(*piece)
     inputs = {"k": k, "M": M, "m": list(shape)}
     ambient = f"deg-{n} polynomials on {k}x{M} tensor irrep {shape or '()'}"
@@ -478,19 +356,17 @@ def induce_compact(k: int, M: int, m, cross_check: bool = False) -> InducedModul
     if cross_check:
         cas = _casimir_kernel(model, piece, irrep)
         dimh = irrep.dim
-        flat_a = [{f * dimh + h: v for (f, h), v in vec.items()} for vec in basis]
+        flat_a = [{f * dimh + h: v for (f, h), v in vec.items()}
+                  for vec in invariants]
         flat_b = [{f * dimh + h: v for (f, h), v in vec.items()} for vec in cas]
         if not spans_agree(flat_a, flat_b):
             raise InvariantBroken("invariants disagree with the projector image")
 
-    if not basis:
+    if not invariants:
         return InducedModule(ambient, k, inputs, [], {}, None, None, True, True)
 
     def gl_k_apply(i, j):
-        op = model.gl_k_op(i, j, piece)
-        cols: dict[int, list] = {}
-        for (r, c), v in op.data.items():
-            cols.setdefault(c, []).append((r, v))
+        cols = model.gl_k_op(i, j, piece).columns()
 
         def apply(vec):
             out: dict[tuple[int, int], Fraction] = {}
@@ -506,23 +382,19 @@ def induce_compact(k: int, M: int, m, cross_check: bool = False) -> InducedModul
 
         return apply
 
-    leaders = _leaders(basis)
-    gl_mats = {(i, j): _restrict_by_leaders(gl_k_apply(i, j), basis, leaders)
+    # the invariants of different weight blocks have disjoint supports, so
+    # every reduced row is still a weight vector, and its pivot a leader
+    span = ReducedSpan(invariants)
+    basis = [row for _, row in span.echelon]
+    gl_mats = {(i, j): restrict_by_leaders(gl_k_apply(i, j), span.echelon)
                for i in range(k) for j in range(k)}
     hw = max(
         (tuple(int(c) for c in key[0])
          for key, vec in _weights_of_vectors(model, piece, basis).items()),
         default=None,
     )
-    fam = _as_operator_family(gl_mats)
-    gram = _combined_gram(basis, fb, irrep.gram())
-    return InducedModule(
-        ambient, k, inputs, basis, gl_mats,
-        highest_weight=hw,
-        commutant=_module_commutant(fam, k),
-        gram_positive=_ldl_positive(gram),
-        bracket_ok=_bracket_ok(fam, k),
-    )
+    return _checked_module(ambient, k, inputs, basis, gl_mats, hw,
+                           _combined_gram(basis, fb, irrep.gram()))
 
 
 def _weights_of_vectors(model: FockModel, piece, basis) -> dict:
@@ -543,14 +415,8 @@ def _casimir_kernel(model: FockModel, piece, irrep: InducingIrrep) -> list[dict]
     with kernel exactly the invariants)."""
     M = model.M
     fb, blocks = _compact_blocks(model, piece, irrep)
-    fcols = {}
-    for a in range(M):
-        for b in range(M):
-            op = model.gl_m_op(a, b, piece)
-            cols: dict[int, list] = {}
-            for (r, c), v in op.data.items():
-                cols.setdefault(c, []).append((r, v))
-            fcols[(a, b)] = cols
+    fcols = {(a, b): model.gl_m_op(a, b, piece).columns()
+             for a in range(M) for b in range(M)}
     hmat = irrep.action
     dimh = irrep.dim
 
@@ -676,8 +542,7 @@ def induce_noncompact_graded(k: int, M: int, N: int, inducing_weight,
 
     fb = model.basis(*piece)
     lowers = [model.gl_k_op(i + 1, i, piece) for i in range(k - 1)]
-    span = _Span()
-    span.insert(target.vector)
+    span = ReducedSpan([target.vector])
     queue = [target.vector]
     while queue:
         v = queue.pop()
@@ -686,35 +551,15 @@ def induce_noncompact_graded(k: int, M: int, N: int, inducing_weight,
             if img and span.insert(img):
                 queue.append(img)
 
-    # the reduced rows keep a 1 at their own pivot and a 0 at every other
-    # row's pivot, so the pivots are leader coordinates
     basis = [row for _, row in span.echelon]
-    leaders = [piv for piv, _ in span.echelon]
-    gl_mats = {(i, j): _restrict_by_leaders(model.gl_k_op(i, j, piece).apply,
-                                            basis, leaders)
+    gl_mats = {(i, j): restrict_by_leaders(model.gl_k_op(i, j, piece).apply,
+                                           span.echelon)
                for i in range(k) for j in range(k)}
-    facts = [Fraction(_fock_norm_sq(lab)) for lab in fb.labels]
-    dim = len(basis)
-    gram = [[_F0] * dim for _ in range(dim)]
-    for u in range(dim):
-        for v in range(u, dim):
-            s = sum((basis[u][o] * cv * facts[o]
-                     for o, cv in basis[v].items() if o in basis[u]), _F0)
-            gram[u][v] = gram[v][u] = s
-
-    hw = tuple(int(x) for x in target.k_weight)
-    fam = _as_operator_family(gl_mats)
-    return InducedModule(
-        ambient=f"bidegree {piece} polynomials on {k}x({M}+{N})",
-        k=k,
-        inputs=dict(inputs),
-        basis=basis,
-        gl_k=gl_mats,
-        highest_weight=hw,
-        commutant=_module_commutant(fam, k),
-        gram_positive=_ldl_positive(gram),
-        bracket_ok=_bracket_ok(fam, k),
-    )
+    fock_norms = [Fraction(_fock_norm_sq(lab)) for lab in fb.labels]
+    return _checked_module(
+        f"bidegree {piece} polynomials on {k}x({M}+{N})", k, dict(inputs),
+        basis, gl_mats, tuple(int(x) for x in target.k_weight),
+        gram_matrix(basis, fock_norms))
 
 
 def _partitions_within(rows: int, total: int):

@@ -2,9 +2,12 @@
 
 Operators are dicts keyed by (row, col) ordinals with Fraction values.
 All arithmetic is exact rational; there are no tolerance parameters in
-this module.  Every rank comes from one sparse Markowitz elimination on
-integer rows, kept primitive after each update; kernels use sparse
-Gauss-Jordan over Fractions.
+this module.  Two eliminations serve every caller.  ``rank_of_rows`` is
+rank only: sparse Markowitz elimination on integer rows, kept primitive
+after each update.  ``ReducedSpan`` is the Jordan-reduced span of
+rational rows (lowest-column pivots normalized to 1); kernels
+(``kernel_basis``), module bases and restrictions of operators to an
+invariant span (``restrict_by_leaders``) all come from it.
 
 The symmetric-group material (slot permutations, central projectors,
 row/column symmetrizers, commutants) lives here too, since those
@@ -21,10 +24,13 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .errors import TooLarge
+from .errors import ShapeMismatch, TooLarge
 from . import weights as W
 
 DEFAULT_BASIS_CAP = 20_000
+
+_F0 = Fraction(0)
+_F1 = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -181,12 +187,10 @@ class ExactOperator:
             return self.scaled(other)
         if other.codomain.labels != self.domain.labels:
             raise ValueError("composition shape mismatch")
-        by_row: dict[int, list[tuple[int, Fraction]]] = {}
-        for (r, c), v in self.data.items():
-            by_row.setdefault(c, []).append((r, v))
+        cols = self.columns()
         out = ExactOperator(other.domain, self.codomain)
         for (mid, col), bv in other.data.items():
-            for row, av in by_row.get(mid, ()):
+            for row, av in cols.get(mid, ()):
                 out.add_entry(row, col, av * bv)
         return out
 
@@ -230,6 +234,13 @@ class ExactOperator:
     @property
     def nnz(self) -> int:
         return len(self.data)
+
+    def columns(self) -> dict[int, list[tuple[int, Fraction]]]:
+        """Column index: col -> [(row, value)], in storage order."""
+        out: dict[int, list[tuple[int, Fraction]]] = {}
+        for (r, c), v in self.data.items():
+            out.setdefault(c, []).append((r, v))
+        return out
 
     def rows(self) -> list[dict[int, Fraction]]:
         out: dict[int, dict[int, Fraction]] = {}
@@ -325,54 +336,110 @@ def rank_of_rows(rows) -> int:
     return nrows - len(live)  # the rows left over have all cancelled
 
 
-def kernel_basis(rows, ncols: int) -> list[dict[int, Fraction]]:
-    """Kernel of the stacked row system, as sparse column vectors.
+def _subtract(dst: dict, x, src: dict) -> None:
+    """dst -= x * src in place, dropping the entries that cancel."""
+    for c, v in src.items():
+        new = dst.get(c, _F0) - x * v
+        if new:
+            dst[c] = new
+        else:
+            dst.pop(c, None)
 
-    Plain sparse Gauss-Jordan over Fractions; returns one vector per free
-    column, each normalized with a 1 in its free coordinate.
-    """
-    reduced: list[dict[int, Fraction]] = []
-    pivots: list[int] = []
-    for row in rows:
-        r = {c: v for c, v in row.items() if v}
-        for pcol, prow in zip(pivots, reduced):
-            x = r.get(pcol)
+
+class ReducedSpan:
+    """Incrementally Jordan-reduced span of sparse rational vectors.
+
+    ``echelon`` holds (pivot, row) pairs in insertion order.  A row's
+    pivot is its lowest column once reduced against the rows before it;
+    the row is 1 there and 0 at every other row's pivot, so the pivots
+    are leader coordinates of the span."""
+
+    __slots__ = ("echelon",)
+
+    def __init__(self, vectors=()):
+        self.echelon: list[tuple[int, dict[int, Fraction]]] = []
+        for vec in vectors:
+            self.insert(vec)
+
+    def __len__(self) -> int:
+        return len(self.echelon)
+
+    def insert(self, vec) -> bool:
+        """Add the vector; return True when it enlarged the span."""
+        v = {c: x for c, x in vec.items() if x}
+        for piv, row in self.echelon:
+            x = v.get(piv)
             if x:
-                for c, v in prow.items():
-                    new = r.get(c, Fraction(0)) - x * v
-                    if new:
-                        r[c] = new
-                    else:
-                        r.pop(c, None)
-        if not r:
-            continue
-        pcol = min(r)
-        pval = r[pcol]
-        r = {c: v / pval for c, v in r.items()}
-        # back-substitute into earlier rows
-        for i, prow in enumerate(reduced):
-            x = prow.get(pcol)
+                _subtract(v, x, row)
+        if not v:
+            return False
+        piv = min(v)
+        inv = _F1 / v[piv]
+        v = {c: x * inv for c, x in v.items()}
+        for _, row in self.echelon:  # back-substitute into earlier rows
+            x = row.get(piv)
             if x:
-                for c, v in r.items():
-                    new = prow.get(c, Fraction(0)) - x * v
-                    if new:
-                        prow[c] = new
-                    else:
-                        prow.pop(c, None)
-        reduced.append(r)
-        pivots.append(pcol)
-    pivot_set = set(pivots)
-    kernel = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = {free: Fraction(1)}
-        for pcol, prow in zip(pivots, reduced):
-            x = prow.get(free)
-            if x:
-                vec[pcol] = -x
-        kernel.append(vec)
-    return kernel
+                _subtract(row, x, v)
+        self.echelon.append((piv, v))
+        return True
+
+    def kernel(self, ncols: int) -> list[dict[int, Fraction]]:
+        """Vectors annihilated by every row, one per free column below
+        ncols: 1 in that column, then minus each row's entry there at the
+        row's pivot."""
+        pivots = {piv for piv, _ in self.echelon}
+        out = []
+        for free in range(ncols):
+            if free in pivots:
+                continue
+            vec = {free: _F1}
+            for piv, row in self.echelon:
+                x = row.get(free)
+                if x:
+                    vec[piv] = -x
+            out.append(vec)
+        return out
+
+
+def kernel_basis(rows, ncols: int) -> list[dict[int, Fraction]]:
+    """Kernel of the stacked row system, as sparse column vectors, each
+    with a 1 in its free column (see ``ReducedSpan.kernel``)."""
+    return ReducedSpan(rows).kernel(ncols)
+
+
+def restrict_by_leaders(apply_op, echelon) -> tuple[tuple[Fraction, ...], ...]:
+    """Matrix, in the basis of the ``echelon`` rows of a ``ReducedSpan``,
+    of an operator that maps their span into itself.  Coordinates are
+    read off the pivots; the residual is checked to vanish exactly, and
+    ``ShapeMismatch`` is raised when the operator leaves the span."""
+    cols = []
+    for _, row in echelon:
+        w = apply_op(row)
+        coeffs = [w.get(piv, _F0) for piv, _ in echelon]
+        resid = dict(w)
+        for (_, u), cu in zip(echelon, coeffs):
+            if cu:
+                _subtract(resid, cu, u)
+        if any(resid.values()):
+            raise ShapeMismatch("operator does not preserve the subspace")
+        cols.append(coeffs)
+    return tuple(zip(*cols))
+
+
+def gram_matrix(vectors, weight=None) -> list[list[Fraction]]:
+    """Gram matrix of sparse vectors, <u, v> = sum_o u[o] v[o] weight[o],
+    with weight 1 on every coordinate when ``weight`` is None."""
+    d = len(vectors)
+    g = [[_F0] * d for _ in range(d)]
+    for u, a in enumerate(vectors):
+        for v in range(u, d):
+            s = _F0
+            for o, cv in vectors[v].items():
+                x = a.get(o)
+                if x:
+                    s += x * cv if weight is None else x * cv * weight[o]
+            g[u][v] = g[v][u] = s
+    return g
 
 
 def spans_agree(a, b) -> bool:
@@ -541,7 +608,44 @@ def young_symmetrizer(shape, k: int, basis: IndexedBasis | None = None,
 
 
 # ---------------------------------------------------------------------------
-# commutants
+# gl relations and commutants
+
+
+def gl_relation_failures(ops: dict[tuple[int, int], ExactOperator],
+                         name: str = "") -> list[str]:
+    """Labels of the generator pairs that break
+    [E_ij, E_lm] = d_jl E_im - d_mi E_lj, for a family keyed (i, j).
+
+    Both sides change sign when the pair is swapped and vanish when it
+    repeats a generator, so each unordered pair is checked once."""
+    bad = []
+    items = list(ops.items())
+    for s, ((i, j), a) in enumerate(items):
+        for (l, m), b in items[s + 1:]:
+            rhs = ExactOperator.zero(a.domain, a.codomain)
+            if j == l:
+                rhs = rhs + ops[(i, m)]
+            if m == i:
+                rhs = rhs - ops[(l, j)]
+            if a * b - b * a != rhs:
+                bad.append(f"gl({name})[{i}{j},{l}{m}]")
+    return bad
+
+
+def gl_commutant_dim(families, cap: int = DEFAULT_BASIS_CAP) -> int:
+    """Dimension of the joint commutant of gl families acting on one
+    space.  Each family is a pair (rank, op) with op(i, j) the operator of
+    E_ij.  The E_{i,i+1} and E_{i+1,i} generate, and the E_ii are solved
+    in advance as Cartans; when every rank is 1 the Cartans are the only
+    generators."""
+    gens = []
+    for rank, op in families:
+        for i in range(rank - 1):
+            gens += [op(i, i + 1), op(i + 1, i)]
+    carts = [op(i, i) for rank, op in families for i in range(rank)]
+    if not gens:
+        return commutant_dim(carts, cap=cap)
+    return commutant_dim(gens, cartans=carts, cap=cap)
 
 
 def commutant_dim(generators: list[ExactOperator],
@@ -590,10 +694,9 @@ def commutant_dim(generators: list[ExactOperator],
     def equations():  # rows of XA - AX = 0, dropped once the rank read them
         for g in generators:
             by_row: dict[int, list[tuple[int, Fraction]]] = {}
-            by_col: dict[int, list[tuple[int, Fraction]]] = {}
             for (r, c), v in g.data.items():
                 by_row.setdefault(r, []).append((c, v))
-                by_col.setdefault(c, []).append((r, v))
+            by_col = g.columns()
             # equation for entry (i, l): sum_j X[i,j] A[j,l] - A[i,j] X[j,l]
             eq: dict[tuple[int, int], dict[int, Fraction]] = {}
             for (i, jcol), var in var_id.items():

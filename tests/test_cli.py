@@ -1,5 +1,6 @@
 """Exit codes, table shapes, and determinism of the command line."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -177,6 +178,14 @@ def test_induce_rejects_tsv_format(capsys):
     assert code == 0 and json.loads(out)["dimension"] == 8
 
 
+def test_induce_compact_rejects_graded_only_flags(capsys):
+    for extra in (("--signed", "1:1"), ("--halfint", "3/2"), ("--deg", "99")):
+        code, out, err = run(capsys, "induce", "--k", "2", "--m-group", "2",
+                             "--weight", "1", *extra)
+        assert code == 2 and out == ""
+        assert extra[0] in err
+
+
 def test_induce_window_overflow_is_infeasible(capsys):
     code, _, err = run(capsys, "induce", "--k", "2", "--mn-group", "1,1",
                        "--weight", "6,-3", "--deg", "4")
@@ -242,6 +251,23 @@ def test_verify_all_is_deterministic(capsys):
     assert first == second
     rep = json.loads(first)
     assert rep["ok"] is True and rep["seed"] == 1
+
+
+# sha256 of the full verify-all --seed 1 report.  A refactor keeps these
+# bytes; a change that alters the report on purpose updates the digest
+# and says why.
+VERIFY_ALL_SEED_1_SHA256 = {
+    "json": "a3c4ee9688fd643510490d4b67a342d0722c46da2a2d6eef5a7f6777ace2a171",
+    "tsv": "15b2614681bc957628f2b8de20fe2d47bfd699c1243355d6839b2052cf07004d",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(VERIFY_ALL_SEED_1_SHA256))
+def test_verify_all_seed_1_report_is_frozen(capsys, fmt):
+    code, out, _ = run(capsys, "verify-all", "--seed", "1", "--format", fmt)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == VERIFY_ALL_SEED_1_SHA256[fmt]
 
 
 def test_verify_all_threads_do_not_change_output(capsys):

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 import bruteforce as bf
 from howe_forge import weights as W
 from howe_forge import rieffel
+from howe_forge import tensor as T
 from howe_forge.errors import InvariantBroken, ShapeMismatch, TooLarge
-from howe_forge.fock import build_oscillator_model
+from howe_forge.fock import build_compact_model, build_oscillator_model
 from howe_forge.rieffel import (
     build_inducing_irrep,
     degree_selection_check,
@@ -255,9 +256,26 @@ def test_graded_gl_k_matches_dense_oracle(k, M, N, weight, d, piece):
     assert_gl_k_matches_oracle(mod, k, M, N, d, piece)
 
 
+@pytest.mark.parametrize("k,M,m", [(2, 2, (2, 1)), (3, 2, (1, 1)), (2, 2, (2,)),
+                                   (3, 1, (2,))])
+def test_compact_gl_k_matches_dense_oracle(k, M, m):
+    mod = induce_compact(k, M, m)
+    dimh = build_inducing_irrep(m, M).dim
+    piece = (sum(m), 0)
+    model = build_compact_model(k, M, piece[0], validate=False)
+    for (i, j), mat in mod.gl_k.items():
+        # gl(k) acts on the Fock factor of each (monomial, irrep) coordinate
+        entries = {((r, h), (c, h)): v
+                   for (r, c), v in model.gl_k_op(i, j, piece).data.items()
+                   for h in range(dimh)}
+        assert [list(row) for row in mat] == bf.dense_restriction(
+            entries, mod.basis)
+
+
 def test_restrict_by_leaders_rejects_an_operator_leaving_the_span():
-    basis = [{0: Fraction(1), 2: Fraction(3)}, {1: Fraction(1)}]
-    leaders = [0, 1]
+    echelon = T.ReducedSpan([{0: Fraction(1), 2: Fraction(3)},
+                             {1: Fraction(1)}]).echelon
+    assert [piv for piv, _ in echelon] == [0, 1]
 
     def swap(vec):
         return {1 - c if c < 2 else c: x for c, x in vec.items()}
@@ -266,21 +284,20 @@ def test_restrict_by_leaders_rejects_an_operator_leaving_the_span():
         return {c + 1: x for c, x in vec.items()}
 
     with pytest.raises(ShapeMismatch):
-        rieffel._restrict_by_leaders(swap, basis, leaders)
+        T.restrict_by_leaders(swap, echelon)
     with pytest.raises(ShapeMismatch):
-        rieffel._restrict_by_leaders(shift, basis, leaders)
-    assert rieffel._restrict_by_leaders(lambda v: v, basis, leaders) == (
-        (1, 0), (0, 1))
+        T.restrict_by_leaders(shift, echelon)
+    assert T.restrict_by_leaders(lambda v: v, echelon) == ((1, 0), (0, 1))
 
 
 def test_bracket_check_catches_each_rescaled_generator():
     mod = induce_compact(2, 2, (2, 1))
     fam = rieffel._as_operator_family(mod.gl_k)
-    assert rieffel._bracket_ok(fam, 2)
+    assert T.gl_relation_failures(fam, "k") == []
     for key in fam:
         bad = dict(fam)
         bad[key] = fam[key].scaled(2)
-        assert not rieffel._bracket_ok(bad, 2), key
+        assert T.gl_relation_failures(bad, "k"), key
 
 
 def test_emptiness_verdict_requires_the_module_checks(monkeypatch):
@@ -289,7 +306,8 @@ def test_emptiness_verdict_requires_the_module_checks(monkeypatch):
     nonempty = [c for c in rep["cells"] if c["detail"].startswith(
         ("dim", "collision"))]
     assert nonempty
-    monkeypatch.setattr(rieffel, "_bracket_ok", lambda ops, k: False)
+    monkeypatch.setattr(rieffel, "gl_relation_failures",
+                        lambda ops, name: ["gl(k)[00,01]"])
     rep = emptiness_survey(2, 1, 1, 2)
     assert not rep["ok"]
     assert [c for c in rep["cells"] if not c["ok"]] == [

@@ -147,6 +147,32 @@ def test_rank_of_rows_against_dense_oracle(system):
     assert T.rank_of_rows(iter(rows)) == rank
 
 
+@settings(max_examples=300, deadline=None)
+@given(sparse_systems())
+def test_reduced_span_and_kernel_against_dense_oracle(system):
+    rows, ncols = system
+    snapshot = [dict(r) for r in rows]
+    span = T.ReducedSpan()
+    grew = [span.insert(r) for r in rows]
+    kern = T.kernel_basis(rows, ncols)
+    assert rows == snapshot  # the caller's rows are left as they were
+    assert len(kern) == bf.dense_nullity(dense(rows, ncols), ncols)
+    assert len(span) == grew.count(True) == T.rank_of_rows(rows)
+    for row in rows:
+        for vec in kern:
+            assert sum(v * vec.get(c, 0) for c, v in row.items()) == 0
+    pivots = [piv for piv, _ in span.echelon]
+    free = [c for c in range(ncols) if c not in pivots]
+    assert len(free) == len(kern)
+    for c, vec in zip(free, kern):
+        assert {f: vec.get(f, 0) for f in free} == {f: int(f == c) for f in free}
+    for piv, row in span.echelon:
+        assert {p: row.get(p, 0) for p in pivots} == {
+            p: int(p == piv) for p in pivots}
+        assert all(row.values())  # no explicit zeros are kept
+    assert T.spans_agree([row for _, row in span.echelon], rows)
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_rank_of_rows_on_a_cycle(n):
     # rows (e_i + a e_{i+1}) / (i + 1), indices mod n: every column has two
@@ -344,6 +370,34 @@ def test_commutant_cartan_blocks_match_plain_solve():
               T.sn_action((1, 0), 2, 2, basis=bas)]
     assert (T.commutant_dim(others, cartans=carts)
             == T.commutant_dim(others + carts))
+
+
+def test_gl_commutant_dim_asks_only_for_chevalley_and_cartan_generators():
+    bas = T.IndexedBasis.tensor_power(2, 2)
+    asked = []
+
+    def gl2(i, j):
+        asked.append((i, j))
+        return T.gl_tensor_action(i, j, 2, 2, basis=bas)
+
+    # the tensor square of C^2 is Sym^2 + Wedge^2, each once
+    assert T.gl_commutant_dim([(2, gl2)]) == 2
+    assert sorted(asked) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    # all Cartan: E_00 alone has eigenvalues 2, 1, 1, 0
+    asked.clear()
+    assert T.gl_commutant_dim([(1, gl2)]) == 1 + 2 ** 2 + 1
+    assert asked == [(0, 0)]
+    assert T.gl_commutant_dim([(1, gl2), (1, gl2)]) == 6
+
+
+def test_gram_matrix_weights_each_coordinate():
+    vecs = [{0: Fraction(1), 2: Fraction(1, 2)}, {2: Fraction(2)},
+            {1: Fraction(3)}]
+    assert T.gram_matrix(vecs) == [[Fraction(5, 4), 1, 0], [1, 4, 0],
+                                   [0, 0, 9]]
+    assert T.gram_matrix(vecs, [1, 5, 7]) == [[Fraction(11, 4), 7, 0],
+                                              [7, 28, 0], [0, 0, 45]]
+    assert T.gram_matrix([]) == []
 
 
 def test_commutant_cap():
