@@ -3,9 +3,10 @@
 
 For every signed weight, every rank from the minimum up to --kmax, and
 --seeds random frames, this samples a point on the constraint level set
-and reports the worst deviation seen in the spectrum match, the momentum
-pairing identities, and the two-sided invariance checks.  Exit status 1 if
-any cell exceeds the tolerance.
+and reports the worst deviation seen in the spectrum match and in the
+momentum pairing identities (checked on a basis), and whether the
+pairing, two-sided invariance and stabilizer checks all hold.  Exit
+status 1 if any cell exceeds the tolerance.
 
 Example:
     python scripts/orbit_sweep.py --kmax 6 --seeds 10 --tol 1e-9
@@ -30,7 +31,6 @@ def main() -> int:
     ap.add_argument("--kmax", type=int, default=6)
     ap.add_argument("--seeds", type=int, default=10)
     ap.add_argument("--tol", type=float, default=1e-9)
-    ap.add_argument("--pairing-samples", type=int, default=100)
     args = ap.parse_args()
 
     print(f"{'weight':<18} {'k':>2} {'seeds':>5} {'worst max_dev':>14} "
@@ -44,12 +44,9 @@ def main() -> int:
             ok = True
             for seed in range(args.seeds):
                 point = C.sample_level_set(w, k, seed)
-                rep = C.verify_orbit(point, tol=args.tol,
-                                     pairing_samples=args.pairing_samples)
+                rep = C.verify_orbit(point, tol=args.tol)
                 worst_dev = max(worst_dev, rep["max_dev"])
-                worst_pair = max(worst_pair,
-                                 C.pairing_deviation(
-                                     point, samples=args.pairing_samples))
+                worst_pair = max(worst_pair, C.pairing_deviation(point))
                 ok = ok and all(rep["checks"].values()) \
                     and rep["max_dev"] < args.tol
             if not ok:

@@ -9,14 +9,17 @@ k x k Hermitian matrices.  On a frame of orthogonal columns with squared
 norms read off a two-block weight, the right map is the diagonal target
 matrix and the left map has the realized weight vector as its spectrum.
 
-Everything here is float64 with a global default tolerance; samples are
-seeded and the seed travels with the point so reports are reproducible.
+Everything here is float64 with a global default tolerance.  The
+momentum pairings are checked exactly on the matrix units of gl(M+N) and
+gl(k), so that check draws nothing.  The level-set frames and the group
+elements of the invariance check are seeded samples, and the seed travels
+with the point so reports are reproducible.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
@@ -84,12 +87,20 @@ class OrbitElement:
         return float(np.trace(self.rho).real)
 
 
-def signed_pairing(psi: np.ndarray, phi: np.ndarray, signature) -> complex:
+def _dagger(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def signed_pairing(psi: np.ndarray, phi: np.ndarray, signature):
     """The signed sesquilinear form: sum_a eta_a <psi_a, phi_a>,
-    conjugate-linear in the second argument."""
-    if psi.shape != phi.shape:
+    conjugate-linear in the second argument.  psi may be a stack of
+    matrices shaped like phi; the result is then an array."""
+    if psi.shape[-2:] != phi.shape:
         raise ShapeMismatch(f"shapes differ: {psi.shape} vs {phi.shape}")
-    return complex(np.trace(eta_matrix(*signature) @ phi.conj().T @ psi))
+    out = np.trace(eta_matrix(*signature) @ _dagger(phi) @ psi,
+                   axis1=-2, axis2=-1)
+    return complex(out) if out.ndim == 0 else out
 
 
 def symplectic_form(p: ConstrainedPoint, q: ConstrainedPoint) -> float:
@@ -100,14 +111,22 @@ def symplectic_form(p: ConstrainedPoint, q: ConstrainedPoint) -> float:
     return -2.0 * signed_pairing(p.psi, q.psi, p.signature).imag
 
 
+def _right_map(psi: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    return eta @ _dagger(psi) @ psi
+
+
+def _left_map(psi: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    return psi @ eta @ _dagger(psi)
+
+
 def moment_right(p: ConstrainedPoint) -> np.ndarray:
     """eta * Gram matrix of the columns; diagonal on a level-set frame."""
-    return p.eta @ p.psi.conj().T @ p.psi
+    return _right_map(p.psi, p.eta)
 
 
 def moment_left(p: ConstrainedPoint, tol: float = DEFAULT_TOL) -> OrbitElement:
     """psi * eta * psi^dagger, the signed sum of column projectors."""
-    return OrbitElement(p.psi @ p.eta @ p.psi.conj().T, tol)
+    return OrbitElement(_left_map(p.psi, p.eta), tol)
 
 
 def target_matrix(w: W.SignedWeight, M: int, N: int) -> np.ndarray:
@@ -162,14 +181,20 @@ def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-def random_unitary(k: int, rng: np.random.Generator) -> np.ndarray:
-    return expm(1j * random_hermitian(k, rng))
-
-
-def random_pseudo_unitary(M: int, N: int,
-                          rng: np.random.Generator) -> np.ndarray:
-    """exp(i eta H) with H Hermitian preserves the signed form."""
-    return expm(1j * eta_matrix(M, N) @ random_hermitian(M + N, rng) / 2)
+def group_samples(k: int, eta: np.ndarray, samples: int,
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Stacks of `samples` unitaries exp(iH) in U(k) and, unless eta is
+    empty, as many pseudo-unitaries exp(i eta H / 2), which preserve the
+    signed form.  Each sample draws its left generator, then its right one;
+    each family goes through one stacked expm."""
+    n = len(eta)
+    left, right = [], []
+    for _ in range(samples):
+        left.append(random_hermitian(k, rng))
+        if n:
+            right.append(random_hermitian(n, rng))
+    return (expm(1j * np.reshape(left, (samples, k, k))),
+            expm(1j * eta @ np.reshape(right, (len(right), n, n)) / 2))
 
 
 def boost(M: int, N: int, rapidity: float) -> np.ndarray:
@@ -202,54 +227,37 @@ def stabilizer_defect(p: ConstrainedPoint, U: np.ndarray,
 # checks and the per-sample report
 
 
-def pairing_deviation(p: ConstrainedPoint, samples: int = 100,
-                      rng: np.random.Generator | None = None) -> float:
-    """Both momentum maps against their defining pairings on random
-    generators: i*(psi X, psi)_S vs i*tr(X G) on the right, and
-    i*(Y psi, psi)_S vs i*tr(Y rho) on the left."""
-    if rng is None:
-        rng = np.random.default_rng(p.seed or 0)
-    M, N = p.signature
-    eta = p.eta
-    G = moment_right(p)
-    rho = moment_left(p).rho
-    worst = 0.0
-    for _ in range(samples):
-        X = 1j * eta @ random_hermitian(M + N, rng)
-        lhs = 1j * signed_pairing(p.psi @ X, p.psi, p.signature)
-        rhs = 1j * np.trace(X @ G)
-        worst = max(worst, abs(lhs - rhs))
-        Y = 1j * random_hermitian(p.k, rng)
-        lhs = 1j * signed_pairing(Y @ p.psi, p.psi, p.signature)
-        rhs = 1j * np.trace(Y @ rho)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+def pairing_deviation(p: ConstrainedPoint) -> float:
+    """Both momentum maps against their defining pairings,
+    (psi X, psi)_S = tr(X G) on the right and (Y psi, psi)_S = tr(Y rho)
+    on the left.  Both sides are complex-linear in the generator, so the
+    matrix units of gl(M+N) and gl(k) cover every X in u(M,N) and every Y
+    in u(k); the check is exact and draws nothing."""
+    n = sum(p.signature)
+    X = np.eye(n * n).reshape(n * n, n, n)
+    Y = np.eye(p.k * p.k).reshape(p.k * p.k, p.k, p.k)
+    right = signed_pairing(p.psi @ X, p.psi, p.signature) \
+        - np.trace(X @ moment_right(p), axis1=-2, axis2=-1)
+    left = signed_pairing(Y @ p.psi, p.psi, p.signature) \
+        - np.trace(Y @ moment_left(p).rho, axis1=-2, axis2=-1)
+    return float(np.max(np.abs(np.concatenate([right, left])), initial=0.0))
 
 
 def invariance_deviation(p: ConstrainedPoint, samples: int = 10,
                          rng: np.random.Generator | None = None) -> float:
     """Left unitaries fix the right map and the left spectrum; right
-    pseudo-unitaries fix the left map."""
+    pseudo-unitaries fix the left map.  All samples are moved at once."""
     if rng is None:
         rng = np.random.default_rng(p.seed or 0)
-    M, N = p.signature
-    G = moment_right(p)
-    rho = moment_left(p)
-    spec = rho.spectrum()
-    worst = 0.0
-    for _ in range(samples):
-        g = random_unitary(p.k, rng)
-        moved = ConstrainedPoint(g @ p.psi, p.signature, p.target)
-        worst = max(worst, float(np.max(np.abs(moment_right(moved) - G),
-                                        initial=0.0)))
-        worst = max(worst, float(np.max(np.abs(moment_left(moved).spectrum()
-                                               - spec), initial=0.0)))
-        if M + N:
-            U = random_pseudo_unitary(M, N, rng)
-            moved = ConstrainedPoint(p.psi @ U, p.signature, p.target)
-            worst = max(worst, float(np.max(np.abs(moment_left(moved).rho
-                                                   - rho.rho), initial=0.0)))
-    return worst
+    psi, eta = p.psi, p.eta
+    g, U = group_samples(p.k, eta, samples, rng)
+    rho = _left_map(psi, eta)
+    moved = g @ psi
+    devs = (_right_map(moved, eta) - _right_map(psi, eta),
+            np.linalg.eigvalsh(_left_map(moved, eta))
+            - np.linalg.eigvalsh(rho),
+            _left_map(psi @ U, eta) - rho)
+    return max(float(np.max(np.abs(d), initial=0.0)) for d in devs)
 
 
 def stabilizer_ok(p: ConstrainedPoint, tol: float = DEFAULT_TOL) -> bool:
@@ -274,12 +282,11 @@ def stabilizer_ok(p: ConstrainedPoint, tol: float = DEFAULT_TOL) -> bool:
 
 
 def verify_orbit(p: ConstrainedPoint, tol: float = DEFAULT_TOL,
-                 pairing_samples: int = 100,
                  rng: np.random.Generator | None = None) -> dict:
     """Spectrum of the left map against the realized weight vector, plus
-    the pairing, invariance, and stabilizer checks, as one JSON report."""
-    if rng is None:
-        rng = np.random.default_rng(p.seed or 0)
+    the pairing check on a basis, the invariance check on group samples
+    drawn from rng (seeded by the point when None), and the stabilizer
+    check, as one JSON report."""
     spec = moment_left(p, tol).spectrum()
     want = target_spectrum(p.target, p.k)
     max_dev = float(np.max(np.abs(spec - want), initial=0.0))
@@ -293,7 +300,7 @@ def verify_orbit(p: ConstrainedPoint, tol: float = DEFAULT_TOL,
         "spectrum": [float(x) for x in spec],
         "max_dev": max(max_dev, right_dev),
         "checks": {
-            "pairing": bool(pairing_deviation(p, pairing_samples, rng) <= tol),
+            "pairing": bool(pairing_deviation(p) <= tol),
             "invariance": bool(invariance_deviation(p, rng=rng) <= tol),
             "stabilizer": stabilizer_ok(p, tol),
         },

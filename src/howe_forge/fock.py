@@ -17,10 +17,8 @@ only free normalization in the whole module.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 
 from . import weights as W
 from .errors import InvariantBroken, NotRenormalizable, ShapeMismatch, \

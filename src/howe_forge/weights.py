@@ -14,7 +14,7 @@ that equality stays exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import permutations

@@ -1,14 +1,18 @@
 """Independent brute-force oracles used by the test suite.
 
-Everything here is deliberately naive: direct enumeration and dense
-linear algebra over Fractions, sized for tiny inputs.  The point is that
-none of it shares code paths with the package implementations it checks.
+Everything here is deliberately naive: direct enumeration, dense linear
+algebra over Fractions and one-sample-at-a-time float64 loops, sized for
+tiny inputs.  The point is that none of it shares code paths with the
+package implementations it checks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations, product
+
+import numpy as np
+from scipy.linalg import expm
 
 
 def enumerate_ssyt(shape: tuple[int, ...], max_entry: int) -> list[tuple]:
@@ -289,3 +293,49 @@ def dense_restriction(op_entries: dict, basis: list[dict]) -> list[list[Fraction
     if any(x != 0 for row in aug[d:] for x in row[d:]):
         raise ValueError("operator leaves the span")
     return [row[d:] for row in aug[:d]]
+
+
+def group_samples(k: int, signature, samples: int, rng):
+    """Lists of `samples` unitaries exp(iH) and, when M+N > 0, as many
+    pseudo-unitaries exp(i eta H / 2), one expm per matrix.  Each sample
+    draws a k x k Hermitian H, then an (M+N) x (M+N) one, each as a real
+    part then an imaginary part."""
+    M, N = signature
+    eta = np.diag([1.0] * M + [-1.0] * N)
+
+    def hermitian(d):
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        return (a + a.conj().T) / 2
+
+    left, right = [], []
+    for _ in range(samples):
+        left.append(expm(1j * hermitian(k)))
+        if M + N:
+            right.append(expm(1j * eta @ hermitian(M + N) / 2))
+    return left, right
+
+
+def invariance_deviation(psi, signature, samples: int, rng) -> float:
+    """The classical invariance check one group sample at a time: left
+    unitaries must fix eta psi^dagger psi and the spectrum of
+    psi eta psi^dagger, and right pseudo-unitaries must fix
+    psi eta psi^dagger."""
+    M, N = signature
+    eta = np.diag([1.0] * M + [-1.0] * N)
+
+    def right_map(q):
+        return eta @ q.conj().T @ q
+
+    def left_map(q):
+        return q @ eta @ q.conj().T
+
+    left, right = group_samples(psi.shape[0], signature, samples, rng)
+    spec = np.linalg.eigvalsh(left_map(psi))
+    worst = 0.0
+    for g in left:
+        moved = g @ psi
+        worst = max(worst, np.max(np.abs(right_map(moved) - right_map(psi))),
+                    np.max(np.abs(np.linalg.eigvalsh(left_map(moved)) - spec)))
+    for U in right:
+        worst = max(worst, np.max(np.abs(left_map(psi @ U) - left_map(psi))))
+    return float(worst)

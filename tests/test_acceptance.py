@@ -180,12 +180,12 @@ def test_criterion_6_orbit_spectra():
         for k in range(rows, 7):
             for seed in range(10):
                 point = C.sample_level_set(W.SignedWeight(m, n), k, seed)
-                rep = C.verify_orbit(point, tol=1e-9, pairing_samples=100)
+                rep = C.verify_orbit(point, tol=1e-9)
                 ok = ok and rep["max_dev"] < 1e-9
                 ok = ok and all(rep["checks"].values())
     elapsed = time.monotonic() - t0
     report(6, "orbit spectra and momentum pairings", ok, elapsed,
-           budget=30)
+           budget=5)
 
 
 def test_criterion_7_shift_bookkeeping():

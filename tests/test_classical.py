@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bruteforce as bf
 from howe_forge import classical as C
 from howe_forge import weights as W
 from howe_forge.errors import BadWeight, RankTooSmall, ShapeMismatch
@@ -94,7 +95,23 @@ def test_moment_left_signed_projector_spectrum():
 @settings(max_examples=15, deadline=None)
 def test_momentum_pairings_hold(seed):
     p = C.sample_level_set(((2, 1), (1,)), 4, seed=seed)
-    assert C.pairing_deviation(p, samples=20) < TOL
+    assert C.pairing_deviation(p) < TOL
+
+
+@pytest.mark.parametrize("name", ["moment_right", "moment_left"])
+def test_pairing_check_catches_every_perturbed_entry(monkeypatch, name):
+    p = C.sample_level_set(((2, 1), (1,)), 4, seed=3)
+    assert C.pairing_deviation(p) < TOL
+    exact = getattr(C, name)
+    size = 3 if name == "moment_right" else 4
+    for a in range(size):
+        for b in range(size):
+            def bumped(q, a=a, b=b):
+                out = exact(q)
+                (out if name == "moment_right" else out.rho)[a, b] += 1e-6
+                return out
+            monkeypatch.setattr(C, name, bumped)
+            assert C.pairing_deviation(p) > 1e-9, (a, b)
 
 
 @given(seeds)
@@ -104,9 +121,39 @@ def test_momentum_invariance(seed):
     assert C.invariance_deviation(p, samples=4) < TOL
 
 
+@given(seeds, st.sampled_from([((1,), ()), ((2, 1), ()), ((1,), (1,)),
+                               ((2, 1), (1,)), ((2, 2), (1,))]),
+       st.integers(min_value=0, max_value=3),
+       st.integers(min_value=0, max_value=6))
+@settings(max_examples=30, deadline=None)
+def test_batched_invariance_matches_the_per_sample_loop(seed, w, extra,
+                                                        samples):
+    p = C.sample_level_set(w, len(w[0]) + len(w[1]) + extra, seed=seed)
+    g, U = C.group_samples(p.k, p.eta, samples, np.random.default_rng(seed))
+    left, right = bf.group_samples(p.k, p.signature, samples,
+                                   np.random.default_rng(seed))
+    assert g.shape == (samples, p.k, p.k) and len(U) == len(right) == samples
+    assert np.max(np.abs(g - np.reshape(left, g.shape)), initial=0.0) <= 1e-12
+    assert np.max(np.abs(U - np.reshape(right, U.shape)), initial=0.0) <= 1e-12
+    fast = C.invariance_deviation(p, samples, np.random.default_rng(seed))
+    slow = bf.invariance_deviation(p.psi, p.signature, samples,
+                                   np.random.default_rng(seed))
+    assert abs(fast - slow) <= 1e-12
+    assert (fast <= TOL) == (slow <= TOL)
+
+
+def test_invariance_check_catches_a_non_equivariant_left_map(monkeypatch):
+    p = C.sample_level_set(((2,), (1,)), 3, seed=5)
+    assert C.invariance_deviation(p) < TOL
+    exact = C._left_map
+    monkeypatch.setattr(C, "_left_map", lambda psi, eta: exact(psi, eta)
+                        + np.abs(psi[..., :1, :1]) ** 2 * np.eye(3))
+    assert C.invariance_deviation(p) > TOL
+
+
 def test_left_spectrum_is_equivariant_under_the_left_action():
     p = C.sample_level_set(((2, 1), (1,)), 5, seed=11)
-    g = C.random_unitary(5, np.random.default_rng(3))
+    g = C.group_samples(5, p.eta, 1, np.random.default_rng(3))[0][0]
     moved = C.ConstrainedPoint(g @ p.psi, p.signature, p.target)
     assert np.max(np.abs(C.moment_left(moved).spectrum()
                          - C.moment_left(p).spectrum())) < TOL
@@ -196,11 +243,14 @@ def test_boost_needs_a_negative_slot():
 
 
 def test_pseudo_unitary_samples_preserve_the_form():
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        U = C.random_pseudo_unitary(2, 1, rng)
-        assert C.is_pseudo_unitary(U, 2, 1)
-        assert not C.is_pseudo_unitary(U + 0.01, 2, 1)
+    g, U = C.group_samples(4, C.eta_matrix(2, 1), 5,
+                           np.random.default_rng(0))
+    assert g.shape == (5, 4, 4) and U.shape == (5, 3, 3)
+    for h in g:
+        assert np.max(np.abs(h @ h.conj().T - np.eye(4))) < TOL
+    for u in U:
+        assert C.is_pseudo_unitary(u, 2, 1)
+        assert not C.is_pseudo_unitary(u + 0.01, 2, 1)
 
 
 def test_orbit_grid_report_small():

@@ -1,6 +1,5 @@
 """Graded polynomial models and the pairing/label checks built on them."""
 
-import math
 from fractions import Fraction
 
 import pytest
