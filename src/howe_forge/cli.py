@@ -111,7 +111,12 @@ def load_config(path: str) -> dict:
             key, value = key.strip(), value.strip()
             if key not in types:
                 raise ShapeMismatch(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = coerce[types[key]](value)
+            try:
+                out[key] = coerce[types[key]](value)
+            except ValueError as exc:
+                raise ShapeMismatch(
+                    f"{path}:{lineno}: cannot read {key}={value!r} "
+                    f"as {types[key]}") from exc
     return out
 
 

@@ -23,8 +23,8 @@ from fractions import Fraction
 from . import weights as W
 from .errors import InvariantBroken, NotRenormalizable, ShapeMismatch, \
     TooLarge
-from .tensor import ExactOperator, IndexedBasis, gl_commutant_dim, \
-    gl_relation_failures, kernel_basis
+from .tensor import ExactOperator, IndexedBasis, block_kernel, \
+    gl_commutant_dim, gl_relation_failures
 
 DEFAULT_PIECE_CAP = 20_000
 DEFAULT_COMMUTANT_UNKNOWN_CAP = 2_000
@@ -347,25 +347,15 @@ def joint_highest_weight_vectors(model: FockModel, piece,
             for bb in range(model.N):
                 ops.append(model.lowerer_op(a, bb, piece))
 
-    cols_of = [op.columns() for op in ops]
+    maps = [op.terms() for op in ops]
 
     out: list[HighestWeightVector] = []
     for key, members in sorted(model.weight_blocks(piece).items()):
-        local = {g: i for i, g in enumerate(members)}
-        rows: list[dict[int, Fraction]] = []
-        for oi, cols in enumerate(cols_of):
-            eq: dict[int, dict[int, Fraction]] = {}
-            for g in members:
-                for (r, v) in cols.get(g, ()):
-                    eq.setdefault(r, {})[local[g]] = v
-            rows.extend(eq.values())
-        kern = kernel_basis(rows, len(members))
+        kern = block_kernel(members, maps)
         if not kern:
             continue
         kw, mw, nw = model.dressed_weights(key)
-        for vec in kern:
-            gvec = {members[i]: v for i, v in vec.items()}
-            out.append(HighestWeightVector(piece, kw, mw, nw, gvec))
+        out += [HighestWeightVector(piece, kw, mw, nw, vec) for vec in kern]
     return out
 
 
@@ -614,13 +604,6 @@ class KvReport:
     @property
     def ok(self) -> bool:
         return self.renorm_ok and all(b.ok for b in self.bidegrees)
-
-    def occurring_mn_weights(self) -> set[tuple[int, ...]]:
-        out = set()
-        for b in self.bidegrees:
-            for m in b.matches:
-                out.add(tuple(m["mn_weight_doubled"]))
-        return out
 
     def to_json(self) -> dict:
         return {

@@ -12,6 +12,13 @@ an inducing weight is matched against the joint label list of the
 oscillator model, a match selects the lowest compact-type block of the
 corresponding highest-weight module, and a failed match certifies that
 the induced space is empty.  Emptiness is a value, not an error.
+
+The exact linear algebra is shared with ``tensor``: the invariants, and
+the Casimir kernel that cross-checks them, are ``block_kernel`` solves
+over the weight blocks of (Fock piece) x irrep, with each generator given
+by its image terms; restricted actions (the inducing irrep's gl(M), an
+induced module's gl(k)) are ``ExactOperator``s on one module basis per
+family, read off by ``restrict_by_leaders``.
 """
 
 from __future__ import annotations
@@ -25,8 +32,9 @@ from .errors import InvariantBroken, ShapeMismatch, TooLarge
 from .fock import FockModel, build_compact_model, build_oscillator_model, \
     joint_highest_weight_vectors, strict_signed_pairs
 from .tensor import ExactOperator, IndexedBasis, ReducedSpan, \
-    gl_commutant_dim, gl_relation_failures, gl_tensor_action, gram_matrix, \
-    kernel_basis, restrict_by_leaders, spans_agree, young_symmetrizer
+    block_kernel, gl_commutant_dim, gl_relation_failures, gl_tensor_action, \
+    gram_matrix, linear_image, restrict_by_leaders, spans_agree, \
+    young_symmetrizer
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -52,28 +60,16 @@ def _ldl_positive(gram: list[list[Fraction]]) -> bool:
     return True
 
 
-def _as_operator_family(gl_mats: dict[tuple[int, int], tuple]):
-    if not gl_mats:
-        return {}
-    d = len(next(iter(gl_mats.values())))
-    b = IndexedBasis(range(d), name=f"module({d})")
-    fam = {}
-    for key, mat in gl_mats.items():
-        op = ExactOperator(b, b)
-        for r in range(d):
-            row = mat[r]
-            for c in range(d):
-                if row[c]:
-                    op.data[(r, c)] = row[c]
-        fam[key] = op
-    return fam
-
-
 def _fock_norm_sq(label) -> int:
     out = 1
     for e in label:
         out *= math.factorial(e)
     return out
+
+
+def _module_basis(d: int) -> IndexedBasis:
+    """The one basis the restricted operators of a family share."""
+    return IndexedBasis(range(d), name=f"module({d})")
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +90,7 @@ class InducingIrrep:
     word_basis: IndexedBasis
     basis: list[dict[int, Fraction]]
     basis_weights: list[tuple[int, ...]]
-    action: dict[tuple[int, int], tuple]
+    action: dict[tuple[int, int], ExactOperator]
     highest_index: int
 
     @property
@@ -122,9 +118,9 @@ def build_inducing_irrep(m, M: int) -> InducingIrrep:
     n = sum(shape)
     wb = IndexedBasis.tensor_power(M, n)
     if n == 0:
-        zero = ((_F0,),)  # gl(M) acts by zero on the trivial module
+        zero = ExactOperator.zero(_module_basis(1))
         return InducingIrrep((), M, wb, [{0: _F1}], [(0,) * M],
-                             {(a, b): zero
+                             {(a, b): zero  # gl(M) kills the trivial module
                               for a in range(M) for b in range(M)}, 0)
 
     sym = young_symmetrizer(shape, M)
@@ -147,23 +143,19 @@ def build_inducing_irrep(m, M: int) -> InducingIrrep:
         raise ShapeMismatch(
             f"symmetrizer image has dim {len(basis)}, expected {expected}")
 
-    ops = {}
-    for a in range(M):
-        for b in range(M):
-            tens = gl_tensor_action(a, b, M, n)
-            ops[(a, b)] = restrict_by_leaders(tens.apply, echelon)
+    mb = _module_basis(len(echelon))
+    ops = {(a, b): restrict_by_leaders(gl_tensor_action(a, b, M, n).terms(),
+                                       echelon, mb)
+           for a in range(M) for b in range(M)}
 
     hw_wt = shape + (0,) * (M - len(shape))
     highest = basis_weights.index(hw_wt)
     # sanity: the highest-weight vector is unique and killed by raisers
     if basis_weights.count(hw_wt) != 1:
         raise InvariantBroken(f"highest weight {hw_wt} is not simple")
-    unit = {highest: _F1}
     for a in range(M):
         for b in range(a + 1, M):
-            image = [sum(ops[(a, b)][r][c] * unit.get(c, _F0)
-                         for c in unit) for r in range(len(basis))]
-            if any(image):
+            if ops[(a, b)].apply({highest: _F1}):
                 raise InvariantBroken("highest vector not annihilated")
     return InducingIrrep(shape, M, wb, basis, basis_weights, ops, highest)
 
@@ -180,7 +172,7 @@ class InducedModule:
     k: int
     inputs: dict
     basis: list[dict]
-    gl_k: dict[tuple[int, int], tuple]
+    gl_k: dict[tuple[int, int], ExactOperator]
     highest_weight: tuple | None
     commutant: int | None
     gram_positive: bool
@@ -236,41 +228,54 @@ class Empty:
 
 
 def _checked_module(ambient: str, k: int, inputs: dict, basis: list[dict],
-                    gl_mats: dict[tuple[int, int], tuple], highest_weight,
-                    gram: list[list[Fraction]]) -> InducedModule:
+                    gl_k: dict[tuple[int, int], ExactOperator],
+                    highest_weight, gram: list[list[Fraction]]
+                    ) -> InducedModule:
     """The module with its three checks: commutant of the restricted
     gl(k) action, positivity of the Gram matrix and the gl(k) relations."""
-    fam = _as_operator_family(gl_mats)
     return InducedModule(
-        ambient, k, inputs, basis, gl_mats,
+        ambient, k, inputs, basis, gl_k,
         highest_weight=highest_weight,
-        commutant=gl_commutant_dim([(k, lambda i, j: fam[(i, j)])]),
+        commutant=gl_commutant_dim([(k, lambda i, j: gl_k[(i, j)])]),
         gram_positive=_ldl_positive(gram),
-        bracket_ok=not gl_relation_failures(fam, "k"),
+        bracket_ok=not gl_relation_failures(gl_k, "k"),
     )
 
 
 def _compact_blocks(model: FockModel, piece, irrep: InducingIrrep,
                     zero_only: bool = False):
     """Group the combined basis (f, h) by joint weight so the diagonal
-    action translates blocks; returns block lists plus fock bookkeeping.
+    action translates blocks; returns the member lists by block key.
 
     The diagonal generators are diagonal matrices with eigenvalue
     (column weight) - (irrep weight) per member, so any invariant vector
     is supported where that difference vanishes; ``zero_only`` keeps just
     those blocks."""
-    fb = model.basis(*piece)
-    fweights = [model.weight_key(lab) for lab in fb.labels]
     zero = (0,) * model.M
     blocks: dict[tuple, list[tuple[int, int]]] = {}
-    for f in range(len(fb)):
-        xrow, xcol, _ = fweights[f]
+    for f, lab in enumerate(model.basis(*piece).labels):
+        xrow, xcol, _ = model.weight_key(lab)
         for h, hwt in enumerate(irrep.basis_weights):
             diff = tuple(c - w for c, w in zip(xcol, hwt))
             if zero_only and diff != zero:
                 continue
             blocks.setdefault((xrow, diff), []).append((f, h))
-    return fb, blocks
+    return blocks
+
+
+def _on_fock(op: ExactOperator):
+    """Image terms of op x 1 on the keys (f, h) of (Fock piece) x irrep."""
+    fock = op.terms()
+    return lambda key: [((r, key[1]), v) for r, v in fock(key[0])]
+
+
+def _diagonal_terms(model: FockModel, piece, irrep: InducingIrrep, a, b):
+    """Image terms of the diagonal action D(E_ab) = E_ab x 1 - 1 x E_ab^T
+    on the keys (f, h)."""
+    fock = _on_fock(model.gl_m_op(a, b, piece))
+    dual = (-irrep.action[(a, b)]).transpose().terms()
+    return lambda key: fock(key) + [((key[0], rh), v)
+                                    for rh, v in dual(key[1])]
 
 
 def _diagonal_invariants(model: FockModel, piece,
@@ -283,34 +288,14 @@ def _diagonal_invariants(model: FockModel, piece,
     exactly the space of intertwiners from the inducing irrep into the
     graded piece, one copy of the paired gl(k) irrep."""
     M = model.M
-    fb, blocks = _compact_blocks(model, piece, irrep, zero_only=True)
-    offdiag = [(a, b) for a in range(M) for b in range(M) if a != b]
-    fcols = {(a, b): model.gl_m_op(a, b, piece).columns() for a, b in offdiag}
-    hmat = irrep.action
-    dimh = irrep.dim
-
+    blocks = _compact_blocks(model, piece, irrep, zero_only=True)
+    # diagonal generators vanish identically on these blocks; only the
+    # off-diagonal ones constrain
+    maps = [_diagonal_terms(model, piece, irrep, a, b)
+            for a in range(M) for b in range(M) if a != b]
     out: list[dict] = []
     for key in sorted(blocks):
-        members = blocks[key]
-        local = {g: i for i, g in enumerate(members)}
-        rows = []
-        # diagonal generators vanish identically on these blocks; only the
-        # off-diagonal ones constrain
-        for a, b in offdiag:
-            eq: dict[tuple[int, int], dict[int, Fraction]] = {}
-            for (f, h) in members:
-                j = local[(f, h)]
-                for (r, v) in fcols[(a, b)].get(f, ()):
-                    row = eq.setdefault((r, h), {})
-                    row[j] = row.get(j, _F0) + v
-                for rh in range(dimh):
-                    v = hmat[(a, b)][h][rh]
-                    if v:
-                        row = eq.setdefault((f, rh), {})
-                        row[j] = row.get(j, _F0) - v
-            rows.extend(eq.values())
-        for vec in kernel_basis(rows, len(members)):
-            out.append({members[i]: v for i, v in vec.items()})
+        out += block_kernel(blocks[key], maps)
     return out
 
 
@@ -365,35 +350,20 @@ def induce_compact(k: int, M: int, m, cross_check: bool = False) -> InducedModul
     if not invariants:
         return InducedModule(ambient, k, inputs, [], {}, None, None, True, True)
 
-    def gl_k_apply(i, j):
-        cols = model.gl_k_op(i, j, piece).columns()
-
-        def apply(vec):
-            out: dict[tuple[int, int], Fraction] = {}
-            for (f, h), cv in vec.items():
-                for (r, v) in cols.get(f, ()):
-                    key = (r, h)
-                    nv = out.get(key, _F0) + v * cv
-                    if nv:
-                        out[key] = nv
-                    else:
-                        out.pop(key, None)
-            return out
-
-        return apply
-
     # the invariants of different weight blocks have disjoint supports, so
     # every reduced row is still a weight vector, and its pivot a leader
     span = ReducedSpan(invariants)
     basis = [row for _, row in span.echelon]
-    gl_mats = {(i, j): restrict_by_leaders(gl_k_apply(i, j), span.echelon)
-               for i in range(k) for j in range(k)}
+    mb = _module_basis(len(basis))
+    gl_k = {(i, j): restrict_by_leaders(_on_fock(model.gl_k_op(i, j, piece)),
+                                        span.echelon, mb)
+            for i in range(k) for j in range(k)}
     hw = max(
         (tuple(int(c) for c in key[0])
          for key, vec in _weights_of_vectors(model, piece, basis).items()),
         default=None,
     )
-    return _checked_module(ambient, k, inputs, basis, gl_mats, hw,
+    return _checked_module(ambient, k, inputs, basis, gl_k, hw,
                            _combined_gram(basis, fb, irrep.gram()))
 
 
@@ -414,55 +384,19 @@ def _casimir_kernel(model: FockModel, piece, irrep: InducingIrrep) -> list[dict]
     component (the Casimir of a compact group is positive semidefinite
     with kernel exactly the invariants)."""
     M = model.M
-    fb, blocks = _compact_blocks(model, piece, irrep)
-    fcols = {(a, b): model.gl_m_op(a, b, piece).columns()
-             for a in range(M) for b in range(M)}
-    hmat = irrep.action
-    dimh = irrep.dim
+    blocks = _compact_blocks(model, piece, irrep)
+    d = {(a, b): _diagonal_terms(model, piece, irrep, a, b)
+         for a in range(M) for b in range(M)}
 
-    def d_apply(a, b, vec):
-        out: dict[tuple[int, int], Fraction] = {}
-
-        def add(key, v):
-            nv = out.get(key, _F0) + v
-            if nv:
-                out[key] = nv
-            else:
-                out.pop(key, None)
-
-        for (f, h), cv in vec.items():
-            for (r, v) in fcols[(a, b)].get(f, ()):
-                add((r, h), v * cv)
-            row = hmat[(a, b)][h]
-            for rh in range(dimh):
-                v = row[rh]
-                if v:
-                    add((f, rh), -v * cv)
-        return out
-
-    def casimir_apply(vec):
-        out: dict[tuple[int, int], Fraction] = {}
-        for a in range(M):
-            for b in range(M):
-                for key, v in d_apply(a, b, d_apply(b, a, vec)).items():
-                    nv = out.get(key, _F0) + v
-                    if nv:
-                        out[key] = nv
-                    else:
-                        out.pop(key, None)
-        return out
+    def casimir(key):  # sum over a, b of D(E_ab) D(E_ba), term by term
+        for a, b in d:
+            for mid, u in d[(b, a)](key):
+                for tgt, v in d[(a, b)](mid):
+                    yield tgt, u * v
 
     out: list[dict] = []
     for key in sorted(blocks):
-        members = blocks[key]
-        local = {g: i for i, g in enumerate(members)}
-        rows: dict[tuple[int, int], dict[int, Fraction]] = {}
-        for g in members:
-            img = casimir_apply({g: _F1})
-            for tgt, v in img.items():
-                rows.setdefault(tgt, {})[local[g]] = v
-        for vec in kernel_basis(list(rows.values()), len(members)):
-            out.append({members[i]: v for i, v in vec.items()})
+        out += block_kernel(blocks[key], [casimir])
     return out
 
 
@@ -541,24 +475,25 @@ def induce_noncompact_graded(k: int, M: int, N: int, inducing_weight,
         raise InvariantBroken("label list out of sync with the kernel solve")
 
     fb = model.basis(*piece)
-    lowers = [model.gl_k_op(i + 1, i, piece) for i in range(k - 1)]
+    lowers = [model.gl_k_op(i + 1, i, piece).terms() for i in range(k - 1)]
     span = ReducedSpan([target.vector])
     queue = [target.vector]
     while queue:
         v = queue.pop()
-        for op in lowers:
-            img = op.apply(v)
+        for terms in lowers:
+            img = linear_image(terms, v)
             if img and span.insert(img):
                 queue.append(img)
 
     basis = [row for _, row in span.echelon]
-    gl_mats = {(i, j): restrict_by_leaders(model.gl_k_op(i, j, piece).apply,
-                                           span.echelon)
-               for i in range(k) for j in range(k)}
+    mb = _module_basis(len(basis))
+    gl_k = {(i, j): restrict_by_leaders(model.gl_k_op(i, j, piece).terms(),
+                                        span.echelon, mb)
+            for i in range(k) for j in range(k)}
     fock_norms = [Fraction(_fock_norm_sq(lab)) for lab in fb.labels]
     return _checked_module(
         f"bidegree {piece} polynomials on {k}x({M}+{N})", k, dict(inputs),
-        basis, gl_mats, tuple(int(x) for x in target.k_weight),
+        basis, gl_k, tuple(int(x) for x in target.k_weight),
         gram_matrix(basis, fock_norms))
 
 

@@ -9,6 +9,12 @@ rational rows (lowest-column pivots normalized to 1); kernels
 (``kernel_basis``), module bases and restrictions of operators to an
 invariant span (``restrict_by_leaders``) all come from it.
 
+Linear maps given by their image terms (basis key -> (target, value)
+pairs; ``ExactOperator.terms`` is the column index in that form) have
+two shared consumers: ``linear_image`` extends such a map linearly to a
+sparse vector, and ``block_kernel`` solves the joint kernel of several
+of them on one block of basis keys, with one ``kernel_basis`` call.
+
 The symmetric-group material (slot permutations, central projectors,
 row/column symmetrizers, commutants) lives here too, since those
 operators are the main clients of the exact core.
@@ -89,15 +95,6 @@ class IndexedBasis:
         labels = [] if nvars == 0 and degree > 0 else (
             [()] if nvars == 0 else gen(nvars, degree))
         return cls(labels, name=f"Mono({nvars},{degree})")
-
-    def tensor(self, other: "IndexedBasis", cap: int = DEFAULT_BASIS_CAP) -> "IndexedBasis":
-        if len(self) * len(other) > cap:
-            raise TooLarge(
-                f"tensor product basis {len(self)}x{len(other)} exceeds cap {cap}")
-        return IndexedBasis(
-            ((a, b) for a in self.labels for b in other.labels),
-            name=f"{self.name}(x){other.name}",
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -196,17 +193,14 @@ class ExactOperator:
 
     __rmul__ = scaled
 
+    def terms(self):
+        """The column index as a map col -> [(row, value)], the form
+        ``linear_image``, ``block_kernel`` and ``restrict_by_leaders`` take."""
+        cols = self.columns()
+        return lambda c: cols.get(c, ())
+
     def apply(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
-        for (r, c), v in self.data.items():
-            x = vec.get(c)
-            if x:
-                new = out.get(r, Fraction(0)) + v * x
-                if new:
-                    out[r] = new
-                else:
-                    out.pop(r, None)
-        return out
+        return linear_image(self.terms(), vec)
 
     def transpose(self) -> "ExactOperator":
         return ExactOperator(
@@ -230,10 +224,6 @@ class ExactOperator:
 
     def __hash__(self):
         raise TypeError("ExactOperator is mutable; not hashable")
-
-    @property
-    def nnz(self) -> int:
-        return len(self.data)
 
     def columns(self) -> dict[int, list[tuple[int, Fraction]]]:
         """Column index: col -> [(row, value)], in storage order."""
@@ -407,23 +397,68 @@ def kernel_basis(rows, ncols: int) -> list[dict[int, Fraction]]:
     return ReducedSpan(rows).kernel(ncols)
 
 
-def restrict_by_leaders(apply_op, echelon) -> tuple[tuple[Fraction, ...], ...]:
-    """Matrix, in the basis of the ``echelon`` rows of a ``ReducedSpan``,
-    of an operator that maps their span into itself.  Coordinates are
-    read off the pivots; the residual is checked to vanish exactly, and
-    ``ShapeMismatch`` is raised when the operator leaves the span."""
-    cols = []
-    for _, row in echelon:
-        w = apply_op(row)
-        coeffs = [w.get(piv, _F0) for piv, _ in echelon]
-        resid = dict(w)
-        for (_, u), cu in zip(echelon, coeffs):
+def linear_image(terms, vec) -> dict:
+    """Image of the sparse vector ``vec`` under the linear map that sends
+    basis key c to the (target, value) terms ``terms(c)``; repeated
+    targets add up, and entries that cancel are dropped."""
+    out: dict = {}
+    for c, x in vec.items():
+        if not x:
+            continue
+        for tgt, v in terms(c):
+            old = out.get(tgt)
+            if old is None:
+                out[tgt] = v * x
+            elif new := old + v * x:
+                out[tgt] = new
+            else:
+                del out[tgt]
+    return out
+
+
+def block_kernel(members, maps) -> list[dict]:
+    """Joint kernel of linear maps on the span of ``members`` (basis keys
+    of one block), each map given as key -> (target, value) image terms.
+
+    Member j puts its image coefficients in column j of one equation row
+    per (map, target), repeated targets adding up; the rows are solved by
+    one ``kernel_basis`` call, and the kernel vectors come back keyed by
+    member."""
+    rows = []
+    for terms in maps:
+        eq: dict = {}
+        for j, key in enumerate(members):
+            for tgt, v in terms(key):
+                row = eq.get(tgt)
+                if row is None:
+                    eq[tgt] = {j: v}
+                elif j in row:
+                    row[j] += v
+                else:
+                    row[j] = v
+        rows.extend(eq.values())
+    return [{members[i]: v for i, v in vec.items()}
+            for vec in kernel_basis(rows, len(members))]
+
+
+def restrict_by_leaders(terms, echelon, basis: IndexedBasis) -> ExactOperator:
+    """Operator on ``basis`` (one label per row) of the linear map given
+    by its image ``terms`` (see ``linear_image``), restricted to the span
+    of the ``echelon`` rows of a ``ReducedSpan``, which it must map into
+    itself.  Coordinates are read off the pivots; the residual is checked
+    to vanish exactly, and ``ShapeMismatch`` is raised when the map leaves
+    the span."""
+    op = ExactOperator(basis, basis)
+    for j, (_, row) in enumerate(echelon):
+        resid = linear_image(terms, row)
+        for i, (piv, u) in enumerate(echelon):
+            cu = resid.get(piv)
             if cu:
+                op.data[(i, j)] = cu
                 _subtract(resid, cu, u)
         if any(resid.values()):
             raise ShapeMismatch("operator does not preserve the subspace")
-        cols.append(coeffs)
-    return tuple(zip(*cols))
+    return op
 
 
 def gram_matrix(vectors, weight=None) -> list[list[Fraction]]:

@@ -253,6 +253,12 @@ def dense_nullity(rows: list[list[Fraction]], ncols: int) -> int:
     return ncols - rank
 
 
+def dense_matrix(op) -> list[list[Fraction]]:
+    """The entries of a sparse ExactOperator as dense rows, zeros filled in."""
+    return [[op.data.get((r, c), Fraction(0)) for c in range(len(op.domain))]
+            for r in range(len(op.codomain))]
+
+
 def dense_restriction(op_entries: dict, basis: list[dict]) -> list[list[Fraction]]:
     """Matrix X with B X = A B, where the columns of B are the basis
     vectors and A is given by its (row, col) -> value entries; solved by

@@ -242,15 +242,21 @@ def test_boost_needs_a_negative_slot():
         C.boost(2, 0, 0.5)
 
 
+def test_boost_is_pseudo_unitary_and_not_unitary():
+    b = C.boost(2, 1, 0.5)
+    assert C.is_pseudo_unitary(b, C.eta_matrix(2, 1))
+    assert not C.is_pseudo_unitary(b, np.eye(3))
+
+
 def test_pseudo_unitary_samples_preserve_the_form():
-    g, U = C.group_samples(4, C.eta_matrix(2, 1), 5,
-                           np.random.default_rng(0))
+    eta = C.eta_matrix(2, 1)
+    g, U = C.group_samples(4, eta, 5, np.random.default_rng(0))
     assert g.shape == (5, 4, 4) and U.shape == (5, 3, 3)
     for h in g:
         assert np.max(np.abs(h @ h.conj().T - np.eye(4))) < TOL
     for u in U:
-        assert C.is_pseudo_unitary(u, 2, 1)
-        assert not C.is_pseudo_unitary(u + 0.01, 2, 1)
+        assert C.is_pseudo_unitary(u, eta)
+        assert not C.is_pseudo_unitary(u + 0.01, eta)
 
 
 def test_orbit_grid_report_small():

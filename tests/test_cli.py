@@ -288,6 +288,15 @@ def test_verify_all_config_file_and_override(capsys, tmp_path):
     assert code == 2 and "unknown key" in err
 
 
+def test_verify_all_config_value_that_does_not_parse(capsys, tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("seeds=1\nkmax=abc\n")
+    code, out, err = run(capsys, "verify-all", "--config", str(bad))
+    assert code == 2 and not out
+    assert f"{bad}:2: cannot read kmax='abc' as int" in err
+    assert "Traceback" not in err
+
+
 def test_output_flag_writes_file(capsys, tmp_path):
     target = tmp_path / "table.tsv"
     code, out, _ = run(capsys, "decompose", "--k", "2", "--m", "2",

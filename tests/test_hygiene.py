@@ -1,0 +1,92 @@
+"""Source rules for the package, checked on its syntax trees: no
+``assert`` statements (``python -O`` strips them, so invariants raise
+``ForgeError`` subclasses instead), no bare ``except:`` or
+``except Exception``, and no unused imports."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "howe_forge"
+SOURCES = sorted(PACKAGE.glob("*.py"))
+BROAD = {"Exception", "BaseException"}
+
+
+def tree_of(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def where(path, node):
+    return f"{path.name}:{node.lineno}"
+
+
+def asserts(tree, path):
+    return [where(path, n) for n in ast.walk(tree)
+            if isinstance(n, ast.Assert)]
+
+
+def broad_handlers(tree, path):
+    out = []
+    for n in ast.walk(tree):
+        if not isinstance(n, ast.ExceptHandler):
+            continue
+        caught = (n.type.elts if isinstance(n.type, ast.Tuple)
+                  else [n.type])
+        if n.type is None or any(isinstance(t, ast.Name) and t.id in BROAD
+                                 for t in caught):
+            out.append(where(path, n))
+    return out
+
+
+def unused_imports(tree, path):
+    """Names bound by an import and never loaded; ``__all__`` entries
+    count as uses."""
+    bound = {}
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Import):
+            for a in n.names:
+                bound[a.asname or a.name.partition(".")[0]] = n
+        elif isinstance(n, ast.ImportFrom) and n.module != "__future__":
+            for a in n.names:
+                bound[a.asname or a.name] = n
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in n.targets):
+            used.update(ast.literal_eval(n.value))
+    return [f"{where(path, node)} {name}" for name, node in bound.items()
+            if name not in used]
+
+
+def test_the_package_has_sources():
+    assert PACKAGE / "tensor.py" in SOURCES
+
+
+@pytest.mark.parametrize("rule", [asserts, broad_handlers, unused_imports])
+def test_package_sources_keep_the_rule(rule):
+    bad = [hit for path in SOURCES for hit in rule(tree_of(path), path)]
+    assert bad == []
+
+
+@pytest.mark.parametrize("rule,source", [
+    (asserts, "def f(x):\n    assert x\n"),
+    (broad_handlers, "try:\n    pass\nexcept:\n    pass\n"),
+    (broad_handlers,
+     "try:\n    pass\nexcept (KeyError, Exception):\n    pass\n"),
+    (unused_imports, "import os\nfrom math import gcd, lcm\nx = lcm(2, 3)\n"),
+])
+def test_each_rule_catches_a_violation(rule, source):
+    path = Path("example.py")
+    assert rule(ast.parse(source), path)
+
+
+def test_rules_pass_clean_code():
+    source = ("from __future__ import annotations\n"
+              "import os.path\nfrom math import gcd as g\n"
+              "try:\n    x = g(os.path.sep, 2)\n"
+              "except ValueError:\n    pass\n")
+    tree, path = ast.parse(source), Path("example.py")
+    assert not asserts(tree, path) + broad_handlers(tree, path) \
+        + unused_imports(tree, path)

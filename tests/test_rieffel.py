@@ -68,16 +68,16 @@ def test_irrep_action_satisfies_the_bracket():
     def matsub(a, b):
         return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
-    e01, e10 = ir.action[(0, 1)], ir.action[(1, 0)]
-    e00, e11 = ir.action[(0, 0)], ir.action[(1, 1)]
+    e00, e01, e10, e11 = (bf.dense_matrix(ir.action[key])
+                          for key in [(0, 0), (0, 1), (1, 0), (1, 1)])
     assert matsub(matmul(e01, e10), matmul(e10, e01)) == matsub(e00, e11)
 
 
 def test_irrep_diagonal_trace_counts_boxes():
     for m, M in [((2, 1), 2), ((2,), 3), ((1, 1), 3)]:
         ir = build_inducing_irrep(m, M)
-        total = sum(ir.action[(a, a)][i][i] for a in range(M)
-                    for i in range(ir.dim))
+        total = sum(bf.dense_matrix(ir.action[(a, a)])[i][i]
+                    for a in range(M) for i in range(ir.dim))
         assert total == sum(m) * ir.dim
 
 
@@ -234,14 +234,22 @@ def test_noncompact_rank_one_pairs_realize_their_label(k, a, b):
 # the restricted gl(k) action against a dense oracle
 
 
+def assert_one_module_basis(mod):
+    """Every restricted operator acts on the same module basis object."""
+    bases = {id(b) for op in mod.gl_k.values() for b in (op.domain, op.codomain)}
+    assert len(bases) == 1
+    assert len(mod.gl_k[(0, 0)].domain) == mod.dimension
+
+
 def assert_gl_k_matches_oracle(mod, k, M, N, d, piece):
     assert f"bidegree {piece}" in mod.ambient
+    assert_one_module_basis(mod)
     model = build_oscillator_model(k, M, N, d, validate=False)
     for i in range(k):
         for j in range(k):
             want = bf.dense_restriction(model.gl_k_op(i, j, piece).data,
                                         mod.basis)
-            assert [list(row) for row in mod.gl_k[(i, j)]] == want
+            assert bf.dense_matrix(mod.gl_k[(i, j)]) == want
 
 
 @pytest.mark.parametrize("k,M,N,weight,d,piece", [
@@ -263,12 +271,13 @@ def test_compact_gl_k_matches_dense_oracle(k, M, m):
     dimh = build_inducing_irrep(m, M).dim
     piece = (sum(m), 0)
     model = build_compact_model(k, M, piece[0], validate=False)
+    assert_one_module_basis(mod)
     for (i, j), mat in mod.gl_k.items():
         # gl(k) acts on the Fock factor of each (monomial, irrep) coordinate
         entries = {((r, h), (c, h)): v
                    for (r, c), v in model.gl_k_op(i, j, piece).data.items()
                    for h in range(dimh)}
-        assert [list(row) for row in mat] == bf.dense_restriction(
+        assert bf.dense_matrix(mat) == bf.dense_restriction(
             entries, mod.basis)
 
 
@@ -277,22 +286,24 @@ def test_restrict_by_leaders_rejects_an_operator_leaving_the_span():
                              {1: Fraction(1)}]).echelon
     assert [piv for piv, _ in echelon] == [0, 1]
 
-    def swap(vec):
-        return {1 - c if c < 2 else c: x for c, x in vec.items()}
+    basis = T.IndexedBasis(range(2))
 
-    def shift(vec):
-        return {c + 1: x for c, x in vec.items()}
+    def swap(c):
+        return [(1 - c if c < 2 else c, Fraction(1))]
+
+    def shift(c):
+        return [(c + 1, Fraction(1))]
 
     with pytest.raises(ShapeMismatch):
-        T.restrict_by_leaders(swap, echelon)
+        T.restrict_by_leaders(swap, echelon, basis)
     with pytest.raises(ShapeMismatch):
-        T.restrict_by_leaders(shift, echelon)
-    assert T.restrict_by_leaders(lambda v: v, echelon) == ((1, 0), (0, 1))
+        T.restrict_by_leaders(shift, echelon, basis)
+    same = T.restrict_by_leaders(lambda c: [(c, Fraction(1))], echelon, basis)
+    assert bf.dense_matrix(same) == [[1, 0], [0, 1]]
 
 
 def test_bracket_check_catches_each_rescaled_generator():
-    mod = induce_compact(2, 2, (2, 1))
-    fam = rieffel._as_operator_family(mod.gl_k)
+    fam = induce_compact(2, 2, (2, 1)).gl_k
     assert T.gl_relation_failures(fam, "k") == []
     for key in fam:
         bad = dict(fam)

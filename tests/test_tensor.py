@@ -173,6 +173,80 @@ def test_reduced_span_and_kernel_against_dense_oracle(system):
     assert T.spans_agree([row for _, row in span.echelon], rows)
 
 
+@st.composite
+def block_systems(draw):
+    """Maps given by image terms on the keys ("k", i), each key's image a
+    list of (target, value) terms in which targets repeat and may cancel,
+    and members that are a strict subset of the keys, in any order.  A
+    twin key b of a key a has the image of a in every map, each term v
+    split into 2v and -v on the same target, so a - b is in the kernel."""
+    nkeys = draw(st.integers(min_value=2, max_value=7))
+    keys = [("k", i) for i in range(nkeys)]
+    term = st.tuples(st.integers(0, 4),
+                     st.builds(Fraction, st.integers(-3, 3).filter(bool),
+                               st.integers(1, 3)))
+    images = draw(st.lists(
+        st.fixed_dictionaries({key: st.lists(term, max_size=4)
+                               for key in keys}),
+        min_size=1, max_size=3))
+    for a, b in draw(st.lists(st.tuples(st.sampled_from(keys),
+                                        st.sampled_from(keys)), max_size=2)):
+        for image in images:
+            if a != b:
+                image[b] = [(t, x) for t, v in image[a] for x in (2 * v, -v)]
+    members = draw(st.lists(st.sampled_from(keys), min_size=1,
+                            max_size=nkeys - 1, unique=True))
+    return images, members
+
+
+def dense_block_rows(images, members):
+    """One dense row per (map, target): the summed coefficients of the
+    members' images."""
+    rows = []
+    for image in images:
+        by_target = {}
+        for j, key in enumerate(members):
+            for tgt, v in image[key]:
+                by_target.setdefault(tgt, [Fraction(0)] * len(members))[j] += v
+        rows.extend(by_target.values())
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_systems())
+def test_block_kernel_against_dense_oracle(system):
+    images, members = system
+    kern = T.block_kernel(members, [image.get for image in images])
+    rows = dense_block_rows(images, members)
+    n = len(members)
+    assert len(kern) == bf.dense_nullity(rows, n)
+    vecs = [[vec.get(key, 0) for key in members] for vec in kern]
+    assert all(set(vec) <= set(members) for vec in kern)
+    assert bf.dense_nullity(vecs, n) == n - len(kern)  # independent
+    for row in rows:
+        for vec in vecs:
+            assert sum(a * x for a, x in zip(row, vec)) == 0
+    for image in images:
+        for vec in kern:
+            assert T.linear_image(image.get, vec) == {}
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_systems(), st.data())
+def test_linear_image_against_dense_product(system, data):
+    images, members = system
+    entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    vec = {key: data.draw(entry) for key in members}
+    for image, row_of in zip(images, [dense_block_rows([im], members)
+                                      for im in images]):
+        targets = list(dict.fromkeys(
+            tgt for key in members for tgt, _ in image[key]))
+        want = {t: sum(a * vec[key] for a, key in zip(row, members))
+                for t, row in zip(targets, row_of)}
+        got = T.linear_image(image.get, vec)
+        assert got == {t: x for t, x in want.items() if x}
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_rank_of_rows_on_a_cycle(n):
     # rows (e_i + a e_{i+1}) / (i + 1), indices mod n: every column has two
