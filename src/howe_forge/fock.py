@@ -36,12 +36,14 @@ def _convention_constants(k: int, M: int, N: int, convention: str):
     hf uses the symmetrized ordering (x d/dx + d/dx x)/2 on every block,
     which contributes M/2, k/2, -k/2 (for N=0: M/2 and k/2).  sq drops
     the symmetrization on the k side and twists the middle algebra by a
-    half determinant power, giving 0, k, 0.
+    half determinant power, giving 0, k, 0.  A constant is an int when
+    it is integral and a Fraction otherwise.
     """
     if convention == "sq":
-        return (Fraction(0), Fraction(k if N else 0), Fraction(0))
+        return (0, k if N else 0, 0)
     if convention == "hf":
-        return (Fraction(M - N, 2), Fraction(k, 2), Fraction(-k, 2))
+        return tuple(c.numerator if c.denominator == 1 else c for c in (
+            Fraction(M - N, 2), Fraction(k, 2), Fraction(-k, 2)))
     raise ShapeMismatch(f"unknown convention {convention!r}")
 
 
@@ -82,9 +84,9 @@ class FockModel:
     degree: int
     convention: str
     cap: int = DEFAULT_PIECE_CAP
-    c_k: Fraction = field(init=False)
-    c_m: Fraction = field(init=False)
-    c_n: Fraction = field(init=False)
+    c_k: int | Fraction = field(init=False)
+    c_m: int | Fraction = field(init=False)
+    c_n: int | Fraction = field(init=False)
     _bases: dict = field(default_factory=dict, repr=False)
     _actions: dict = field(default_factory=dict, repr=False)
 
@@ -143,7 +145,7 @@ class FockModel:
 
     # operators --------------------------------------------------------------
 
-    def _first_order(self, piece, terms, const=Fraction(0)) -> ExactOperator:
+    def _first_order(self, piece, terms, const=0) -> ExactOperator:
         """sum of coeff * x_u d/d x_v plus a scalar, within one piece."""
         b = self.basis(*piece)
         op = ExactOperator(b, b)
@@ -163,30 +165,30 @@ class FockModel:
     def gl_k_op(self, i: int, j: int, piece) -> ExactOperator:
         key = ("k", i, j, piece)
         if key not in self._actions:
-            terms = [(Fraction(1), self.xvar(i, a), self.xvar(j, a))
+            terms = [(1, self.xvar(i, a), self.xvar(j, a))
                      for a in range(self.M)]
-            terms += [(Fraction(-1), self.yvar(j, b), self.yvar(i, b))
+            terms += [(-1, self.yvar(j, b), self.yvar(i, b))
                       for b in range(self.N)]
             self._actions[key] = self._first_order(
-                piece, terms, self.c_k if i == j else Fraction(0))
+                piece, terms, self.c_k if i == j else 0)
         return self._actions[key]
 
     def gl_m_op(self, a: int, b: int, piece) -> ExactOperator:
         key = ("m", a, b, piece)
         if key not in self._actions:
-            terms = [(Fraction(1), self.xvar(i, a), self.xvar(i, b))
+            terms = [(1, self.xvar(i, a), self.xvar(i, b))
                      for i in range(self.k)]
             self._actions[key] = self._first_order(
-                piece, terms, self.c_m if a == b else Fraction(0))
+                piece, terms, self.c_m if a == b else 0)
         return self._actions[key]
 
     def gl_n_op(self, b: int, c: int, piece) -> ExactOperator:
         key = ("n", b, c, piece)
         if key not in self._actions:
-            terms = [(Fraction(-1), self.yvar(i, c), self.yvar(i, b))
+            terms = [(-1, self.yvar(i, c), self.yvar(i, b))
                      for i in range(self.k)]
             self._actions[key] = self._first_order(
-                piece, terms, self.c_n if b == c else Fraction(0))
+                piece, terms, self.c_n if b == c else 0)
         return self._actions[key]
 
     def raiser_op(self, a: int, b: int, piece) -> ExactOperator:
@@ -238,6 +240,12 @@ class FockModel:
                 lowerers = {(a, b): self.lowerer_op(a, b, piece)
                             for a in range(self.M) for b in range(self.N)}
         return LieActionSet(piece, gl_k, gl_m, gl_n, raisers, lowerers)
+
+    def release(self, piece) -> None:
+        """Drop the cached generator operators of one piece; a later call
+        builds them again."""
+        for key in [key for key in self._actions if key[-1] == piece]:
+            del self._actions[key]
 
     # weights ----------------------------------------------------------------
 
@@ -315,7 +323,7 @@ class HighestWeightVector:
     k_weight: tuple[Fraction, ...]
     m_weight: tuple[Fraction, ...]
     n_weight: tuple[Fraction, ...]
-    vector: dict[int, Fraction]
+    vector: dict[int, int | Fraction]
 
 
 def joint_highest_weight_vectors(model: FockModel, piece,
@@ -518,6 +526,7 @@ def verify_howe(k: int, M: int, degree: int, convention: str = "sq",
             commutant = sum(v * v for v in mult.values())
             route = "multiplicity"
         commutant_ok = commutant == len(expected)
+        model.release((n, 0))  # no later degree reads this piece
 
         reports.append(HoweDegreeReport(
             degree=n,

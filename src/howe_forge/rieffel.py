@@ -45,18 +45,22 @@ _F1 = Fraction(1)
 
 
 def _ldl_positive(gram: list[list[Fraction]]) -> bool:
-    """True iff the symmetric matrix is positive definite (exact)."""
-    a = [row[:] for row in gram]
+    """True iff the symmetric matrix is positive definite (exact): its
+    leading principal minors, the pivots of a fraction-free (Bareiss)
+    elimination of the matrix scaled to integers, are all positive."""
+    den = math.lcm(*(v.denominator for row in gram for v in row))
+    a = [[v.numerator * (den // v.denominator) for v in row] for row in gram]
     d = len(a)
+    prev = 1
     for i in range(d):
         p = a[i][i]
         if p <= 0:
             return False
         for r in range(i + 1, d):
-            f = a[r][i] / p
-            if f:
-                for c in range(i, d):
-                    a[r][c] -= f * a[i][c]
+            f = a[r][i]
+            for c in range(i + 1, d):
+                a[r][c] = (p * a[r][c] - f * a[i][c]) // prev  # exact
+        prev = p
     return True
 
 

@@ -1,13 +1,17 @@
 """Exact sparse operators on indexed bases.
 
-Operators are dicts keyed by (row, col) ordinals with Fraction values.
-All arithmetic is exact rational; there are no tolerance parameters in
-this module.  Two eliminations serve every caller.  ``rank_of_rows`` is
-rank only: sparse Markowitz elimination on integer rows, kept primitive
-after each update.  ``ReducedSpan`` is the Jordan-reduced span of
-rational rows (lowest-column pivots normalized to 1); kernels
+Operators are dicts keyed by (row, col) ordinals with exact rational
+values: ``int`` wherever a value is integral, ``Fraction`` only where a
+quotient is really produced.  All arithmetic is exact; there are no
+tolerance parameters in this module.  Two eliminations serve every
+caller, both on integer rows kept primitive after each fraction-free
+update row <- (p*row - a*prow) / content.  ``rank_of_rows`` is rank only,
+with Markowitz pivots.  ``ReducedSpan`` is the reduced span of rational
+rows: each row is integer and primitive, positive at its pivot (its
+lowest column when inserted) and 0 at every other row's pivot.  Kernels
 (``kernel_basis``), module bases and restrictions of operators to an
-invariant span (``restrict_by_leaders``) all come from it.
+invariant span (``restrict_by_leaders``) all come from it, and divide
+only at the output, by the pivot entries.
 
 Linear maps given by their image terms (basis key -> (target, value)
 pairs; ``ExactOperator.terms`` is the column index in that form) have
@@ -36,7 +40,6 @@ from . import weights as W
 DEFAULT_BASIS_CAP = 20_000
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -109,12 +112,10 @@ class ExactOperator:
     def __init__(self, domain: IndexedBasis, codomain: IndexedBasis, data=None):
         self.domain = domain
         self.codomain = codomain
-        self.data: dict[tuple[int, int], Fraction] = {}
+        self.data: dict[tuple[int, int], int | Fraction] = {}
         if data:
             for (r, c), v in data.items():
-                fv = Fraction(v)
-                if fv:
-                    self.data[(r, c)] = fv
+                self.add_entry(r, c, v)
 
     # construction ---------------------------------------------------------
 
@@ -126,18 +127,15 @@ class ExactOperator:
     def identity(cls, basis):
         op = cls(basis, basis)
         for i in range(len(basis)):
-            op.data[(i, i)] = Fraction(1)
+            op.data[(i, i)] = 1
         return op
 
     def add_entry(self, row: int, col: int, value) -> None:
-        if not isinstance(value, (Fraction, int)):
+        if not isinstance(value, (int, Fraction)):
             value = Fraction(value)  # exact for floats and strings too
         key = (row, col)
         old = self.data.get(key)
-        if old is not None:
-            new = old + value
-        else:
-            new = value if isinstance(value, Fraction) else Fraction(value)
+        new = value if old is None else old + value
         if new:
             self.data[key] = new
         else:
@@ -172,7 +170,7 @@ class ExactOperator:
             self.domain, self.codomain, {k: -v for k, v in self.data.items()})
 
     def scaled(self, scalar) -> "ExactOperator":
-        s = Fraction(scalar)
+        s = scalar if isinstance(scalar, (int, Fraction)) else Fraction(scalar)
         if not s:
             return ExactOperator.zero(self.domain, self.codomain)
         return ExactOperator(
@@ -271,6 +269,20 @@ class ExactOperator:
 # exact elimination
 
 
+def _cleared(vec: dict) -> tuple[dict, int]:
+    """(den * vec, den) for the least positive den that makes every entry
+    an integer, with the zero entries dropped."""
+    den = math.lcm(*(v.denominator for v in vec.values()))
+    return ({c: v.numerator * (den // v.denominator)
+             for c, v in vec.items() if v}, den)
+
+
+def _quotient(a: int, b: int) -> int | Fraction:
+    """The exact quotient a / b of two integers, an int when b divides a."""
+    q, r = divmod(a, b)
+    return Fraction(a, b) if r else q
+
+
 def rank_of_rows(rows) -> int:
     """Exact rank over Q of sparse rational rows (dicts column -> value),
     each read once into an integer row, by elimination with Markowitz
@@ -279,9 +291,7 @@ def rank_of_rows(rows) -> int:
     where: dict[int, list[int]] = {}  # column -> rows that had an entry there
     count: dict[int, int] = {}  # column -> live rows that have an entry there
     for rid, row in enumerate(rows):
-        den = math.lcm(*(v.denominator for v in row.values()))
-        live[rid] = ints = {c: v.numerator * (den // v.denominator)
-                            for c, v in row.items() if v}
+        live[rid] = ints = _cleared(row)[0]
         for c in ints:
             where.setdefault(c, []).append(rid)
             count[c] = count.get(c, 0) + 1
@@ -326,28 +336,40 @@ def rank_of_rows(rows) -> int:
     return nrows - len(live)  # the rows left over have all cancelled
 
 
-def _subtract(dst: dict, x, src: dict) -> None:
-    """dst -= x * src in place, dropping the entries that cancel."""
-    for c, v in src.items():
-        new = dst.get(c, _F0) - x * v
-        if new:
-            dst[c] = new
+def _eliminate(row: dict, p: int, a: int, prow: dict) -> None:
+    """row <- (p*row - a*prow) / content in place, for integer rows with
+    a at the column where prow has p: that column cancels, entries that
+    cancel are dropped, and the row is left primitive."""
+    g = math.gcd(p, a)
+    pm, am = p // g, a // g
+    if pm != 1:
+        for c in row:
+            row[c] *= pm
+    for c, v in prow.items():
+        if x := row.get(c, 0) - am * v:
+            row[c] = x
         else:
-            dst.pop(c, None)
+            del row[c]
+    g = math.gcd(*row.values())  # 0 once the row has cancelled
+    if g > 1:
+        for c in row:
+            row[c] //= g
 
 
 class ReducedSpan:
-    """Incrementally Jordan-reduced span of sparse rational vectors.
+    """Incrementally reduced span of sparse rational vectors, in integers.
 
     ``echelon`` holds (pivot, row) pairs in insertion order.  A row's
-    pivot is its lowest column once reduced against the rows before it;
-    the row is 1 there and 0 at every other row's pivot, so the pivots
-    are leader coordinates of the span."""
+    pivot is its lowest column once reduced against the rows before it.
+    Each row is integer and primitive, positive at its pivot and 0 at
+    every other row's pivot, so the pivots are leader coordinates of the
+    span, and row / row[pivot] is the matching row of its reduced row
+    echelon form."""
 
     __slots__ = ("echelon",)
 
     def __init__(self, vectors=()):
-        self.echelon: list[tuple[int, dict[int, Fraction]]] = []
+        self.echelon: list[tuple[int, dict[int, int]]] = []
         for vec in vectors:
             self.insert(vec)
 
@@ -356,42 +378,46 @@ class ReducedSpan:
 
     def insert(self, vec) -> bool:
         """Add the vector; return True when it enlarged the span."""
-        v = {c: x for c, x in vec.items() if x}
+        v, _ = _cleared(vec)
         for piv, row in self.echelon:
-            x = v.get(piv)
-            if x:
-                _subtract(v, x, row)
+            a = v.get(piv)
+            if a:
+                _eliminate(v, row[piv], a, row)
         if not v:
             return False
         piv = min(v)
-        inv = _F1 / v[piv]
-        v = {c: x * inv for c, x in v.items()}
+        g = math.gcd(*v.values())
+        if v[piv] < 0:
+            g = -g  # the pivot entry comes out positive
+        if g != 1:
+            for c in v:
+                v[c] //= g
         for _, row in self.echelon:  # back-substitute into earlier rows
-            x = row.get(piv)
-            if x:
-                _subtract(row, x, v)
+            a = row.get(piv)
+            if a:
+                _eliminate(row, v[piv], a, v)
         self.echelon.append((piv, v))
         return True
 
-    def kernel(self, ncols: int) -> list[dict[int, Fraction]]:
+    def kernel(self, ncols: int) -> list[dict[int, int | Fraction]]:
         """Vectors annihilated by every row, one per free column below
-        ncols: 1 in that column, then minus each row's entry there at the
+        ncols: 1 in that column, then -row[free] / row[pivot] at each
         row's pivot."""
         pivots = {piv for piv, _ in self.echelon}
         out = []
         for free in range(ncols):
             if free in pivots:
                 continue
-            vec = {free: _F1}
+            vec = {free: 1}
             for piv, row in self.echelon:
                 x = row.get(free)
                 if x:
-                    vec[piv] = -x
+                    vec[piv] = _quotient(-x, row[piv])
             out.append(vec)
         return out
 
 
-def kernel_basis(rows, ncols: int) -> list[dict[int, Fraction]]:
+def kernel_basis(rows, ncols: int) -> list[dict[int, int | Fraction]]:
     """Kernel of the stacked row system, as sparse column vectors, each
     with a 1 in its free column (see ``ReducedSpan.kernel``)."""
     return ReducedSpan(rows).kernel(ncols)
@@ -445,19 +471,24 @@ def restrict_by_leaders(terms, echelon, basis: IndexedBasis) -> ExactOperator:
     """Operator on ``basis`` (one label per row) of the linear map given
     by its image ``terms`` (see ``linear_image``), restricted to the span
     of the ``echelon`` rows of a ``ReducedSpan``, which it must map into
-    itself.  Coordinates are read off the pivots; the residual is checked
-    to vanish exactly, and ``ShapeMismatch`` is raised when the map leaves
-    the span."""
+    itself.  Each row is 0 at the other rows' pivots, so the coordinate
+    of an image on row i is image[pivot] / row[pivot].  The image is
+    checked to equal that combination exactly, in integers, and
+    ``ShapeMismatch`` is raised when the map leaves the span."""
+    at = {piv: i for i, (piv, _) in enumerate(echelon)}
+    rows = [row for _, row in echelon]
+    lead = [row[piv] for piv, row in echelon]
     op = ExactOperator(basis, basis)
-    for j, (_, row) in enumerate(echelon):
-        resid = linear_image(terms, row)
-        for i, (piv, u) in enumerate(echelon):
-            cu = resid.get(piv)
-            if cu:
-                op.data[(i, j)] = cu
-                _subtract(resid, cu, u)
-        if any(resid.values()):
+    for j, row in enumerate(rows):
+        image, den = _cleared(linear_image(terms, row))
+        coords = sorted((at[c], a) for c, a in image.items() if c in at)
+        scale = math.lcm(*(lead[i] for i, _ in coords))
+        combo = linear_image(lambda i: rows[i].items(),
+                             {i: a * (scale // lead[i]) for i, a in coords})
+        if combo != {c: scale * v for c, v in image.items()}:
             raise ShapeMismatch("operator does not preserve the subspace")
+        for i, a in coords:
+            op.data[(i, j)] = _quotient(a, den * lead[i])
     return op
 
 
@@ -552,7 +583,7 @@ def sn_action(sigma: tuple[int, ...], k: int, n: int,
     inv = perm_inverse(sigma)
     for col, lab in enumerate(b.labels):
         tgt = tuple(lab[inv[p]] for p in range(n))
-        op.data[(b.ordinal(tgt), col)] = Fraction(1)
+        op.data[(b.ordinal(tgt), col)] = 1
     return op
 
 
@@ -704,7 +735,7 @@ def commutant_dim(generators: list[ExactOperator],
     if cartans:
         eigs = [tuple() for _ in range(d)]
         for h in cartans:
-            diag = [Fraction(0)] * d
+            diag = [0] * d
             for (r, c), v in h.data.items():
                 if r != c:
                     raise ValueError("cartan operators must be diagonal")
@@ -728,12 +759,15 @@ def commutant_dim(generators: list[ExactOperator],
 
     def equations():  # rows of XA - AX = 0, dropped once the rank read them
         for g in generators:
-            by_row: dict[int, list[tuple[int, Fraction]]] = {}
-            for (r, c), v in g.data.items():
+            # X(cA) = (cA)X iff XA = AX: scaled by the lcm c of its
+            # denominators, A gives integer equation rows
+            by_row: dict[int, list[tuple[int, int]]] = {}
+            by_col: dict[int, list[tuple[int, int]]] = {}
+            for (r, c), v in _cleared(g.data)[0].items():
                 by_row.setdefault(r, []).append((c, v))
-            by_col = g.columns()
+                by_col.setdefault(c, []).append((r, v))
             # equation for entry (i, l): sum_j X[i,j] A[j,l] - A[i,j] X[j,l]
-            eq: dict[tuple[int, int], dict[int, Fraction]] = {}
+            eq: dict[tuple[int, int], dict[int, int]] = {}
             for (i, jcol), var in var_id.items():
                 # X[i, jcol] multiplies A[jcol, l] in entry (i, l)
                 for (l, v) in by_row.get(jcol, ()):

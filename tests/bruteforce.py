@@ -253,6 +253,53 @@ def dense_nullity(rows: list[list[Fraction]], ncols: int) -> int:
     return ncols - rank
 
 
+def dense_rref(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
+    """Nonzero rows of the reduced row echelon form of a dense rational
+    matrix: each row 1 at its leading column and 0 at the others'."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        lead = mat[rank][col]
+        prow = mat[rank] = [x / lead for x in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col] != 0:
+                coef = mat[r][col]
+                mat[r] = [x - coef * y for x, y in zip(mat[r], prow)]
+        rank += 1
+    return mat[:rank]
+
+
+def dense_det(mat: list[list[Fraction]]) -> Fraction:
+    """Determinant of a square rational matrix by Fraction elimination
+    with row swaps."""
+    a = [[Fraction(x) for x in row] for row in mat]
+    n = len(a)
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, n):
+            coef = a[r][col] / a[col][col]
+            a[r] = [x - coef * y for x, y in zip(a[r], a[col])]
+    return det
+
+
+def is_positive_definite(mat: list[list[Fraction]]) -> bool:
+    """Sylvester's criterion for a symmetric rational matrix: every
+    leading principal minor is positive."""
+    return all(dense_det([row[:n] for row in mat[:n]]) > 0
+               for n in range(1, len(mat) + 1))
+
+
 def dense_matrix(op) -> list[list[Fraction]]:
     """The entries of a sparse ExactOperator as dense rows, zeros filled in."""
     return [[op.data.get((r, c), Fraction(0)) for c in range(len(op.domain))]

@@ -154,6 +154,33 @@ def test_lower_after_raise_on_constants_counts_rank(convention):
     assert lr.apply({0: Fraction(1)}) == {0: Fraction(2)}
 
 
+@pytest.mark.parametrize("convention", ["sq", "hf"])
+@pytest.mark.parametrize("model", [
+    lambda c: build_compact_model(3, 2, 3, convention=c),
+    lambda c: build_oscillator_model(1, 2, 1, 3, convention=c),
+], ids=["compact", "oscillator"])
+def test_operators_hold_ints_where_integral(model, convention):
+    """Only int and Fraction values; every sq operator, raiser, lowerer
+    and off-diagonal generator is int-valued, and a Fraction only comes
+    from a non-integral hf constant: k/2 = 3/2 in this compact model,
+    (M - N)/2 = k/2 = 1/2 in this oscillator model."""
+    model = model(convention)
+    fractions = 0
+    for piece in model.pieces():
+        acts = model.action_set(piece)
+        for fam, diagonal in ((acts.gl_k, True), (acts.gl_m, True),
+                              (acts.gl_n, True), (acts.raisers, False),
+                              (acts.lowerers, False)):
+            for (i, j), op in fam.items():
+                for v in op.data.values():
+                    assert type(v) in (int, Fraction)
+                    if type(v) is Fraction:
+                        assert convention == "hf" and diagonal and i == j
+                        assert v.denominator > 1
+                        fractions += 1
+    assert bool(fractions) == (convention == "hf")
+
+
 # ---------------------------------------------------------------------------
 # joint highest weight vectors
 
@@ -284,6 +311,72 @@ def test_commutant_dim_matches_kernel_count_on_howe_pieces(monkeypatch):
         blocks = model.weight_blocks((d.degree, 0)).values()
         nvars = sum(len(b) ** 2 for b in blocks)
         assert d.commutant == len(T.kernel_basis(rows, nvars))
+
+
+SCALES = [Fraction(3, 7), Fraction(-5, 2), 2, Fraction(-1, 3),
+          Fraction(7, 4), -3]
+
+
+def rescaled(ops):
+    """Each operator times its own nonzero rational."""
+    return [op.scaled(SCALES[i % len(SCALES)]) for i, op in enumerate(ops)]
+
+
+def test_commutant_dim_ignores_rescaled_generators_on_howe_pieces():
+    """X(cA) = (cA)X iff XA = AX: rescaling generators and Cartans by
+    different rationals, which the equations clear, keeps every commutant
+    of verify_howe(2, 3, 4)."""
+    model = build_compact_model(2, 3, 4)
+    for d in verify_howe(2, 3, 4, model=model).degrees:
+        piece = (d.degree, 0)
+        gens, carts = [], []
+        for rank, op in ((2, model.gl_k_op), (3, model.gl_m_op)):
+            gens += [op(i + s, i + 1 - s, piece)
+                     for i in range(rank - 1) for s in (0, 1)]
+            carts += [op(i, i, piece) for i in range(rank)]
+        assert T.commutant_dim(gens, cartans=carts) == d.commutant
+        assert T.commutant_dim(rescaled(gens), cartans=rescaled(carts)) \
+            == d.commutant
+
+
+def test_commutant_dim_ignores_rescaled_generators_on_a_restricted_module():
+    """The gl(3) module of the highest weight vector at bidegree (1, 1) of
+    the hf oscillator model, restricted to its reduced basis: the
+    Cartans carry the constant (M - N)/2 = 1/2, and the commutant stays 1
+    under rescaling, with or without the Cartans solved in advance."""
+    model = build_oscillator_model(3, 2, 1, 2, convention="hf")
+    piece = (1, 1)
+    (h,) = joint_highest_weight_vectors(model, piece)
+    lowers = [model.gl_k_op(i + 1, i, piece).terms() for i in range(2)]
+    span, queue = T.ReducedSpan([h.vector]), [h.vector]
+    while queue:
+        v = queue.pop()
+        for terms in lowers:
+            img = T.linear_image(terms, v)
+            if img and span.insert(img):
+                queue.append(img)
+    mb = T.IndexedBasis(range(len(span)))
+    ops = {(i, j): T.restrict_by_leaders(model.gl_k_op(i, j, piece).terms(),
+                                         span.echelon, mb)
+           for i in range(3) for j in range(3)}
+    gens = [ops[(i + s, i + 1 - s)] for i in range(2) for s in (0, 1)]
+    carts = [ops[(i, i)] for i in range(3)]
+    assert len(span) == 8
+    assert any(type(v) is Fraction for op in carts for v in op.data.values())
+    assert T.commutant_dim(gens, cartans=carts) == 1
+    assert T.commutant_dim(rescaled(gens), cartans=rescaled(carts)) == 1
+    assert T.commutant_dim(rescaled(gens + carts)) == 1
+
+
+def test_verify_howe_releases_each_checked_piece():
+    model = build_compact_model(2, 2, 3, validate=False)
+    a = model.gl_k_op(0, 1, (1, 0))
+    model.gl_m_op(0, 1, (2, 0))
+    model.release((2, 0))
+    assert list(model._actions) == [("k", 0, 1, (1, 0))]
+    assert model.gl_k_op(0, 1, (1, 0)) is a  # the other piece stays cached
+    assert verify_howe(2, 2, 3, model=model).ok
+    assert model._actions == {}
 
 
 def test_verify_howe_dimension_factors_match_tableaux():

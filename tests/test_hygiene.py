@@ -1,7 +1,8 @@
 """Source rules for the package, checked on its syntax trees: no
 ``assert`` statements (``python -O`` strips them, so invariants raise
 ``ForgeError`` subclasses instead), no bare ``except:`` or
-``except Exception``, and no unused imports."""
+``except Exception``, no unused imports, and no true division that could
+make a float in the exact layers."""
 
 import ast
 from pathlib import Path
@@ -11,6 +12,8 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "howe_forge"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 BROAD = {"Exception", "BaseException"}
+FLOAT_SIDE = {"classical.py"}  # the seeded float64 orbit checks
+EXACT_CONSTANTS = {"_F0", "_F1"}  # Fraction(0) and Fraction(1)
 
 
 def tree_of(path):
@@ -60,11 +63,34 @@ def unused_imports(tree, path):
             if name not in used]
 
 
+def float_divisions(tree, path):
+    """True divisions (``/`` and ``/=``) outside the float side whose left
+    operand is not a Fraction, i.e. neither a ``Fraction(...)`` call nor
+    ``_F0``/``_F1``: on two ints such a division makes a float."""
+    if path.name in FLOAT_SIDE:
+        return []
+    out = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Div):
+            left = n.left
+        elif isinstance(n, ast.AugAssign) and isinstance(n.op, ast.Div):
+            left = n.target
+        else:
+            continue
+        exact = (isinstance(left, ast.Call) and isinstance(left.func, ast.Name)
+                 and left.func.id == "Fraction") or (
+            isinstance(left, ast.Name) and left.id in EXACT_CONSTANTS)
+        if not exact:
+            out.append(where(path, n))
+    return out
+
+
 def test_the_package_has_sources():
     assert PACKAGE / "tensor.py" in SOURCES
 
 
-@pytest.mark.parametrize("rule", [asserts, broad_handlers, unused_imports])
+@pytest.mark.parametrize("rule", [asserts, broad_handlers, unused_imports,
+                                  float_divisions])
 def test_package_sources_keep_the_rule(rule):
     bad = [hit for path in SOURCES for hit in rule(tree_of(path), path)]
     assert bad == []
@@ -76,6 +102,9 @@ def test_package_sources_keep_the_rule(rule):
     (broad_handlers,
      "try:\n    pass\nexcept (KeyError, Exception):\n    pass\n"),
     (unused_imports, "import os\nfrom math import gcd, lcm\nx = lcm(2, 3)\n"),
+    (float_divisions, "def f(a, p):\n    return a[0] / p\n"),
+    (float_divisions, "def f(x):\n    x /= 2\n    return x\n"),
+    (float_divisions, "y = Fraction(1) * 3 / 4\n"),
 ])
 def test_each_rule_catches_a_violation(rule, source):
     path = Path("example.py")
@@ -86,7 +115,14 @@ def test_rules_pass_clean_code():
     source = ("from __future__ import annotations\n"
               "import os.path\nfrom math import gcd as g\n"
               "try:\n    x = g(os.path.sep, 2)\n"
-              "except ValueError:\n    pass\n")
+              "except ValueError:\n    pass\n"
+              "y = Fraction(x) / 3 + _F1 / x - x // 2\n")
     tree, path = ast.parse(source), Path("example.py")
     assert not asserts(tree, path) + broad_handlers(tree, path) \
-        + unused_imports(tree, path)
+        + unused_imports(tree, path) + float_divisions(tree, path)
+
+
+def test_the_float_side_may_divide():
+    tree = ast.parse("def f(a, p):\n    return a / p\n")
+    assert float_divisions(tree, Path("example.py"))
+    assert not float_divisions(tree, Path("classical.py"))

@@ -302,6 +302,42 @@ def test_restrict_by_leaders_rejects_an_operator_leaving_the_span():
     assert bf.dense_matrix(same) == [[1, 0], [0, 1]]
 
 
+@pytest.mark.parametrize("entry", [int, Fraction])
+def test_ldl_positive_is_exact_on_large_entries(entry):
+    """det = 10**17 - 1 > 0, so the matrix is positive definite, though a
+    float quotient would round its second pivot to 0; lowering the last
+    entry by one makes det = -1."""
+    big = 10**17
+    gram = [[entry(big), entry(big - 1)], [entry(big - 1), entry(big - 1)]]
+    assert rieffel._ldl_positive(gram)
+    gram[1][1] = entry(big - 2)
+    assert not rieffel._ldl_positive(gram)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """B B^T plus a diagonal shift in {-1, 0, 1}, as int or Fraction
+    entries: positive definite, singular or indefinite."""
+    d = draw(st.integers(1, 5))
+    cols = draw(st.integers(1, 5))
+    b = draw(st.lists(st.lists(st.integers(-3, 3), min_size=cols,
+                               max_size=cols), min_size=d, max_size=d))
+    shift = draw(st.sampled_from([-1, 0, 1]))
+    scale = draw(st.sampled_from([1, Fraction(1, 3), Fraction(5, 2)]))
+    return [[scale * (sum(x * y for x, y in zip(b[r], b[c]))
+                      + (shift if r == c else 0)) for c in range(d)]
+            for r in range(d)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_matrices())
+def test_ldl_positive_against_dense_oracle(gram):
+    want = bf.is_positive_definite(gram)
+    assert rieffel._ldl_positive(gram) == want
+    assert rieffel._ldl_positive(
+        [[Fraction(x) for x in row] for row in gram]) == want
+
+
 def test_bracket_check_catches_each_rescaled_generator():
     fam = induce_compact(2, 2, (2, 1)).gl_k
     assert T.gl_relation_failures(fam, "k") == []

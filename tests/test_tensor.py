@@ -60,7 +60,14 @@ def test_add_entry_is_exact_for_every_value_type():
     op.add_entry(1, 1, 2)
     assert op.data == {(0, 0): Fraction(5, 4), (0, 1): Fraction(1, 2),
                        (1, 1): Fraction(2)}
-    assert all(type(v) is Fraction for v in op.data.values())
+    assert all(type(v) in (int, Fraction) for v in op.data.values())
+    assert type(op.data[(1, 1)]) is int  # ints stay ints
+    fresh = T.ExactOperator(b, b)
+    fresh.add_entry(0, 0, 0.1)
+    fresh.add_entry(1, 0, "1/3")
+    assert fresh.data == {(0, 0): Fraction(3602879701896397, 2**55),
+                          (1, 0): Fraction(1, 3)}
+    assert all(type(v) is Fraction for v in fresh.data.values())
     op.add_entry(0, 0, Fraction(-5, 4))
     op.add_entry(1, 1, -2)
     assert op.data == {(0, 1): Fraction(1, 2)}
@@ -166,10 +173,18 @@ def test_reduced_span_and_kernel_against_dense_oracle(system):
     assert len(free) == len(kern)
     for c, vec in zip(free, kern):
         assert {f: vec.get(f, 0) for f in free} == {f: int(f == c) for f in free}
+    rref = {next(c for c, x in enumerate(r) if x): r
+            for r in bf.dense_rref(dense(rows, ncols), ncols)}
+    assert sorted(pivots) == sorted(rref)
     for piv, row in span.echelon:
-        assert {p: row.get(p, 0) for p in pivots} == {
-            p: int(p == piv) for p in pivots}
+        # integer and primitive, positive at its own pivot, 0 at the others
+        assert all(type(v) is int for v in row.values())
+        assert math.gcd(*row.values()) == 1 and row[piv] > 0
+        assert all(row.get(p, 0) == 0 for p in pivots if p != piv)
         assert all(row.values())  # no explicit zeros are kept
+        # divided by its pivot entry, the row of the (unique) dense RREF
+        assert [Fraction(row.get(c, 0), row[piv]) for c in range(ncols)] \
+            == rref[piv]
     assert T.spans_agree([row for _, row in span.echelon], rows)
 
 
