@@ -16,14 +16,7 @@ import argparse
 
 from howe_forge import classical as C
 from howe_forge import weights as W
-
-WEIGHTS = (
-    ((1,), ()),
-    ((2, 1), ()),
-    ((1,), (1,)),
-    ((2, 1), (1,)),
-    ((2, 2), (1,)),
-)
+from howe_forge.cli import CLASSICAL_WEIGHTS
 
 
 def main() -> int:
@@ -36,7 +29,7 @@ def main() -> int:
     print(f"{'weight':<18} {'k':>2} {'seeds':>5} {'worst max_dev':>14} "
           f"{'worst pairing':>14} {'checks':>7}")
     failures = 0
-    for m, n in WEIGHTS:
+    for m, n in CLASSICAL_WEIGHTS:
         w = W.SignedWeight(m, n)
         rows = len(m) + len(n)
         for k in range(rows, max(rows, args.kmax) + 1):
@@ -47,8 +40,7 @@ def main() -> int:
                 rep = C.verify_orbit(point, tol=args.tol)
                 worst_dev = max(worst_dev, rep["max_dev"])
                 worst_pair = max(worst_pair, C.pairing_deviation(point))
-                ok = ok and all(rep["checks"].values()) \
-                    and rep["max_dev"] < args.tol
+                ok = ok and rep["ok"]
             if not ok:
                 failures += 1
             print(f"{str((m, n)):<18} {k:>2} {args.seeds:>5} "

@@ -285,24 +285,28 @@ def stabilizer_ok(p: ConstrainedPoint, tol: float = DEFAULT_TOL) -> bool:
 def verify_orbit(p: ConstrainedPoint, tol: float = DEFAULT_TOL) -> dict:
     """Spectrum of the left map against the realized weight vector, plus
     the pairing check on a basis, the invariance check on group samples
-    seeded by the point, and the stabilizer check, as one JSON report."""
+    seeded by the point, and the stabilizer check, as one JSON report;
+    ``ok`` when the deviation is within tolerance and every check holds."""
     spec = moment_left(p, tol).spectrum()
     want = target_spectrum(p.target, p.k)
     max_dev = float(np.max(np.abs(spec - want), initial=0.0))
     right_dev = float(np.max(np.abs(moment_right(p)
                                     - target_matrix(p.target, *p.signature)),
                              initial=0.0))
+    max_dev = max(max_dev, right_dev)
+    checks = {
+        "pairing": bool(pairing_deviation(p) <= tol),
+        "invariance": bool(invariance_deviation(p) <= tol),
+        "stabilizer": stabilizer_ok(p, tol),
+    }
     return {
         "weight": {"m": list(p.target.m), "n": list(p.target.n)},
         "k": p.k,
         "seed": p.seed,
         "spectrum": [float(x) for x in spec],
-        "max_dev": max(max_dev, right_dev),
-        "checks": {
-            "pairing": bool(pairing_deviation(p) <= tol),
-            "invariance": bool(invariance_deviation(p) <= tol),
-            "stabilizer": stabilizer_ok(p, tol),
-        },
+        "max_dev": max_dev,
+        "checks": checks,
+        "ok": max_dev <= tol and all(checks.values()),
     }
 
 
@@ -319,7 +323,6 @@ def orbit_grid_report(weights, ks, seeds, tol: float = DEFAULT_TOL) -> dict:
                 continue
             for seed in seeds:
                 rep = verify_orbit(sample_level_set(w, k, seed), tol)
-                rep["ok"] = rep["max_dev"] <= tol and all(rep["checks"].values())
                 ok = ok and rep["ok"]
                 reports.append(rep)
     return {"tol": tol, "ok": ok, "cells": reports}

@@ -23,11 +23,10 @@ from fractions import Fraction
 from . import weights as W
 from .errors import InvariantBroken, NotRenormalizable, ShapeMismatch, \
     TooLarge
-from .tensor import ExactOperator, IndexedBasis, block_kernel, \
+from .tensor import BASIS_CAP, ExactOperator, IndexedBasis, block_kernel, \
     gl_commutant_dim, gl_relation_failures
 
-DEFAULT_PIECE_CAP = 20_000
-DEFAULT_COMMUTANT_UNKNOWN_CAP = 2_000
+COMMUTANT_UNKNOWN_CAP = 2_000  # larger pieces take the multiplicity route
 
 
 def _convention_constants(k: int, M: int, N: int, convention: str):
@@ -83,7 +82,6 @@ class FockModel:
     N: int
     degree: int
     convention: str
-    cap: int = DEFAULT_PIECE_CAP
     c_k: int | Fraction = field(init=False)
     c_m: int | Fraction = field(init=False)
     c_n: int | Fraction = field(init=False)
@@ -120,13 +118,13 @@ class FockModel:
         if key not in self._bases:
             if self.N == 0 and q != 0:
                 raise ShapeMismatch("compact model has no y grading")
-            xb = IndexedBasis.monomials(self.nxvars, p, cap=self.cap)
+            xb = IndexedBasis.monomials(self.nxvars, p)
             if self.N == 0:
                 self._bases[key] = IndexedBasis(
                     xb.labels, name=f"F({self.k},{self.M})_{p}")
             else:
-                yb = IndexedBasis.monomials(self.nyvars, q, cap=self.cap)
-                if len(xb) * len(yb) > self.cap:
+                yb = IndexedBasis.monomials(self.nyvars, q)
+                if len(xb) * len(yb) > BASIS_CAP:
                     raise TooLarge(
                         f"bidegree {key} needs {len(xb) * len(yb)} monomials")
                 self._bases[key] = IndexedBasis(
@@ -288,9 +286,9 @@ class FockModel:
 
 
 def build_compact_model(k: int, M: int, degree: int,
-                        convention: str = "sq", validate: bool = True,
-                        cap: int = DEFAULT_PIECE_CAP) -> FockModel:
-    model = FockModel(k, M, 0, degree, convention, cap=cap)
+                        convention: str = "sq",
+                        validate: bool = True) -> FockModel:
+    model = FockModel(k, M, 0, degree, convention)
     if validate:
         smoke = model.action_set((min(1, degree), 0))
         bad = smoke.bracket_failures()
@@ -300,11 +298,11 @@ def build_compact_model(k: int, M: int, degree: int,
 
 
 def build_oscillator_model(k: int, M: int, N: int, degree: int,
-                           convention: str = "sq", validate: bool = True,
-                           cap: int = DEFAULT_PIECE_CAP) -> FockModel:
+                           convention: str = "sq",
+                           validate: bool = True) -> FockModel:
     if N <= 0:
         raise ShapeMismatch("oscillator model needs N >= 1")
-    model = FockModel(k, M, N, degree, convention, cap=cap)
+    model = FockModel(k, M, N, degree, convention)
     if validate and degree >= 2:
         smoke = model.action_set((1, 1))
         bad = smoke.bracket_failures()
@@ -326,19 +324,15 @@ class HighestWeightVector:
     vector: dict[int, int | Fraction]
 
 
-def joint_highest_weight_vectors(model: FockModel, piece,
-                                 include_lowerers: bool | None = None
-                                 ) -> list[HighestWeightVector]:
+def joint_highest_weight_vectors(model: FockModel,
+                                 piece) -> list[HighestWeightVector]:
     """Exact basis of the joint kernel of all raising operators in the
     graded piece, solved weight block by weight block.
 
     For the indefinite model the second-order lowering operators are
-    included by default, so the result enumerates the new lowest
-    K-type highest weight vectors rather than every K-highest vector.
+    included, so the result enumerates the new lowest K-type highest
+    weight vectors rather than every K-highest vector.
     """
-    if include_lowerers is None:
-        include_lowerers = model.N > 0
-    b = model.basis(*piece)
     ops: list[ExactOperator] = []
     for i in range(model.k):
         for j in range(i + 1, model.k):
@@ -350,7 +344,7 @@ def joint_highest_weight_vectors(model: FockModel, piece,
         for c in range(bb + 1, model.N):
             ops.append(model.gl_n_op(bb, c, piece))
     p, q = piece
-    if include_lowerers and model.N and p and q:
+    if model.N and p and q:
         for a in range(model.M):
             for bb in range(model.N):
                 ops.append(model.lowerer_op(a, bb, piece))
@@ -475,7 +469,6 @@ def _strip_constant(weight, const) -> tuple[int, ...] | None:
 
 
 def verify_howe(k: int, M: int, degree: int, convention: str = "sq",
-                commutant_cap: int = DEFAULT_COMMUTANT_UNKNOWN_CAP,
                 model: FockModel | None = None) -> HoweReport:
     """Check the multiplicity-free paired decomposition of every graded
     piece up to the degree: label sets, the paired dimension identity,
@@ -515,12 +508,11 @@ def verify_howe(k: int, M: int, degree: int, convention: str = "sq",
 
         blocks = model.weight_blocks((n, 0))
         unknowns = sum(len(m) ** 2 for m in blocks.values())
-        if unknowns <= commutant_cap:
+        if unknowns <= COMMUTANT_UNKNOWN_CAP:
             piece = (n, 0)
             commutant = gl_commutant_dim(
                 [(k, lambda i, j: model.gl_k_op(i, j, piece)),
-                 (M, lambda a, b: model.gl_m_op(a, b, piece))],
-                cap=max(commutant_cap, 64))
+                 (M, lambda a, b: model.gl_m_op(a, b, piece))])
             route = "matrix"
         else:
             commutant = sum(v * v for v in mult.values())
@@ -664,13 +656,12 @@ def strict_signed_pairs(M: int, N: int, max_total: int):
 
 
 def verify_kv(k: int, M: int, N: int, degree: int,
-              convention: str = "sq",
-              model: FockModel | None = None) -> KvReport:
+              convention: str = "sq") -> KvReport:
     """Enumerate new lowest-K-type highest weight vectors up to the
     degree and check each against the predicted weight shifts; also check
     that no half-integer renormalized weight shows up among the plainly
     quantized labels."""
-    model = model or build_oscillator_model(k, M, N, degree, convention)
+    model = build_oscillator_model(k, M, N, degree, convention)
     context = "kave" if convention == "sq" else "kave2"
     bidegrees = []
     occurring: set[tuple[int, ...]] = set()

@@ -37,7 +37,7 @@ import numpy as np
 from .errors import ShapeMismatch, TooLarge
 from . import weights as W
 
-DEFAULT_BASIS_CAP = 20_000
+BASIS_CAP = 20_000  # basis vectors or solve unknowns; TooLarge beyond
 
 _F0 = Fraction(0)
 
@@ -74,18 +74,18 @@ class IndexedBasis:
         return f"IndexedBasis({self.name or len(self.labels)}, dim={len(self)})"
 
     @classmethod
-    def tensor_power(cls, k: int, n: int, cap: int = DEFAULT_BASIS_CAP) -> "IndexedBasis":
+    def tensor_power(cls, k: int, n: int) -> "IndexedBasis":
         """Multi-indices for the n-fold tensor power of C^k, lex order."""
-        if k**n > cap:
-            raise TooLarge(f"tensor power basis k^n = {k**n} exceeds cap {cap}")
+        if k**n > BASIS_CAP:
+            raise TooLarge(f"tensor power basis k^n = {k**n} exceeds cap {BASIS_CAP}")
         return cls(product(range(k), repeat=n), name=f"T({k},{n})")
 
     @classmethod
-    def monomials(cls, nvars: int, degree: int, cap: int = DEFAULT_BASIS_CAP) -> "IndexedBasis":
+    def monomials(cls, nvars: int, degree: int) -> "IndexedBasis":
         """Exponent tuples of fixed total degree, lex order."""
         size = math.comb(nvars + degree - 1, degree) if nvars else (1 if degree == 0 else 0)
-        if size > cap:
-            raise TooLarge(f"monomial basis size {size} exceeds cap {cap}")
+        if size > BASIS_CAP:
+            raise TooLarge(f"monomial basis size {size} exceeds cap {BASIS_CAP}")
 
         def gen(rem_vars, rem_deg):
             if rem_vars == 1:
@@ -529,48 +529,12 @@ def perm_inverse(a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def perm_cycle_type(p: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(p)
-    seen = [False] * n
-    lens = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        ln, j = 0, start
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            ln += 1
-        lens.append(ln)
-    return tuple(sorted(lens, reverse=True))
-
-
-def perm_sign(p: tuple[int, ...]) -> int:
-    return 1 if (len(p) - len(set(_cycle_reps(p)))) % 2 == 0 else -1
-
-
-def _cycle_reps(p):
-    n = len(p)
-    seen = [False] * n
-    reps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        reps.append(start)
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-    return reps
-
-
 # ---------------------------------------------------------------------------
 # symmetric group and gl(k) actions on tensor powers
 
 
 def sn_action(sigma: tuple[int, ...], k: int, n: int,
-              basis: IndexedBasis | None = None,
-              cap: int = DEFAULT_BASIS_CAP) -> ExactOperator:
+              basis: IndexedBasis | None = None) -> ExactOperator:
     """Slot permutation on the n-fold tensor power of C^k.
 
     The factor in slot a moves to slot sigma(a), which makes the map
@@ -578,7 +542,7 @@ def sn_action(sigma: tuple[int, ...], k: int, n: int,
     """
     if len(sigma) != n:
         raise ValueError(f"permutation length {len(sigma)} != {n}")
-    b = basis or IndexedBasis.tensor_power(k, n, cap=cap)
+    b = basis or IndexedBasis.tensor_power(k, n)
     op = ExactOperator(b, b)
     inv = perm_inverse(sigma)
     for col, lab in enumerate(b.labels):
@@ -588,10 +552,9 @@ def sn_action(sigma: tuple[int, ...], k: int, n: int,
 
 
 def gl_tensor_action(i: int, j: int, k: int, n: int,
-                     basis: IndexedBasis | None = None,
-                     cap: int = DEFAULT_BASIS_CAP) -> ExactOperator:
+                     basis: IndexedBasis | None = None) -> ExactOperator:
     """Derivation action of the elementary matrix E_ij across the n slots."""
-    b = basis or IndexedBasis.tensor_power(k, n, cap=cap)
+    b = basis or IndexedBasis.tensor_power(k, n)
     op = ExactOperator(b, b)
     for col, lab in enumerate(b.labels):
         for slot, letter in enumerate(lab):
@@ -606,21 +569,21 @@ def _character_by_type(shape: tuple[int, ...], n: int) -> dict[tuple[int, ...], 
     return {mu: W.sn_character(shape, mu) for mu in W.partitions_of(n)}
 
 
-def isotypic_projector(shape, k: int, basis: IndexedBasis | None = None,
-                       cap: int = DEFAULT_BASIS_CAP) -> ExactOperator:
+def isotypic_projector(shape, k: int,
+                       basis: IndexedBasis | None = None) -> ExactOperator:
     """Central projector (f/n!) * sum_sigma chi(sigma) sigma on the tensor
     power, built by accumulating slot permutations."""
     lam = W.partition(shape)
     n = sum(lam)
-    b = basis or IndexedBasis.tensor_power(k, n, cap=cap)
-    if math.factorial(n) * len(b) > 512 * cap:
+    b = basis or IndexedBasis.tensor_power(k, n)
+    if math.factorial(n) * len(b) > 512 * BASIS_CAP:
         raise TooLarge(f"projector accumulation for n={n}, dim={len(b)} refused")
     chi = _character_by_type(lam, n)
     f = W.sn_dim(lam)
     scale = Fraction(f, math.factorial(n))
     op = ExactOperator(b, b)
     for sigma in permutations(range(n)):
-        c = chi[perm_cycle_type(sigma)]
+        c = chi[W.perm_cycle_type(sigma)]
         if c == 0:
             continue
         inv = perm_inverse(sigma)
@@ -653,13 +616,13 @@ def _subgroup_perms(blocks: list[list[int]], n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def young_symmetrizer(shape, k: int, basis: IndexedBasis | None = None,
-                      cap: int = DEFAULT_BASIS_CAP) -> ExactOperator:
+def young_symmetrizer(shape, k: int,
+                      basis: IndexedBasis | None = None) -> ExactOperator:
     """Column antisymmetrizer times row symmetrizer for the row-reading
     tableau of the shape, as an operator on the tensor power."""
     lam = W.partition(shape)
     n = sum(lam)
-    b = basis or IndexedBasis.tensor_power(k, n, cap=cap)
+    b = basis or IndexedBasis.tensor_power(k, n)
     rows = _row_filling(lam)
     cols = []
     for j in range(lam[0] if lam else 0):
@@ -669,7 +632,7 @@ def young_symmetrizer(shape, k: int, basis: IndexedBasis | None = None,
         row_sym += sn_action(p, k, n, basis=b)
     col_anti = ExactOperator(b, b)
     for q in _subgroup_perms(cols, n):
-        col_anti += sn_action(q, k, n, basis=b).scaled(perm_sign(q))
+        col_anti += sn_action(q, k, n, basis=b).scaled(W.perm_sign(q))
     return col_anti * row_sym
 
 
@@ -698,7 +661,7 @@ def gl_relation_failures(ops: dict[tuple[int, int], ExactOperator],
     return bad
 
 
-def gl_commutant_dim(families, cap: int = DEFAULT_BASIS_CAP) -> int:
+def gl_commutant_dim(families) -> int:
     """Dimension of the joint commutant of gl families acting on one
     space.  Each family is a pair (rank, op) with op(i, j) the operator of
     E_ij.  The E_{i,i+1} and E_{i+1,i} generate, and the E_ii are solved
@@ -710,13 +673,12 @@ def gl_commutant_dim(families, cap: int = DEFAULT_BASIS_CAP) -> int:
             gens += [op(i, i + 1), op(i + 1, i)]
     carts = [op(i, i) for rank, op in families for i in range(rank)]
     if not gens:
-        return commutant_dim(carts, cap=cap)
-    return commutant_dim(gens, cartans=carts, cap=cap)
+        return commutant_dim(carts)
+    return commutant_dim(gens, cartans=carts)
 
 
 def commutant_dim(generators: list[ExactOperator],
-                  cartans: list[ExactOperator] | None = None,
-                  cap: int = DEFAULT_BASIS_CAP) -> int:
+                  cartans: list[ExactOperator] | None = None) -> int:
     """Dimension of the joint commutant, by exact linear solve.
 
     Unknowns are the matrix entries of X; each generator A contributes the
@@ -754,8 +716,9 @@ def commutant_dim(generators: list[ExactOperator],
             for c in blk:
                 var_id[(r, c)] = len(var_id)
     nvars = len(var_id)
-    if nvars > cap:
-        raise TooLarge(f"commutant solve with {nvars} unknowns exceeds cap {cap}")
+    if nvars > BASIS_CAP:
+        raise TooLarge(
+            f"commutant solve with {nvars} unknowns exceeds cap {BASIS_CAP}")
 
     def equations():  # rows of XA - AX = 0, dropped once the rank read them
         for g in generators:
@@ -790,69 +753,73 @@ def commutant_dim(generators: list[ExactOperator],
 INT64_GUARD = 2**62
 
 
+def _orbit_count(pattern, k: int) -> int:
+    """Letter multisets of size sum(pattern) over k letters whose
+    multiplicities, largest first, are the pattern."""
+    return math.perm(k, len(pattern)) // math.prod(
+        math.factorial(pattern.count(m)) for m in set(pattern))
+
+
 def projector_family_check(n: int, k: int) -> dict:
     """Exact verification that the central projectors on the tensor power
     are idempotent, mutually orthogonal and complete.
 
-    Works orbit-block by orbit-block (slot permutations preserve the
-    multiset of letters), over int64 after scaling by n!.  An explicit
+    Slot permutations preserve the multiset of letters, so the projectors
+    are block diagonal over those orbits.  Relabelling the letters
+    commutes with slot permutations, so every orbit with one pattern of
+    letter multiplicities carries the same blocks: each pattern is checked
+    once, on the orbit of one representative word, and its traces count
+    once per orbit.  The blocks are n! * P_lambda over int64; an explicit
     bound check guarantees no overflow, so the arithmetic is exact.
     """
     shapes = list(W.partitions_of(n))
+    patterns = list(W.partitions_of(n, max_rows=k))
     chi = {lam: _character_by_type(lam, n) for lam in shapes}
     perms = list(permutations(range(n)))
-    types = [perm_cycle_type(p) for p in perms]
+    types = [W.perm_cycle_type(p) for p in perms]
     type_list = sorted(set(types), reverse=True)
     type_idx = {t: i for i, t in enumerate(type_list)}
     fact = math.factorial(n)
 
-    labels = list(product(range(k), repeat=n))
-    orbits: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for lab in labels:
-        orbits.setdefault(tuple(sorted(lab)), []).append(lab)
-
     fmax = max(W.sn_dim(lam) for lam in shapes)
     chimax = max(abs(v) for lam in shapes for v in chi[lam].values())
-    max_block = max(len(o) for o in orbits.values())
+    max_block = max(fact // math.prod(map(math.factorial, p)) for p in patterns)
     entry_bound = fmax * fact * chimax
     if max_block * entry_bound * entry_bound >= INT64_GUARD:
         raise TooLarge("int64 bound exceeded; enlarge guard or shrink n, k")
+
+    # n! * P_lambda = f_lambda * sum over cycle types t of chi_lambda(t) * C_t,
+    # with C_t the sum of the slot permutations of type t
+    coef = np.array([[W.sn_dim(lam) * chi[lam][t] for t in type_list]
+                     for lam in shapes], dtype=np.int64)
+    perm_type = np.array([type_idx[t] for t in types])
+    inv = np.array([perm_inverse(p) for p in perms])
+    place = k ** np.arange(n - 1, -1, -1)  # base-k code, increasing in lex order
 
     idempotent = True
     orthogonal = True
     complete = True
     traces = {lam: 0 for lam in shapes}
 
-    inv_perms = [perm_inverse(p) for p in perms]
-    for members in orbits.values():
+    for pattern in patterns:
+        word = np.repeat(np.arange(len(pattern)), pattern)
+        members = np.unique(word[inv], axis=0)  # the orbit, in lex order
         size = len(members)
-        ordinal = {lab: i for i, lab in enumerate(members)}
+        # ordinal of each member's image under each slot permutation
+        tgt = np.searchsorted(members @ place, members[:, inv] @ place)
         counts = np.zeros((len(type_list), size, size), dtype=np.int64)
-        cols = np.arange(size)
-        for p, inv, t in zip(perms, inv_perms, types):
-            tgt = np.fromiter(
-                (ordinal[tuple(lab[inv[s]] for s in range(n))] for lab in members),
-                dtype=np.int64, count=size)
-            np.add.at(counts[type_idx[t]], (tgt, cols), 1)
-        blocks = {}
-        for lam in shapes:
-            f = W.sn_dim(lam)
-            B = np.zeros((size, size), dtype=np.int64)
-            for t, ti in type_idx.items():
-                c = chi[lam][t]
-                if c:
-                    B += (f * c) * counts[ti]
-            blocks[lam] = B  # equals n! * P_lambda on this orbit block
-            traces[lam] += int(np.trace(B))
-        total = sum(blocks.values())
-        if not np.array_equal(total, fact * np.eye(size, dtype=np.int64)):
+        np.add.at(counts, (perm_type, tgt, np.arange(size)[:, None]), 1)
+        blocks = np.tensordot(coef, counts, axes=1)  # n! * P_lambda here
+        orbits = _orbit_count(pattern, k)
+        if not np.array_equal(blocks.sum(axis=0),
+                              fact * np.eye(size, dtype=np.int64)):
             complete = False
-        for i, lam in enumerate(shapes):
-            Bi = blocks[lam]
-            if not np.array_equal(Bi @ Bi, fact * Bi):
+        for i, (lam, B) in enumerate(zip(shapes, blocks)):
+            traces[lam] += orbits * int(np.trace(B))
+            if not np.array_equal(B @ B, fact * B):
                 idempotent = False
-            for mu in shapes[i + 1:]:
-                if (Bi @ blocks[mu]).any():
+            for C in blocks[i + 1:]:
+                if (B @ C).any():
                     orthogonal = False
 
     ranks = {}

@@ -187,6 +187,27 @@ def cycle_type_class_size(cycle_type: Partition) -> int:
     return math.factorial(n) // z
 
 
+def perm_cycle_type(p: Sequence[int]) -> Partition:
+    """Cycle lengths of a permutation of range(n), largest first."""
+    seen = [False] * len(p)
+    lens = []
+    for start in range(len(p)):
+        if seen[start]:
+            continue
+        ln, j = 0, start
+        while not seen[j]:
+            seen[j] = True
+            j = p[j]
+            ln += 1
+        lens.append(ln)
+    return tuple(sorted(lens, reverse=True))
+
+
+def perm_sign(p: Sequence[int]) -> int:
+    """(-1)^(n - number of cycles)."""
+    return -1 if (len(p) - len(perm_cycle_type(p))) % 2 else 1
+
+
 # ---------------------------------------------------------------------------
 # Kostka numbers and the Hall pairing
 
@@ -247,7 +268,7 @@ def _complete_homogeneous_expansion(mu: Partition) -> dict[Partition, int]:
     ell = len(mu)
     out: dict[Partition, int] = {}
     for sigma in permutations(range(ell)):
-        sign = _perm_sign(sigma)
+        sign = perm_sign(sigma)
         idx = []
         ok = True
         for i in range(ell):
@@ -262,23 +283,6 @@ def _complete_homogeneous_expansion(mu: Partition) -> dict[Partition, int]:
         key = tuple(sorted(idx, reverse=True))
         out[key] = out.get(key, 0) + sign
     return {k: v for k, v in out.items() if v != 0}
-
-
-def _perm_sign(sigma: Sequence[int]) -> int:
-    sign = 1
-    seen = [False] * len(sigma)
-    for start in range(len(sigma)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = sigma[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def hall_inner(lam_shape: Partition, mu_shape: Partition) -> int:

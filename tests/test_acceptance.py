@@ -45,7 +45,7 @@ def test_criterion_1_projector_family():
             ok = ok and all(rank == W.sn_dim(lam) * W.weyl_dim(lam, k)
                             for lam, rank in rep["ranks"].items())
     elapsed = time.monotonic() - t0
-    report(1, "tensor-power projector family", ok, elapsed, budget=60)
+    report(1, "tensor-power projector family", ok, elapsed, budget=10)
 
 
 def test_criterion_2_paired_decomposition():

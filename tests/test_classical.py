@@ -202,13 +202,32 @@ def test_sample_level_set_errors():
 def test_verify_orbit_report_shape_and_spectrum():
     p = C.sample_level_set(((2, 1), (1,)), 5, seed=7)
     rep = C.verify_orbit(p)
-    assert set(rep) == {"weight", "k", "seed", "spectrum", "max_dev", "checks"}
+    assert set(rep) == {"weight", "k", "seed", "spectrum", "max_dev", "checks",
+                        "ok"}
     assert rep["weight"] == {"m": [2, 1], "n": [1]}
     assert rep["k"] == 5 and rep["seed"] == 7
     assert np.allclose(rep["spectrum"], [2.0, 1.0, 0.0, 0.0, -1.0])
     assert rep["max_dev"] < TOL
     assert rep["checks"] == {"pairing": True, "invariance": True,
                              "stabilizer": True}
+    assert rep["ok"] is True
+
+
+def test_verify_orbit_ok_needs_the_deviation_and_every_check(monkeypatch):
+    p = C.sample_level_set(((2, 1), (1,)), 5, seed=7)
+    exact = C.target_spectrum
+    monkeypatch.setattr(C, "target_spectrum",
+                        lambda w, k: exact(w, k) + 1e-6)
+    off = C.verify_orbit(p, TOL)
+    assert off["max_dev"] > TOL and all(off["checks"].values())
+    assert off["ok"] is False
+    # a deviation exactly at the tolerance passes
+    assert C.verify_orbit(p, off["max_dev"])["ok"] is True
+    monkeypatch.setattr(C, "target_spectrum", exact)
+    monkeypatch.setattr(C, "stabilizer_ok", lambda p, tol: False)
+    rep = C.verify_orbit(p, TOL)
+    assert rep["max_dev"] <= TOL and rep["checks"]["stabilizer"] is False
+    assert rep["ok"] is False
 
 
 def test_verify_orbit_handles_degenerate_weights():

@@ -55,9 +55,14 @@ def test_bad_parameters_rejected():
 
 
 def test_piece_cap_enforced():
-    model = build_compact_model(3, 3, 6, validate=False, cap=100)
+    # 9 variables in degree 9: C(17, 9) = 24310 monomials
+    model = build_compact_model(3, 3, 9, validate=False)
     with pytest.raises(TooLarge):
-        model.basis(6, 0)
+        model.basis(9, 0)
+    # 4 + 4 variables in bidegree (15, 15): 816 monomials on each side
+    model = build_oscillator_model(2, 2, 2, 30, validate=False)
+    with pytest.raises(TooLarge):
+        model.basis(15, 15)
 
 
 def test_failed_bracket_smoke_check_raises(monkeypatch):
@@ -259,9 +264,13 @@ def test_oscillator_highest_weights_hf():
 def test_dropping_the_lowering_condition_adds_vectors():
     model = build_oscillator_model(2, 1, 1, 2)
     strict = joint_highest_weight_vectors(model, (1, 1))
-    loose = joint_highest_weight_vectors(model, (1, 1), include_lowerers=False)
+    # the kernel of the one gl(2) raiser alone, without the lowerer
+    raiser = model.gl_k_op(0, 1, (1, 1)).terms()
+    loose = [model.dressed_weights(key)[0]
+             for key, members in model.weight_blocks((1, 1)).items()
+             for _ in T.block_kernel(members, [raiser])]
     assert len(strict) == 1 and len(loose) == 2
-    assert frac_tuple(0, 0) in {h.k_weight for h in loose}
+    assert frac_tuple(0, 0) in loose
 
 
 # ---------------------------------------------------------------------------

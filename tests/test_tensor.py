@@ -1,17 +1,45 @@
 """Exact operator algebra on tensor powers."""
 
+import functools
 import math
+import signal
+from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
 from howe_forge import tensor as T
 from howe_forge import weights as W
 from howe_forge.errors import TooLarge
+
+
+# The dense-oracle tests report the first failing system as found:
+# shrinking these elimination systems can run for minutes.
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
+EXAMPLE_LIMIT_S = 5  # a passing example takes milliseconds
+
+
+def time_bounded(test):
+    """Fail an example that runs past EXAMPLE_LIMIT_S: a broken elimination
+    can grow its integers without bound, and such an example would never
+    return."""
+    def stop(signum, frame):
+        raise TimeoutError(f"example ran past {EXAMPLE_LIMIT_S} s")
+
+    @functools.wraps(test)
+    def run(*args, **kwargs):
+        old = signal.signal(signal.SIGALRM, stop)
+        signal.setitimer(signal.ITIMER_REAL, EXAMPLE_LIMIT_S)
+        try:
+            return test(*args, **kwargs)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, old)
+    return run
 
 
 def small_perms(n):
@@ -143,8 +171,9 @@ def sparse_systems(draw):
     return [rows[i] for i in order], ncols
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, phases=NO_SHRINK)
 @given(sparse_systems())
+@time_bounded
 def test_rank_of_rows_against_dense_oracle(system):
     rows, ncols = system
     snapshot = [dict(r) for r in rows]
@@ -154,8 +183,9 @@ def test_rank_of_rows_against_dense_oracle(system):
     assert T.rank_of_rows(iter(rows)) == rank
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, phases=NO_SHRINK)
 @given(sparse_systems())
+@time_bounded
 def test_reduced_span_and_kernel_against_dense_oracle(system):
     rows, ncols = system
     snapshot = [dict(r) for r in rows]
@@ -227,8 +257,9 @@ def dense_block_rows(images, members):
     return rows
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, phases=NO_SHRINK)
 @given(block_systems())
+@time_bounded
 def test_block_kernel_against_dense_oracle(system):
     images, members = system
     kern = T.block_kernel(members, [image.get for image in images])
@@ -246,8 +277,9 @@ def test_block_kernel_against_dense_oracle(system):
             assert T.linear_image(image.get, vec) == {}
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, phases=NO_SHRINK)
 @given(block_systems(), st.data())
+@time_bounded
 def test_linear_image_against_dense_product(system, data):
     images, members = system
     entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
@@ -314,7 +346,7 @@ def test_sn_action_multiplicative(s, t, k):
 @settings(max_examples=40, deadline=None)
 def test_sn_action_trace_counts_cycles(sigma, k):
     op = T.sn_action(sigma, k, 4)
-    assert op.trace() == k ** len(T.perm_cycle_type(sigma))
+    assert op.trace() == k ** len(W.perm_cycle_type(sigma))
 
 
 def test_sn_action_commutes_with_gl():
@@ -361,11 +393,48 @@ def test_projector_ranks_match_dimension_count():
             assert got == W.sn_dim(lam) * W.weyl_dim(lam, k)
 
 
-def test_projector_family_fast_path_agrees_with_exact_operators():
-    rep = T.projector_family_check(4, 3)
+@pytest.mark.parametrize("n,k", [(4, 2), (4, 3), (4, 4), (5, 3)])
+def test_projector_family_fast_path_agrees_with_exact_operators(n, k):
+    rep = T.projector_family_check(n, k)
     assert rep["complete"] and rep["idempotent"] and rep["orthogonal"]
+    assert set(rep["ranks"]) == set(W.partitions_of(n))
     for lam, rank in rep["ranks"].items():
-        assert rank == T.isotypic_projector(lam, 3).rank()
+        assert rank == T.isotypic_projector(lam, k).rank()
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (3, 5), (4, 2), (6, 4), (6, 6)])
+def test_pattern_orbit_counts_match_the_letter_multisets(n, k):
+    patterns = list(W.partitions_of(n, max_rows=k))
+    by_pattern = Counter(
+        tuple(sorted(Counter(word).values(), reverse=True))
+        for word in combinations_with_replacement(range(k), n))
+    assert by_pattern == {p: T._orbit_count(p, k) for p in patterns}
+    assert sum(T._orbit_count(p, k) for p in patterns) \
+        == math.comb(n + k - 1, n)
+
+
+def test_projector_family_check_catches_a_wrong_character(monkeypatch):
+    exact = T._character_by_type
+
+    def perturbed(shape, n):
+        chi = dict(exact(shape, n))
+        if shape == (2, 1):
+            chi[(1, 1, 1)] += 1
+        return chi
+
+    monkeypatch.setattr(T, "_character_by_type", perturbed)
+    rep = T.projector_family_check(3, 2)
+    assert not (rep["complete"] and rep["idempotent"])
+
+
+def test_projector_family_check_refuses_past_the_int64_guard(monkeypatch):
+    # (3, 2): largest block 3, entries bounded by f * n! * |chi| = 2 * 6 * 2
+    bound = 3 * 24 ** 2
+    monkeypatch.setattr(T, "INT64_GUARD", bound + 1)
+    assert T.projector_family_check(3, 2)["complete"]
+    monkeypatch.setattr(T, "INT64_GUARD", bound)
+    with pytest.raises(TooLarge):
+        T.projector_family_check(3, 2)
 
 
 def test_projector_commutes_with_sn_and_gl():
@@ -490,10 +559,11 @@ def test_gram_matrix_weights_each_coordinate():
 
 
 def test_commutant_cap():
-    bas = T.IndexedBasis.tensor_power(2, 2)
-    gens = [T.sn_action((1, 0), 2, 2, basis=bas)]
+    # 2^8 basis vectors, so 2^16 unknowns: refused before any equation
+    gens = [T.sn_action((1, 0) + tuple(range(2, 8)), 2, 8)]
+    assert len(gens[0].domain) ** 2 > T.BASIS_CAP
     with pytest.raises(TooLarge):
-        T.commutant_dim(gens, cap=3)
+        T.commutant_dim(gens)
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,16 @@ def test_character_matches_regular_module_oracle(shape):
         assert W.sn_character(shape, mu) == bf.character_from_perm_matrices(shape, sigma)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=8).flatmap(
+    lambda n: st.permutations(range(n))))
+def test_perm_cycle_type_and_sign_against_inversions(sigma):
+    sigma = tuple(sigma)
+    assert W.perm_cycle_type(sigma) == bf.perm_cycle_type(sigma)
+    inversions = sum(a > b for i, a in enumerate(sigma) for b in sigma[i + 1:])
+    assert W.perm_sign(sigma) == (-1) ** inversions
+
+
 def test_character_orthogonality():
     # first orthogonality relation, all shapes of size 4 and 5
     for n in (4, 5):
