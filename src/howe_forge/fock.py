@@ -19,14 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import permutations
 
 from . import weights as W
 from .errors import InvariantBroken, NotRenormalizable, ShapeMismatch, \
     TooLarge
-from .tensor import BASIS_CAP, ExactOperator, IndexedBasis, block_kernel, \
-    gl_commutant_dim, gl_relation_failures
-
-COMMUTANT_UNKNOWN_CAP = 2_000  # larger pieces take the multiplicity route
+from .tensor import BASIS_CAP, ExactOperator, IndexedBasis, ReducedSpan, \
+    block_kernel, commutator_rows, gl_relation_failures, subgroup_perms
 
 
 def _convention_constants(k: int, M: int, N: int, convention: str):
@@ -71,6 +70,18 @@ class LieActionSet:
                     if not lhs.is_zero():
                         bad.append(f"cross k{i}{j} vs {fam}{key}")
         return bad
+
+
+def _image(lab, terms):
+    """(target, value) pairs of one monomial's image under the sum of
+    coeff * x_u d/d x_v over the (coeff, u, v) terms."""
+    for coeff, u, v in terms:
+        e = lab[v]
+        if e:
+            tgt = list(lab)
+            tgt[v] -= 1
+            tgt[u] += 1
+            yield tuple(tgt), coeff * e
 
 
 @dataclass
@@ -151,33 +162,32 @@ class FockModel:
             for i in range(len(b)):
                 op.data[(i, i)] = const
         for col, lab in enumerate(b.labels):
-            for coeff, u, v in terms:
-                e = lab[v]
-                if e:
-                    tgt = list(lab)
-                    tgt[v] -= 1
-                    tgt[u] += 1
-                    op.add_entry(b.ordinal(tuple(tgt)), col, coeff * e)
+            for tgt, v in _image(lab, terms):
+                op.add_entry(b.ordinal(tgt), col, v)
         return op
+
+    def k_terms(self, i: int, j: int) -> list[tuple[int, int, int]]:
+        """First-order terms (coeff, u, v) of the gl(k) generator E_ij."""
+        return ([(1, self.xvar(i, a), self.xvar(j, a)) for a in range(self.M)]
+                + [(-1, self.yvar(j, b), self.yvar(i, b))
+                   for b in range(self.N)])
+
+    def m_terms(self, a: int, b: int) -> list[tuple[int, int, int]]:
+        """First-order terms (coeff, u, v) of the gl(M) generator E_ab."""
+        return [(1, self.xvar(i, a), self.xvar(i, b)) for i in range(self.k)]
 
     def gl_k_op(self, i: int, j: int, piece) -> ExactOperator:
         key = ("k", i, j, piece)
         if key not in self._actions:
-            terms = [(1, self.xvar(i, a), self.xvar(j, a))
-                     for a in range(self.M)]
-            terms += [(-1, self.yvar(j, b), self.yvar(i, b))
-                      for b in range(self.N)]
             self._actions[key] = self._first_order(
-                piece, terms, self.c_k if i == j else 0)
+                piece, self.k_terms(i, j), self.c_k if i == j else 0)
         return self._actions[key]
 
     def gl_m_op(self, a: int, b: int, piece) -> ExactOperator:
         key = ("m", a, b, piece)
         if key not in self._actions:
-            terms = [(1, self.xvar(i, a), self.xvar(i, b))
-                     for i in range(self.k)]
             self._actions[key] = self._first_order(
-                piece, terms, self.c_m if a == b else 0)
+                piece, self.m_terms(a, b), self.c_m if a == b else 0)
         return self._actions[key]
 
     def gl_n_op(self, b: int, c: int, piece) -> ExactOperator:
@@ -248,25 +258,15 @@ class FockModel:
     # weights ----------------------------------------------------------------
 
     def weight_key(self, label) -> tuple:
-        """Joint Cartan data of a monomial, without the scalar constants."""
-        xrow = [0] * self.k
-        xcol = [0] * self.M
-        yrow = [0] * self.k
-        ycol = [0] * self.N
-        for i in range(self.k):
-            for a in range(self.M):
-                e = label[self.xvar(i, a)]
-                xrow[i] += e
-                xcol[a] += e
-            for b in range(self.N):
-                e = label[self.yvar(i, b)]
-                yrow[i] += e
-                ycol[b] += e
-        return (
-            tuple(xr - yr for xr, yr in zip(xrow, yrow)),
-            tuple(xcol),
-            tuple(ycol),
-        )
+        """Joint Cartan data of a monomial, without the scalar constants:
+        the row sums of x less those of y, then the column sums of x and
+        of y, read as slices (see ``xvar`` and ``yvar``)."""
+        k, M, N = self.k, self.M, self.N
+        kM = k * M
+        rows = [sum(label[i * M:(i + 1) * M])
+                - sum(label[kM + i * N:kM + (i + 1) * N]) for i in range(k)]
+        return (tuple(rows), tuple(sum(label[a:kM:M]) for a in range(M)),
+                tuple(sum(label[kM + b::N]) for b in range(N)))
 
     def weight_blocks(self, piece) -> dict[tuple, list[int]]:
         b = self.basis(*piece)
@@ -365,18 +365,12 @@ def joint_highest_weight_vectors(model: FockModel,
 # multiplicities from weight counts (independent of the kernel solve)
 
 
-def _weight_multiplicities(model: FockModel, piece) -> dict[tuple, int]:
-    counts: dict[tuple, int] = {}
-    for key, members in model.weight_blocks(piece).items():
-        counts[key] = len(members)
-    return counts
-
-
 def compact_multiplicities(model: FockModel, degree: int) -> dict[tuple, int]:
     """Multiplicity of each U(k) x U(M) label pair in a compact graded
     piece, solved from weight-space dimensions by triangular elimination
     against products of tableau counts."""
-    counts = _weight_multiplicities(model, (degree, 0))
+    counts = {key: len(members)
+              for key, members in model.weight_blocks((degree, 0)).items()}
     k, M = model.k, model.M
     parts_k = list(W.partitions_of(degree, max_rows=k))
     parts_m = list(W.partitions_of(degree, max_rows=M))
@@ -468,11 +462,95 @@ def _strip_constant(weight, const) -> tuple[int, ...] | None:
     return tuple(out)
 
 
+def weyl_commutant_dim(model: FockModel, n: int) -> int:
+    """Dimension of the joint commutant of gl(k) + gl(M) on the compact
+    piece of degree n, solved as an S_k x S_M-reduced exact system.
+
+    W = S_k x S_M permutes the variables x[i,a], and so the monomials, by
+    permutation matrices in GL(k) x GL(M).  So an X in the commutant is
+    W-equivariant, X[gr, gc] = X[r, c], and block diagonal over the weight
+    blocks, which W maps onto dominant ones (sums descending).  One
+    unknown stands for each W-orbit of pairs (r, c) in a block: the
+    permutation sorting the weight carries the pair into the dominant
+    block, where its least image under the stabilizer names it.  The
+    equations are (E X - X E)[t, c] = 0 for every root vector E, with c a
+    stabilizer-orbit representative in a dominant block.  W permutes the
+    roots (g E g^-1 is a root vector), so for a W-equivariant X the
+    equation at (E, gt, gc) is the one at (g^-1 E g, t, c), and every
+    column is such a gc.  So a W-equivariant block-diagonal X solves the
+    reduced equations exactly when it commutes with every root vector and
+    Cartan: both ways the solutions are the commutant.  Root images are
+    read off the monomial labels of the dominant blocks only.
+    """
+    k, M = model.k, model.M
+    basis = model.basis(n, 0)
+    labels = basis.labels
+    blocks = model.weight_blocks((n, 0))
+
+    def permuted(lab, rows, cols):  # x[rows[i], cols[a]] moves to x[i, a]
+        return tuple(lab[r * M + c] for r in rows for c in cols)
+
+    def moving(w):  # the entries a stabilizer permutes: equal and nonzero
+        return [[i for i, x in enumerate(w) if x == v] for v in set(w) if v]
+
+    def sorting(w):  # positions of w, largest entry first, ties in order
+        return sorted(range(len(w)), key=w.__getitem__, reverse=True)
+
+    at, tables, reps, dominant = {}, {}, [], []
+    nvars = 0
+    for (rw, cw, _), members in blocks.items():
+        if sorting(rw) != list(range(k)) or sorting(cw) != list(range(M)):
+            continue
+        at.update((labels[o], p) for p, o in enumerate(members))
+        moved = [[at[permuted(labels[o], hr, hc)] for o in members]
+                 for hr in subgroup_perms(moving(rw), k)
+                 for hc in subgroup_perms(moving(cw), M)]
+        ids: dict[tuple[int, int], int] = {}
+        tables[rw, cw] = [[ids.setdefault(min((m[p], m[q]) for m in moved),
+                                          nvars + len(ids))
+                           for q in range(len(members))]
+                          for p in range(len(members))]
+        nvars += len(ids)
+        reps += [o for p, o in enumerate(members)
+                 if min(m[p] for m in moved) == p]
+        dominant += members
+    if nvars > BASIS_CAP:
+        raise TooLarge(
+            f"commutant solve with {nvars} unknowns exceeds cap {BASIS_CAP}")
+
+    block_of, home, pos = {}, {}, {}  # X[r, c] is unknown home[r][pos[c]]
+    for (rw, cw, _), members in blocks.items():
+        rows, cols = sorting(rw), sorting(cw)
+        table = tables[tuple(rw[i] for i in rows), tuple(cw[a] for a in cols)]
+        for o in members:
+            block_of[o] = members
+            pos[o] = at[permuted(labels[o], rows, cols)]
+            home[o] = table[pos[o]]
+
+    roots = [model.k_terms(i, j) for i, j in permutations(range(k), 2)]
+    roots += [model.m_terms(a, b) for a, b in permutations(range(M), 2)]
+
+    def equations():
+        for terms in roots:
+            image = {o: [(basis.ordinal(t), v)
+                         for t, v in _image(labels[o], terms)]
+                     for o in dominant}
+            yield from commutator_rows(image.__getitem__, reps,
+                                       block_of.__getitem__,
+                                       lambda r, c: home[r][pos[c]])
+
+    return nvars - len(ReducedSpan(equations()))
+
+
 def verify_howe(k: int, M: int, degree: int, convention: str = "sq",
                 model: FockModel | None = None) -> HoweReport:
     """Check the multiplicity-free paired decomposition of every graded
     piece up to the degree: label sets, the paired dimension identity,
-    independent multiplicity counts, and the commutant dimension."""
+    multiplicity counts from the weight-space dimensions, and the
+    commutant dimension from the Weyl-reduced exact solve
+    (``weyl_commutant_dim``), which reads no weight count, so it checks
+    multiplicity-freeness independently of ``mult_ok``.  Every piece takes
+    that matrix route."""
     model = model or build_compact_model(k, M, degree, convention)
     reports = []
     for n in range(degree + 1):
@@ -500,24 +578,9 @@ def verify_howe(k: int, M: int, degree: int, convention: str = "sq",
         cauchy = W.cauchy_check(k, M, n)
         dims_ok = cauchy.ok and cauchy.total == len(b)
 
-        mult = compact_multiplicities(model, n)
-        mult_ok = all(
-            v == (1 if (lam == mu and lam in expected) else 0)
-            for (lam, mu), v in mult.items()
-        )
-
-        blocks = model.weight_blocks((n, 0))
-        unknowns = sum(len(m) ** 2 for m in blocks.values())
-        if unknowns <= COMMUTANT_UNKNOWN_CAP:
-            piece = (n, 0)
-            commutant = gl_commutant_dim(
-                [(k, lambda i, j: model.gl_k_op(i, j, piece)),
-                 (M, lambda a, b: model.gl_m_op(a, b, piece))])
-            route = "matrix"
-        else:
-            commutant = sum(v * v for v in mult.values())
-            route = "multiplicity"
-        commutant_ok = commutant == len(expected)
+        mult_ok = all(v == (lam == mu and lam in expected) for (lam, mu), v
+                      in compact_multiplicities(model, n).items())
+        commutant = weyl_commutant_dim(model, n)
         model.release((n, 0))  # no later degree reads this piece
 
         reports.append(HoweDegreeReport(
@@ -530,8 +593,8 @@ def verify_howe(k: int, M: int, degree: int, convention: str = "sq",
             dims_ok=dims_ok,
             mult_ok=mult_ok,
             commutant=commutant,
-            commutant_route=route,
-            commutant_ok=commutant_ok,
+            commutant_route="matrix",
+            commutant_ok=commutant == len(expected),
             cauchy=cauchy.to_json(),
         ))
     return HoweReport(k, M, convention, tuple(reports))
@@ -637,9 +700,6 @@ def strict_signed_pairs(M: int, N: int, max_total: int):
     """Strictly decreasing positive blocks (m, n) with |m|, |n| within the
     window; candidates for the half-form orbit labels."""
     def blocks(length, cap):
-        if length == 0:
-            yield ()
-            return
         # strictly decreasing positive tuples with sum <= cap
         def rec(prev, left, size):
             if size == 0:

@@ -240,7 +240,7 @@ def _checked_module(ambient: str, k: int, inputs: dict, basis: list[dict],
     return InducedModule(
         ambient, k, inputs, basis, gl_k,
         highest_weight=highest_weight,
-        commutant=gl_commutant_dim([(k, lambda i, j: gl_k[(i, j)])]),
+        commutant=gl_commutant_dim(k, lambda i, j: gl_k[(i, j)]),
         gram_positive=_ldl_positive(gram),
         bracket_ok=not gl_relation_failures(gl_k, "k"),
     )

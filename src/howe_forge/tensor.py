@@ -3,15 +3,15 @@
 Operators are dicts keyed by (row, col) ordinals with exact rational
 values: ``int`` wherever a value is integral, ``Fraction`` only where a
 quotient is really produced.  All arithmetic is exact; there are no
-tolerance parameters in this module.  Two eliminations serve every
-caller, both on integer rows kept primitive after each fraction-free
-update row <- (p*row - a*prow) / content.  ``rank_of_rows`` is rank only,
-with Markowitz pivots.  ``ReducedSpan`` is the reduced span of rational
-rows: each row is integer and primitive, positive at its pivot (its
-lowest column when inserted) and 0 at every other row's pivot.  Kernels
-(``kernel_basis``), module bases and restrictions of operators to an
-invariant span (``restrict_by_leaders``) all come from it, and divide
-only at the output, by the pivot entries.
+tolerance parameters in this module.  One elimination serves every
+caller: ``ReducedSpan``, the reduced span of rational rows, kept in
+integers by the fraction-free update row <- (p*row - a*prow) / content.
+Each row is integer and primitive, positive at its pivot (its lowest
+column when inserted) and 0 at every other row's pivot.  Ranks (the
+length of a span: ``ExactOperator.rank``, ``spans_agree``,
+``commutant_dim``), kernels (``kernel_basis``), module bases and
+restrictions of operators to an invariant span (``restrict_by_leaders``)
+all come from it, and divide only at the output, by the pivot entries.
 
 Linear maps given by their image terms (basis key -> (target, value)
 pairs; ``ExactOperator.terms`` is the column index in that form) have
@@ -26,7 +26,6 @@ operators are the main clients of the exact core.
 
 from __future__ import annotations
 
-import heapq
 import math
 from fractions import Fraction
 from functools import cache
@@ -237,7 +236,7 @@ class ExactOperator:
         return list(out.values())
 
     def rank(self) -> int:
-        return rank_of_rows(self.rows())
+        return len(ReducedSpan(self.rows()))
 
     # serialization ----------------------------------------------------------
 
@@ -281,59 +280,6 @@ def _quotient(a: int, b: int) -> int | Fraction:
     """The exact quotient a / b of two integers, an int when b divides a."""
     q, r = divmod(a, b)
     return Fraction(a, b) if r else q
-
-
-def rank_of_rows(rows) -> int:
-    """Exact rank over Q of sparse rational rows (dicts column -> value),
-    each read once into an integer row, by elimination with Markowitz
-    pivots: the live column with the fewest rows, then its shortest row."""
-    live: dict[int, dict[int, int]] = {}
-    where: dict[int, list[int]] = {}  # column -> rows that had an entry there
-    count: dict[int, int] = {}  # column -> live rows that have an entry there
-    for rid, row in enumerate(rows):
-        live[rid] = ints = _cleared(row)[0]
-        for c in ints:
-            where.setdefault(c, []).append(rid)
-            count[c] = count.get(c, 0) + 1
-    nrows = len(live)
-    heap = sorted((n, c) for c, n in count.items())  # a valid heap
-    while heap:
-        n, col = heapq.heappop(heap)
-        if count.get(col) != n:
-            continue  # stale entry: the count changed or col was eliminated
-        del count[col]
-        ids = {i for i in where.pop(col) if col in live.get(i, ())}
-        pid = min(ids, key=lambda i: len(live[i]))
-        ids.discard(pid)
-        prow = live.pop(pid)  # for good: only the rank is needed
-        p = prow.pop(col)
-        for rid in ids:  # row <- (p*row - a*prow) / content, dropping col
-            row = live[rid]
-            a = row.pop(col)
-            g = math.gcd(p, a)
-            pm, am = p // g, a // g
-            for c in row:
-                row[c] *= pm
-            for c, v in prow.items():
-                x = row.get(c)
-                if x is None:  # fill-in
-                    row[c] = -am * v
-                    where[c].append(rid)
-                    count[c] += 1
-                elif x := x - am * v:
-                    row[c] = x
-                else:  # cancellation
-                    del row[c]
-                    count[c] -= 1
-            g = math.gcd(*row.values())  # 0 once the row has cancelled
-            if g > 1:
-                for c in row:
-                    row[c] //= g
-        for c in prow:
-            count[c] -= 1  # the pivot row leaves
-            if count[c]:
-                heapq.heappush(heap, (count[c], c))
-    return nrows - len(live)  # the rows left over have all cancelled
 
 
 def _eliminate(row: dict, p: int, a: int, prow: dict) -> None:
@@ -510,7 +456,8 @@ def gram_matrix(vectors, weight=None) -> list[list[Fraction]]:
 
 def spans_agree(a, b) -> bool:
     """Exact equality of two spans of sparse vectors via three ranks."""
-    return rank_of_rows(a) == rank_of_rows(b) == rank_of_rows(list(a) + list(b))
+    return (len(ReducedSpan(a)) == len(ReducedSpan(b))
+            == len(ReducedSpan(list(a) + list(b))))
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +549,8 @@ def _row_filling(shape) -> list[list[int]]:
     return rows
 
 
-def _subgroup_perms(blocks: list[list[int]], n: int) -> list[tuple[int, ...]]:
+def subgroup_perms(blocks: list[list[int]], n: int) -> list[tuple[int, ...]]:
+    """Every permutation of range(n) that maps each block onto itself."""
     out = [tuple(range(n))]
     for blk in blocks:
         new = []
@@ -628,10 +576,10 @@ def young_symmetrizer(shape, k: int,
     for j in range(lam[0] if lam else 0):
         cols.append([row[j] for row in rows if j < len(row)])
     row_sym = ExactOperator(b, b)
-    for p in _subgroup_perms(rows, n):
+    for p in subgroup_perms(rows, n):
         row_sym += sn_action(p, k, n, basis=b)
     col_anti = ExactOperator(b, b)
-    for q in _subgroup_perms(cols, n):
+    for q in subgroup_perms(cols, n):
         col_anti += sn_action(q, k, n, basis=b).scaled(W.perm_sign(q))
     return col_anti * row_sym
 
@@ -661,20 +609,36 @@ def gl_relation_failures(ops: dict[tuple[int, int], ExactOperator],
     return bad
 
 
-def gl_commutant_dim(families) -> int:
-    """Dimension of the joint commutant of gl families acting on one
-    space.  Each family is a pair (rank, op) with op(i, j) the operator of
-    E_ij.  The E_{i,i+1} and E_{i+1,i} generate, and the E_ii are solved
-    in advance as Cartans; when every rank is 1 the Cartans are the only
-    generators."""
-    gens = []
-    for rank, op in families:
-        for i in range(rank - 1):
-            gens += [op(i, i + 1), op(i + 1, i)]
-    carts = [op(i, i) for rank, op in families for i in range(rank)]
-    if not gens:
+def gl_commutant_dim(rank: int, op) -> int:
+    """Dimension of the commutant of one gl(rank) action, with op(i, j)
+    the operator of E_ij.  The E_{i,i+1} and E_{i+1,i} generate, and the
+    E_ii are solved in advance as Cartans; for rank 1 the Cartan is the
+    only generator."""
+    carts = [op(i, i) for i in range(rank)]
+    if rank == 1:
         return commutant_dim(carts)
+    gens = [op(i + s, i + 1 - s) for i in range(rank - 1) for s in (0, 1)]
     return commutant_dim(gens, cartans=carts)
+
+
+def commutator_rows(terms, columns, block, var):
+    """Rows of the equations (AX - XA)[t, c] = 0 for each key c in
+    ``columns``, one row per target t, each yielded and dropped in turn.
+
+    A is given by its image terms (key -> (target, value) pairs, see
+    ``linear_image``).  X is block diagonal: X[r, c] is the unknown
+    ``var(r, c)`` for r in ``block(c)`` and 0 elsewhere, so (AX)[t, c]
+    sums A[t, j] X[j, c] over j in block(c), and (XA)[t, c] sums
+    X[t, j] A[j, c] over t in block(j)."""
+    for c in columns:
+        eq: dict = {}
+        entries = [(t, var(j, c), v) for j in block(c) for t, v in terms(j)]
+        entries += [(t, var(t, j), -v) for j, v in terms(c) for t in block(j)]
+        for t, x, v in entries:
+            row = eq.setdefault(t, {})
+            row[x] = row.get(x, 0) + v
+        while eq:
+            yield eq.popitem()[1]
 
 
 def commutant_dim(generators: list[ExactOperator],
@@ -682,10 +646,10 @@ def commutant_dim(generators: list[ExactOperator],
     """Dimension of the joint commutant, by exact linear solve.
 
     Unknowns are the matrix entries of X; each generator A contributes the
-    equations XA - AX = 0.  When ``cartans`` is given, those operators
-    must be diagonal; X is then restricted to the joint-eigenvalue blocks
-    they cut out, which is exactly the commutation constraint with the
-    Cartan subalgebra, solved in advance.
+    equations AX - XA = 0 (``commutator_rows``).  When ``cartans`` is
+    given, those operators must be diagonal; X is then restricted to the
+    joint-eigenvalue blocks they cut out, which is exactly the commutation
+    constraint with the Cartan subalgebra, solved in advance.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -694,25 +658,20 @@ def commutant_dim(generators: list[ExactOperator],
         if len(g.domain) != d or len(g.codomain) != d:
             raise ValueError("generators must share one square basis")
 
-    if cartans:
-        eigs = [tuple() for _ in range(d)]
-        for h in cartans:
-            diag = [0] * d
-            for (r, c), v in h.data.items():
-                if r != c:
-                    raise ValueError("cartan operators must be diagonal")
-                diag[r] = v
-            eigs = [eigs[i] + (diag[i],) for i in range(d)]
-        blocks: dict[tuple, list[int]] = {}
-        for i, e in enumerate(eigs):
-            blocks.setdefault(e, []).append(i)
-        block_list = list(blocks.values())
-    else:
-        block_list = [list(range(d))]
+    diags = []
+    for h in cartans or ():
+        if any(r != c for r, c in h.data):
+            raise ValueError("cartan operators must be diagonal")
+        diags.append([h.data.get((i, i), 0) for i in range(d)])
+    blocks: dict[tuple, list[int]] = {}  # joint eigenvalues -> block
+    for i in range(d):
+        blocks.setdefault(tuple(diag[i] for diag in diags), []).append(i)
 
     var_id: dict[tuple[int, int], int] = {}
-    for blk in block_list:
+    block_of: dict[int, list[int]] = {}
+    for blk in blocks.values():
         for r in blk:
+            block_of[r] = blk
             for c in blk:
                 var_id[(r, c)] = len(var_id)
     nvars = len(var_id)
@@ -720,31 +679,12 @@ def commutant_dim(generators: list[ExactOperator],
         raise TooLarge(
             f"commutant solve with {nvars} unknowns exceeds cap {BASIS_CAP}")
 
-    def equations():  # rows of XA - AX = 0, dropped once the rank read them
-        for g in generators:
-            # X(cA) = (cA)X iff XA = AX: scaled by the lcm c of its
-            # denominators, A gives integer equation rows
-            by_row: dict[int, list[tuple[int, int]]] = {}
-            by_col: dict[int, list[tuple[int, int]]] = {}
-            for (r, c), v in _cleared(g.data)[0].items():
-                by_row.setdefault(r, []).append((c, v))
-                by_col.setdefault(c, []).append((r, v))
-            # equation for entry (i, l): sum_j X[i,j] A[j,l] - A[i,j] X[j,l]
-            eq: dict[tuple[int, int], dict[int, int]] = {}
-            for (i, jcol), var in var_id.items():
-                # X[i, jcol] multiplies A[jcol, l] in entry (i, l)
-                for (l, v) in by_row.get(jcol, ()):
-                    row = eq.setdefault((i, l), {})
-                    row[var] = row.get(var, 0) + v
-            for (jrow, l), var in var_id.items():
-                # X[jrow, l] multiplies -A[i, jrow] in entry (i, l)
-                for (i, v) in by_col.get(jrow, ()):
-                    row = eq.setdefault((i, l), {})
-                    row[var] = row.get(var, 0) - v
-            while eq:
-                yield eq.popitem()[1]
-
-    return nvars - rank_of_rows(equations())
+    # X(cA) = (cA)X iff XA = AX: scaled by the lcm c of its denominators,
+    # A gives integer equation rows
+    rows = (row for g in generators for row in commutator_rows(
+        ExactOperator(g.domain, g.codomain, _cleared(g.data)[0]).terms(),
+        range(d), block_of.__getitem__, lambda r, c: var_id[(r, c)]))
+    return nvars - len(ReducedSpan(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Independent brute-force oracles used by the test suite.
 
 Everything here is deliberately naive: direct enumeration, dense linear
-algebra over Fractions and one-sample-at-a-time float64 loops, sized for
-tiny inputs.  The point is that none of it shares code paths with the
+algebra over Fractions or integers and one-sample-at-a-time float64
+loops, sized for tiny inputs.  The point is that none of it shares code paths with the
 package implementations it checks.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -232,23 +233,28 @@ def interlacing_labels(shape: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
 
 
 def dense_nullity(rows: list[list[Fraction]], ncols: int) -> int:
-    """Nullity of a dense rational matrix by straightforward elimination."""
-    mat = [row[:] for row in rows]
+    """Nullity of a dense rational matrix by straightforward forward
+    elimination in integers: each row is first scaled by the lcm of its
+    denominators, and each update p*row - a*prow is divided by the gcd of
+    its entries; neither step changes the row space."""
+    mat = []
+    for row in rows:  # int and Fraction entries both have a denominator
+        den = math.lcm(*(x.denominator for x in row))
+        mat.append([int(x * den) for x in row])
     rank = 0
     for col in range(ncols):
-        piv = None
-        for r in range(rank, len(mat)):
-            if mat[r][col] != 0:
-                piv = r
-                break
+        piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
         if piv is None:
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
         prow = mat[rank]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                coef = mat[r][col] / prow[col]
-                mat[r] = [x - coef * y for x, y in zip(mat[r], prow)]
+        p = prow[col]
+        for r in range(rank + 1, len(mat)):
+            a = mat[r][col]
+            if a:
+                new = [p * x - a * y for x, y in zip(mat[r], prow)]
+                g = math.gcd(*new) or 1
+                mat[r] = [x // g for x in new]
         rank += 1
     return ncols - rank
 

@@ -58,7 +58,7 @@ def test_criterion_2_paired_decomposition():
         ok = ok and howe_stability_check(M, 4, 4)["stable"]
     elapsed = time.monotonic() - t0
     report(2, "paired decomposition and label stability", ok, elapsed,
-           budget=120)
+           budget=10)
 
 
 def test_criterion_3_compact_induction():

@@ -1,12 +1,14 @@
 """Graded polynomial models and the pairing/label checks built on them."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
+from howe_forge import fock
 from howe_forge import tensor as T
 from howe_forge import weights as W
 from howe_forge.errors import InvariantBroken, ShapeMismatch, TooLarge
@@ -300,26 +302,57 @@ def test_verify_howe_small_report():
         assert d["commutant_route"] == "matrix"
 
 
-def test_commutant_dim_matches_kernel_count_on_howe_pieces(monkeypatch):
-    """Each commutant solve of verify_howe(2, 3, 4) gives the nullity that
-    the Gauss-Jordan kernel finds for the same equations."""
-    systems = []
-    real_rank = T.rank_of_rows
+def blocked_commutator_rows(model, piece):
+    """Dense rows of AX - XA = 0 for the Chevalley generators A of
+    gl(k) + gl(M) on one compact piece, with X unknown on every pair of
+    one weight block (the Cartan equations solved in advance) and no
+    Weyl reduction; returns the rows and the number of unknowns."""
+    blocks = list(model.weight_blocks(piece).values())
+    block = {o: blk for blk in blocks for o in blk}
+    var = {key: i for i, key in enumerate(
+        (r, c) for blk in blocks for r in blk for c in blk)}
+    rows = []
+    for rank, op in ((model.k, model.gl_k_op), (model.M, model.gl_m_op)):
+        for i in range(rank - 1):
+            for a in (bf.dense_matrix(op(i, i + 1, piece)),
+                      bf.dense_matrix(op(i + 1, i, piece))):
+                for t, c in product(range(len(a)), repeat=2):
+                    terms = [(var[(j, c)], a[t][j]) for j in block[c]]
+                    terms += [(var[(t, j)], -a[j][c]) for j in block[t]]
+                    if any(v for _, v in terms):
+                        row = [0] * len(var)
+                        for x, v in terms:
+                            row[x] += v
+                        rows.append(row)
+    return rows, len(var)
 
-    def recording_rank(rows):
-        rows = list(rows)
-        systems.append(rows)
-        return real_rank(rows)
 
-    monkeypatch.setattr(T, "rank_of_rows", recording_rank)
-    model = build_compact_model(2, 3, 4)
-    rep = verify_howe(2, 3, 4, model=model)
-    assert rep.ok and len(systems) == len(rep.degrees) == 5
-    for d, rows in zip(rep.degrees, systems):
-        assert d.commutant_route == "matrix"
-        blocks = model.weight_blocks((d.degree, 0)).values()
-        nvars = sum(len(b) ** 2 for b in blocks)
-        assert d.commutant == len(T.kernel_basis(rows, nvars))
+def test_commutant_dim_matches_kernel_count_on_howe_pieces():
+    """The Weyl-reduced commutant of every piece of verify_howe(2, 3, 4),
+    (3, 2, 4) and (2, 2, 4) is the nullity of the unreduced XA - AX
+    system, solved densely; at (2, 2, 2) the weight ((1, 1), (1, 1)) has
+    the stabilizer S_2 x S_2."""
+    for k, M in ((2, 3), (3, 2), (2, 2)):
+        model = build_compact_model(k, M, 4)
+        rep = verify_howe(k, M, 4, model=model)
+        assert rep.ok and len(rep.degrees) == 5
+        for d in rep.degrees:
+            assert d.commutant_route == "matrix"
+            assert d.commutant == bf.dense_nullity(
+                *blocked_commutator_rows(model, (d.degree, 0)))
+    assert ((1, 1), (1, 1), ()) in model.weight_blocks((2, 0))
+
+
+def test_commutant_does_not_read_the_multiplicity_counts(monkeypatch):
+    """With every multiplicity count off by one, verify_howe(3, 3, 6)
+    still finds the commutant 7 at degree 6, and only mult_ok fails."""
+    real = fock.compact_multiplicities
+    monkeypatch.setattr(fock, "compact_multiplicities", lambda model, n: {
+        pair: v + 1 for pair, v in real(model, n).items()})
+    top = verify_howe(3, 3, 6).degrees[6]
+    assert top.commutant == 7 and top.commutant_ok
+    assert top.commutant_route == "matrix"
+    assert not top.mult_ok and not top.ok
 
 
 SCALES = [Fraction(3, 7), Fraction(-5, 2), 2, Fraction(-1, 3),

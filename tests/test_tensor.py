@@ -132,6 +132,13 @@ def dense(rows, ncols):
     return out
 
 
+def as_operator(rows, ncols):
+    """The operator on a basis of ncols whose matrix rows are ``rows``."""
+    basis = T.IndexedBasis(range(max(ncols, len(rows))))
+    return T.ExactOperator(basis, basis, {
+        (r, c): v for r, row in enumerate(rows) for c, v in row.items()})
+
+
 def combination(coeffs, rows):
     """sum of coeffs[t] * rows[t], keeping entries that cancel as zeros"""
     out = {}
@@ -177,10 +184,11 @@ def sparse_systems(draw):
 def test_rank_of_rows_against_dense_oracle(system):
     rows, ncols = system
     snapshot = [dict(r) for r in rows]
-    rank = T.rank_of_rows(rows)
+    rank = len(T.ReducedSpan(rows))
     assert ncols - rank == bf.dense_nullity(dense(rows, ncols), ncols)
     assert rows == snapshot  # the caller's rows are left as they were
-    assert T.rank_of_rows(iter(rows)) == rank
+    assert len(T.ReducedSpan(iter(rows))) == rank
+    assert as_operator(rows, ncols).rank() == rank
 
 
 @settings(max_examples=300, deadline=None, phases=NO_SHRINK)
@@ -194,7 +202,7 @@ def test_reduced_span_and_kernel_against_dense_oracle(system):
     kern = T.kernel_basis(rows, ncols)
     assert rows == snapshot  # the caller's rows are left as they were
     assert len(kern) == bf.dense_nullity(dense(rows, ncols), ncols)
-    assert len(span) == grew.count(True) == T.rank_of_rows(rows)
+    assert len(span) == grew.count(True) == ncols - len(kern)
     for row in rows:
         for vec in kern:
             assert sum(v * vec.get(c, 0) for c, v in row.items()) == 0
@@ -303,18 +311,8 @@ def test_rank_of_rows_on_a_cycle(n):
         rows = [{i: Fraction(1, i + 1), (i + 1) % n: a * Fraction(1, i + 1)}
                 for i in range(n)]
         assert n - bf.dense_nullity(dense(rows, n), n) == rank
-        assert T.rank_of_rows(rows) == rank
-
-
-def test_rank_of_rows_keeps_count_of_filled_in_columns():
-    # the pivot on column 0 fills column 2 of the third row in; that row
-    # then pivots on column 1 and leaves, and column 2 must still count
-    # the last row
-    rows = [{3: Fraction(1)}, {0: Fraction(1), 1: Fraction(1), 2: Fraction(1)},
-            {0: Fraction(1), 1: Fraction(5, 7), 3: Fraction(1)},
-            {2: Fraction(1)}]
-    assert bf.dense_nullity(dense(rows, 4), 4) == 0
-    assert T.rank_of_rows(rows) == 4
+        assert len(T.ReducedSpan(rows)) == rank
+        assert as_operator(rows, n).rank() == rank
 
 
 def test_rank_of_rows_sparse_low_rank_product():
@@ -326,8 +324,10 @@ def test_rank_of_rows_sparse_low_rank_product():
          for t in range(5)]
     rows = [combination(u, V) for u in U]
     assert bf.dense_nullity(dense(rows, 7), 7) == 2
-    assert T.rank_of_rows(rows) == 5
-    assert T.rank_of_rows(rows + [{6: Fraction(1)}, {0: Fraction(2, 3)}]) == 7
+    assert len(T.ReducedSpan(rows)) == 5
+    assert as_operator(rows, 7).rank() == 5
+    more = rows + [{6: Fraction(1)}, {0: Fraction(2, 3)}]
+    assert len(T.ReducedSpan(more)) == as_operator(more, 7).rank() == 7
 
 
 # ---------------------------------------------------------------------------
@@ -539,13 +539,12 @@ def test_gl_commutant_dim_asks_only_for_chevalley_and_cartan_generators():
         return T.gl_tensor_action(i, j, 2, 2, basis=bas)
 
     # the tensor square of C^2 is Sym^2 + Wedge^2, each once
-    assert T.gl_commutant_dim([(2, gl2)]) == 2
+    assert T.gl_commutant_dim(2, gl2) == 2
     assert sorted(asked) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    # all Cartan: E_00 alone has eigenvalues 2, 1, 1, 0
+    # rank 1, all Cartan: E_00 alone has eigenvalues 2, 1, 1, 0
     asked.clear()
-    assert T.gl_commutant_dim([(1, gl2)]) == 1 + 2 ** 2 + 1
+    assert T.gl_commutant_dim(1, gl2) == 1 + 2 ** 2 + 1
     assert asked == [(0, 0)]
-    assert T.gl_commutant_dim([(1, gl2), (1, gl2)]) == 6
 
 
 def test_gram_matrix_weights_each_coordinate():
