@@ -97,6 +97,7 @@ class FockModel:
     c_m: int | Fraction = field(init=False)
     c_n: int | Fraction = field(init=False)
     _bases: dict = field(default_factory=dict, repr=False)
+    _blocks: dict = field(default_factory=dict, repr=False)
     _actions: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -250,10 +251,11 @@ class FockModel:
         return LieActionSet(piece, gl_k, gl_m, gl_n, raisers, lowerers)
 
     def release(self, piece) -> None:
-        """Drop the cached generator operators of one piece; a later call
-        builds them again."""
+        """Drop the cached generator operators and weight blocks of one
+        piece; a later call builds them again."""
         for key in [key for key in self._actions if key[-1] == piece]:
             del self._actions[key]
+        self._blocks.pop(piece, None)
 
     # weights ----------------------------------------------------------------
 
@@ -269,11 +271,12 @@ class FockModel:
                 tuple(sum(label[kM + b::N]) for b in range(N)))
 
     def weight_blocks(self, piece) -> dict[tuple, list[int]]:
-        b = self.basis(*piece)
-        blocks: dict[tuple, list[int]] = {}
-        for i, lab in enumerate(b.labels):
-            blocks.setdefault(self.weight_key(lab), []).append(i)
-        return blocks
+        """Basis ordinals of a piece by weight key, kept until ``release``."""
+        if piece not in self._blocks:
+            blocks = self._blocks[piece] = {}
+            for i, lab in enumerate(self.basis(*piece).labels):
+                blocks.setdefault(self.weight_key(lab), []).append(i)
+        return self._blocks[piece]
 
     def dressed_weights(self, key) -> tuple[tuple, tuple, tuple]:
         """Add the convention constants back onto a weight key."""
@@ -728,6 +731,7 @@ def verify_kv(k: int, M: int, N: int, degree: int,
     for piece in model.pieces():
         p, q = piece
         hwvs = joint_highest_weight_vectors(model, piece)
+        model.release(piece)  # no later piece reads this one
         expected = expected_kv_labels(k, M, N, p, q)
         matches = []
         unexplained = 0

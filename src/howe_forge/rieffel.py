@@ -16,9 +16,10 @@ the induced space is empty.  Emptiness is a value, not an error.
 The exact linear algebra is shared with ``tensor``: the invariants, and
 the Casimir kernel that cross-checks them, are ``block_kernel`` solves
 over the weight blocks of (Fock piece) x irrep, with each generator given
-by its image terms; restricted actions (the inducing irrep's gl(M), an
-induced module's gl(k)) are ``ExactOperator``s on one module basis per
-family, read off by ``restrict_by_leaders``.
+by its image terms.  Every module basis is the ``rows`` of one
+``ReducedSpan``, and the restricted actions on it (the inducing irrep's
+gl(M), an induced module's gl(k)) are ``ExactOperator``s read off by that
+span's ``restrict_by_leaders``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .fock import FockModel, build_compact_model, build_oscillator_model, \
     joint_highest_weight_vectors, strict_signed_pairs
 from .tensor import ExactOperator, IndexedBasis, ReducedSpan, \
     block_kernel, gl_commutant_dim, gl_relation_failures, gl_tensor_action, \
-    gram_matrix, linear_image, restrict_by_leaders, spans_agree, \
+    gram_matrix, linear_image, spans_agree, \
     young_symmetrizer
 
 _F0 = Fraction(0)
@@ -128,28 +129,27 @@ def build_inducing_irrep(m, M: int) -> InducingIrrep:
                               for a in range(M) for b in range(M)}, 0)
 
     sym = young_symmetrizer(shape, M)
-    # image basis, one reduction pass per weight (content) class so every
-    # basis vector is a weight vector; the reduced rows keep a leader
-    # coordinate apiece, which makes restriction a lookup
+    # image basis: one span, fed one weight (content) class at a time; the
+    # classes have disjoint supports, so every reduced row is a weight
+    # vector with a leader coordinate, which makes restriction a lookup
     by_weight: dict[tuple[int, ...], list[int]] = {}
     for i, word in enumerate(wb.labels):
         by_weight.setdefault(_word_weight(word, M), []).append(i)
     cols = sym.columns()
-    echelon: list[tuple[int, dict[int, Fraction]]] = []
+    span = ReducedSpan()
     basis_weights: list[tuple[int, ...]] = []
     for wt in sorted(by_weight, reverse=True):
-        span = ReducedSpan(dict(cols[c]) for c in by_weight[wt] if c in cols)
-        echelon += span.echelon
-        basis_weights += [wt] * len(span)
-    basis = [row for _, row in echelon]
+        for c in by_weight[wt]:
+            if c in cols and span.insert(dict(cols[c])):
+                basis_weights.append(wt)
     expected = W.weyl_dim(shape, M)
-    if len(basis) != expected:
+    if len(span) != expected:
         raise ShapeMismatch(
-            f"symmetrizer image has dim {len(basis)}, expected {expected}")
+            f"symmetrizer image has dim {len(span)}, expected {expected}")
 
-    mb = _module_basis(len(echelon))
-    ops = {(a, b): restrict_by_leaders(gl_tensor_action(a, b, M, n).terms(),
-                                       echelon, mb)
+    mb = _module_basis(len(span))
+    ops = {(a, b): span.restrict_by_leaders(
+               gl_tensor_action(a, b, M, n).terms(), mb)
            for a in range(M) for b in range(M)}
 
     hw_wt = shape + (0,) * (M - len(shape))
@@ -161,7 +161,7 @@ def build_inducing_irrep(m, M: int) -> InducingIrrep:
         for b in range(a + 1, M):
             if ops[(a, b)].apply({highest: _F1}):
                 raise InvariantBroken("highest vector not annihilated")
-    return InducingIrrep(shape, M, wb, basis, basis_weights, ops, highest)
+    return InducingIrrep(shape, M, wb, span.rows, basis_weights, ops, highest)
 
 
 # ---------------------------------------------------------------------------
@@ -357,29 +357,16 @@ def induce_compact(k: int, M: int, m, cross_check: bool = False) -> InducedModul
     # the invariants of different weight blocks have disjoint supports, so
     # every reduced row is still a weight vector, and its pivot a leader
     span = ReducedSpan(invariants)
-    basis = [row for _, row in span.echelon]
+    basis = span.rows
     mb = _module_basis(len(basis))
-    gl_k = {(i, j): restrict_by_leaders(_on_fock(model.gl_k_op(i, j, piece)),
-                                        span.echelon, mb)
+    gl_k = {(i, j): span.restrict_by_leaders(
+                _on_fock(model.gl_k_op(i, j, piece)), mb)
             for i in range(k) for j in range(k)}
-    hw = max(
-        (tuple(int(c) for c in key[0])
-         for key, vec in _weights_of_vectors(model, piece, basis).items()),
-        default=None,
-    )
+    # a row's gl(k) weight is that of any monomial f of its keys (f, h)
+    hw = max(model.weight_key(fb.label(next(iter(row))[0]))[0]
+             for row in basis)
     return _checked_module(ambient, k, inputs, basis, gl_k, hw,
                            _combined_gram(basis, fb, irrep.gram()))
-
-
-def _weights_of_vectors(model: FockModel, piece, basis) -> dict:
-    """Group invariant vectors by the gl(k) weight they carry."""
-    fb = model.basis(*piece)
-    out: dict[tuple, list] = {}
-    for vec in basis:
-        f = next(iter(vec))[0]
-        key = (model.weight_key(fb.label(f))[0],)
-        out.setdefault(key, []).append(vec)
-    return out
 
 
 def _casimir_kernel(model: FockModel, piece, irrep: InducingIrrep) -> list[dict]:
@@ -489,10 +476,10 @@ def induce_noncompact_graded(k: int, M: int, N: int, inducing_weight,
             if img and span.insert(img):
                 queue.append(img)
 
-    basis = [row for _, row in span.echelon]
+    basis = span.rows
     mb = _module_basis(len(basis))
-    gl_k = {(i, j): restrict_by_leaders(model.gl_k_op(i, j, piece).terms(),
-                                        span.echelon, mb)
+    gl_k = {(i, j): span.restrict_by_leaders(
+                model.gl_k_op(i, j, piece).terms(), mb)
             for i in range(k) for j in range(k)}
     fock_norms = [Fraction(_fock_norm_sq(lab)) for lab in fb.labels]
     return _checked_module(

@@ -7,11 +7,11 @@ tolerance parameters in this module.  One elimination serves every
 caller: ``ReducedSpan``, the reduced span of rational rows, kept in
 integers by the fraction-free update row <- (p*row - a*prow) / content.
 Each row is integer and primitive, positive at its pivot (its lowest
-column when inserted) and 0 at every other row's pivot.  Ranks (the
-length of a span: ``ExactOperator.rank``, ``spans_agree``,
-``commutant_dim``), kernels (``kernel_basis``), module bases and
-restrictions of operators to an invariant span (``restrict_by_leaders``)
-all come from it, and divide only at the output, by the pivot entries.
+column when inserted) and 0 at every other row's pivot.  Ranks (its
+length: ``ExactOperator.rank``, ``spans_agree``, ``commutant_dim``),
+kernels (``kernel_basis``), module bases (its ``rows``) and restrictions
+to an invariant span (its ``restrict_by_leaders``) all come from it, and
+divide only at the output, by the pivot entries.
 
 Linear maps given by their image terms (basis key -> (target, value)
 pairs; ``ExactOperator.terms`` is the column index in that form) have
@@ -305,30 +305,32 @@ def _eliminate(row: dict, p: int, a: int, prow: dict) -> None:
 class ReducedSpan:
     """Incrementally reduced span of sparse rational vectors, in integers.
 
-    ``echelon`` holds (pivot, row) pairs in insertion order.  A row's
-    pivot is its lowest column once reduced against the rows before it.
-    Each row is integer and primitive, positive at its pivot and 0 at
-    every other row's pivot, so the pivots are leader coordinates of the
-    span, and row / row[pivot] is the matching row of its reduced row
-    echelon form."""
+    ``rows`` holds the rows in insertion order.  A row's pivot is its
+    lowest column once reduced against the rows before it.  Each row is
+    integer and primitive, positive at its pivot and 0 at every other
+    row's pivot, so the pivots are leader coordinates of the span, and
+    row / row[pivot] is the matching row of its reduced row echelon form.
+    Its pivot -> position index, in row order, is private to this class."""
 
-    __slots__ = ("echelon",)
+    __slots__ = ("rows", "_pivots")
 
     def __init__(self, vectors=()):
-        self.echelon: list[tuple[int, dict[int, int]]] = []
+        self.rows: list[dict[int, int]] = []
+        self._pivots: dict[int, int] = {}
         for vec in vectors:
             self.insert(vec)
 
     def __len__(self) -> int:
-        return len(self.echelon)
+        return len(self.rows)
 
     def insert(self, vec) -> bool:
         """Add the vector; return True when it enlarged the span."""
         v, _ = _cleared(vec)
-        for piv, row in self.echelon:
-            a = v.get(piv)
-            if a:
-                _eliminate(v, row[piv], a, row)
+        # rows are 0 at each other's pivots, so elimination adds no pivot
+        # entry: the pivots to clear are read up front, each entry when used
+        for piv in [c for c in v if c in self._pivots]:
+            row = self.rows[self._pivots[piv]]
+            _eliminate(v, row[piv], v[piv], row)
         if not v:
             return False
         piv = min(v)
@@ -338,29 +340,52 @@ class ReducedSpan:
         if g != 1:
             for c in v:
                 v[c] //= g
-        for _, row in self.echelon:  # back-substitute into earlier rows
+        for row in self.rows:  # back-substitute into earlier rows
             a = row.get(piv)
             if a:
                 _eliminate(row, v[piv], a, v)
-        self.echelon.append((piv, v))
+        self._pivots[piv] = len(self.rows)
+        self.rows.append(v)
         return True
 
     def kernel(self, ncols: int) -> list[dict[int, int | Fraction]]:
         """Vectors annihilated by every row, one per free column below
         ncols: 1 in that column, then -row[free] / row[pivot] at each
         row's pivot."""
-        pivots = {piv for piv, _ in self.echelon}
         out = []
         for free in range(ncols):
-            if free in pivots:
+            if free in self._pivots:
                 continue
             vec = {free: 1}
-            for piv, row in self.echelon:
+            for piv, row in zip(self._pivots, self.rows):
                 x = row.get(free)
                 if x:
                     vec[piv] = _quotient(-x, row[piv])
             out.append(vec)
         return out
+
+    def restrict_by_leaders(self, terms, basis: IndexedBasis) -> ExactOperator:
+        """Operator on ``basis`` (one label per row) of the linear map
+        given by its image ``terms`` (see ``linear_image``), restricted to
+        the span, which it must map into itself.  Each row is 0 at the
+        other rows' pivots, so the coordinate of an image on row i is
+        image[pivot] / row[pivot].  The image is checked to equal that
+        combination exactly, in integers, and ``ShapeMismatch`` is raised
+        when the map leaves the span."""
+        rows = self.rows
+        op = ExactOperator(basis, basis)
+        for j, row in enumerate(rows):
+            image, den = _cleared(linear_image(terms, row))
+            coords = sorted((i, a, rows[i][c]) for c, a in image.items()
+                            if (i := self._pivots.get(c)) is not None)
+            scale = math.lcm(*(p for _, _, p in coords))
+            combo = linear_image(lambda i: rows[i].items(),
+                                 {i: a * (scale // p) for i, a, p in coords})
+            if combo != {c: scale * v for c, v in image.items()}:
+                raise ShapeMismatch("operator does not preserve the subspace")
+            for i, a, p in coords:
+                op.data[(i, j)] = _quotient(a, den * p)
+        return op
 
 
 def kernel_basis(rows, ncols: int) -> list[dict[int, int | Fraction]]:
@@ -411,31 +436,6 @@ def block_kernel(members, maps) -> list[dict]:
         rows.extend(eq.values())
     return [{members[i]: v for i, v in vec.items()}
             for vec in kernel_basis(rows, len(members))]
-
-
-def restrict_by_leaders(terms, echelon, basis: IndexedBasis) -> ExactOperator:
-    """Operator on ``basis`` (one label per row) of the linear map given
-    by its image ``terms`` (see ``linear_image``), restricted to the span
-    of the ``echelon`` rows of a ``ReducedSpan``, which it must map into
-    itself.  Each row is 0 at the other rows' pivots, so the coordinate
-    of an image on row i is image[pivot] / row[pivot].  The image is
-    checked to equal that combination exactly, in integers, and
-    ``ShapeMismatch`` is raised when the map leaves the span."""
-    at = {piv: i for i, (piv, _) in enumerate(echelon)}
-    rows = [row for _, row in echelon]
-    lead = [row[piv] for piv, row in echelon]
-    op = ExactOperator(basis, basis)
-    for j, row in enumerate(rows):
-        image, den = _cleared(linear_image(terms, row))
-        coords = sorted((at[c], a) for c, a in image.items() if c in at)
-        scale = math.lcm(*(lead[i] for i, _ in coords))
-        combo = linear_image(lambda i: rows[i].items(),
-                             {i: a * (scale // lead[i]) for i, a in coords})
-        if combo != {c: scale * v for c, v in image.items()}:
-            raise ShapeMismatch("operator does not preserve the subspace")
-        for i, a in coords:
-            op.data[(i, j)] = _quotient(a, den * lead[i])
-    return op
 
 
 def gram_matrix(vectors, weight=None) -> list[list[Fraction]]:

@@ -398,8 +398,8 @@ def test_commutant_dim_ignores_rescaled_generators_on_a_restricted_module():
             if img and span.insert(img):
                 queue.append(img)
     mb = T.IndexedBasis(range(len(span)))
-    ops = {(i, j): T.restrict_by_leaders(model.gl_k_op(i, j, piece).terms(),
-                                         span.echelon, mb)
+    ops = {(i, j): span.restrict_by_leaders(
+               model.gl_k_op(i, j, piece).terms(), mb)
            for i in range(3) for j in range(3)}
     gens = [ops[(i + s, i + 1 - s)] for i in range(2) for s in (0, 1)]
     carts = [ops[(i, i)] for i in range(3)]
@@ -414,11 +414,14 @@ def test_verify_howe_releases_each_checked_piece():
     model = build_compact_model(2, 2, 3, validate=False)
     a = model.gl_k_op(0, 1, (1, 0))
     model.gl_m_op(0, 1, (2, 0))
+    blocks = model.weight_blocks((2, 0))
+    assert model.weight_blocks((2, 0)) is blocks  # built once per piece
     model.release((2, 0))
     assert list(model._actions) == [("k", 0, 1, (1, 0))]
+    assert model._blocks == {}
     assert model.gl_k_op(0, 1, (1, 0)) is a  # the other piece stays cached
     assert verify_howe(2, 2, 3, model=model).ok
-    assert model._actions == {}
+    assert model._actions == {} and model._blocks == {}
 
 
 def test_verify_howe_dimension_factors_match_tableaux():

@@ -1,19 +1,26 @@
 """Source rules for the package, checked on its syntax trees: no
 ``assert`` statements (``python -O`` strips them, so invariants raise
 ``ForgeError`` subclasses instead), no bare ``except:`` or
-``except Exception``, no unused imports, and no true division that could
-make a float in the exact layers."""
+``except Exception``, no unused imports, no true division that could
+make a float in the exact layers, and no module but ``tensor.py`` that
+reads the echelon of a ``ReducedSpan``."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
+from howe_forge.tensor import ReducedSpan
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "howe_forge"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 BROAD = {"Exception", "BaseException"}
 FLOAT_SIDE = {"classical.py"}  # the seeded float64 orbit checks
 EXACT_CONSTANTS = {"_F0", "_F1"}  # Fraction(0) and Fraction(1)
+SPAN_HOME = "tensor.py"
+# the span's private pivot index, and the (pivot, row) list it replaced
+SPAN_ECHELON = {"echelon"} | {
+    name for name in ReducedSpan.__slots__ if name.startswith("_")}
 
 
 def tree_of(path):
@@ -85,12 +92,21 @@ def float_divisions(tree, path):
     return out
 
 
+def span_echelon_reads(tree, path):
+    """Attribute reads of a ``ReducedSpan``'s echelon outside
+    ``tensor.py``: other modules use its ``rows`` and methods only."""
+    if path.name == SPAN_HOME:
+        return []
+    return [f"{where(path, n)} .{n.attr}" for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and n.attr in SPAN_ECHELON]
+
+
 def test_the_package_has_sources():
     assert PACKAGE / "tensor.py" in SOURCES
 
 
 @pytest.mark.parametrize("rule", [asserts, broad_handlers, unused_imports,
-                                  float_divisions])
+                                  float_divisions, span_echelon_reads])
 def test_package_sources_keep_the_rule(rule):
     bad = [hit for path in SOURCES for hit in rule(tree_of(path), path)]
     assert bad == []
@@ -105,6 +121,8 @@ def test_package_sources_keep_the_rule(rule):
     (float_divisions, "def f(a, p):\n    return a[0] / p\n"),
     (float_divisions, "def f(x):\n    x /= 2\n    return x\n"),
     (float_divisions, "y = Fraction(1) * 3 / 4\n"),
+    (span_echelon_reads, "basis = [row for _, row in span.echelon]\n"),
+    (span_echelon_reads, "def f(span, c):\n    return c in span._pivots\n"),
 ])
 def test_each_rule_catches_a_violation(rule, source):
     path = Path("example.py")
@@ -119,10 +137,18 @@ def test_rules_pass_clean_code():
               "y = Fraction(x) / 3 + _F1 / x - x // 2\n")
     tree, path = ast.parse(source), Path("example.py")
     assert not asserts(tree, path) + broad_handlers(tree, path) \
-        + unused_imports(tree, path) + float_divisions(tree, path)
+        + unused_imports(tree, path) + float_divisions(tree, path) \
+        + span_echelon_reads(tree, path)
 
 
 def test_the_float_side_may_divide():
     tree = ast.parse("def f(a, p):\n    return a / p\n")
     assert float_divisions(tree, Path("example.py"))
     assert not float_divisions(tree, Path("classical.py"))
+
+
+def test_only_the_span_module_reads_the_echelon():
+    tree = ast.parse("def f(span, c):\n    return span.rows[span._pivots[c]]\n")
+    assert span_echelon_reads(tree, Path("rieffel.py"))
+    assert not span_echelon_reads(tree, Path("tensor.py"))
+    assert "_pivots" in SPAN_ECHELON

@@ -282,9 +282,8 @@ def test_compact_gl_k_matches_dense_oracle(k, M, m):
 
 
 def test_restrict_by_leaders_rejects_an_operator_leaving_the_span():
-    echelon = T.ReducedSpan([{0: Fraction(1), 2: Fraction(3)},
-                             {1: Fraction(1)}]).echelon
-    assert [piv for piv, _ in echelon] == [0, 1]
+    span = T.ReducedSpan([{0: Fraction(1), 2: Fraction(3)}, {1: Fraction(1)}])
+    assert span.rows == [{0: 1, 2: 3}, {1: 1}]  # pivots 0 and 1
 
     basis = T.IndexedBasis(range(2))
 
@@ -295,10 +294,10 @@ def test_restrict_by_leaders_rejects_an_operator_leaving_the_span():
         return [(c + 1, Fraction(1))]
 
     with pytest.raises(ShapeMismatch):
-        T.restrict_by_leaders(swap, echelon, basis)
+        span.restrict_by_leaders(swap, basis)
     with pytest.raises(ShapeMismatch):
-        T.restrict_by_leaders(shift, echelon, basis)
-    same = T.restrict_by_leaders(lambda c: [(c, Fraction(1))], echelon, basis)
+        span.restrict_by_leaders(shift, basis)
+    same = span.restrict_by_leaders(lambda c: [(c, Fraction(1))], basis)
     assert bf.dense_matrix(same) == [[1, 0], [0, 1]]
 
 

@@ -206,7 +206,9 @@ def test_reduced_span_and_kernel_against_dense_oracle(system):
     for row in rows:
         for vec in kern:
             assert sum(v * vec.get(c, 0) for c, v in row.items()) == 0
-    pivots = [piv for piv, _ in span.echelon]
+    # the pivot index names every row exactly once, in insertion order
+    pivots = list(span._pivots)
+    assert list(span._pivots.values()) == list(range(len(span.rows)))
     free = [c for c in range(ncols) if c not in pivots]
     assert len(free) == len(kern)
     for c, vec in zip(free, kern):
@@ -214,7 +216,7 @@ def test_reduced_span_and_kernel_against_dense_oracle(system):
     rref = {next(c for c, x in enumerate(r) if x): r
             for r in bf.dense_rref(dense(rows, ncols), ncols)}
     assert sorted(pivots) == sorted(rref)
-    for piv, row in span.echelon:
+    for piv, row in zip(pivots, span.rows):
         # integer and primitive, positive at its own pivot, 0 at the others
         assert all(type(v) is int for v in row.values())
         assert math.gcd(*row.values()) == 1 and row[piv] > 0
@@ -223,7 +225,7 @@ def test_reduced_span_and_kernel_against_dense_oracle(system):
         # divided by its pivot entry, the row of the (unique) dense RREF
         assert [Fraction(row.get(c, 0), row[piv]) for c in range(ncols)] \
             == rref[piv]
-    assert T.spans_agree([row for _, row in span.echelon], rows)
+    assert T.spans_agree(span.rows, rows)
 
 
 @st.composite
