@@ -1,8 +1,10 @@
 """Graded polynomial models with commuting Lie-algebra actions.
 
 The compact model is the polynomial algebra on a k x M matrix of
-variables x[i,a]; gl(k) acts along rows, gl(M) along columns, and both
-actions are built here as exact sparse operators on each graded piece.
+variables x[i,a]; gl(k) acts along rows, gl(M) along columns.  Each
+generator is described once, by the image terms that ``FockModel.images``
+reads off a monomial's exponent label; solves read them on the monomials
+they visit, and only the bracket smoke check builds whole-piece matrices.
 
 The indefinite (oscillator) model adjoins a k x N block y[i,b].  The
 gl(k) action twists by the dual on the y block; the middle-algebra
@@ -47,15 +49,12 @@ def _convention_constants(k: int, M: int, N: int, convention: str):
 
 @dataclass
 class LieActionSet:
-    """Generator matrices on one graded piece (and off it, for the
-    bidegree-shifting blocks)."""
+    """The gl(k), gl(M) and gl(N) generator matrices on one graded piece."""
 
     piece: tuple[int, int]
     gl_k: dict[tuple[int, int], ExactOperator]
     gl_m: dict[tuple[int, int], ExactOperator]
     gl_n: dict[tuple[int, int], ExactOperator]
-    raisers: dict[tuple[int, int], ExactOperator]
-    lowerers: dict[tuple[int, int], ExactOperator]
 
     def bracket_failures(self) -> list[str]:
         """Exact check of the gl relations and cross-commutation on this
@@ -86,7 +85,7 @@ def _image(lab, terms):
 
 @dataclass
 class FockModel:
-    """Polynomial model with exact generator matrices per graded piece."""
+    """Polynomial model, graded piece by piece, with exact generator images."""
 
     k: int
     M: int
@@ -98,7 +97,6 @@ class FockModel:
     c_n: int | Fraction = field(init=False)
     _bases: dict = field(default_factory=dict, repr=False)
     _blocks: dict = field(default_factory=dict, repr=False)
-    _actions: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.k <= 0 or self.M <= 0 or self.N < 0 or self.degree < 0:
@@ -153,108 +151,91 @@ class FockModel:
             for q in range(self.degree + 1 - p)
         ]
 
-    # operators --------------------------------------------------------------
+    # generators -------------------------------------------------------------
 
-    def _first_order(self, piece, terms, const=0) -> ExactOperator:
-        """sum of coeff * x_u d/d x_v plus a scalar, within one piece."""
-        b = self.basis(*piece)
-        op = ExactOperator(b, b)
-        if const:
-            for i in range(len(b)):
-                op.data[(i, i)] = const
-        for col, lab in enumerate(b.labels):
-            for tgt, v in _image(lab, terms):
-                op.add_entry(b.ordinal(tgt), col, v)
+    _SHIFT = {"raise": 1, "lower": -1}  # bidegree shift of the x-y blocks
+
+    def images(self, family: str, a: int, b: int, piece):
+        """Image terms o -> [(target ordinal, value)] of one generator on
+        the monomials of a piece, read off their labels.  ``family`` "k",
+        "m" or "n" is E_ab of gl(k), gl(M) or gl(N), first order plus the
+        convention constant on the diagonal; "raise" is multiplication by
+        sum_i x[i,a] y[i,b], into bidegree (p+1, q+1), and "lower" is
+        sum_i d2/(dx[i,a] dy[i,b]), into (p-1, q-1)."""
+        p, q = piece
+        shift = self._SHIFT.get(family, 0)
+        labels = self.basis(p, q).labels
+        ordinal = self.basis(p + shift, q + shift).ordinal
+        k, M, N, x, y = self.k, self.M, self.N, self.xvar, self.yvar
+        if shift:
+            pairs = [(x(i, a), y(i, b)) for i in range(k)]
+
+            def image(o):
+                lab, out = labels[o], []
+                for u, w in pairs:
+                    value = 1 if shift > 0 else lab[u] * lab[w]
+                    if value:
+                        tgt = list(lab)
+                        tgt[u] += shift
+                        tgt[w] += shift
+                        out.append((ordinal(tuple(tgt)), value))
+                return out
+            return image
+        if family == "k":  # the dual on the y block
+            terms = [(1, x(a, c), x(b, c)) for c in range(M)] \
+                + [(-1, y(b, c), y(a, c)) for c in range(N)]
+        elif family == "m":
+            terms = [(1, x(i, a), x(i, b)) for i in range(k)]
+        else:  # gl(N) acts on y contragrediently
+            terms = [(-1, y(i, b), y(i, a)) for i in range(k)]
+        const = {"k": self.c_k, "m": self.c_m, "n": self.c_n}[family]
+
+        def image(o):
+            out = [(ordinal(t), v) for t, v in _image(labels[o], terms)]
+            if a == b and const:
+                out.append((o, const))
+            return out
+        return image
+
+    def _operator(self, family: str, a: int, b: int, piece) -> ExactOperator:
+        """The generator's matrix, from its images over every column."""
+        p, q = piece
+        shift = self._SHIFT.get(family, 0)
+        op = ExactOperator(self.basis(p, q),
+                           self.basis(p + shift, q + shift))
+        image = self.images(family, a, b, piece)
+        for col in range(len(op.domain)):
+            for row, v in image(col):
+                op.add_entry(row, col, v)
         return op
-
-    def k_terms(self, i: int, j: int) -> list[tuple[int, int, int]]:
-        """First-order terms (coeff, u, v) of the gl(k) generator E_ij."""
-        return ([(1, self.xvar(i, a), self.xvar(j, a)) for a in range(self.M)]
-                + [(-1, self.yvar(j, b), self.yvar(i, b))
-                   for b in range(self.N)])
-
-    def m_terms(self, a: int, b: int) -> list[tuple[int, int, int]]:
-        """First-order terms (coeff, u, v) of the gl(M) generator E_ab."""
-        return [(1, self.xvar(i, a), self.xvar(i, b)) for i in range(self.k)]
 
     def gl_k_op(self, i: int, j: int, piece) -> ExactOperator:
-        key = ("k", i, j, piece)
-        if key not in self._actions:
-            self._actions[key] = self._first_order(
-                piece, self.k_terms(i, j), self.c_k if i == j else 0)
-        return self._actions[key]
+        return self._operator("k", i, j, piece)
 
     def gl_m_op(self, a: int, b: int, piece) -> ExactOperator:
-        key = ("m", a, b, piece)
-        if key not in self._actions:
-            self._actions[key] = self._first_order(
-                piece, self.m_terms(a, b), self.c_m if a == b else 0)
-        return self._actions[key]
+        return self._operator("m", a, b, piece)
 
     def gl_n_op(self, b: int, c: int, piece) -> ExactOperator:
-        key = ("n", b, c, piece)
-        if key not in self._actions:
-            terms = [(-1, self.yvar(i, c), self.yvar(i, b))
-                     for i in range(self.k)]
-            self._actions[key] = self._first_order(
-                piece, terms, self.c_n if b == c else 0)
-        return self._actions[key]
+        return self._operator("n", b, c, piece)
 
     def raiser_op(self, a: int, b: int, piece) -> ExactOperator:
-        """Multiplication by sum_i x[i,a] y[i,b]; maps into (p+1, q+1)."""
-        p, q = piece
-        dom = self.basis(p, q)
-        cod = self.basis(p + 1, q + 1)
-        op = ExactOperator(dom, cod)
-        for col, lab in enumerate(dom.labels):
-            for i in range(self.k):
-                tgt = list(lab)
-                tgt[self.xvar(i, a)] += 1
-                tgt[self.yvar(i, b)] += 1
-                op.add_entry(cod.ordinal(tuple(tgt)), col, 1)
-        return op
+        return self._operator("raise", a, b, piece)
 
     def lowerer_op(self, a: int, b: int, piece) -> ExactOperator:
-        """sum_i d2/(dx[i,a] dy[i,b]); maps into (p-1, q-1)."""
-        p, q = piece
-        dom = self.basis(p, q)
-        cod = self.basis(p - 1, q - 1)
-        op = ExactOperator(dom, cod)
-        for col, lab in enumerate(dom.labels):
-            for i in range(self.k):
-                ex = lab[self.xvar(i, a)]
-                ey = lab[self.yvar(i, b)]
-                if ex and ey:
-                    tgt = list(lab)
-                    tgt[self.xvar(i, a)] -= 1
-                    tgt[self.yvar(i, b)] -= 1
-                    op.add_entry(cod.ordinal(tuple(tgt)), col, ex * ey)
-        return op
+        return self._operator("lower", a, b, piece)
 
     def action_set(self, piece) -> LieActionSet:
+        """The gl generator matrices on one piece, for the bracket check."""
         gl_k = {(i, j): self.gl_k_op(i, j, piece)
                 for i in range(self.k) for j in range(self.k)}
         gl_m = {(a, b): self.gl_m_op(a, b, piece)
                 for a in range(self.M) for b in range(self.M)}
         gl_n = {(b, c): self.gl_n_op(b, c, piece)
                 for b in range(self.N) for c in range(self.N)}
-        raisers = {}
-        lowerers = {}
-        if self.N:
-            p, q = piece
-            if p + q + 2 <= self.degree:
-                raisers = {(a, b): self.raiser_op(a, b, piece)
-                           for a in range(self.M) for b in range(self.N)}
-            if p and q:
-                lowerers = {(a, b): self.lowerer_op(a, b, piece)
-                            for a in range(self.M) for b in range(self.N)}
-        return LieActionSet(piece, gl_k, gl_m, gl_n, raisers, lowerers)
+        return LieActionSet(piece, gl_k, gl_m, gl_n)
 
     def release(self, piece) -> None:
-        """Drop the cached generator operators and weight blocks of one
-        piece; a later call builds them again."""
-        for key in [key for key in self._actions if key[-1] == piece]:
-            del self._actions[key]
+        """Drop the weight blocks of one piece; a later call rebuilds them."""
         self._blocks.pop(piece, None)
 
     # weights ----------------------------------------------------------------
@@ -327,40 +308,47 @@ class HighestWeightVector:
     vector: dict[int, int | Fraction]
 
 
+def raising_images(model: FockModel, piece) -> list:
+    """Image maps of the raising operators on a piece: E_ab (a < b) of
+    gl(k), gl(M) and gl(N), and for the indefinite model the lowerers."""
+    maps = [model.images(family, a, b, piece) for family, rank in
+            (("k", model.k), ("m", model.M), ("n", model.N))
+            for a in range(rank) for b in range(a + 1, rank)]
+    if model.N and piece[0] and piece[1]:
+        maps += [model.images("lower", a, b, piece)
+                 for a in range(model.M) for b in range(model.N)]
+    return maps
+
+
 def joint_highest_weight_vectors(model: FockModel,
                                  piece) -> list[HighestWeightVector]:
     """Exact basis of the joint kernel of all raising operators in the
-    graded piece, solved weight block by weight block.
+    graded piece, solved on its dominant weight blocks only.
+
+    The piece is a finite-dimensional module of gl(k) + gl(M) + gl(N),
+    and the raising maps send each weight block to other blocks, so the
+    joint kernel is the sum of its parts in the blocks.  A weight vector
+    killed by E_{i,i+1} is a highest weight vector of a finite-dimensional
+    module of that sl(2), so its weight is non-negative on
+    E_ii - E_{i+1,i+1}.  A vector killed by every raising operator
+    therefore has a dominant weight, and every other block has an empty
+    kernel.  In ``weight_key`` terms a block is dominant when the k rows
+    and the x column sums are non-increasing and the y column sums are
+    non-decreasing, since gl(N) acts contragrediently: its weight is
+    -nw + c_n.
 
     For the indefinite model the second-order lowering operators are
     included, so the result enumerates the new lowest K-type highest
     weight vectors rather than every K-highest vector.
     """
-    ops: list[ExactOperator] = []
-    for i in range(model.k):
-        for j in range(i + 1, model.k):
-            ops.append(model.gl_k_op(i, j, piece))
-    for a in range(model.M):
-        for bb in range(a + 1, model.M):
-            ops.append(model.gl_m_op(a, bb, piece))
-    for bb in range(model.N):
-        for c in range(bb + 1, model.N):
-            ops.append(model.gl_n_op(bb, c, piece))
-    p, q = piece
-    if model.N and p and q:
-        for a in range(model.M):
-            for bb in range(model.N):
-                ops.append(model.lowerer_op(a, bb, piece))
-
-    maps = [op.terms() for op in ops]
-
+    maps = raising_images(model, piece)
     out: list[HighestWeightVector] = []
     for key, members in sorted(model.weight_blocks(piece).items()):
-        kern = block_kernel(members, maps)
-        if not kern:
-            continue
-        kw, mw, nw = model.dressed_weights(key)
-        out += [HighestWeightVector(piece, kw, mw, nw, vec) for vec in kern]
+        if all(x >= y for w in (key[0], key[1], [-v for v in key[2]])
+               for x, y in zip(w, w[1:])):
+            kw, mw, nw = model.dressed_weights(key)
+            out += [HighestWeightVector(piece, kw, mw, nw, vec)
+                    for vec in block_kernel(members, maps)]
     return out
 
 
@@ -486,8 +474,7 @@ def weyl_commutant_dim(model: FockModel, n: int) -> int:
     read off the monomial labels of the dominant blocks only.
     """
     k, M = model.k, model.M
-    basis = model.basis(n, 0)
-    labels = basis.labels
+    labels = model.basis(n, 0).labels
     blocks = model.weight_blocks((n, 0))
 
     def permuted(lab, rows, cols):  # x[rows[i], cols[a]] moves to x[i, a]
@@ -530,14 +517,13 @@ def weyl_commutant_dim(model: FockModel, n: int) -> int:
             pos[o] = at[permuted(labels[o], rows, cols)]
             home[o] = table[pos[o]]
 
-    roots = [model.k_terms(i, j) for i, j in permutations(range(k), 2)]
-    roots += [model.m_terms(a, b) for a, b in permutations(range(M), 2)]
+    roots = [model.images(family, a, b, (n, 0))
+             for family, rank in (("k", k), ("m", M))
+             for a, b in permutations(range(rank), 2)]
 
     def equations():
-        for terms in roots:
-            image = {o: [(basis.ordinal(t), v)
-                         for t, v in _image(labels[o], terms)]
-                     for o in dominant}
+        for root in roots:
+            image = {o: root(o) for o in dominant}
             yield from commutator_rows(image.__getitem__, reps,
                                        block_of.__getitem__,
                                        lambda r, c: home[r][pos[c]])

@@ -10,16 +10,18 @@ replaced by exact linear algebra over rationals.
 indefinite-signature case, where the analytic pairing is not available:
 an inducing weight is matched against the joint label list of the
 oscillator model, a match selects the lowest compact-type block of the
-corresponding highest-weight module, and a failed match certifies that
-the induced space is empty.  Emptiness is a value, not an error.
+corresponding highest-weight module, solved on its one weight block, and
+a failed match certifies that the induced space is empty.  Emptiness is
+a value, not an error.
 
 The exact linear algebra is shared with ``tensor``: the invariants, and
 the Casimir kernel that cross-checks them, are ``block_kernel`` solves
-over the weight blocks of (Fock piece) x irrep, with each generator given
-by its image terms.  Every module basis is the ``rows`` of one
-``ReducedSpan``, and the restricted actions on it (the inducing irrep's
-gl(M), an induced module's gl(k)) are ``ExactOperator``s read off by that
-span's ``restrict_by_leaders``.
+over the weight blocks of (Fock piece) x irrep.  Each Fock generator is
+given by the image terms ``FockModel.images`` reads off monomial labels,
+the irrep's by its restricted operator.  Every module basis is the
+``rows`` of one ``ReducedSpan``, and the restricted actions on it (the
+inducing irrep's gl(M), an induced module's gl(k)) are
+``ExactOperator``s read off by that span's ``restrict_by_leaders``.
 """
 
 from __future__ import annotations
@@ -27,11 +29,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from . import weights as W
 from .errors import InvariantBroken, ShapeMismatch, TooLarge
 from .fock import FockModel, build_compact_model, build_oscillator_model, \
-    joint_highest_weight_vectors, strict_signed_pairs
+    raising_images, strict_signed_pairs
 from .tensor import ExactOperator, IndexedBasis, ReducedSpan, \
     block_kernel, gl_commutant_dim, gl_relation_failures, gl_tensor_action, \
     gram_matrix, linear_image, spans_agree, \
@@ -81,18 +84,18 @@ def _module_basis(d: int) -> IndexedBasis:
 # inducing irreps of the compact middle group
 
 
-@dataclass
+@dataclass(frozen=True)
 class InducingIrrep:
     """Irreducible U(M) module realized inside a tensor power.
 
     ``basis`` holds exact vectors in word coordinates (words form an
     orthonormal basis of the ambient tensor power); each basis vector has
-    a definite weight, recorded in ``basis_weights``.
+    a definite weight, recorded in ``basis_weights``.  One instance serves
+    every caller with the same label, so no caller changes it.
     """
 
     m: tuple[int, ...]
     M: int
-    word_basis: IndexedBasis
     basis: list[dict[int, Fraction]]
     basis_weights: list[tuple[int, ...]]
     action: dict[tuple[int, int], ExactOperator]
@@ -116,18 +119,17 @@ def _word_weight(word, M) -> tuple[int, ...]:
 def build_inducing_irrep(m, M: int) -> InducingIrrep:
     """Realize the U(M) irrep with the given highest weight as the image
     of a Young symmetrizer inside the tensor power of the defining rep,
-    with the derived gl(M) action restricted to it."""
-    shape = W.partition(m)
+    with the derived gl(M) action restricted to it.  Each irrep is built
+    once per (partition, M) and shared."""
+    return _inducing_irrep(W.partition(m), M)
+
+
+@cache
+def _inducing_irrep(shape: tuple[int, ...], M: int) -> InducingIrrep:
     if len(shape) > M:
         raise ShapeMismatch(f"label {shape} has more than {M} rows")
     n = sum(shape)
     wb = IndexedBasis.tensor_power(M, n)
-    if n == 0:
-        zero = ExactOperator.zero(_module_basis(1))
-        return InducingIrrep((), M, wb, [{0: _F1}], [(0,) * M],
-                             {(a, b): zero  # gl(M) kills the trivial module
-                              for a in range(M) for b in range(M)}, 0)
-
     sym = young_symmetrizer(shape, M)
     # image basis: one span, fed one weight (content) class at a time; the
     # classes have disjoint supports, so every reduced row is a weight
@@ -161,7 +163,7 @@ def build_inducing_irrep(m, M: int) -> InducingIrrep:
         for b in range(a + 1, M):
             if ops[(a, b)].apply({highest: _F1}):
                 raise InvariantBroken("highest vector not annihilated")
-    return InducingIrrep(shape, M, wb, span.rows, basis_weights, ops, highest)
+    return InducingIrrep(shape, M, span.rows, basis_weights, ops, highest)
 
 
 # ---------------------------------------------------------------------------
@@ -267,16 +269,15 @@ def _compact_blocks(model: FockModel, piece, irrep: InducingIrrep,
     return blocks
 
 
-def _on_fock(op: ExactOperator):
-    """Image terms of op x 1 on the keys (f, h) of (Fock piece) x irrep."""
-    fock = op.terms()
-    return lambda key: [((r, key[1]), v) for r, v in fock(key[0])]
+def _on_fock(image):
+    """Image terms of X x 1 on the keys (f, h), from those of X on f."""
+    return lambda key: [((r, key[1]), v) for r, v in image(key[0])]
 
 
 def _diagonal_terms(model: FockModel, piece, irrep: InducingIrrep, a, b):
     """Image terms of the diagonal action D(E_ab) = E_ab x 1 - 1 x E_ab^T
     on the keys (f, h)."""
-    fock = _on_fock(model.gl_m_op(a, b, piece))
+    fock = _on_fock(model.images("m", a, b, piece))
     dual = (-irrep.action[(a, b)]).transpose().terms()
     return lambda key: fock(key) + [((key[0], rh), v)
                                     for rh, v in dual(key[1])]
@@ -360,7 +361,7 @@ def induce_compact(k: int, M: int, m, cross_check: bool = False) -> InducedModul
     basis = span.rows
     mb = _module_basis(len(basis))
     gl_k = {(i, j): span.restrict_by_leaders(
-                _on_fock(model.gl_k_op(i, j, piece)), mb)
+                _on_fock(model.images("k", i, j, piece)), mb)
             for i in range(k) for j in range(k)}
     # a row's gl(k) weight is that of any monomial f of its keys (f, h)
     hw = max(model.weight_key(fb.label(next(iter(row))[0]))[0]
@@ -415,7 +416,10 @@ def induce_noncompact_graded(k: int, M: int, N: int, inducing_weight,
                              d: int) -> InducedModule | Empty:
     """Match an inducing weight against the joint label list of the
     oscillator model; build the lowest compact-type block on a match,
-    certify emptiness otherwise.
+    certify emptiness otherwise.  A match names one weight block: the
+    realized label for gl(k), the inducing weight for gl(M) + gl(N).  Its
+    joint kernel of the raising maps must be one vector, which the gl(k)
+    lowering operators then span out.
 
     The plainly quantized labels all have the block form
     (m_1 + k, ..., m_M + k, -n_N, ..., -n_1) with partitions m, n whose
@@ -455,20 +459,20 @@ def induce_noncompact_graded(k: int, M: int, N: int, inducing_weight,
         raise TooLarge(f"candidate bidegree ({p}, {q}) exceeds window {d}")
     model = build_oscillator_model(k, M, N, max(d, p + q), validate=False)
     piece = (p, q)
-    target = None
-    for h in joint_highest_weight_vectors(model, piece):
-        km = tuple(int(x) for x in h.k_weight)
-        if km == W.SignedWeight(
-                W.partition(m_cand), W.partition(n_cand)).realize(k):
-            target = h
-            break
-    if target is None:
-        raise InvariantBroken("label list out of sync with the kernel solve")
+    hw = W.SignedWeight(W.partition(m_cand), W.partition(n_cand)).realize(k)
+    key = (tuple(x - model.c_k for x in hw),
+           tuple(x - model.c_m for x in a_blk),
+           tuple(model.c_n - x for x in b_blk))
+    kernel = block_kernel(model.weight_blocks(piece).get(key, []),
+                          raising_images(model, piece))
+    if len(kernel) != 1:
+        raise InvariantBroken(f"block {key} of bidegree {piece} has "
+                              f"{len(kernel)} highest weight vectors, not 1")
 
     fb = model.basis(*piece)
-    lowers = [model.gl_k_op(i + 1, i, piece).terms() for i in range(k - 1)]
-    span = ReducedSpan([target.vector])
-    queue = [target.vector]
+    lowers = [model.images("k", i + 1, i, piece) for i in range(k - 1)]
+    span = ReducedSpan(kernel)
+    queue = kernel
     while queue:
         v = queue.pop()
         for terms in lowers:
@@ -479,13 +483,12 @@ def induce_noncompact_graded(k: int, M: int, N: int, inducing_weight,
     basis = span.rows
     mb = _module_basis(len(basis))
     gl_k = {(i, j): span.restrict_by_leaders(
-                model.gl_k_op(i, j, piece).terms(), mb)
+                model.images("k", i, j, piece), mb)
             for i in range(k) for j in range(k)}
     fock_norms = [Fraction(_fock_norm_sq(lab)) for lab in fb.labels]
     return _checked_module(
         f"bidegree {piece} polynomials on {k}x({M}+{N})", k, dict(inputs),
-        basis, gl_k, tuple(int(x) for x in target.k_weight),
-        gram_matrix(basis, fock_norms))
+        basis, gl_k, hw, gram_matrix(basis, fock_norms))
 
 
 def _partitions_within(rows: int, total: int):

@@ -14,10 +14,12 @@ to an invariant span (its ``restrict_by_leaders``) all come from it, and
 divide only at the output, by the pivot entries.
 
 Linear maps given by their image terms (basis key -> (target, value)
-pairs; ``ExactOperator.terms`` is the column index in that form) have
-two shared consumers: ``linear_image`` extends such a map linearly to a
-sparse vector, and ``block_kernel`` solves the joint kernel of several
-of them on one block of basis keys, with one ``kernel_basis`` call.
+pairs) have two shared consumers: ``linear_image`` extends such a map
+linearly to a sparse vector, and ``block_kernel`` solves the joint
+kernel of several of them on one block of basis keys, with one
+``kernel_basis`` call.  The Fock generators come in that form straight
+from ``fock.FockModel.images``; ``ExactOperator.terms`` is an operator's
+column index in that form.
 
 The symmetric-group material (slot permutations, central projectors,
 row/column symmetrizers, commutants) lives here too, since those
@@ -238,32 +240,6 @@ class ExactOperator:
     def rank(self) -> int:
         return len(ReducedSpan(self.rows()))
 
-    # serialization ----------------------------------------------------------
-
-    def to_triplet_text(self) -> str:
-        """Documented dump format: header 'dims R C', then one line
-        'row col num/den' per nonzero, sorted by (row, col)."""
-        lines = [f"dims {len(self.codomain)} {len(self.domain)}"]
-        for (r, c) in sorted(self.data):
-            v = self.data[(r, c)]
-            lines.append(f"{r} {c} {v.numerator}/{v.denominator}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_triplet_text(cls, text: str, domain: IndexedBasis,
-                          codomain: IndexedBasis) -> "ExactOperator":
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        head = lines[0].split()
-        if head[0] != "dims" or int(head[1]) != len(codomain) or int(head[2]) != len(domain):
-            raise ValueError("triplet header does not match the bases")
-        op = cls(domain, codomain)
-        for ln in lines[1:]:
-            r, c, val = ln.split()
-            num, den = val.split("/")
-            op.add_entry(int(r), int(c), Fraction(int(num), int(den)))
-        return op
-
-
 # ---------------------------------------------------------------------------
 # exact elimination
 
@@ -464,11 +440,6 @@ def spans_agree(a, b) -> bool:
 # permutations
 
 
-def perm_compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """a after b."""
-    return tuple(a[b[i]] for i in range(len(a)))
-
-
 def perm_inverse(a: tuple[int, ...]) -> tuple[int, ...]:
     out = [0] * len(a)
     for i, v in enumerate(a):
@@ -514,30 +485,6 @@ def gl_tensor_action(i: int, j: int, k: int, n: int,
 @cache
 def _character_by_type(shape: tuple[int, ...], n: int) -> dict[tuple[int, ...], int]:
     return {mu: W.sn_character(shape, mu) for mu in W.partitions_of(n)}
-
-
-def isotypic_projector(shape, k: int,
-                       basis: IndexedBasis | None = None) -> ExactOperator:
-    """Central projector (f/n!) * sum_sigma chi(sigma) sigma on the tensor
-    power, built by accumulating slot permutations."""
-    lam = W.partition(shape)
-    n = sum(lam)
-    b = basis or IndexedBasis.tensor_power(k, n)
-    if math.factorial(n) * len(b) > 512 * BASIS_CAP:
-        raise TooLarge(f"projector accumulation for n={n}, dim={len(b)} refused")
-    chi = _character_by_type(lam, n)
-    f = W.sn_dim(lam)
-    scale = Fraction(f, math.factorial(n))
-    op = ExactOperator(b, b)
-    for sigma in permutations(range(n)):
-        c = chi[W.perm_cycle_type(sigma)]
-        if c == 0:
-            continue
-        inv = perm_inverse(sigma)
-        for col, lab in enumerate(b.labels):
-            tgt = tuple(lab[inv[p]] for p in range(n))
-            op.add_entry(b.ordinal(tgt), col, scale * c)
-    return op
 
 
 def _row_filling(shape) -> list[list[int]]:

@@ -1,10 +1,10 @@
 """Partition and weight combinatorics.
 
 Dimensions and characters of symmetric-group and unitary-group irreps,
-the symmetric-function inner product, branching to a smaller rank, and
-the half-integer weight shifts that relate plainly quantized labels to
-their metaplectically corrected counterparts.  Everything in this module
-is exact integer or half-integer arithmetic; no floats.
+Kostka numbers, paired dimension sums, and the half-integer weight
+shifts that relate plainly quantized labels to their metaplectically
+corrected counterparts.  Everything in this module is exact integer or
+half-integer arithmetic; no floats.
 
 Partitions are plain tuples of weakly decreasing nonnegative ints with
 trailing zeros stripped.  Half-integer weights store doubled entries so
@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import permutations
 from typing import Iterable, Iterator, Sequence
 
 from .errors import EmptyShape, InvariantBroken, NotRenormalizable, \
@@ -176,17 +175,6 @@ def _murnaghan_nakayama(lam: Partition, mu: Partition) -> int:
     return total
 
 
-def cycle_type_class_size(cycle_type: Partition) -> int:
-    """Size of the S_n conjugacy class with the given cycle type."""
-    mu = partition(cycle_type)
-    n = sum(mu)
-    z = 1
-    for part in set(mu):
-        a = mu.count(part)
-        z *= part**a * math.factorial(a)
-    return math.factorial(n) // z
-
-
 def perm_cycle_type(p: Sequence[int]) -> Partition:
     """Cycle lengths of a permutation of range(n), largest first."""
     seen = [False] * len(p)
@@ -209,7 +197,7 @@ def perm_sign(p: Sequence[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Kostka numbers and the Hall pairing
+# Kostka numbers
 
 
 def kostka(shape: Partition, content: Sequence[int]) -> int:
@@ -262,45 +250,6 @@ def _horizontal_strip_removals(lam: Partition, size: int) -> Iterator[Partition]
         yield partition(tail)
 
 
-def _complete_homogeneous_expansion(mu: Partition) -> dict[Partition, int]:
-    """Expand an irreducible-character symmetric function over the complete
-    homogeneous basis via the determinantal formula."""
-    ell = len(mu)
-    out: dict[Partition, int] = {}
-    for sigma in permutations(range(ell)):
-        sign = perm_sign(sigma)
-        idx = []
-        ok = True
-        for i in range(ell):
-            t = mu[i] - i + sigma[i]
-            if t < 0:
-                ok = False
-                break
-            if t > 0:
-                idx.append(t)
-        if not ok:
-            continue
-        key = tuple(sorted(idx, reverse=True))
-        out[key] = out.get(key, 0) + sign
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def hall_inner(lam_shape: Partition, mu_shape: Partition) -> int:
-    """Inner product of two Schur functions, computed by expanding one into
-    monomials (tableau contents) and the other over the dual basis of the
-    monomial basis, then pairing coefficientwise."""
-    lam = partition(lam_shape)
-    mu = partition(mu_shape)
-    if sum(lam) != sum(mu):
-        return 0
-    if not lam and not mu:
-        return 1
-    total = 0
-    for beta, coeff in _complete_homogeneous_expansion(mu).items():
-        total += coeff * kostka(lam, beta)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # duality bookkeeping: paired dimension sums
 
@@ -350,33 +299,6 @@ def cauchy_check(k: int, M: int, n: int) -> CauchyReport:
         total += dk * dm
     expected = math.comb(k * M + n - 1, n)
     return CauchyReport(k, M, n, tuple(terms), total, expected)
-
-
-# ---------------------------------------------------------------------------
-# branching
-
-
-def branch_restrict(shape: Partition, k: int) -> list[Partition]:
-    """Restriction of a U(k+1) irrep to U(k): all interlacing labels.
-
-    Returned most-dominant first.
-    """
-    lam = partition(shape)
-    if k <= 0:
-        raise ShapeMismatch(f"target rank must be positive, got {k}")
-    if len(lam) > k + 1:
-        raise ShapeMismatch(f"{lam} is not a U({k + 1}) label")
-    padded = lam + (0,) * (k + 1 - len(lam))
-
-    def rec(i: int) -> Iterator[tuple[int, ...]]:
-        if i == k:
-            yield ()
-            return
-        for m in range(padded[i], padded[i + 1] - 1, -1):
-            for rest in rec(i + 1):
-                yield (m,) + rest
-
-    return [partition(mu) for mu in rec(0)]
 
 
 # ---------------------------------------------------------------------------

@@ -3,17 +3,45 @@
 Everything here is deliberately naive: direct enumeration, dense linear
 algebra over Fractions or integers and one-sample-at-a-time float64
 loops, sized for tiny inputs.  The point is that none of it shares code paths with the
-package implementations it checks.
+package implementations it checks.  The one exception is
+``isotypic_projector``, the dense oracle for the projector family check,
+which builds a package operator from the package's characters.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import signal
 from fractions import Fraction
 from itertools import permutations, product
 
 import numpy as np
 from scipy.linalg import expm
+
+from howe_forge import tensor as T
+from howe_forge import weights as W
+
+EXAMPLE_LIMIT_S = 5  # a passing example takes milliseconds
+
+
+def time_bounded(test):
+    """Fail a test, or a Hypothesis example, that runs past
+    EXAMPLE_LIMIT_S: a broken elimination can grow its integers without
+    bound, and such a test would never return."""
+    def stop(signum, frame):
+        raise TimeoutError(f"example ran past {EXAMPLE_LIMIT_S} s")
+
+    @functools.wraps(test)
+    def run(*args, **kwargs):
+        old = signal.signal(signal.SIGALRM, stop)
+        signal.setitimer(signal.ITIMER_REAL, EXAMPLE_LIMIT_S)
+        try:
+            return test(*args, **kwargs)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, old)
+    return run
 
 
 def enumerate_ssyt(shape: tuple[int, ...], max_entry: int) -> list[tuple]:
@@ -208,6 +236,41 @@ def perm_cycle_type(p: tuple[int, ...]) -> tuple[int, ...]:
             ln += 1
         lens.append(ln)
     return tuple(sorted(lens, reverse=True))
+
+
+def perm_compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """a after b."""
+    return tuple(a[b[i]] for i in range(len(a)))
+
+
+def cycle_type_class_size(cycle_type: tuple[int, ...]) -> int:
+    """Size of the S_n conjugacy class with the given cycle type."""
+    z = 1
+    for part in set(cycle_type):
+        a = cycle_type.count(part)
+        z *= part**a * math.factorial(a)
+    return math.factorial(sum(cycle_type)) // z
+
+
+def isotypic_projector(shape, k: int, basis=None):
+    """Central projector (f/n!) * sum_sigma chi(sigma) sigma on the tensor
+    power, as a package ``ExactOperator`` built by accumulating slot
+    permutations one at a time."""
+    lam = W.partition(shape)
+    n = sum(lam)
+    b = basis or T.IndexedBasis.tensor_power(k, n)
+    chi = {mu: W.sn_character(lam, mu) for mu in W.partitions_of(n)}
+    scale = Fraction(W.sn_dim(lam), math.factorial(n))
+    op = T.ExactOperator(b, b)
+    for sigma in permutations(range(n)):
+        c = chi[perm_cycle_type(sigma)]
+        if c == 0:
+            continue
+        inv = [sigma.index(p) for p in range(n)]
+        for col, lab in enumerate(b.labels):
+            tgt = tuple(lab[inv[p]] for p in range(n))
+            op.add_entry(b.ordinal(tgt), col, scale * c)
+    return op
 
 
 def monomial_count(nvars: int, degree: int) -> int:

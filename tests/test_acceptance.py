@@ -79,7 +79,7 @@ def test_criterion_3_compact_induction():
                     for nw in wrong:
                         ok = ok and degree_selection_check(k, M, m, nw)["ok"]
     elapsed = time.monotonic() - t0
-    report(3, "compact induction grid", ok, elapsed, budget=120)
+    report(3, "compact induction grid", ok, elapsed, budget=30)
 
 
 def test_criterion_4_lowest_type_labels():
@@ -93,7 +93,7 @@ def test_criterion_4_lowest_type_labels():
                 ok = ok and all(d["unexplained"] == 0
                                 for d in rep.to_json()["bidegrees"])
     elapsed = time.monotonic() - t0
-    report(4, "lowest-type weight predictions", ok, elapsed, budget=180)
+    report(4, "lowest-type weight predictions", ok, elapsed, budget=10)
 
 
 def _label_collision(entries, k, M, N):
@@ -167,7 +167,7 @@ def test_criterion_5_graded_emptiness():
     ok = ok and empties == 94 and collisions == 8
     elapsed = time.monotonic() - t0
     report(5, f"graded emptiness ({empties} empty, {collisions} label "
-              "collisions)", ok, elapsed)
+              "collisions)", ok, elapsed, budget=10)
 
 
 def test_criterion_6_orbit_spectra():
@@ -223,4 +223,4 @@ def test_criterion_8_deterministic_reports():
     ok = (first.returncode == 0 and second.returncode == 0
           and first.stdout == second.stdout and len(first.stdout) > 0)
     elapsed = time.monotonic() - t0
-    report(8, "byte-identical verify-all reruns", ok, elapsed)
+    report(8, "byte-identical verify-all reruns", ok, elapsed, budget=30)

@@ -2,8 +2,9 @@
 ``assert`` statements (``python -O`` strips them, so invariants raise
 ``ForgeError`` subclasses instead), no bare ``except:`` or
 ``except Exception``, no unused imports, no true division that could
-make a float in the exact layers, and no module but ``tensor.py`` that
-reads the echelon of a ``ReducedSpan``."""
+make a float in the exact layers, no module but ``tensor.py`` that
+reads the echelon of a ``ReducedSpan``, and no Fock operator matrix
+outside ``FockModel.action_set``: solves read generator images."""
 
 import ast
 from pathlib import Path
@@ -21,6 +22,9 @@ SPAN_HOME = "tensor.py"
 # the span's private pivot index, and the (pivot, row) list it replaced
 SPAN_ECHELON = {"echelon"} | {
     name for name in ReducedSpan.__slots__ if name.startswith("_")}
+FOCK_OPS = {"gl_k_op", "gl_m_op", "gl_n_op", "raiser_op", "lowerer_op"}
+# the one caller of the matrix wrappers: the bracket smoke check
+OPS_HOME = ("fock.py", "FockModel", "action_set")
 
 
 def tree_of(path):
@@ -101,12 +105,28 @@ def span_echelon_reads(tree, path):
             if isinstance(n, ast.Attribute) and n.attr in SPAN_ECHELON]
 
 
+def fock_operator_calls(tree, path):
+    """References to the Fock matrix wrappers anywhere but in
+    ``FockModel.action_set`` of ``fock.py``."""
+    module, cls, method = OPS_HOME
+    home = set()
+    for node in ast.walk(tree) if path.name == module else ():
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == method:
+                    home.update(map(id, ast.walk(fn)))
+    return [f"{where(path, n)} .{n.attr}" for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and n.attr in FOCK_OPS
+            and id(n) not in home]
+
+
 def test_the_package_has_sources():
     assert PACKAGE / "tensor.py" in SOURCES
 
 
 @pytest.mark.parametrize("rule", [asserts, broad_handlers, unused_imports,
-                                  float_divisions, span_echelon_reads])
+                                  float_divisions, span_echelon_reads,
+                                  fock_operator_calls])
 def test_package_sources_keep_the_rule(rule):
     bad = [hit for path in SOURCES for hit in rule(tree_of(path), path)]
     assert bad == []
@@ -123,6 +143,8 @@ def test_package_sources_keep_the_rule(rule):
     (float_divisions, "y = Fraction(1) * 3 / 4\n"),
     (span_echelon_reads, "basis = [row for _, row in span.echelon]\n"),
     (span_echelon_reads, "def f(span, c):\n    return c in span._pivots\n"),
+    (fock_operator_calls,
+     "def solve(model, piece):\n    return model.raiser_op(0, 0, piece)\n"),
 ])
 def test_each_rule_catches_a_violation(rule, source):
     path = Path("example.py")
@@ -138,7 +160,7 @@ def test_rules_pass_clean_code():
     tree, path = ast.parse(source), Path("example.py")
     assert not asserts(tree, path) + broad_handlers(tree, path) \
         + unused_imports(tree, path) + float_divisions(tree, path) \
-        + span_echelon_reads(tree, path)
+        + span_echelon_reads(tree, path) + fock_operator_calls(tree, path)
 
 
 def test_the_float_side_may_divide():
@@ -152,3 +174,14 @@ def test_only_the_span_module_reads_the_echelon():
     assert span_echelon_reads(tree, Path("rieffel.py"))
     assert not span_echelon_reads(tree, Path("tensor.py"))
     assert "_pivots" in SPAN_ECHELON
+
+
+def test_only_the_bracket_check_builds_fock_operators():
+    source = ("class FockModel:\n"
+              "    def action_set(self, piece):\n"
+              "        return self.gl_k_op(0, 1, piece)\n"
+              "    def solve(self, piece):\n"
+              "        return self.gl_m_op(0, 1, piece)\n")
+    tree = ast.parse(source)
+    assert fock_operator_calls(tree, Path("fock.py")) == ["fock.py:5 .gl_m_op"]
+    assert len(fock_operator_calls(tree, Path("rieffel.py"))) == 2

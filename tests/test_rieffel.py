@@ -200,6 +200,20 @@ def test_emptiness_is_a_value_with_a_reason(k, M, N, weight, reason):
     assert js["dimension"] == 0
 
 
+@pytest.mark.parametrize("maps,count", [
+    (lambda model, piece: [], 2),  # x00 x11 and x01 x10 both survive
+    (lambda model, piece: [lambda o: [(o, 1)]], 0),  # nothing survives
+], ids=["no-raisers", "identity"])
+def test_graded_target_block_must_hold_one_vector(monkeypatch, maps, count):
+    """The target's weight block at bidegree (2, 0) holds two monomials;
+    the raisers leave one vector, other conditions leave 2 or 0, and then
+    the induction raises instead of picking one."""
+    assert induce_noncompact_graded(2, 2, 1, (3, 3, 0), 4).dimension == 1
+    monkeypatch.setattr(rieffel, "raising_images", maps)
+    with pytest.raises(InvariantBroken, match=f"has {count} highest weight"):
+        induce_noncompact_graded(2, 2, 1, (3, 3, 0), 4)
+
+
 def test_label_collision_weight_is_nonempty():
     """(2, 2, -2) is simultaneously a shifted two-block label and the
     realization of the one-sided label n = (2); the graded space at that

@@ -1,8 +1,6 @@
 """Exact operator algebra on tensor powers."""
 
-import functools
 import math
-import signal
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
@@ -20,26 +18,6 @@ from howe_forge.errors import TooLarge
 # The dense-oracle tests report the first failing system as found:
 # shrinking these elimination systems can run for minutes.
 NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
-EXAMPLE_LIMIT_S = 5  # a passing example takes milliseconds
-
-
-def time_bounded(test):
-    """Fail an example that runs past EXAMPLE_LIMIT_S: a broken elimination
-    can grow its integers without bound, and such an example would never
-    return."""
-    def stop(signum, frame):
-        raise TimeoutError(f"example ran past {EXAMPLE_LIMIT_S} s")
-
-    @functools.wraps(test)
-    def run(*args, **kwargs):
-        old = signal.signal(signal.SIGALRM, stop)
-        signal.setitimer(signal.ITIMER_REAL, EXAMPLE_LIMIT_S)
-        try:
-            return test(*args, **kwargs)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, old)
-    return run
 
 
 def small_perms(n):
@@ -111,17 +89,6 @@ def test_apply_matches_composition():
     assert s.apply(g.apply(vec)) == (s * g).apply(vec)
 
 
-def test_triplet_text_roundtrip():
-    b = T.IndexedBasis.tensor_power(2, 2)
-    op = T.gl_tensor_action(0, 1, 2, 2, basis=b)
-    text = op.to_triplet_text()
-    lines = text.strip().splitlines()
-    assert lines[0] == "dims 4 4"
-    assert lines[1:] == sorted(lines[1:])  # sorted by (row, col) textually stable here
-    back = T.ExactOperator.from_triplet_text(text, b, b)
-    assert back == op
-
-
 def dense(rows, ncols):
     out = []
     for row in rows:
@@ -180,7 +147,7 @@ def sparse_systems(draw):
 
 @settings(max_examples=300, deadline=None, phases=NO_SHRINK)
 @given(sparse_systems())
-@time_bounded
+@bf.time_bounded
 def test_rank_of_rows_against_dense_oracle(system):
     rows, ncols = system
     snapshot = [dict(r) for r in rows]
@@ -193,7 +160,7 @@ def test_rank_of_rows_against_dense_oracle(system):
 
 @settings(max_examples=300, deadline=None, phases=NO_SHRINK)
 @given(sparse_systems())
-@time_bounded
+@bf.time_bounded
 def test_reduced_span_and_kernel_against_dense_oracle(system):
     rows, ncols = system
     snapshot = [dict(r) for r in rows]
@@ -269,7 +236,7 @@ def dense_block_rows(images, members):
 
 @settings(max_examples=300, deadline=None, phases=NO_SHRINK)
 @given(block_systems())
-@time_bounded
+@bf.time_bounded
 def test_block_kernel_against_dense_oracle(system):
     images, members = system
     kern = T.block_kernel(members, [image.get for image in images])
@@ -289,7 +256,7 @@ def test_block_kernel_against_dense_oracle(system):
 
 @settings(max_examples=200, deadline=None, phases=NO_SHRINK)
 @given(block_systems(), st.data())
-@time_bounded
+@bf.time_bounded
 def test_linear_image_against_dense_product(system, data):
     images, members = system
     entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
@@ -341,7 +308,7 @@ def test_rank_of_rows_sparse_low_rank_product():
 def test_sn_action_multiplicative(s, t, k):
     bas = T.IndexedBasis.tensor_power(k, 3)
     lhs = T.sn_action(s, k, 3, basis=bas) * T.sn_action(t, k, 3, basis=bas)
-    assert lhs == T.sn_action(T.perm_compose(s, t), k, 3, basis=bas)
+    assert lhs == T.sn_action(bf.perm_compose(s, t), k, 3, basis=bas)
 
 
 @given(small_perms(4), st.integers(min_value=2, max_value=3))
@@ -369,7 +336,7 @@ def test_sn_action_commutes_with_gl():
 def test_projectors_idempotent_orthogonal_complete(n, k):
     bas = T.IndexedBasis.tensor_power(k, n)
     shapes = list(W.partitions_of(n))
-    projs = [T.isotypic_projector(lam, k, basis=bas) for lam in shapes]
+    projs = [bf.isotypic_projector(lam, k, basis=bas) for lam in shapes]
     total = T.ExactOperator.zero(bas, bas)
     for p in projs:
         assert p * p == p
@@ -382,16 +349,16 @@ def test_projectors_idempotent_orthogonal_complete(n, k):
 
 def test_projector_rank_frozen():
     # ranks are f^lambda * weyl_dim(lambda, k)
-    p = T.isotypic_projector((2, 1), 2)
+    p = bf.isotypic_projector((2, 1), 2)
     assert p.rank() == 4
-    p = T.isotypic_projector((1, 1, 1), 2)
+    p = bf.isotypic_projector((1, 1, 1), 2)
     assert p.is_zero()
 
 
 def test_projector_ranks_match_dimension_count():
     for n, k in [(3, 2), (4, 3)]:
         for lam in W.partitions_of(n):
-            got = T.isotypic_projector(lam, k).rank()
+            got = bf.isotypic_projector(lam, k).rank()
             assert got == W.sn_dim(lam) * W.weyl_dim(lam, k)
 
 
@@ -401,7 +368,7 @@ def test_projector_family_fast_path_agrees_with_exact_operators(n, k):
     assert rep["complete"] and rep["idempotent"] and rep["orthogonal"]
     assert set(rep["ranks"]) == set(W.partitions_of(n))
     for lam, rank in rep["ranks"].items():
-        assert rank == T.isotypic_projector(lam, k).rank()
+        assert rank == bf.isotypic_projector(lam, k).rank()
 
 
 @pytest.mark.parametrize("n,k", [(1, 1), (3, 5), (4, 2), (6, 4), (6, 6)])
@@ -442,7 +409,7 @@ def test_projector_family_check_refuses_past_the_int64_guard(monkeypatch):
 def test_projector_commutes_with_sn_and_gl():
     k, n = 2, 3
     bas = T.IndexedBasis.tensor_power(k, n)
-    p = T.isotypic_projector((2, 1), k, basis=bas)
+    p = bf.isotypic_projector((2, 1), k, basis=bas)
     for sigma in permutations(range(n)):
         s = T.sn_action(sigma, k, n, basis=bas)
         assert p * s == s * p
@@ -474,7 +441,7 @@ def test_young_symmetrizer_image_inside_isotypic_block():
     lam, k = (2, 1), 2
     bas = T.IndexedBasis.tensor_power(k, 3)
     c = T.young_symmetrizer(lam, k, basis=bas)
-    p = T.isotypic_projector(lam, k, basis=bas)
+    p = bf.isotypic_projector(lam, k, basis=bas)
     assert p * c == c
 
 
