@@ -256,15 +256,17 @@ def _compact_blocks(model: FockModel, piece, irrep: InducingIrrep,
     The diagonal generators are diagonal matrices with eigenvalue
     (column weight) - (irrep weight) per member, so any invariant vector
     is supported where that difference vanishes; ``zero_only`` keeps just
-    those blocks."""
-    zero = (0,) * model.M
+    those blocks, pairing each monomial only with the irrep vectors whose
+    weight is its column weight."""
+    weights = irrep.basis_weights
+    by_weight: dict[tuple, list[int]] = {}
+    for h, hwt in enumerate(weights):
+        by_weight.setdefault(hwt, []).append(h)
     blocks: dict[tuple, list[tuple[int, int]]] = {}
     for f, lab in enumerate(model.basis(*piece).labels):
         xrow, xcol, _ = model.weight_key(lab)
-        for h, hwt in enumerate(irrep.basis_weights):
-            diff = tuple(c - w for c, w in zip(xcol, hwt))
-            if zero_only and diff != zero:
-                continue
+        for h in by_weight.get(xcol, ()) if zero_only else range(len(weights)):
+            diff = tuple(c - w for c, w in zip(xcol, weights[h]))
             blocks.setdefault((xrow, diff), []).append((f, h))
     return blocks
 

@@ -377,8 +377,9 @@ def dense_matrix(op) -> list[list[Fraction]]:
 
 def dense_restriction(op_entries: dict, basis: list[dict]) -> list[list[Fraction]]:
     """Matrix X with B X = A B, where the columns of B are the basis
-    vectors and A is given by its (row, col) -> value entries; solved by
-    Gauss-Jordan elimination on the dense augmented matrix [B | A B].
+    vectors and A is given by its (row, col) -> value entries; A B is
+    summed entry by entry of A, then solved by Gauss-Jordan elimination on
+    the dense augmented matrix [B | A B].
 
     Entry [i][j] is coordinate i of the image of basis vector j.  Raises
     ValueError if the vectors are dependent or A leaves their span."""
@@ -395,11 +396,11 @@ def dense_restriction(op_entries: dict, basis: list[dict]) -> list[list[Fraction
     for j, vec in enumerate(basis):
         for c, v in vec.items():
             bmat[at[c]][j] = Fraction(v)
-    amat = [[Fraction(0)] * n for _ in range(n)]
+    ab = [[Fraction(0)] * d for _ in range(n)]
     for (r, c), v in op_entries.items():
-        amat[at[r]][at[c]] = Fraction(v)
-    ab = [[sum((amat[r][t] * bmat[t][j] for t in range(n)), Fraction(0))
-           for j in range(d)] for r in range(n)]
+        row = ab[at[r]]
+        for j, x in enumerate(bmat[at[c]]):
+            row[j] += v * x
     aug = [bmat[r] + ab[r] for r in range(n)]
     for col in range(d):
         piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
@@ -461,3 +462,9 @@ def invariance_deviation(psi, signature, samples: int, rng) -> float:
     for U in right:
         worst = max(worst, np.max(np.abs(left_map(psi @ U) - left_map(psi))))
     return float(worst)
+
+
+def expm_each(a: np.ndarray) -> np.ndarray:
+    """scipy's matrix exponential of each matrix in a stack, one matrix
+    at a time."""
+    return np.array([expm(m) for m in a], dtype=complex).reshape(a.shape)

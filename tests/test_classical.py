@@ -142,6 +142,54 @@ def test_batched_invariance_matches_the_per_sample_loop(seed, w, extra,
     assert (fast <= TOL) == (slow <= TOL)
 
 
+def hermitian_stack(rng, count, n):
+    return np.array([C.random_hermitian(n, rng) for _ in range(count)])
+
+
+def assert_expm_matches_scipy(a):
+    """Every matrix of the stack within 1e-12 of scipy's expm, relative to
+    the Frobenius norm of scipy's result."""
+    got, want = C._expm(a), bf.expm_each(a)
+    assert got.shape == want.shape == a.shape
+    assert np.all(np.linalg.norm(got - want, axis=(-2, -1))
+                  <= 1e-12 * np.linalg.norm(want, axis=(-2, -1)))
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_expm_matches_scipy_on_both_families(k):
+    rng = np.random.default_rng(k)
+    assert_expm_matches_scipy(1j * hermitian_stack(rng, 10, k))
+    for M in range(k + 1):
+        eta = C.eta_matrix(M, k - M)
+        assert_expm_matches_scipy(1j * eta @ hermitian_stack(rng, 10, k) / 2)
+
+
+def test_expm_edge_cases_match_scipy():
+    rng = np.random.default_rng(0)
+    for shape in [(0, 3, 3), (0, 0, 0), (2, 0, 0), (2, 3, 3)]:
+        assert_expm_matches_scipy(np.zeros(shape, dtype=complex))
+    big = 1j * hermitian_stack(rng, 1, 4)
+    big *= 50.0 / np.max(np.abs(big).sum(axis=-2))  # 3 squarings at least
+    assert np.max(np.abs(big).sum(axis=-2)) > 8 * 5.371920351148152
+    assert_expm_matches_scipy(big)
+    # one scale serves the stack: the small members are over-scaled
+    assert_expm_matches_scipy(np.concatenate(
+        [1j * hermitian_stack(rng, 5, 4) / 10, big]))
+    for rapidity in (0.5, 3.0):
+        h = np.zeros((3, 3), dtype=complex)
+        h[0, 2], h[2, 0] = 1.0, -1.0
+        want = bf.expm_each(1j * rapidity * h[None])[0]
+        got = C.boost(2, 1, rapidity)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_group_samples_handle_empty_stacks():
+    g, U = C.group_samples(3, C.eta_matrix(1, 1), 0, np.random.default_rng(0))
+    assert g.shape == (0, 3, 3) and U.shape == (0, 2, 2)
+    g, U = C.group_samples(2, C.eta_matrix(0, 0), 4, np.random.default_rng(0))
+    assert g.shape == (4, 2, 2) and U.shape == (0, 0, 0)
+
+
 def test_invariance_check_catches_a_non_equivariant_left_map(monkeypatch):
     p = C.sample_level_set(((2,), (1,)), 3, seed=5)
     assert C.invariance_deviation(p) < TOL

@@ -3,10 +3,15 @@
 ``ForgeError`` subclasses instead), no bare ``except:`` or
 ``except Exception``, no unused imports, no true division that could
 make a float in the exact layers, no module but ``tensor.py`` that
-reads the echelon of a ``ReducedSpan``, and no Fock operator matrix
-outside ``FockModel.action_set``: solves read generator images."""
+reads the echelon of a ``ReducedSpan``, no Fock operator matrix
+outside ``FockModel.action_set`` (solves read generator images), and no
+import of scipy, whose ``linalg`` once took most of the command line's
+start-up: ``howe_forge.cli`` loads without it."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -120,13 +125,28 @@ def fock_operator_calls(tree, path):
             and id(n) not in home]
 
 
+def scipy_imports(tree, path):
+    """Imports of scipy or of any of its submodules."""
+    out = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Import):
+            names = [a.name for a in n.names]
+        elif isinstance(n, ast.ImportFrom) and not n.level:
+            names = [n.module]
+        else:
+            continue
+        out += [f"{where(path, n)} {name}" for name in names
+                if name.partition(".")[0] == "scipy"]
+    return out
+
+
 def test_the_package_has_sources():
     assert PACKAGE / "tensor.py" in SOURCES
 
 
 @pytest.mark.parametrize("rule", [asserts, broad_handlers, unused_imports,
                                   float_divisions, span_echelon_reads,
-                                  fock_operator_calls])
+                                  fock_operator_calls, scipy_imports])
 def test_package_sources_keep_the_rule(rule):
     bad = [hit for path in SOURCES for hit in rule(tree_of(path), path)]
     assert bad == []
@@ -145,6 +165,8 @@ def test_package_sources_keep_the_rule(rule):
     (span_echelon_reads, "def f(span, c):\n    return c in span._pivots\n"),
     (fock_operator_calls,
      "def solve(model, piece):\n    return model.raiser_op(0, 0, piece)\n"),
+    (scipy_imports, "from scipy.linalg import expm\n"),
+    (scipy_imports, "import numpy as np, scipy.linalg as sla\n"),
 ])
 def test_each_rule_catches_a_violation(rule, source):
     path = Path("example.py")
@@ -160,7 +182,8 @@ def test_rules_pass_clean_code():
     tree, path = ast.parse(source), Path("example.py")
     assert not asserts(tree, path) + broad_handlers(tree, path) \
         + unused_imports(tree, path) + float_divisions(tree, path) \
-        + span_echelon_reads(tree, path) + fock_operator_calls(tree, path)
+        + span_echelon_reads(tree, path) + fock_operator_calls(tree, path) \
+        + scipy_imports(tree, path)
 
 
 def test_the_float_side_may_divide():
@@ -185,3 +208,14 @@ def test_only_the_bracket_check_builds_fock_operators():
     tree = ast.parse(source)
     assert fock_operator_calls(tree, Path("fock.py")) == ["fock.py:5 .gl_m_op"]
     assert len(fock_operator_calls(tree, Path("rieffel.py"))) == 2
+
+
+def test_the_command_line_loads_without_scipy():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p))
+    probe = ("import sys, howe_forge.cli\n"
+             "print(sorted(m for m in sys.modules"
+             " if m.partition('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

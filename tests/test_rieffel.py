@@ -2,6 +2,7 @@
 indefinite case, where emptiness is a value rather than an error."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -144,6 +145,21 @@ def test_degree_selection_only_hits_the_matching_degree(k, M, m, n_wrong):
     assert out["ok"] and out["dimension"] == 0
 
 
+@pytest.mark.parametrize("k,M,m,n", [
+    (3, 2, (2, 1), 3), (3, 2, (2, 1), 2), (2, 2, (1, 1), 2), (3, 3, (2, 1), 3),
+    (2, 1, (3,), 3),
+])
+def test_zero_weight_blocks_are_those_of_the_full_grouping(k, M, m, n):
+    model = build_compact_model(k, M, n, validate=False)
+    irrep = build_inducing_irrep(m, M)
+    full = rieffel._compact_blocks(model, (n, 0), irrep)
+    want = [(key, members) for key, members in full.items()
+            if key[1] == (0,) * M]
+    got = rieffel._compact_blocks(model, (n, 0), irrep, zero_only=True)
+    assert list(got.items()) == want
+    assert bool(want) == (n == sum(m))
+
+
 # ---------------------------------------------------------------------------
 # graded indefinite induction
 
@@ -227,10 +243,8 @@ def test_label_collision_weight_is_nonempty():
     assert mod.highest_weight == W.SignedWeight((), (2,)).realize(2)
 
 
-@given(st.integers(min_value=1, max_value=3),
-       st.integers(min_value=0, max_value=3),
-       st.integers(min_value=0, max_value=2))
-@settings(max_examples=15, deadline=None)
+@pytest.mark.parametrize("k,a,b", list(product(range(1, 4), range(4),
+                                               range(3))))
 def test_noncompact_rank_one_pairs_realize_their_label(k, a, b):
     weight = (a + k, -b)
     mod = induce_noncompact_graded(k, 1, 1, weight, a + b)
