@@ -85,8 +85,10 @@ class RunConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if min(self.kmax, self.mmax, self.nmax, self.degree, self.seeds) < 0:
-            raise ShapeMismatch("grid caps must be nonnegative")
+        if min(self.kmax, self.mmax, self.nmax, self.seeds) < 1:
+            raise ShapeMismatch("kmax, mmax, nmax and seeds must be at least 1")
+        if self.degree < 0:
+            raise ShapeMismatch("degree must be nonnegative")
         if self.tolerance <= 0:
             raise ShapeMismatch("tolerance must be positive")
         if self.fmt not in ("tsv", "json"):

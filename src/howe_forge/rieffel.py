@@ -14,14 +14,16 @@ corresponding highest-weight module, solved on its one weight block, and
 a failed match certifies that the induced space is empty.  Emptiness is
 a value, not an error.
 
-The exact linear algebra is shared with ``tensor``: the invariants, and
-the Casimir kernel that cross-checks them, are ``block_kernel`` solves
-over the weight blocks of (Fock piece) x irrep.  Each Fock generator is
-given by the image terms ``FockModel.images`` reads off monomial labels,
-the irrep's by its restricted operator.  Every module basis is the
-``rows`` of one ``ReducedSpan``, and the restricted actions on it (the
-inducing irrep's gl(M), an induced module's gl(k)) are
-``ExactOperator``s read off by that span's ``restrict_by_leaders``.
+The exact linear algebra is shared with ``tensor``: the invariants are
+``block_kernel`` solves over the weight blocks of (Fock piece) x irrep.
+Each Fock generator is given by the image terms ``FockModel.images``
+reads off monomial labels, the irrep's by its restricted operator.
+Every module basis is the ``rows`` of one ``ReducedSpan``, and the
+restricted actions on it (the inducing irrep's gl(M), an induced
+module's gl(k)) are the ``ExactOperator``s one ``restrict_by_leaders``
+call reads off that span.  The induced inner product is the Fock norm,
+<x^e, x^e> = prod e!, tensored with the form of the word coordinates the
+irrep lives in; both are diagonal, so it is one ``gram_matrix``.
 """
 
 from __future__ import annotations
@@ -37,10 +39,8 @@ from .fock import FockModel, build_compact_model, build_oscillator_model, \
     raising_images, strict_signed_pairs
 from .tensor import ExactOperator, IndexedBasis, ReducedSpan, \
     block_kernel, gl_commutant_dim, gl_relation_failures, gl_tensor_action, \
-    gram_matrix, linear_image, spans_agree, \
-    young_symmetrizer
+    gram_matrix, linear_image, young_symmetrizer
 
-_F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
@@ -68,16 +68,9 @@ def _ldl_positive(gram: list[list[Fraction]]) -> bool:
     return True
 
 
-def _fock_norm_sq(label) -> int:
-    out = 1
-    for e in label:
-        out *= math.factorial(e)
-    return out
-
-
-def _module_basis(d: int) -> IndexedBasis:
-    """The one basis the restricted operators of a family share."""
-    return IndexedBasis(range(d), name=f"module({d})")
+def _fock_norms(fb: IndexedBasis) -> list[int]:
+    """Squared norms <x^e, x^e> = prod e! of the monomials of a piece."""
+    return [math.prod(map(math.factorial, lab)) for lab in fb.labels]
 
 
 # ---------------------------------------------------------------------------
@@ -89,9 +82,10 @@ class InducingIrrep:
     """Irreducible U(M) module realized inside a tensor power.
 
     ``basis`` holds exact vectors in word coordinates (words form an
-    orthonormal basis of the ambient tensor power); each basis vector has
-    a definite weight, recorded in ``basis_weights``.  One instance serves
-    every caller with the same label, so no caller changes it.
+    orthonormal basis of the ambient tensor power, so the irrep's form is
+    the plain dot product there); each basis vector has a definite
+    weight, recorded in ``basis_weights``.  One instance serves every
+    caller with the same label, so no caller changes it.
     """
 
     m: tuple[int, ...]
@@ -104,9 +98,6 @@ class InducingIrrep:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def gram(self) -> list[list[Fraction]]:
-        return gram_matrix(self.basis)
 
 
 def _word_weight(word, M) -> tuple[int, ...]:
@@ -149,10 +140,9 @@ def _inducing_irrep(shape: tuple[int, ...], M: int) -> InducingIrrep:
         raise ShapeMismatch(
             f"symmetrizer image has dim {len(span)}, expected {expected}")
 
-    mb = _module_basis(len(span))
-    ops = {(a, b): span.restrict_by_leaders(
-               gl_tensor_action(a, b, M, n).terms(), mb)
-           for a in range(M) for b in range(M)}
+    ops = span.restrict_by_leaders({
+        (a, b): gl_tensor_action(a, b, M, n).terms()
+        for a in range(M) for b in range(M)})
 
     hw_wt = shape + (0,) * (M - len(shape))
     highest = basis_weights.index(hw_wt)
@@ -248,26 +238,24 @@ def _checked_module(ambient: str, k: int, inputs: dict, basis: list[dict],
     )
 
 
-def _compact_blocks(model: FockModel, piece, irrep: InducingIrrep,
-                    zero_only: bool = False):
-    """Group the combined basis (f, h) by joint weight so the diagonal
-    action translates blocks; returns the member lists by block key.
+def _compact_blocks(model: FockModel, piece, irrep: InducingIrrep):
+    """The members (f, h) of the combined basis that can carry invariants,
+    grouped by the gl(k) weight of the monomial f.
 
     The diagonal generators are diagonal matrices with eigenvalue
-    (column weight) - (irrep weight) per member, so any invariant vector
-    is supported where that difference vanishes; ``zero_only`` keeps just
-    those blocks, pairing each monomial only with the irrep vectors whose
-    weight is its column weight."""
-    weights = irrep.basis_weights
+    (column weight of f) - (weight of h) per member, so any invariant
+    vector is supported where that difference vanishes: each monomial
+    pairs only with the irrep vectors whose weight is its column weight.
+    The off-diagonal generators keep the gl(k) weight, so each group is
+    solved on its own."""
     by_weight: dict[tuple, list[int]] = {}
-    for h, hwt in enumerate(weights):
+    for h, hwt in enumerate(irrep.basis_weights):
         by_weight.setdefault(hwt, []).append(h)
     blocks: dict[tuple, list[tuple[int, int]]] = {}
     for f, lab in enumerate(model.basis(*piece).labels):
         xrow, xcol, _ = model.weight_key(lab)
-        for h in by_weight.get(xcol, ()) if zero_only else range(len(weights)):
-            diff = tuple(c - w for c, w in zip(xcol, weights[h]))
-            blocks.setdefault((xrow, diff), []).append((f, h))
+        for h in by_weight.get(xcol, ()):
+            blocks.setdefault(xrow, []).append((f, h))
     return blocks
 
 
@@ -295,7 +283,7 @@ def _diagonal_invariants(model: FockModel, piece,
     exactly the space of intertwiners from the inducing irrep into the
     graded piece, one copy of the paired gl(k) irrep."""
     M = model.M
-    blocks = _compact_blocks(model, piece, irrep, zero_only=True)
+    blocks = _compact_blocks(model, piece, irrep)
     # diagonal generators vanish identically on these blocks; only the
     # off-diagonal ones constrain
     maps = [_diagonal_terms(model, piece, irrep, a, b)
@@ -306,32 +294,7 @@ def _diagonal_invariants(model: FockModel, piece,
     return out
 
 
-def _combined_gram(basis: list[dict], fb: IndexedBasis,
-                   hgram: list[list[Fraction]]) -> list[list[Fraction]]:
-    facts = [Fraction(_fock_norm_sq(lab)) for lab in fb.labels]
-    d = len(basis)
-    fmaps = []
-    for vec in basis:
-        fm: dict[int, list] = {}
-        for (f, h), c in vec.items():
-            fm.setdefault(f, []).append((h, c))
-        fmaps.append(fm)
-    g = [[_F0] * d for _ in range(d)]
-    for u in range(d):
-        for v in range(u, d):
-            small, big = ((u, v) if len(fmaps[u]) <= len(fmaps[v]) else (v, u))
-            s = _F0
-            for f, hu_list in fmaps[small].items():
-                hv_list = fmaps[big].get(f)
-                if hv_list:
-                    for hu, cu in hu_list:
-                        for hv, cv in hv_list:
-                            s += cu * cv * facts[f] * hgram[hu][hv]
-            g[u][v] = g[v][u] = s
-    return g
-
-
-def induce_compact(k: int, M: int, m, cross_check: bool = False) -> InducedModule:
+def induce_compact(k: int, M: int, m) -> InducedModule:
     """Invariants of the diagonal inducing-side action on the degree-|m|
     graded piece tensored with the inducing irrep, with the commuting
     gl(k) action restricted to them."""
@@ -345,15 +308,6 @@ def induce_compact(k: int, M: int, m, cross_check: bool = False) -> InducedModul
     inputs = {"k": k, "M": M, "m": list(shape)}
     ambient = f"deg-{n} polynomials on {k}x{M} tensor irrep {shape or '()'}"
 
-    if cross_check:
-        cas = _casimir_kernel(model, piece, irrep)
-        dimh = irrep.dim
-        flat_a = [{f * dimh + h: v for (f, h), v in vec.items()}
-                  for vec in invariants]
-        flat_b = [{f * dimh + h: v for (f, h), v in vec.items()} for vec in cas]
-        if not spans_agree(flat_a, flat_b):
-            raise InvariantBroken("invariants disagree with the projector image")
-
     if not invariants:
         return InducedModule(ambient, k, inputs, [], {}, None, None, True, True)
 
@@ -361,37 +315,21 @@ def induce_compact(k: int, M: int, m, cross_check: bool = False) -> InducedModul
     # every reduced row is still a weight vector, and its pivot a leader
     span = ReducedSpan(invariants)
     basis = span.rows
-    mb = _module_basis(len(basis))
-    gl_k = {(i, j): span.restrict_by_leaders(
-                _on_fock(model.images("k", i, j, piece)), mb)
-            for i in range(k) for j in range(k)}
+    gl_k = span.restrict_by_leaders({
+        (i, j): _on_fock(model.images("k", i, j, piece))
+        for i in range(k) for j in range(k)})
     # a row's gl(k) weight is that of any monomial f of its keys (f, h)
     hw = max(model.weight_key(fb.label(next(iter(row))[0]))[0]
              for row in basis)
-    return _checked_module(ambient, k, inputs, basis, gl_k, hw,
-                           _combined_gram(basis, fb, irrep.gram()))
 
+    # in (monomial, word) coordinates both factors' forms are diagonal
+    def in_words(key):
+        return [((key[0], w), c) for w, c in irrep.basis[key[1]].items()]
 
-def _casimir_kernel(model: FockModel, piece, irrep: InducingIrrep) -> list[dict]:
-    """Kernel of the quadratic Casimir of the diagonal action: an exact
-    realization of the image of the projector onto the trivial isotypic
-    component (the Casimir of a compact group is positive semidefinite
-    with kernel exactly the invariants)."""
-    M = model.M
-    blocks = _compact_blocks(model, piece, irrep)
-    d = {(a, b): _diagonal_terms(model, piece, irrep, a, b)
-         for a in range(M) for b in range(M)}
-
-    def casimir(key):  # sum over a, b of D(E_ab) D(E_ba), term by term
-        for a, b in d:
-            for mid, u in d[(b, a)](key):
-                for tgt, v in d[(a, b)](mid):
-                    yield tgt, u * v
-
-    out: list[dict] = []
-    for key in sorted(blocks):
-        out += block_kernel(blocks[key], [casimir])
-    return out
+    norms = _fock_norms(fb)
+    gram = gram_matrix([linear_image(in_words, row) for row in basis],
+                       lambda key: norms[key[0]])
+    return _checked_module(ambient, k, inputs, basis, gl_k, hw, gram)
 
 
 def degree_selection_check(k: int, M: int, m, n_wrong: int) -> dict:
@@ -483,14 +421,12 @@ def induce_noncompact_graded(k: int, M: int, N: int, inducing_weight,
                 queue.append(img)
 
     basis = span.rows
-    mb = _module_basis(len(basis))
-    gl_k = {(i, j): span.restrict_by_leaders(
-                model.images("k", i, j, piece), mb)
-            for i in range(k) for j in range(k)}
-    fock_norms = [Fraction(_fock_norm_sq(lab)) for lab in fb.labels]
+    gl_k = span.restrict_by_leaders({
+        (i, j): model.images("k", i, j, piece)
+        for i in range(k) for j in range(k)})
     return _checked_module(
         f"bidegree {piece} polynomials on {k}x({M}+{N})", k, dict(inputs),
-        basis, gl_k, hw, gram_matrix(basis, fock_norms))
+        basis, gl_k, hw, gram_matrix(basis, _fock_norms(fb).__getitem__))
 
 
 def _partitions_within(rows: int, total: int):

@@ -8,10 +8,10 @@ caller: ``ReducedSpan``, the reduced span of rational rows, kept in
 integers by the fraction-free update row <- (p*row - a*prow) / content.
 Each row is integer and primitive, positive at its pivot (its lowest
 column when inserted) and 0 at every other row's pivot.  Ranks (its
-length: ``ExactOperator.rank``, ``spans_agree``, ``commutant_dim``),
-kernels (``kernel_basis``), module bases (its ``rows``) and restrictions
-to an invariant span (its ``restrict_by_leaders``) all come from it, and
-divide only at the output, by the pivot entries.
+length: ``ExactOperator.rank``, ``commutant_dim``), kernels
+(``kernel_basis``), module bases (its ``rows``) and the restriction of a
+gl family to an invariant span (its ``restrict_by_leaders``) all come
+from it, and divide only at the output, by the pivot entries.
 
 Linear maps given by their image terms (basis key -> (target, value)
 pairs) have two shared consumers: ``linear_image`` extends such a map
@@ -19,7 +19,8 @@ linearly to a sparse vector, and ``block_kernel`` solves the joint
 kernel of several of them on one block of basis keys, with one
 ``kernel_basis`` call.  The Fock generators come in that form straight
 from ``fock.FockModel.images``; ``ExactOperator.terms`` is an operator's
-column index in that form.
+column index in that form.  ``gram_matrix`` is the one inner product
+routine, in mutually orthogonal coordinates with given squared norms.
 
 The symmetric-group material (slot permutations, central projectors,
 row/column symmetrizers, commutants) lives here too, since those
@@ -340,28 +341,32 @@ class ReducedSpan:
             out.append(vec)
         return out
 
-    def restrict_by_leaders(self, terms, basis: IndexedBasis) -> ExactOperator:
-        """Operator on ``basis`` (one label per row) of the linear map
-        given by its image ``terms`` (see ``linear_image``), restricted to
-        the span, which it must map into itself.  Each row is 0 at the
-        other rows' pivots, so the coordinate of an image on row i is
-        image[pivot] / row[pivot].  The image is checked to equal that
-        combination exactly, in integers, and ``ShapeMismatch`` is raised
-        when the map leaves the span."""
+    def restrict_by_leaders(self, family: dict) -> dict:
+        """Operators of a family of linear maps, each given by its image
+        terms (see ``linear_image``), restricted to the span, which every
+        map must send into itself; the operators share one module basis
+        with one label per row, and keep the family's keys.  Each row is
+        0 at the other rows' pivots, so the coordinate of an image on row
+        i is image[pivot] / row[pivot].  The image is checked to equal
+        that combination exactly, in integers, and ``ShapeMismatch`` is
+        raised when a map leaves the span."""
         rows = self.rows
-        op = ExactOperator(basis, basis)
-        for j, row in enumerate(rows):
-            image, den = _cleared(linear_image(terms, row))
-            coords = sorted((i, a, rows[i][c]) for c, a in image.items()
-                            if (i := self._pivots.get(c)) is not None)
-            scale = math.lcm(*(p for _, _, p in coords))
-            combo = linear_image(lambda i: rows[i].items(),
-                                 {i: a * (scale // p) for i, a, p in coords})
-            if combo != {c: scale * v for c, v in image.items()}:
-                raise ShapeMismatch("operator does not preserve the subspace")
-            for i, a, p in coords:
-                op.data[(i, j)] = _quotient(a, den * p)
-        return op
+        basis = IndexedBasis(range(len(rows)), name=f"module({len(rows)})")
+        out = {}
+        for key, terms in family.items():
+            op = out[key] = ExactOperator(basis, basis)
+            for j, row in enumerate(rows):
+                image, den = _cleared(linear_image(terms, row))
+                coords = sorted((i, a, rows[i][c]) for c, a in image.items()
+                                if (i := self._pivots.get(c)) is not None)
+                scale = math.lcm(*(p for _, _, p in coords))
+                combo = {i: a * (scale // p) for i, a, p in coords}
+                if linear_image(lambda i: rows[i].items(), combo) != {
+                        c: scale * v for c, v in image.items()}:
+                    raise ShapeMismatch("a map does not preserve the span")
+                for i, a, p in coords:
+                    op.data[(i, j)] = _quotient(a, den * p)
+        return out
 
 
 def kernel_basis(rows, ncols: int) -> list[dict[int, int | Fraction]]:
@@ -414,9 +419,10 @@ def block_kernel(members, maps) -> list[dict]:
             for vec in kernel_basis(rows, len(members))]
 
 
-def gram_matrix(vectors, weight=None) -> list[list[Fraction]]:
-    """Gram matrix of sparse vectors, <u, v> = sum_o u[o] v[o] weight[o],
-    with weight 1 on every coordinate when ``weight`` is None."""
+def gram_matrix(vectors, weight) -> list[list[Fraction]]:
+    """Gram matrix of sparse vectors in mutually orthogonal coordinates,
+    <u, v> = sum_o u[o] v[o] weight(o), with weight(o) the squared norm
+    of coordinate o."""
     d = len(vectors)
     g = [[_F0] * d for _ in range(d)]
     for u, a in enumerate(vectors):
@@ -425,15 +431,9 @@ def gram_matrix(vectors, weight=None) -> list[list[Fraction]]:
             for o, cv in vectors[v].items():
                 x = a.get(o)
                 if x:
-                    s += x * cv if weight is None else x * cv * weight[o]
+                    s += x * cv * weight(o)
             g[u][v] = g[v][u] = s
     return g
-
-
-def spans_agree(a, b) -> bool:
-    """Exact equality of two spans of sparse vectors via three ranks."""
-    return (len(ReducedSpan(a)) == len(ReducedSpan(b))
-            == len(ReducedSpan(list(a) + list(b))))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ algebra over Fractions or integers and one-sample-at-a-time float64
 loops, sized for tiny inputs.  The point is that none of it shares code paths with the
 package implementations it checks.  The one exception is
 ``isotypic_projector``, the dense oracle for the projector family check,
-which builds a package operator from the package's characters.
+which builds a package operator from the package's characters.  The
+compact-induction oracles (``casimir_kernel``, ``two_factor_gram``) take
+a package model and inducing irrep as their input data.
 """
 
 from __future__ import annotations
@@ -468,3 +470,115 @@ def expm_each(a: np.ndarray) -> np.ndarray:
     """scipy's matrix exponential of each matrix in a stack, one matrix
     at a time."""
     return np.array([expm(m) for m in a], dtype=complex).reshape(a.shape)
+
+
+def dense_kernel(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
+    """Kernel of a dense rational matrix, one vector per free column of
+    its reduced row echelon form."""
+    rref = dense_rref(rows, ncols)
+    pivots = [next(c for c, x in enumerate(r) if x) for r in rref]
+    out = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for piv, r in zip(pivots, rref):
+            vec[piv] = -r[free]
+        out.append(vec)
+    return out
+
+
+def spans_agree(a: list[dict], b: list[dict]) -> bool:
+    """Equality of the spans of two lists of sparse vectors, by three
+    dense ranks over the union of their coordinates."""
+    cols = sorted({c for vec in [*a, *b] for c in vec})
+
+    def rank(vecs):
+        dense = [[Fraction(vec.get(c, 0)) for c in cols] for vec in vecs]
+        return len(cols) - dense_nullity(dense, len(cols))
+
+    return rank(a) == rank(b) == rank([*a, *b])
+
+
+def weight_difference_blocks(model, piece, irrep) -> dict:
+    """Every key (f, h) of (compact Fock piece) x irrep, grouped by the
+    row sums of monomial f and by (column sums of f) - (weight of h):
+    the blocks that the diagonal gl(M) action and its Casimir keep."""
+    k, M = model.k, model.M
+    blocks: dict = {}
+    for f, lab in enumerate(model.basis(*piece).labels):
+        rows = tuple(sum(lab[i * M:(i + 1) * M]) for i in range(k))
+        cols = tuple(sum(lab[a::M]) for a in range(M))
+        for h, hwt in enumerate(irrep.basis_weights):
+            diff = tuple(c - w for c, w in zip(cols, hwt))
+            blocks.setdefault((rows, diff), []).append((f, h))
+    return blocks
+
+
+def casimir_kernel(model, piece, irrep) -> list[dict]:
+    """Kernel of the quadratic Casimir sum_ab D(E_ab) D(E_ba) of the
+    diagonal action D(E_ab) = E_ab x 1 - 1 x E_ab^T on (compact Fock
+    piece) x irrep, as vectors keyed (f, h), by dense elimination on each
+    block of ``weight_difference_blocks``.  The Casimir of a compact
+    group is positive semidefinite with kernel exactly the invariants.
+
+    E_ab acts on a monomial as sum_i x[i,a] d/dx[i,b], read off its
+    exponent label, and on the irrep by its restricted operator."""
+    k, M = model.k, model.M
+    fb = model.basis(*piece)
+    dual: dict = {}  # -E_ab^T sends h to c wherever E_ab[h, c] != 0
+    for (a, b), op in irrep.action.items():
+        for (r, c), v in op.data.items():
+            dual.setdefault((a, b, r), []).append((c, -v))
+
+    def diagonal(a, b, key):
+        f, h = key
+        lab, out = fb.label(f), []
+        for i in range(k):
+            e = lab[i * M + b]
+            if e:
+                tgt = list(lab)
+                tgt[i * M + b] -= 1
+                tgt[i * M + a] += 1
+                out.append(((fb.ordinal(tuple(tgt)), h), e))
+        out += [((f, c), v) for c, v in dual.get((a, b, h), ())]
+        return out
+
+    def casimir(key):
+        out: dict = {}
+        for a in range(M):
+            for b in range(M):
+                for mid, u in diagonal(b, a, key):
+                    for tgt, v in diagonal(a, b, mid):
+                        out[tgt] = out.get(tgt, 0) + u * v
+        return out
+
+    kernel = []
+    for members in weight_difference_blocks(model, piece, irrep).values():
+        images = [casimir(key) for key in members]
+        targets = sorted({t for img in images for t in img})
+        dense = [[Fraction(img.get(t, 0)) for img in images]
+                 for t in targets]
+        for vec in dense_kernel(dense, len(members)):
+            kernel.append({key: x for key, x in zip(members, vec) if x})
+    return kernel
+
+
+def two_factor_gram(basis: list[dict], labels, irrep_basis: list[dict]
+                    ) -> list[list[Fraction]]:
+    """Gram matrix of vectors keyed (monomial f, irrep vector h) in the
+    form sum_f e! sum_{h, h'} u[f, h] v[f, h'] <b_h, b_h'>, with e the
+    exponent label of f, e! the product of its factorials, and <b_h,
+    b_h'> the dot product of irrep basis vectors in word coordinates."""
+    hgram = [[sum(x * b.get(w, 0) for w, x in a.items())
+              for b in irrep_basis] for a in irrep_basis]
+    norms = [math.prod(math.factorial(e) for e in lab) for lab in labels]
+    by_f = []
+    for vec in basis:
+        index: dict = {}
+        for (f, h), c in vec.items():
+            index.setdefault(f, []).append((h, c))
+        by_f.append(index)
+    return [[sum((norms[f] * cu * cv * hgram[hu][hv]
+                  for f, us in u.items() for hu, cu in us
+                  for hv, cv in v.get(f, ())), Fraction(0))
+             for v in by_f] for u in by_f]

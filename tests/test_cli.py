@@ -58,6 +58,12 @@ def test_run_config_validation():
         cli.RunConfig(fmt="yaml")
     with pytest.raises(ShapeMismatch):
         cli.RunConfig(threads=0)
+    for cap in ("kmax", "mmax", "nmax", "seeds"):
+        with pytest.raises(ShapeMismatch, match="at least 1"):
+            cli.RunConfig(**{cap: 0})
+    with pytest.raises(ShapeMismatch):
+        cli.RunConfig(degree=-1)
+    assert cli.RunConfig(degree=0).degree == 0
 
 
 def test_load_config(tmp_path):
@@ -286,6 +292,22 @@ def test_verify_all_config_file_and_override(capsys, tmp_path):
     bad.write_text("what=1\n")
     code, _, err = run(capsys, "verify-all", "--config", str(bad))
     assert code == 2 and "unknown key" in err
+
+
+@pytest.mark.parametrize("flag", ["--kmax", "--mmax", "--nmax", "--seeds"])
+def test_verify_all_refuses_an_empty_grid_flag(capsys, flag):
+    """A zero cap would leave sections with no cells, reported as ok."""
+    code, out, err = run(capsys, "verify-all", flag, "0")
+    assert code == 2 and not out
+    assert "must be at least 1" in err
+
+
+def test_verify_all_refuses_an_empty_grid_config_key(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kmax=1\nmmax=1\nnmax=1\ndegree=2\nseeds=0\n")
+    code, out, err = run(capsys, "verify-all", "--config", str(cfg))
+    assert code == 2 and not out
+    assert "must be at least 1" in err
 
 
 def test_verify_all_config_value_that_does_not_parse(capsys, tmp_path):

@@ -445,10 +445,9 @@ def test_commutant_dim_ignores_rescaled_generators_on_a_restricted_module():
             img = T.linear_image(terms, v)
             if img and span.insert(img):
                 queue.append(img)
-    mb = T.IndexedBasis(range(len(span)))
-    ops = {(i, j): span.restrict_by_leaders(
-               model.gl_k_op(i, j, piece).terms(), mb)
-           for i in range(3) for j in range(3)}
+    ops = span.restrict_by_leaders({
+        (i, j): model.gl_k_op(i, j, piece).terms()
+        for i in range(3) for j in range(3)})
     gens = [ops[(i + s, i + 1 - s)] for i in range(2) for s in (0, 1)]
     carts = [ops[(i, i)] for i in range(3)]
     assert len(span) == 8

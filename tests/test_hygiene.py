@@ -4,9 +4,10 @@
 ``except Exception``, no unused imports, no true division that could
 make a float in the exact layers, no module but ``tensor.py`` that
 reads the echelon of a ``ReducedSpan``, no Fock operator matrix
-outside ``FockModel.action_set`` (solves read generator images), and no
+outside ``FockModel.action_set`` (solves read generator images), no
 import of scipy, whose ``linalg`` once took most of the command line's
-start-up: ``howe_forge.cli`` loads without it."""
+start-up (``howe_forge.cli`` loads without it), and no private function
+or method that nothing in the package references."""
 
 import ast
 import os
@@ -140,6 +141,28 @@ def scipy_imports(tree, path):
     return out
 
 
+def referenced_names(trees):
+    """Every name read as a variable or an attribute in the trees."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for tree in trees for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def unreferenced_privates(tree, path, used=None):
+    """Module-level private functions and private methods whose name is
+    not in ``used``, the names the package references (by default those
+    of this tree alone); dunder methods are called by the language."""
+    if used is None:
+        used = referenced_names([tree])
+    defs = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            defs += [n for n in cls.body if isinstance(n, ast.FunctionDef)]
+    return [f"{where(path, n)} {n.name}" for n in defs
+            if n.name.startswith("_") and not n.name.endswith("__")
+            and n.name not in used]
+
+
 def test_the_package_has_sources():
     assert PACKAGE / "tensor.py" in SOURCES
 
@@ -150,6 +173,13 @@ def test_the_package_has_sources():
 def test_package_sources_keep_the_rule(rule):
     bad = [hit for path in SOURCES for hit in rule(tree_of(path), path)]
     assert bad == []
+
+
+def test_every_private_helper_is_referenced():
+    trees = {path: tree_of(path) for path in SOURCES}
+    used = referenced_names(trees.values())
+    assert [hit for path, tree in trees.items()
+            for hit in unreferenced_privates(tree, path, used)] == []
 
 
 @pytest.mark.parametrize("rule,source", [
@@ -167,6 +197,9 @@ def test_package_sources_keep_the_rule(rule):
      "def solve(model, piece):\n    return model.raiser_op(0, 0, piece)\n"),
     (scipy_imports, "from scipy.linalg import expm\n"),
     (scipy_imports, "import numpy as np, scipy.linalg as sla\n"),
+    (unreferenced_privates, "def _gone(x):\n    return x\n"),
+    (unreferenced_privates,
+     "class A:\n    def _gone(self):\n        return 1\n"),
 ])
 def test_each_rule_catches_a_violation(rule, source):
     path = Path("example.py")
@@ -183,7 +216,7 @@ def test_rules_pass_clean_code():
     assert not asserts(tree, path) + broad_handlers(tree, path) \
         + unused_imports(tree, path) + float_divisions(tree, path) \
         + span_echelon_reads(tree, path) + fock_operator_calls(tree, path) \
-        + scipy_imports(tree, path)
+        + scipy_imports(tree, path) + unreferenced_privates(tree, path)
 
 
 def test_the_float_side_may_divide():
@@ -208,6 +241,16 @@ def test_only_the_bracket_check_builds_fock_operators():
     tree = ast.parse(source)
     assert fock_operator_calls(tree, Path("fock.py")) == ["fock.py:5 .gl_m_op"]
     assert len(fock_operator_calls(tree, Path("rieffel.py"))) == 2
+
+
+def test_a_private_helper_may_be_used_from_another_module():
+    home = ast.parse("def _helper():\n    return 1\n\n"
+                     "class A:\n    def __init__(self):\n        pass\n")
+    other = ast.parse("from home import _helper\nx = _helper()\n")
+    assert unreferenced_privates(home, Path("home.py")) == [
+        "home.py:1 _helper"]
+    used = referenced_names([home, other])
+    assert unreferenced_privates(home, Path("home.py"), used) == []
 
 
 def test_the_command_line_loads_without_scipy():

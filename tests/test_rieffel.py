@@ -48,7 +48,8 @@ def test_irrep_weights_and_gram():
     assert ir.dim == 2
     assert sorted(ir.basis_weights) == [(1, 2), (2, 1)]
     assert ir.basis_weights[ir.highest_index] == (2, 1)
-    g = ir.gram()
+    # words are orthonormal, so the irrep's form is the plain dot product
+    g = T.gram_matrix(ir.basis, lambda o: 1)
     assert g == [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(2)]]
 
 
@@ -56,7 +57,7 @@ def test_trivial_irrep():
     ir = build_inducing_irrep((), 2)
     assert ir.dim == 1
     assert ir.basis_weights == [(0, 0)]
-    assert ir.gram() == [[Fraction(1)]]
+    assert T.gram_matrix(ir.basis, lambda o: 1) == [[Fraction(1)]]
 
 
 def test_irrep_action_satisfies_the_bracket():
@@ -87,17 +88,11 @@ def test_irrep_diagonal_trace_counts_boxes():
 
 
 def test_compact_module_frozen_example():
-    mod = induce_compact(3, 2, (2, 1), cross_check=True)
+    mod = induce_compact(3, 2, (2, 1))
     assert mod.dimension == 8
     assert mod.highest_weight == (2, 1, 0)
     assert mod.commutant == 1
     assert mod.gram_positive and mod.bracket_ok and not mod.empty
-
-
-def test_compact_cross_check_disagreement_raises(monkeypatch):
-    monkeypatch.setattr(rieffel, "spans_agree", lambda a, b: False)
-    with pytest.raises(InvariantBroken, match="projector image"):
-        induce_compact(2, 1, (1,), cross_check=True)
 
 
 def test_compact_module_rank_one_inducing_data():
@@ -150,14 +145,63 @@ def test_degree_selection_only_hits_the_matching_degree(k, M, m, n_wrong):
     (2, 1, (3,), 3),
 ])
 def test_zero_weight_blocks_are_those_of_the_full_grouping(k, M, m, n):
+    """The package keeps, keyed by row weight alone and in the same
+    order, the zero-difference blocks of the full grouping."""
     model = build_compact_model(k, M, n, validate=False)
     irrep = build_inducing_irrep(m, M)
-    full = rieffel._compact_blocks(model, (n, 0), irrep)
-    want = [(key, members) for key, members in full.items()
+    full = bf.weight_difference_blocks(model, (n, 0), irrep)
+    want = [(key[0], members) for key, members in full.items()
             if key[1] == (0,) * M]
-    got = rieffel._compact_blocks(model, (n, 0), irrep, zero_only=True)
+    got = rieffel._compact_blocks(model, (n, 0), irrep)
     assert list(got.items()) == want
     assert bool(want) == (n == sum(m))
+
+
+@pytest.mark.parametrize("k,M,m", [
+    (3, 2, (2, 1)), (2, 2, (1, 1)), (3, 3, (2, 1)), (2, 1, (3,)),
+    (2, 2, (2,)), (3, 1, (2,)), (2, 3, (1, 1, 1)), (1, 2, ()),
+])
+@bf.time_bounded
+def test_compact_invariants_span_the_casimir_kernel(k, M, m):
+    """The invariants the package solves for on the zero-difference
+    blocks, with the off-diagonal generators only, span the kernel of the
+    full diagonal Casimir over every block."""
+    mod = induce_compact(k, M, m)
+    n = sum(m)
+    model = build_compact_model(k, M, n, validate=False)
+    kernel = bf.casimir_kernel(model, (n, 0), build_inducing_irrep(m, M))
+    assert len(kernel) == mod.dimension
+    assert bf.spans_agree(mod.basis, kernel)
+
+
+def test_compact_gram_is_the_two_factor_form(monkeypatch):
+    """The package's Gram matrix of each nonempty compact module on the
+    grid of acceptance criterion 3, captured on its way to the positivity
+    check, equals the Fock norm tensored with the irrep's form, summed
+    factor by factor."""
+    grams = []
+
+    def record(gram, check=rieffel._ldl_positive):
+        grams.append(gram)
+        return check(gram)
+
+    monkeypatch.setattr(rieffel, "_ldl_positive", record)
+    cells = 0
+    for k, M, tot in product(range(1, 5), range(1, 4), range(5)):
+        for m in W.partitions_of(tot, max_rows=M):
+            grams.clear()
+            mod = induce_compact(k, M, m)
+            if mod.empty:
+                assert grams == []
+                continue
+            labels = build_compact_model(k, M, tot, validate=False).basis(
+                tot, 0).labels
+            irrep = build_inducing_irrep(m, M)
+            assert grams == [bf.two_factor_gram(mod.basis, labels,
+                                                irrep.basis)]
+            assert mod.gram_positive
+            cells += 1
+    assert cells == 88  # every nonempty cell of acceptance criterion 3
 
 
 # ---------------------------------------------------------------------------
@@ -313,20 +357,26 @@ def test_restrict_by_leaders_rejects_an_operator_leaving_the_span():
     span = T.ReducedSpan([{0: Fraction(1), 2: Fraction(3)}, {1: Fraction(1)}])
     assert span.rows == [{0: 1, 2: 3}, {1: 1}]  # pivots 0 and 1
 
-    basis = T.IndexedBasis(range(2))
-
     def swap(c):
         return [(1 - c if c < 2 else c, Fraction(1))]
 
     def shift(c):
         return [(c + 1, Fraction(1))]
 
+    def same(c):
+        return [(c, Fraction(1))]
+
     with pytest.raises(ShapeMismatch):
-        span.restrict_by_leaders(swap, basis)
+        span.restrict_by_leaders({"same": same, "swap": swap})
     with pytest.raises(ShapeMismatch):
-        span.restrict_by_leaders(shift, basis)
-    same = span.restrict_by_leaders(lambda c: [(c, Fraction(1))], basis)
-    assert bf.dense_matrix(same) == [[1, 0], [0, 1]]
+        span.restrict_by_leaders({"shift": shift})
+    ops = span.restrict_by_leaders({"same": same, "twice": lambda c: [
+        (c, Fraction(2))]})
+    assert list(ops) == ["same", "twice"]
+    assert ops["same"].domain is ops["twice"].codomain  # one module basis
+    assert ops["same"].domain.labels == (0, 1)
+    assert bf.dense_matrix(ops["same"]) == [[1, 0], [0, 1]]
+    assert bf.dense_matrix(ops["twice"]) == [[2, 0], [0, 2]]
 
 
 @pytest.mark.parametrize("entry", [int, Fraction])

@@ -192,7 +192,7 @@ def test_reduced_span_and_kernel_against_dense_oracle(system):
         # divided by its pivot entry, the row of the (unique) dense RREF
         assert [Fraction(row.get(c, 0), row[piv]) for c in range(ncols)] \
             == rref[piv]
-    assert T.spans_agree(span.rows, rows)
+    assert bf.spans_agree(span.rows, rows)
 
 
 @st.composite
@@ -519,11 +519,15 @@ def test_gl_commutant_dim_asks_only_for_chevalley_and_cartan_generators():
 def test_gram_matrix_weights_each_coordinate():
     vecs = [{0: Fraction(1), 2: Fraction(1, 2)}, {2: Fraction(2)},
             {1: Fraction(3)}]
-    assert T.gram_matrix(vecs) == [[Fraction(5, 4), 1, 0], [1, 4, 0],
-                                   [0, 0, 9]]
-    assert T.gram_matrix(vecs, [1, 5, 7]) == [[Fraction(11, 4), 7, 0],
-                                              [7, 28, 0], [0, 0, 45]]
-    assert T.gram_matrix([]) == []
+    assert T.gram_matrix(vecs, lambda o: 1) == [[Fraction(5, 4), 1, 0],
+                                                [1, 4, 0], [0, 0, 9]]
+    assert T.gram_matrix(vecs, [1, 5, 7].__getitem__) == [
+        [Fraction(11, 4), 7, 0], [7, 28, 0], [0, 0, 45]]
+    # coordinates may be any keys, such as (monomial, word) pairs
+    pairs = [{(f, 0): x for f, x in vec.items()} for vec in vecs]
+    assert T.gram_matrix(pairs, lambda key: [1, 5, 7][key[0]]) == \
+        T.gram_matrix(vecs, [1, 5, 7].__getitem__)
+    assert T.gram_matrix([], lambda o: 1) == []
 
 
 def test_commutant_cap():
@@ -543,10 +547,3 @@ def test_kernel_basis_handles_cancelling_rows():
             {0: Fraction(0), 1: Fraction(0)}]
     kern = T.kernel_basis(rows, 2)
     assert len(kern) == 1
-
-
-def test_spans_agree():
-    a = [{0: Fraction(1)}, {1: Fraction(1)}]
-    b = [{0: Fraction(1), 1: Fraction(1)}, {0: Fraction(1), 1: Fraction(-1)}]
-    assert T.spans_agree(a, b)
-    assert not T.spans_agree(a, [{0: Fraction(1)}])
