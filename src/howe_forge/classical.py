@@ -338,21 +338,3 @@ def verify_orbit(p: ConstrainedPoint, tol: float = DEFAULT_TOL) -> dict:
         "checks": checks,
         "ok": max_dev <= tol and all(checks.values()),
     }
-
-
-def orbit_grid_report(weights, ks, seeds, tol: float = DEFAULT_TOL) -> dict:
-    """verify_orbit over a grid; ok only if every cell passes every check
-    within tolerance."""
-    reports = []
-    ok = True
-    for w in weights:
-        w = _normalize_weight(w)
-        rows = len(w.m) + len(w.n)
-        for k in ks:
-            if k < rows:
-                continue
-            for seed in seeds:
-                rep = verify_orbit(sample_level_set(w, k, seed), tol)
-                ok = ok and rep["ok"]
-                reports.append(rep)
-    return {"tol": tol, "ok": ok, "cells": reports}

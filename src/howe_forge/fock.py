@@ -3,8 +3,11 @@
 The compact model is the polynomial algebra on a k x M matrix of
 variables x[i,a]; gl(k) acts along rows, gl(M) along columns.  Each
 generator is described once, by the image terms that ``FockModel.images``
-reads off a monomial's exponent label; solves read them on the monomials
-they visit, and only the bracket smoke check builds whole-piece matrices.
+reads off a monomial's exponent label.  Solves read them on the monomials
+they visit, and so does the bracket check (``FockModel.bracket_failures``,
+through ``tensor.gl_relation_failures``): no whole-piece Fock matrix is
+built in the package.  The ``*_op`` wrappers, which build one, serve the
+tests as a matrix oracle and the benchmark's tracer.
 
 The indefinite (oscillator) model adjoins a k x N block y[i,b].  The
 gl(k) action twists by the dual on the y block; the middle-algebra
@@ -45,30 +48,6 @@ def _convention_constants(k: int, M: int, N: int, convention: str):
         return tuple(c.numerator if c.denominator == 1 else c for c in (
             Fraction(M - N, 2), Fraction(k, 2), Fraction(-k, 2)))
     raise ShapeMismatch(f"unknown convention {convention!r}")
-
-
-@dataclass
-class LieActionSet:
-    """The gl(k), gl(M) and gl(N) generator matrices on one graded piece."""
-
-    piece: tuple[int, int]
-    gl_k: dict[tuple[int, int], ExactOperator]
-    gl_m: dict[tuple[int, int], ExactOperator]
-    gl_n: dict[tuple[int, int], ExactOperator]
-
-    def bracket_failures(self) -> list[str]:
-        """Exact check of the gl relations and cross-commutation on this
-        piece.  Returns human-readable labels of failing pairs."""
-        bad: list[str] = []
-        for fam, ops in (("k", self.gl_k), ("m", self.gl_m), ("n", self.gl_n)):
-            bad += gl_relation_failures(ops, fam)
-        for (i, j), a in self.gl_k.items():
-            for fam, ops in (("m", self.gl_m), ("n", self.gl_n)):
-                for key, b in ops.items():
-                    lhs = a * b - b * a
-                    if not lhs.is_zero():
-                        bad.append(f"cross k{i}{j} vs {fam}{key}")
-        return bad
 
 
 def _image(lab, terms):
@@ -224,15 +203,15 @@ class FockModel:
     def lowerer_op(self, a: int, b: int, piece) -> ExactOperator:
         return self._operator("lower", a, b, piece)
 
-    def action_set(self, piece) -> LieActionSet:
-        """The gl generator matrices on one piece, for the bracket check."""
-        gl_k = {(i, j): self.gl_k_op(i, j, piece)
-                for i in range(self.k) for j in range(self.k)}
-        gl_m = {(a, b): self.gl_m_op(a, b, piece)
-                for a in range(self.M) for b in range(self.M)}
-        gl_n = {(b, c): self.gl_n_op(b, c, piece)
-                for b in range(self.N) for c in range(self.N)}
-        return LieActionSet(piece, gl_k, gl_m, gl_n)
+    def bracket_failures(self, piece) -> list[str]:
+        """Exact check, on one piece, of the gl(k), gl(M) and gl(N)
+        relations and of the commutation across them, read off the
+        generator images; returns labels of the failing pairs."""
+        families = {family: {(a, b): self.images(family, a, b, piece)
+                             for a in range(rank) for b in range(rank)}
+                    for family, rank in (("k", self.k), ("m", self.M),
+                                         ("n", self.N))}
+        return gl_relation_failures(families, range(len(self.basis(*piece))))
 
     def release(self, piece) -> None:
         """Drop the weight blocks of one piece; a later call rebuilds them."""
@@ -269,30 +248,10 @@ class FockModel:
         )
 
 
-def build_compact_model(k: int, M: int, degree: int,
-                        convention: str = "sq",
-                        validate: bool = True) -> FockModel:
-    model = FockModel(k, M, 0, degree, convention)
-    if validate:
-        smoke = model.action_set((min(1, degree), 0))
-        bad = smoke.bracket_failures()
-        if bad:
-            raise InvariantBroken(f"bracket smoke check failed: {bad}")
-    return model
-
-
-def build_oscillator_model(k: int, M: int, N: int, degree: int,
-                           convention: str = "sq",
-                           validate: bool = True) -> FockModel:
-    if N <= 0:
-        raise ShapeMismatch("oscillator model needs N >= 1")
-    model = FockModel(k, M, N, degree, convention)
-    if validate and degree >= 2:
-        smoke = model.action_set((1, 1))
-        bad = smoke.bracket_failures()
-        if bad:
-            raise InvariantBroken(f"bracket smoke check failed: {bad}")
-    return model
+def _smoke_check(model: FockModel, piece) -> None:
+    bad = model.bracket_failures(piece)
+    if bad:
+        raise InvariantBroken(f"bracket smoke check failed: {bad}")
 
 
 # ---------------------------------------------------------------------------
@@ -539,8 +498,10 @@ def verify_howe(k: int, M: int, degree: int, convention: str = "sq",
     commutant dimension from the Weyl-reduced exact solve
     (``weyl_commutant_dim``), which reads no weight count, so it checks
     multiplicity-freeness independently of ``mult_ok``.  Every piece takes
-    that matrix route."""
-    model = model or build_compact_model(k, M, degree, convention)
+    that matrix route.  The brackets are checked first, on the piece of
+    degree min(1, degree), of ``model`` when one is given."""
+    model = model or FockModel(k, M, 0, degree, convention)
+    _smoke_check(model, (min(1, degree), 0))
     reports = []
     for n in range(degree + 1):
         b = model.basis(n, 0)
@@ -709,8 +670,13 @@ def verify_kv(k: int, M: int, N: int, degree: int,
     """Enumerate new lowest-K-type highest weight vectors up to the
     degree and check each against the predicted weight shifts; also check
     that no half-integer renormalized weight shows up among the plainly
-    quantized labels."""
-    model = build_oscillator_model(k, M, N, degree, convention)
+    quantized labels.  The brackets are checked first, on bidegree
+    (1, 1) when the degree reaches it."""
+    if N <= 0:
+        raise ShapeMismatch("oscillator model needs N >= 1")
+    model = FockModel(k, M, N, degree, convention)
+    if degree >= 2:
+        _smoke_check(model, (1, 1))
     context = "kave" if convention == "sq" else "kave2"
     bidegrees = []
     occurring: set[tuple[int, ...]] = set()

@@ -35,8 +35,7 @@ from functools import cache
 
 from . import weights as W
 from .errors import InvariantBroken, ShapeMismatch, TooLarge
-from .fock import FockModel, build_compact_model, build_oscillator_model, \
-    raising_images, strict_signed_pairs
+from .fock import FockModel, raising_images, strict_signed_pairs
 from .tensor import ExactOperator, IndexedBasis, ReducedSpan, \
     block_kernel, gl_commutant_dim, gl_relation_failures, gl_tensor_action, \
     gram_matrix, linear_image, young_symmetrizer
@@ -182,6 +181,13 @@ class InducedModule:
     def empty(self) -> bool:
         return self.dimension == 0
 
+    @property
+    def sound(self) -> bool:
+        """The verdict of the three checks: commutant 1, a positive Gram
+        matrix and the gl(k) brackets; an empty module has none to fail."""
+        return self.empty or (self.commutant == 1 and self.gram_positive
+                              and self.bracket_ok)
+
     def to_json(self) -> dict:
         return {
             "inputs": self.inputs,
@@ -234,7 +240,9 @@ def _checked_module(ambient: str, k: int, inputs: dict, basis: list[dict],
         highest_weight=highest_weight,
         commutant=gl_commutant_dim(k, lambda i, j: gl_k[(i, j)]),
         gram_positive=_ldl_positive(gram),
-        bracket_ok=not gl_relation_failures(gl_k, "k"),
+        bracket_ok=not gl_relation_failures(
+            {"k": {ij: op.terms() for ij, op in gl_k.items()}},
+            range(len(basis))),
     )
 
 
@@ -301,7 +309,7 @@ def induce_compact(k: int, M: int, m) -> InducedModule:
     shape = W.partition(m)
     irrep = build_inducing_irrep(shape, M)
     n = sum(shape)
-    model = build_compact_model(k, M, n, validate=False)
+    model = FockModel(k, M, 0, n, "sq")
     piece = (n, 0)
     invariants = _diagonal_invariants(model, piece, irrep)
     fb = model.basis(*piece)
@@ -336,7 +344,7 @@ def degree_selection_check(k: int, M: int, m, n_wrong: int) -> dict:
     """The invariant subspace of a wrong-degree piece must vanish."""
     shape = W.partition(m)
     irrep = build_inducing_irrep(shape, M)
-    model = build_compact_model(k, M, n_wrong, validate=False)
+    model = FockModel(k, M, 0, n_wrong, "sq")
     basis = _diagonal_invariants(model, (n_wrong, 0), irrep)
     return {
         "k": k,
@@ -397,7 +405,7 @@ def induce_noncompact_graded(k: int, M: int, N: int, inducing_weight,
     p, q = sum(m_cand), sum(n_cand)
     if p + q > d:
         raise TooLarge(f"candidate bidegree ({p}, {q}) exceeds window {d}")
-    model = build_oscillator_model(k, M, N, max(d, p + q), validate=False)
+    model = FockModel(k, M, N, d, "sq")
     piece = (p, q)
     hw = W.SignedWeight(W.partition(m_cand), W.partition(n_cand)).realize(k)
     key = (tuple(x - model.c_k for x in hw),
@@ -460,9 +468,6 @@ def emptiness_survey(k: int, M: int, N: int, window: int) -> dict:
                     raise
                 d = 2 * d + 1
 
-    def sound(mod):
-        return mod.commutant == 1 and mod.gram_positive and mod.bracket_ok
-
     def record(branch, weight_text, good, detail):
         nonlocal ok
         ok = ok and good
@@ -477,7 +482,7 @@ def emptiness_survey(k: int, M: int, N: int, window: int) -> dict:
             record("renormalized", text, True, out.reason)
             continue
         hw = out.highest_weight
-        good = sound(out) and out.dimension == W.signed_weight_dim(hw, k)
+        good = out.sound and out.dimension == W.signed_weight_dim(hw, k)
         try:
             good = good and hw != W.SignedWeight(m, n).realize(k)
         except ShapeMismatch:
@@ -504,7 +509,7 @@ def emptiness_survey(k: int, M: int, N: int, window: int) -> dict:
             w += tuple(-x for x in reversed(n + (0,) * (N - len(n))))
             out = run(w)
             want = W.SignedWeight(m, n).realize(k)
-            good = (not out.empty and sound(out)
+            good = (not out.empty and out.sound
                     and out.highest_weight == want
                     and out.dimension == W.signed_weight_dim(want, k))
             record("shifted-label", str(w), good,

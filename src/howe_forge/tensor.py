@@ -14,13 +14,16 @@ gl family to an invariant span (its ``restrict_by_leaders``) all come
 from it, and divide only at the output, by the pivot entries.
 
 Linear maps given by their image terms (basis key -> (target, value)
-pairs) have two shared consumers: ``linear_image`` extends such a map
-linearly to a sparse vector, and ``block_kernel`` solves the joint
-kernel of several of them on one block of basis keys, with one
-``kernel_basis`` call.  The Fock generators come in that form straight
-from ``fock.FockModel.images``; ``ExactOperator.terms`` is an operator's
-column index in that form.  ``gram_matrix`` is the one inner product
-routine, in mutually orthogonal coordinates with given squared norms.
+pairs) have three shared consumers: ``linear_image`` extends such a map
+linearly to a sparse vector, ``block_kernel`` solves the joint kernel of
+several of them on one block of basis keys, with one ``kernel_basis``
+call, and ``gl_relation_failures``, the one bracket check, checks the
+relations of commuting gl families column by column.  The Fock
+generators come in that form straight from ``fock.FockModel.images``, so
+no whole-piece Fock matrix is built in the package;
+``ExactOperator.terms`` is an operator's column index in that form.
+``gram_matrix`` is the one inner product routine, in mutually orthogonal
+coordinates with given squared norms.
 
 The symmetric-group material (slot permutations, central projectors,
 row/column symmetrizers, commutants) lives here too, since those
@@ -535,24 +538,46 @@ def young_symmetrizer(shape, k: int,
 # gl relations and commutants
 
 
-def gl_relation_failures(ops: dict[tuple[int, int], ExactOperator],
-                         name: str = "") -> list[str]:
-    """Labels of the generator pairs that break
-    [E_ij, E_lm] = d_jl E_im - d_mi E_lj, for a family keyed (i, j).
+def gl_relation_failures(families: dict, columns) -> list[str]:
+    """Labels of the generator pairs that break the relations of commuting
+    gl families: within a family keyed (i, j),
+    [E_ij, E_lm] = d_jl E_im - d_mi E_lj, and across families [A, B] = 0.
 
-    Both sides change sign when the pair is swapped and vanish when it
-    repeats a generator, so each unordered pair is checked once."""
+    ``families`` maps a name to {(i, j): image terms} (see
+    ``linear_image``), every map acting on the span of the keys
+    ``columns``.  Both sides change sign when the pair is swapped and
+    vanish when it repeats a generator, so each unordered pair is checked
+    once, column by column, on the columns of its generators."""
+    cols = {(name, key): {c: linear_image(terms, {c: 1}) for c in columns}
+            for name, family in families.items()
+            for key, terms in family.items()}
+    # the same columns as image terms, for linear_image to apply
+    maps = {gen: {c: list(col.items()) for c, col in by_col.items()}
+            for gen, by_col in cols.items()}
+    gens = list(cols)
     bad = []
-    items = list(ops.items())
-    for s, ((i, j), a) in enumerate(items):
-        for (l, m), b in items[s + 1:]:
-            rhs = ExactOperator.zero(a.domain, a.codomain)
-            if j == l:
-                rhs = rhs + ops[(i, m)]
-            if m == i:
-                rhs = rhs - ops[(l, j)]
-            if a * b - b * a != rhs:
-                bad.append(f"gl({name})[{i}{j},{l}{m}]")
+    for s, (f, (i, j)) in enumerate(gens):
+        a, a_terms = cols[f, (i, j)], maps[f, (i, j)].__getitem__
+        for g, (l, m) in gens[s + 1:]:
+            b, b_terms = cols[g, (l, m)], maps[g, (l, m)].__getitem__
+            rhs = []  # (coefficient, columns) of the right-hand side
+            if f == g and j == l:
+                rhs.append((1, cols[f, (i, m)]))
+            if f == g and m == i:
+                rhs.append((-1, cols[f, (l, j)]))
+            for c in a:  # AB c == BA c + rhs c
+                ab = linear_image(a_terms, b[c])
+                ba = linear_image(b_terms, a[c])
+                for x, e in rhs:
+                    for t, v in e[c].items():
+                        if new := ba.get(t, 0) + x * v:
+                            ba[t] = new
+                        else:
+                            del ba[t]
+                if ab != ba:
+                    bad.append(f"gl({f})[{i}{j},{l}{m}]" if f == g
+                               else f"{f}{i}{j} vs {g}{l}{m}")
+                    break
     return bad
 
 

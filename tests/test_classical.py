@@ -325,9 +325,3 @@ def test_pseudo_unitary_samples_preserve_the_form():
         assert C.is_pseudo_unitary(u, eta)
         assert not C.is_pseudo_unitary(u + 0.01, eta)
 
-
-def test_orbit_grid_report_small():
-    out = C.orbit_grid_report([((1,), ()), ((1,), (1,))], [2, 3], [0, 1])
-    assert out["ok"]
-    assert len(out["cells"]) == 8
-    assert all(c["ok"] for c in out["cells"])

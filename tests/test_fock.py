@@ -13,9 +13,7 @@ from howe_forge import tensor as T
 from howe_forge import weights as W
 from howe_forge.errors import InvariantBroken, ShapeMismatch, TooLarge
 from howe_forge.fock import (
-    LieActionSet,
-    build_compact_model,
-    build_oscillator_model,
+    FockModel,
     compact_multiplicities,
     expected_kv_labels,
     howe_stability_check,
@@ -35,14 +33,14 @@ def frac_tuple(*vals):
 
 
 def test_compact_pieces_and_dimensions():
-    model = build_compact_model(2, 2, 3)
+    model = FockModel(2, 2, 0, 3, "sq")
     assert model.pieces() == [(0, 0), (1, 0), (2, 0), (3, 0)]
     for n in range(4):
         assert len(model.basis(n, 0)) == bf.monomial_count(4, n)
 
 
 def test_oscillator_pieces_cover_the_bidegree_window():
-    model = build_oscillator_model(2, 1, 1, 2)
+    model = FockModel(2, 1, 1, 2, "sq")
     assert model.pieces() == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
     for p, q in model.pieces():
         assert len(model.basis(p, q)) == (
@@ -51,42 +49,46 @@ def test_oscillator_pieces_cover_the_bidegree_window():
 
 def test_bad_parameters_rejected():
     with pytest.raises(ShapeMismatch):
-        build_compact_model(0, 2, 2)
+        FockModel(0, 2, 0, 2, "sq")
     with pytest.raises(ShapeMismatch):
-        build_compact_model(2, 2, 2, convention="bogus")
+        FockModel(2, 2, 0, 2, "bogus")
+    with pytest.raises(ShapeMismatch, match="N >= 1"):
+        verify_kv(2, 1, 0, 2)
 
 
 def test_piece_cap_enforced():
     # 9 variables in degree 9: C(17, 9) = 24310 monomials
-    model = build_compact_model(3, 3, 9, validate=False)
+    model = FockModel(3, 3, 0, 9, "sq")
     with pytest.raises(TooLarge):
         model.basis(9, 0)
     # 4 + 4 variables in bidegree (15, 15): 816 monomials on each side
-    model = build_oscillator_model(2, 2, 2, 30, validate=False)
+    model = FockModel(2, 2, 2, 30, "sq")
     with pytest.raises(TooLarge):
         model.basis(15, 15)
 
 
 def test_failed_bracket_smoke_check_raises(monkeypatch):
-    monkeypatch.setattr(LieActionSet, "bracket_failures",
-                        lambda self: ["[E_01, E_10]"])
+    monkeypatch.setattr(FockModel, "bracket_failures",
+                        lambda self, piece: ["gl(k)[01,10]"])
     with pytest.raises(InvariantBroken, match="bracket smoke check"):
-        build_compact_model(2, 2, 2)
+        verify_howe(2, 2, 2)
     with pytest.raises(InvariantBroken, match="bracket smoke check"):
-        build_oscillator_model(2, 1, 1, 2)
+        verify_howe(2, 2, 2, model=FockModel(2, 2, 0, 2, "sq"))
+    with pytest.raises(InvariantBroken, match="bracket smoke check"):
+        verify_kv(2, 1, 1, 2)
 
 
 def test_weight_key_reads_rows_and_columns():
-    model = build_compact_model(2, 2, 3)
+    model = FockModel(2, 2, 0, 3, "sq")
     # x[0,0]^2: row weight (2, 0), column weight (2, 0), no y block
     assert model.weight_key((2, 0, 0, 0)) == ((2, 0), (2, 0), ())
-    osc = build_oscillator_model(2, 1, 1, 2)
+    osc = FockModel(2, 1, 1, 2, "sq")
     # x[0,0]*y[1,0]: the y block counts against the row weight
     assert osc.weight_key((1, 0, 0, 1)) == ((1, -1), (1,), (1,))
 
 
 def test_first_order_action_is_polarization():
-    model = build_compact_model(1, 2, 2)
+    model = FockModel(1, 2, 0, 2, "sq")
     b = model.basis(2, 0)
     # E[0,1] x[0,0]x[0,1] = x[0,0]^2  (one derivative, one multiplication)
     src = b.ordinal((1, 1, 0, 0)[: len(b.labels[0])])
@@ -95,7 +97,7 @@ def test_first_order_action_is_polarization():
 
 
 def test_gl_k_twists_by_the_dual_on_the_y_block():
-    osc = build_oscillator_model(2, 1, 1, 2)
+    osc = FockModel(2, 1, 1, 2, "sq")
     b = osc.basis(0, 1)
     assert b.labels == ((0, 0, 1, 0), (0, 0, 0, 1))
     op = osc.gl_k_op(0, 1, (0, 1))
@@ -104,7 +106,7 @@ def test_gl_k_twists_by_the_dual_on_the_y_block():
 
 
 def test_raiser_is_multiplication_by_the_pairing():
-    osc = build_oscillator_model(2, 1, 1, 2)
+    osc = FockModel(2, 1, 1, 2, "sq")
     out = osc.raiser_op(0, 0, (0, 0)).apply({0: Fraction(1)})
     b = osc.basis(1, 1)
     assert out == {
@@ -114,22 +116,84 @@ def test_raiser_is_multiplication_by_the_pairing():
 
 
 def test_lowerer_is_the_paired_second_derivative():
-    osc = build_oscillator_model(2, 1, 1, 2)
+    osc = FockModel(2, 1, 1, 2, "sq")
     low = osc.lowerer_op(0, 0, (1, 1))
     b = osc.basis(1, 1)
     assert low.apply({b.ordinal((1, 0, 1, 0)): Fraction(1)}) == {0: Fraction(1)}
     assert low.apply({b.ordinal((1, 0, 0, 1)): Fraction(1)}) == {}
 
 
+def matrix_bracket_failures(model, piece):
+    """Ordered generator pairs that break the gl(k), gl(M), gl(N)
+    relations or the commutation across them on one piece, checked on the
+    generator matrices with ExactOperator products."""
+    fams = {name: {(a, b): op(a, b, piece)
+                   for a, b in product(range(rank), repeat=2)}
+            for name, op, rank in (("k", model.gl_k_op, model.k),
+                                   ("m", model.gl_m_op, model.M),
+                                   ("n", model.gl_n_op, model.N))}
+    bad = []
+    for f, g in product(fams, repeat=2):
+        for ((i, j), a), ((l, m), b) in product(fams[f].items(),
+                                                fams[g].items()):
+            rhs = a.scaled(0)
+            if f == g and j == l:
+                rhs += fams[f][(i, m)]
+            if f == g and m == i:
+                rhs -= fams[f][(l, j)]
+            if a * b - b * a != rhs:
+                bad.append((f, i, j, g, l, m))
+    return bad
+
+
 @pytest.mark.parametrize("convention", ["sq", "hf"])
 def test_bracket_relations_hold_on_every_piece(convention):
-    for k, M, N in [(1, 1, 1), (2, 1, 1), (1, 2, 1)]:
-        model = build_oscillator_model(k, M, N, 2, convention=convention)
+    for k, M, N in [(1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2, 0)]:
+        model = FockModel(k, M, N, 2, convention)
         for piece in model.pieces():
-            assert model.action_set(piece).bracket_failures() == []
-    model = build_compact_model(2, 2, 2, convention=convention)
+            assert matrix_bracket_failures(model, piece) == []
+            assert model.bracket_failures(piece) == []
+
+
+@pytest.mark.parametrize("family,a,b", [("k", 0, 1), ("m", 1, 0), ("n", 0, 0)])
+def test_bracket_check_agrees_with_the_matrix_oracle(family, a, b):
+    """A generator with doubled images still commutes with the other
+    families and breaks relations within its own; the image-term check
+    fails on each unordered pair whose matrices fail both ways round."""
+    model = FockModel(2, 2, 2, 2, "hf")
+    real = model.images
+
+    def images(fam, x, y, piece):
+        image = real(fam, x, y, piece)
+        if (fam, x, y) != (family, a, b):
+            return image
+        return lambda o: [(t, 2 * v) for t, v in image(o)]
+
+    model.images = images
+    seen = []
     for piece in model.pieces():
-        assert model.action_set(piece).bracket_failures() == []
+        bad = model.bracket_failures(piece)
+        assert 2 * len(bad) == len(matrix_bracket_failures(model, piece))
+        seen += bad
+    assert seen
+    assert all(label.startswith(f"gl({family})") for label in seen)
+
+
+def test_bracket_check_reports_a_cross_family_fault():
+    """A gl(k) generator posing as the one generator of the "m" family
+    keeps every relation within its family and fails only to commute
+    with gl(k)."""
+    model = FockModel(2, 2, 0, 2, "sq")
+    piece = (2, 0)
+    cols = range(len(model.basis(*piece)))
+    gl_k = {(i, j): model.images("k", i, j, piece)
+            for i, j in product(range(2), repeat=2)}
+    assert T.gl_relation_failures(
+        {"k": gl_k, "m": {(0, 0): model.images("m", 0, 0, piece)}},
+        cols) == []
+    assert T.gl_relation_failures(
+        {"k": gl_k, "m": {(0, 0): model.images("k", 0, 1, piece)}},
+        cols) == ["k00 vs m00", "k10 vs m00", "k11 vs m00"]
 
 
 @pytest.mark.parametrize("convention", ["sq", "hf"])
@@ -137,7 +201,7 @@ def test_bracket_relations_hold_on_every_piece(convention):
 def test_lowerer_raiser_commutator(convention, k, M, N):
     """[L(a,b), R(c,d)] closes onto the middle algebras with no scalar
     left over, in either convention."""
-    model = build_oscillator_model(k, M, N, 4, convention=convention)
+    model = FockModel(k, M, N, 4, convention)
     for a in range(M):
         for b in range(N):
             for c in range(M):
@@ -156,15 +220,15 @@ def test_lowerer_raiser_commutator(convention, k, M, N):
 
 @pytest.mark.parametrize("convention", ["sq", "hf"])
 def test_lower_after_raise_on_constants_counts_rank(convention):
-    model = build_oscillator_model(2, 1, 1, 2, convention=convention)
+    model = FockModel(2, 1, 1, 2, convention)
     lr = model.lowerer_op(0, 0, (1, 1)) * model.raiser_op(0, 0, (0, 0))
     assert lr.apply({0: Fraction(1)}) == {0: Fraction(2)}
 
 
 @pytest.mark.parametrize("convention", ["sq", "hf"])
 @pytest.mark.parametrize("model", [
-    lambda c: build_compact_model(3, 2, 3, convention=c),
-    lambda c: build_oscillator_model(1, 2, 1, 3, convention=c),
+    lambda c: FockModel(3, 2, 0, 3, c),
+    lambda c: FockModel(1, 2, 1, 3, c),
 ], ids=["compact", "oscillator"])
 def test_operators_hold_ints_where_integral(model, convention):
     """Only int and Fraction values; every sq operator, raiser, lowerer
@@ -174,14 +238,16 @@ def test_operators_hold_ints_where_integral(model, convention):
     model = model(convention)
     fractions = 0
     for piece in model.pieces():
-        acts = model.action_set(piece)
+        gl = [([(ij, op(*ij, piece))
+                for ij in product(range(rank), repeat=2)], True)
+              for op, rank in ((model.gl_k_op, model.k),
+                               (model.gl_m_op, model.M),
+                               (model.gl_n_op, model.N))]
         pairs = [(a, b) for a in range(model.M) for b in range(model.N)]
         shifting = [(ab, model.raiser_op(*ab, piece)) for ab in pairs]
         if piece[0] and piece[1]:
             shifting += [(ab, model.lowerer_op(*ab, piece)) for ab in pairs]
-        for fam, diagonal in ((acts.gl_k.items(), True),
-                              (acts.gl_m.items(), True),
-                              (acts.gl_n.items(), True), (shifting, False)):
+        for fam, diagonal in gl + [(shifting, False)]:
             for (i, j), op in fam:
                 for v in op.data.values():
                     assert type(v) in (int, Fraction)
@@ -197,7 +263,7 @@ def test_operators_hold_ints_where_integral(model, convention):
 
 
 def test_compact_highest_weights_pair_up():
-    model = build_compact_model(2, 2, 3)
+    model = FockModel(2, 2, 0, 3, "sq")
     hw = joint_highest_weight_vectors(model, (2, 0))
     got = sorted((h.k_weight, h.m_weight) for h in hw)
     assert got == [
@@ -211,7 +277,7 @@ def test_compact_highest_weights_pair_up():
 def test_highest_weight_count_matches_raiser_nullity():
     """Independent count: stack all raising matrices densely and take the
     nullity with the naive eliminator."""
-    model = build_compact_model(2, 2, 2)
+    model = FockModel(2, 2, 0, 2, "sq")
     b = model.basis(2, 0)
     ops = [model.gl_k_op(0, 1, (2, 0)), model.gl_m_op(0, 1, (2, 0))]
     rows = []
@@ -236,7 +302,7 @@ def test_highest_weight_count_matches_raiser_nullity():
        st.integers(min_value=0, max_value=3))
 @settings(max_examples=25, deadline=None)
 def test_highest_weight_count_is_partition_count(k, M, n):
-    model = build_compact_model(k, M, max(n, 1), validate=False)
+    model = FockModel(k, M, 0, n, "sq")
     hw = joint_highest_weight_vectors(model, (n, 0))
     assert len(hw) == len(list(W.partitions_of(n, max_rows=min(k, M))))
     for h in hw:
@@ -246,7 +312,7 @@ def test_highest_weight_count_is_partition_count(k, M, n):
 
 
 def test_oscillator_highest_weights_sq():
-    model = build_oscillator_model(2, 1, 1, 2)
+    model = FockModel(2, 1, 1, 2, "sq")
     seen = {}
     for piece in model.pieces():
         for h in joint_highest_weight_vectors(model, piece):
@@ -258,7 +324,7 @@ def test_oscillator_highest_weights_sq():
 
 
 def test_oscillator_highest_weights_hf():
-    model = build_oscillator_model(2, 1, 1, 2, convention="hf")
+    model = FockModel(2, 1, 1, 2, "hf")
     (h,) = joint_highest_weight_vectors(model, (0, 0))
     assert (h.k_weight, h.m_weight, h.n_weight) == (
         frac_tuple(0, 0), frac_tuple(1), frac_tuple(-1))
@@ -303,15 +369,14 @@ def test_dominant_blocks_hold_every_highest_weight_vector(k, M, N):
     """The dominant-block solve returns the very vectors of a solve over
     every weight block, on every piece up to degree 4; with N = 2 the y
     column sums of a dominant block increase."""
-    model = (build_oscillator_model(k, M, N, 4) if N
-             else build_compact_model(k, M, 4))
+    model = FockModel(k, M, N, 4, "sq")
     for piece in model.pieces():
         assert joint_highest_weight_vectors(model, piece) \
             == all_block_highest_weights(model, piece)
 
 
 def test_dropping_the_lowering_condition_adds_vectors():
-    model = build_oscillator_model(2, 1, 1, 2)
+    model = FockModel(2, 1, 1, 2, "sq")
     strict = joint_highest_weight_vectors(model, (1, 1))
     # the kernel of the one gl(2) raiser alone, without the lowerer
     raiser = model.gl_k_op(0, 1, (1, 1)).terms()
@@ -327,7 +392,7 @@ def test_dropping_the_lowering_condition_adds_vectors():
 
 
 def test_compact_multiplicities_are_diagonal():
-    model = build_compact_model(2, 2, 3)
+    model = FockModel(2, 2, 0, 3, "sq")
     mults = compact_multiplicities(model, 3)
     assert mults == {
         ((3,), (3,)): 1,
@@ -380,7 +445,7 @@ def test_commutant_dim_matches_kernel_count_on_howe_pieces():
     system, solved densely; at (2, 2, 2) the weight ((1, 1), (1, 1)) has
     the stabilizer S_2 x S_2."""
     for k, M in ((2, 3), (3, 2), (2, 2)):
-        model = build_compact_model(k, M, 4)
+        model = FockModel(k, M, 0, 4, "sq")
         rep = verify_howe(k, M, 4, model=model)
         assert rep.ok and len(rep.degrees) == 5
         for d in rep.degrees:
@@ -416,7 +481,7 @@ def test_commutant_dim_ignores_rescaled_generators_on_howe_pieces():
     """X(cA) = (cA)X iff XA = AX: rescaling generators and Cartans by
     different rationals, which the equations clear, keeps every commutant
     of verify_howe(2, 3, 4)."""
-    model = build_compact_model(2, 3, 4)
+    model = FockModel(2, 3, 0, 4, "sq")
     for d in verify_howe(2, 3, 4, model=model).degrees:
         piece = (d.degree, 0)
         gens, carts = [], []
@@ -434,7 +499,7 @@ def test_commutant_dim_ignores_rescaled_generators_on_a_restricted_module():
     the hf oscillator model, restricted to its reduced basis: the
     Cartans carry the constant (M - N)/2 = 1/2, and the commutant stays 1
     under rescaling, with or without the Cartans solved in advance."""
-    model = build_oscillator_model(3, 2, 1, 2, convention="hf")
+    model = FockModel(3, 2, 1, 2, "hf")
     piece = (1, 1)
     (h,) = joint_highest_weight_vectors(model, piece)
     lowers = [model.gl_k_op(i + 1, i, piece).terms() for i in range(2)]
@@ -458,7 +523,7 @@ def test_commutant_dim_ignores_rescaled_generators_on_a_restricted_module():
 
 
 def test_verify_howe_releases_each_checked_piece():
-    model = build_compact_model(2, 2, 3, validate=False)
+    model = FockModel(2, 2, 0, 3, "sq")
     kept = model.weight_blocks((1, 0))
     blocks = model.weight_blocks((2, 0))
     assert model.weight_blocks((2, 0)) is blocks  # built once per piece

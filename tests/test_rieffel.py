@@ -13,7 +13,7 @@ from howe_forge import weights as W
 from howe_forge import rieffel
 from howe_forge import tensor as T
 from howe_forge.errors import InvariantBroken, ShapeMismatch, TooLarge
-from howe_forge.fock import build_compact_model, build_oscillator_model
+from howe_forge.fock import FockModel
 from howe_forge.rieffel import (
     build_inducing_irrep,
     degree_selection_check,
@@ -147,7 +147,7 @@ def test_degree_selection_only_hits_the_matching_degree(k, M, m, n_wrong):
 def test_zero_weight_blocks_are_those_of_the_full_grouping(k, M, m, n):
     """The package keeps, keyed by row weight alone and in the same
     order, the zero-difference blocks of the full grouping."""
-    model = build_compact_model(k, M, n, validate=False)
+    model = FockModel(k, M, 0, n, "sq")
     irrep = build_inducing_irrep(m, M)
     full = bf.weight_difference_blocks(model, (n, 0), irrep)
     want = [(key[0], members) for key, members in full.items()
@@ -168,7 +168,7 @@ def test_compact_invariants_span_the_casimir_kernel(k, M, m):
     full diagonal Casimir over every block."""
     mod = induce_compact(k, M, m)
     n = sum(m)
-    model = build_compact_model(k, M, n, validate=False)
+    model = FockModel(k, M, 0, n, "sq")
     kernel = bf.casimir_kernel(model, (n, 0), build_inducing_irrep(m, M))
     assert len(kernel) == mod.dimension
     assert bf.spans_agree(mod.basis, kernel)
@@ -194,8 +194,7 @@ def test_compact_gram_is_the_two_factor_form(monkeypatch):
             if mod.empty:
                 assert grams == []
                 continue
-            labels = build_compact_model(k, M, tot, validate=False).basis(
-                tot, 0).labels
+            labels = FockModel(k, M, 0, tot, "sq").basis(tot, 0).labels
             irrep = build_inducing_irrep(m, M)
             assert grams == [bf.two_factor_gram(mod.basis, labels,
                                                 irrep.basis)]
@@ -316,7 +315,7 @@ def assert_one_module_basis(mod):
 def assert_gl_k_matches_oracle(mod, k, M, N, d, piece):
     assert f"bidegree {piece}" in mod.ambient
     assert_one_module_basis(mod)
-    model = build_oscillator_model(k, M, N, d, validate=False)
+    model = FockModel(k, M, N, d, "sq")
     for i in range(k):
         for j in range(k):
             want = bf.dense_restriction(model.gl_k_op(i, j, piece).data,
@@ -342,7 +341,7 @@ def test_compact_gl_k_matches_dense_oracle(k, M, m):
     mod = induce_compact(k, M, m)
     dimh = build_inducing_irrep(m, M).dim
     piece = (sum(m), 0)
-    model = build_compact_model(k, M, piece[0], validate=False)
+    model = FockModel(k, M, 0, piece[0], "sq")
     assert_one_module_basis(mod)
     for (i, j), mat in mod.gl_k.items():
         # gl(k) acts on the Fock factor of each (monomial, irrep) coordinate
@@ -416,12 +415,14 @@ def test_ldl_positive_against_dense_oracle(gram):
 
 
 def test_bracket_check_catches_each_rescaled_generator():
-    fam = induce_compact(2, 2, (2, 1)).gl_k
-    assert T.gl_relation_failures(fam, "k") == []
-    for key in fam:
+    mod = induce_compact(2, 2, (2, 1))
+    fam = {key: op.terms() for key, op in mod.gl_k.items()}
+    cols = range(mod.dimension)
+    assert T.gl_relation_failures({"k": fam}, cols) == []
+    for key, op in mod.gl_k.items():
         bad = dict(fam)
-        bad[key] = fam[key].scaled(2)
-        assert T.gl_relation_failures(bad, "k"), key
+        bad[key] = op.scaled(2).terms()
+        assert T.gl_relation_failures({"k": bad}, cols), key
 
 
 def test_emptiness_verdict_requires_the_module_checks(monkeypatch):
@@ -431,7 +432,7 @@ def test_emptiness_verdict_requires_the_module_checks(monkeypatch):
         ("dim", "collision"))]
     assert nonempty
     monkeypatch.setattr(rieffel, "gl_relation_failures",
-                        lambda ops, name: ["gl(k)[00,01]"])
+                        lambda families, columns: ["gl(k)[00,01]"])
     rep = emptiness_survey(2, 1, 1, 2)
     assert not rep["ok"]
     assert [c for c in rep["cells"] if not c["ok"]] == [
