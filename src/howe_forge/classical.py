@@ -66,30 +66,6 @@ class ConstrainedPoint:
         return eta_matrix(*self.signature)
 
 
-@dataclass
-class OrbitElement:
-    """A k x k Hermitian matrix with the tolerance it was produced under."""
-
-    rho: np.ndarray
-    tol: float = DEFAULT_TOL
-
-    def __post_init__(self):
-        self.rho = np.asarray(self.rho, dtype=complex)
-        if self.rho.ndim != 2 or self.rho.shape[0] != self.rho.shape[1]:
-            raise ShapeMismatch(f"rho must be square, got shape {self.rho.shape}")
-
-    def is_hermitian(self) -> bool:
-        return bool(np.max(np.abs(self.rho - self.rho.conj().T), initial=0.0)
-                    <= self.tol)
-
-    def spectrum(self) -> np.ndarray:
-        """Eigenvalues, sorted descending."""
-        return np.linalg.eigvalsh(self.rho)[::-1]
-
-    def trace(self) -> float:
-        return float(np.trace(self.rho).real)
-
-
 def _dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix or of each matrix in a stack."""
     return a.conj().swapaxes(-1, -2)
@@ -106,14 +82,6 @@ def signed_pairing(psi: np.ndarray, phi: np.ndarray, eta: np.ndarray):
     return complex(out) if out.ndim == 0 else out
 
 
-def symplectic_form(p: ConstrainedPoint, q: ConstrainedPoint) -> float:
-    """-2 Im of the signed pairing; antisymmetric and real bilinear."""
-    if p.signature != q.signature:
-        raise ShapeMismatch(
-            f"signatures differ: {p.signature} vs {q.signature}")
-    return -2.0 * signed_pairing(p.psi, q.psi, p.eta).imag
-
-
 def _right_map(psi: np.ndarray, eta: np.ndarray) -> np.ndarray:
     return eta @ _dagger(psi) @ psi
 
@@ -127,9 +95,10 @@ def moment_right(p: ConstrainedPoint) -> np.ndarray:
     return _right_map(p.psi, p.eta)
 
 
-def moment_left(p: ConstrainedPoint, tol: float = DEFAULT_TOL) -> OrbitElement:
-    """psi * eta * psi^dagger, the signed sum of column projectors."""
-    return OrbitElement(_left_map(p.psi, p.eta), tol)
+def moment_left(p: ConstrainedPoint) -> np.ndarray:
+    """psi * eta * psi^dagger, the signed sum of column projectors; a
+    k x k Hermitian matrix."""
+    return _left_map(p.psi, p.eta)
 
 
 def target_matrix(w: W.SignedWeight, M: int, N: int) -> np.ndarray:
@@ -270,7 +239,7 @@ def pairing_deviation(p: ConstrainedPoint) -> float:
     right = signed_pairing(p.psi @ X, p.psi, p.eta) \
         - np.trace(X @ moment_right(p), axis1=-2, axis2=-1)
     left = signed_pairing(Y @ p.psi, p.psi, p.eta) \
-        - np.trace(Y @ moment_left(p).rho, axis1=-2, axis2=-1)
+        - np.trace(Y @ moment_left(p), axis1=-2, axis2=-1)
     return float(np.max(np.abs(np.concatenate([right, left])), initial=0.0))
 
 
@@ -317,7 +286,7 @@ def verify_orbit(p: ConstrainedPoint, tol: float = DEFAULT_TOL) -> dict:
     the pairing check on a basis, the invariance check on group samples
     seeded by the point, and the stabilizer check, as one JSON report;
     ``ok`` when the deviation is within tolerance and every check holds."""
-    spec = moment_left(p, tol).spectrum()
+    spec = np.linalg.eigvalsh(moment_left(p))[::-1]  # descending
     want = target_spectrum(p.target, p.k)
     max_dev = float(np.max(np.abs(spec - want), initial=0.0))
     right_dev = float(np.max(np.abs(moment_right(p)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -89,8 +90,10 @@ class RunConfig:
             raise ShapeMismatch("kmax, mmax, nmax and seeds must be at least 1")
         if self.degree < 0:
             raise ShapeMismatch("degree must be nonnegative")
-        if self.tolerance <= 0:
-            raise ShapeMismatch("tolerance must be positive")
+        if self.seed < 0:
+            raise ShapeMismatch("seed must be nonnegative")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ShapeMismatch("tolerance must be finite and positive")
         if self.fmt not in ("tsv", "json"):
             raise ShapeMismatch(f"unknown format {self.fmt!r}")
         if self.threads < 1:
@@ -311,10 +314,10 @@ def cmd_induce(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    if args.k < 1 or args.seeds < 1:
-        return fail_usage("need k >= 1 and seeds >= 1")
-    if args.tol <= 0:
-        return fail_usage("tolerance must be positive")
+    if args.k < 1 or args.seeds < 1 or args.seed < 0:
+        return fail_usage("need k >= 1, seeds >= 1 and seed >= 0")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        return fail_usage("tolerance must be finite and positive")
     try:
         weight = W.SignedWeight(parse_int_tuple(args.m),
                                 parse_int_tuple(args.n))

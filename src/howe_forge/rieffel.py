@@ -17,13 +17,17 @@ a value, not an error.
 The exact linear algebra is shared with ``tensor``: the invariants are
 ``block_kernel`` solves over the weight blocks of (Fock piece) x irrep.
 Each Fock generator is given by the image terms ``FockModel.images``
-reads off monomial labels, the irrep's by its restricted operator.
-Every module basis is the ``rows`` of one ``ReducedSpan``, and the
-restricted actions on it (the inducing irrep's gl(M), an induced
-module's gl(k)) are the ``ExactOperator``s one ``restrict_by_leaders``
-call reads off that span.  The induced inner product is the Fock norm,
-<x^e, x^e> = prod e!, tensored with the form of the word coordinates the
-irrep lives in; both are diagonal, so it is one ``gram_matrix``.
+reads off monomial labels, the irrep's by its restricted operator.  The
+inducing irrep is read off word labels in the same way: each column of
+its Young symmetrizer (``_symmetrizer_column``) and each gl(M) image
+(``_word_images``) comes from one word, so no operator on the whole
+tensor power is built.  Every module basis is the ``rows`` of one
+``ReducedSpan``, and the restricted actions on it (the inducing irrep's
+gl(M), an induced module's gl(k)) are the ``ExactOperator``s one
+``restrict_by_leaders`` call reads off that span.  The induced inner
+product is the Fock norm, <x^e, x^e> = prod e!, tensored with the form
+of the word coordinates the irrep lives in; both are diagonal, so it is
+one ``gram_matrix``.
 """
 
 from __future__ import annotations
@@ -37,8 +41,8 @@ from . import weights as W
 from .errors import InvariantBroken, ShapeMismatch, TooLarge
 from .fock import FockModel, raising_images, strict_signed_pairs
 from .tensor import ExactOperator, IndexedBasis, ReducedSpan, \
-    block_kernel, gl_commutant_dim, gl_relation_failures, gl_tensor_action, \
-    gram_matrix, linear_image, young_symmetrizer
+    block_kernel, gl_commutant_dim, gl_relation_failures, gram_matrix, \
+    linear_image, perm_inverse, subgroup_perms
 
 _F1 = Fraction(1)
 
@@ -106,6 +110,42 @@ def _word_weight(word, M) -> tuple[int, ...]:
     return tuple(wt)
 
 
+@cache
+def _symmetrizer_terms(shape: tuple[int, ...]) -> list[tuple[tuple, int]]:
+    """(slots, sign(q)) for q in the column group C and p in the row group
+    R of the row-reading tableau of the shape, the terms of its Young
+    symmetrizer sum_{q, p} sign(q) q p.  A slot permutation moves the
+    letter in slot a to slot sigma(a), so the word q p w reads its letters
+    off w at ``slots``, the inverse of a -> q(p(a))."""
+    n = sum(shape)
+    starts = [sum(shape[:r]) for r in range(len(shape))]
+    rows = [list(range(c, c + r)) for c, r in zip(starts, shape)]
+    cols = [[c + j for c, r in zip(starts, shape) if j < r]
+            for j in range(shape[0] if shape else 0)]
+    return [(perm_inverse(tuple(q[a] for a in p)), W.perm_sign(q))
+            for q in subgroup_perms(cols, n) for p in subgroup_perms(rows, n)]
+
+
+def _symmetrizer_column(shape, wb: IndexedBasis, c: int) -> dict:
+    """Column c of the Young symmetrizer of the shape on the words of wb,
+    read off the word w: sum over q in C, p in R of sign(q) e_{q p w}."""
+    word, out = wb.label(c), {}
+    for slots, sign in _symmetrizer_terms(shape):
+        t = wb.ordinal(tuple(word[s] for s in slots))
+        out[t] = out.get(t, 0) + sign
+    return {t: v for t, v in out.items() if v}
+
+
+def _word_images(wb: IndexedBasis, a: int, b: int):
+    """Image terms c -> [(target ordinal, 1)] of E_ab on the words of wb,
+    read off the word: each slot holding letter b in turn set to a."""
+    def image(c):
+        w = wb.label(c)
+        return [(wb.ordinal(w[:s] + (a,) + w[s + 1:]), 1)
+                for s, letter in enumerate(w) if letter == b]
+    return image
+
+
 def build_inducing_irrep(m, M: int) -> InducingIrrep:
     """Realize the U(M) irrep with the given highest weight as the image
     of a Young symmetrizer inside the tensor power of the defining rep,
@@ -118,21 +158,18 @@ def build_inducing_irrep(m, M: int) -> InducingIrrep:
 def _inducing_irrep(shape: tuple[int, ...], M: int) -> InducingIrrep:
     if len(shape) > M:
         raise ShapeMismatch(f"label {shape} has more than {M} rows")
-    n = sum(shape)
-    wb = IndexedBasis.tensor_power(M, n)
-    sym = young_symmetrizer(shape, M)
+    wb = IndexedBasis.tensor_power(M, sum(shape))
     # image basis: one span, fed one weight (content) class at a time; the
     # classes have disjoint supports, so every reduced row is a weight
     # vector with a leader coordinate, which makes restriction a lookup
     by_weight: dict[tuple[int, ...], list[int]] = {}
     for i, word in enumerate(wb.labels):
         by_weight.setdefault(_word_weight(word, M), []).append(i)
-    cols = sym.columns()
     span = ReducedSpan()
     basis_weights: list[tuple[int, ...]] = []
     for wt in sorted(by_weight, reverse=True):
         for c in by_weight[wt]:
-            if c in cols and span.insert(dict(cols[c])):
+            if span.insert(_symmetrizer_column(shape, wb, c)):
                 basis_weights.append(wt)
     expected = W.weyl_dim(shape, M)
     if len(span) != expected:
@@ -140,8 +177,7 @@ def _inducing_irrep(shape: tuple[int, ...], M: int) -> InducingIrrep:
             f"symmetrizer image has dim {len(span)}, expected {expected}")
 
     ops = span.restrict_by_leaders({
-        (a, b): gl_tensor_action(a, b, M, n).terms()
-        for a in range(M) for b in range(M)})
+        (a, b): _word_images(wb, a, b) for a in range(M) for b in range(M)})
 
     hw_wt = shape + (0,) * (M - len(shape))
     highest = basis_weights.index(hw_wt)
@@ -150,7 +186,7 @@ def _inducing_irrep(shape: tuple[int, ...], M: int) -> InducingIrrep:
         raise InvariantBroken(f"highest weight {hw_wt} is not simple")
     for a in range(M):
         for b in range(a + 1, M):
-            if ops[(a, b)].apply({highest: _F1}):
+            if linear_image(ops[(a, b)].terms(), {highest: _F1}):
                 raise InvariantBroken("highest vector not annihilated")
     return InducingIrrep(shape, M, span.rows, basis_weights, ops, highest)
 
@@ -276,9 +312,11 @@ def _diagonal_terms(model: FockModel, piece, irrep: InducingIrrep, a, b):
     """Image terms of the diagonal action D(E_ab) = E_ab x 1 - 1 x E_ab^T
     on the keys (f, h)."""
     fock = _on_fock(model.images("m", a, b, piece))
-    dual = (-irrep.action[(a, b)]).transpose().terms()
-    return lambda key: fock(key) + [((key[0], rh), v)
-                                    for rh, v in dual(key[1])]
+    dual: dict[int, list] = {}  # -E_ab^T sends h to c wherever E_ab[h, c] != 0
+    for (h, c), v in irrep.action[(a, b)].data.items():
+        dual.setdefault(h, []).append((c, -v))
+    return lambda key: fock(key) + [((key[0], c), v)
+                                    for c, v in dual.get(key[1], ())]
 
 
 def _diagonal_invariants(model: FockModel, piece,

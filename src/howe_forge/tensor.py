@@ -1,14 +1,16 @@
 """Exact sparse operators on indexed bases.
 
-Operators are dicts keyed by (row, col) ordinals with exact rational
-values: ``int`` wherever a value is integral, ``Fraction`` only where a
-quotient is really produced.  All arithmetic is exact; there are no
-tolerance parameters in this module.  One elimination serves every
-caller: ``ReducedSpan``, the reduced span of rational rows, kept in
-integers by the fraction-free update row <- (p*row - a*prow) / content.
-Each row is integer and primitive, positive at its pivot (its lowest
-column when inserted) and 0 at every other row's pivot.  Ranks (its
-length: ``ExactOperator.rank``, ``commutant_dim``), kernels
+An ``ExactOperator`` is a container: its entries, added one at a time
+by ``add_entry``, and their column index ``terms``; nothing in the
+package multiplies whole operators.  Entries are keyed by (row, col)
+ordinals with exact rational values: ``int`` wherever a value is
+integral, ``Fraction`` only where a quotient is really produced.  All
+arithmetic is exact; there are no tolerance parameters in this module.
+One elimination serves every caller: ``ReducedSpan``, the reduced span
+of rational rows, kept in integers by the fraction-free update
+row <- (p*row - a*prow) / content.  Each row is integer and primitive,
+positive at its pivot (its lowest column when inserted) and 0 at every
+other row's pivot.  Ranks (its length, as in ``commutant_dim``), kernels
 (``kernel_basis``), module bases (its ``rows``) and the restriction of a
 gl family to an invariant span (its ``restrict_by_leaders``) all come
 from it, and divide only at the output, by the pivot entries.
@@ -25,9 +27,9 @@ no whole-piece Fock matrix is built in the package;
 ``gram_matrix`` is the one inner product routine, in mutually orthogonal
 coordinates with given squared norms.
 
-The symmetric-group material (slot permutations, central projectors,
-row/column symmetrizers, commutants) lives here too, since those
-operators are the main clients of the exact core.
+The symmetric-group material (the central projectors' family check,
+the subgroups that fix blocks of slots) and the commutant solves live
+here too, since they are the main clients of the exact core.
 """
 
 from __future__ import annotations
@@ -122,19 +124,6 @@ class ExactOperator:
             for (r, c), v in data.items():
                 self.add_entry(r, c, v)
 
-    # construction ---------------------------------------------------------
-
-    @classmethod
-    def zero(cls, domain, codomain=None):
-        return cls(domain, codomain or domain)
-
-    @classmethod
-    def identity(cls, basis):
-        op = cls(basis, basis)
-        for i in range(len(basis)):
-            op.data[(i, i)] = 1
-        return op
-
     def add_entry(self, row: int, col: int, value) -> None:
         if not isinstance(value, (int, Fraction)):
             value = Fraction(value)  # exact for floats and strings too
@@ -146,76 +135,14 @@ class ExactOperator:
         else:
             self.data.pop(key, None)
 
-    # algebra ---------------------------------------------------------------
-
-    def _check_same_shape(self, other):
-        if self.domain is not other.domain or self.codomain is not other.codomain:
-            if (self.domain.labels != other.domain.labels
-                    or self.codomain.labels != other.codomain.labels):
-                raise ValueError("operator shape mismatch")
-
-    def __add__(self, other: "ExactOperator") -> "ExactOperator":
-        self._check_same_shape(other)
-        out = ExactOperator(self.domain, self.codomain)
-        out.data.update(self.data)
-        for (r, c), v in other.data.items():
-            out.add_entry(r, c, v)
-        return out
-
-    def __sub__(self, other: "ExactOperator") -> "ExactOperator":
-        self._check_same_shape(other)
-        out = ExactOperator(self.domain, self.codomain)
-        out.data.update(self.data)
-        for (r, c), v in other.data.items():
-            out.add_entry(r, c, -v)
-        return out
-
-    def __neg__(self) -> "ExactOperator":
-        return ExactOperator(
-            self.domain, self.codomain, {k: -v for k, v in self.data.items()})
-
-    def scaled(self, scalar) -> "ExactOperator":
-        s = scalar if isinstance(scalar, (int, Fraction)) else Fraction(scalar)
-        if not s:
-            return ExactOperator.zero(self.domain, self.codomain)
-        return ExactOperator(
-            self.domain, self.codomain, {k: s * v for k, v in self.data.items()})
-
-    def __mul__(self, other):
-        """Composition self * other (apply other first), or scalar scaling."""
-        if not isinstance(other, ExactOperator):
-            return self.scaled(other)
-        if other.codomain.labels != self.domain.labels:
-            raise ValueError("composition shape mismatch")
-        cols = self.columns()
-        out = ExactOperator(other.domain, self.codomain)
-        for (mid, col), bv in other.data.items():
-            for row, av in cols.get(mid, ()):
-                out.add_entry(row, col, av * bv)
-        return out
-
-    __rmul__ = scaled
-
     def terms(self):
-        """The column index as a map col -> [(row, value)], the form
-        ``linear_image``, ``block_kernel`` and ``restrict_by_leaders`` take."""
-        cols = self.columns()
+        """The column index as a map col -> [(row, value)], in storage
+        order: the form ``linear_image``, ``block_kernel`` and
+        ``restrict_by_leaders`` take."""
+        cols: dict[int, list[tuple[int, int | Fraction]]] = {}
+        for (r, c), v in self.data.items():
+            cols.setdefault(c, []).append((r, v))
         return lambda c: cols.get(c, ())
-
-    def apply(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
-        return linear_image(self.terms(), vec)
-
-    def transpose(self) -> "ExactOperator":
-        return ExactOperator(
-            self.codomain, self.domain, {(c, r): v for (r, c), v in self.data.items()})
-
-    def trace(self) -> Fraction:
-        if len(self.domain) != len(self.codomain):
-            raise ValueError("trace needs a square operator")
-        return sum((v for (r, c), v in self.data.items() if r == c), Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self.data
 
     def __eq__(self, other) -> bool:
         return (
@@ -228,21 +155,6 @@ class ExactOperator:
     def __hash__(self):
         raise TypeError("ExactOperator is mutable; not hashable")
 
-    def columns(self) -> dict[int, list[tuple[int, Fraction]]]:
-        """Column index: col -> [(row, value)], in storage order."""
-        out: dict[int, list[tuple[int, Fraction]]] = {}
-        for (r, c), v in self.data.items():
-            out.setdefault(c, []).append((r, v))
-        return out
-
-    def rows(self) -> list[dict[int, Fraction]]:
-        out: dict[int, dict[int, Fraction]] = {}
-        for (r, c), v in self.data.items():
-            out.setdefault(r, {})[c] = v
-        return list(out.values())
-
-    def rank(self) -> int:
-        return len(ReducedSpan(self.rows()))
 
 # ---------------------------------------------------------------------------
 # exact elimination
@@ -440,7 +352,7 @@ def gram_matrix(vectors, weight) -> list[list[Fraction]]:
 
 
 # ---------------------------------------------------------------------------
-# permutations
+# permutations and symmetric-group characters
 
 
 def perm_inverse(a: tuple[int, ...]) -> tuple[int, ...]:
@@ -450,53 +362,9 @@ def perm_inverse(a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-# ---------------------------------------------------------------------------
-# symmetric group and gl(k) actions on tensor powers
-
-
-def sn_action(sigma: tuple[int, ...], k: int, n: int,
-              basis: IndexedBasis | None = None) -> ExactOperator:
-    """Slot permutation on the n-fold tensor power of C^k.
-
-    The factor in slot a moves to slot sigma(a), which makes the map
-    multiplicative: sn_action(s) * sn_action(t) == sn_action(s after t).
-    """
-    if len(sigma) != n:
-        raise ValueError(f"permutation length {len(sigma)} != {n}")
-    b = basis or IndexedBasis.tensor_power(k, n)
-    op = ExactOperator(b, b)
-    inv = perm_inverse(sigma)
-    for col, lab in enumerate(b.labels):
-        tgt = tuple(lab[inv[p]] for p in range(n))
-        op.data[(b.ordinal(tgt), col)] = 1
-    return op
-
-
-def gl_tensor_action(i: int, j: int, k: int, n: int,
-                     basis: IndexedBasis | None = None) -> ExactOperator:
-    """Derivation action of the elementary matrix E_ij across the n slots."""
-    b = basis or IndexedBasis.tensor_power(k, n)
-    op = ExactOperator(b, b)
-    for col, lab in enumerate(b.labels):
-        for slot, letter in enumerate(lab):
-            if letter == j:
-                tgt = lab[:slot] + (i,) + lab[slot + 1:]
-                op.add_entry(b.ordinal(tgt), col, 1)
-    return op
-
-
 @cache
 def _character_by_type(shape: tuple[int, ...], n: int) -> dict[tuple[int, ...], int]:
     return {mu: W.sn_character(shape, mu) for mu in W.partitions_of(n)}
-
-
-def _row_filling(shape) -> list[list[int]]:
-    rows = []
-    c = 0
-    for r in shape:
-        rows.append(list(range(c, c + r)))
-        c += r
-    return rows
 
 
 def subgroup_perms(blocks: list[list[int]], n: int) -> list[tuple[int, ...]]:
@@ -512,26 +380,6 @@ def subgroup_perms(blocks: list[list[int]], n: int) -> list[tuple[int, ...]]:
                 new.append(tuple(m))
         out = new
     return out
-
-
-def young_symmetrizer(shape, k: int,
-                      basis: IndexedBasis | None = None) -> ExactOperator:
-    """Column antisymmetrizer times row symmetrizer for the row-reading
-    tableau of the shape, as an operator on the tensor power."""
-    lam = W.partition(shape)
-    n = sum(lam)
-    b = basis or IndexedBasis.tensor_power(k, n)
-    rows = _row_filling(lam)
-    cols = []
-    for j in range(lam[0] if lam else 0):
-        cols.append([row[j] for row in rows if j < len(row)])
-    row_sym = ExactOperator(b, b)
-    for p in subgroup_perms(rows, n):
-        row_sym += sn_action(p, k, n, basis=b)
-    col_anti = ExactOperator(b, b)
-    for q in subgroup_perms(cols, n):
-        col_anti += sn_action(q, k, n, basis=b).scaled(W.perm_sign(q))
-    return col_anti * row_sym
 
 
 # ---------------------------------------------------------------------------

@@ -368,11 +368,6 @@ class HalfIntWeight:
         body = ", ".join(parts)
         return f"({body})" if not self.group else f"{self.group}({body})"
 
-    @classmethod
-    def parse(cls, text: str, group: str = "") -> "HalfIntWeight":
-        items = [t.strip() for t in text.strip().strip("()").split(",") if t.strip()]
-        return cls.from_entries((Fraction(t) for t in items), group)
-
 
 def renormalize_weight(
     w: SignedWeight, M: int | None = None, N: int | None = None

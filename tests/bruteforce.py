@@ -7,7 +7,12 @@ package implementations it checks.  The one exception is
 ``isotypic_projector``, the dense oracle for the projector family check,
 which builds a package operator from the package's characters.  The
 compact-induction oracles (``casimir_kernel``, ``two_factor_gram``) take
-a package model and inducing irrep as their input data.
+a package model and inducing irrep as their input data.  The whole
+operators on tensor powers (``sn_action``, ``gl_tensor_action``,
+``young_symmetrizer``) and their algebra (``add``, ``compose``, ...)
+live only here, as the oracle for the package's readers of word labels;
+``inducing_irrep`` feeds them to the package's span, so that its output
+can be compared exactly with ``rieffel.build_inducing_irrep``.
 """
 
 from __future__ import annotations
@@ -273,6 +278,144 @@ def isotypic_projector(shape, k: int, basis=None):
             tgt = tuple(lab[inv[p]] for p in range(n))
             op.add_entry(b.ordinal(tgt), col, scale * c)
     return op
+
+
+# ---------------------------------------------------------------------------
+# operator algebra on package ExactOperators, entry by entry
+
+
+def identity(basis):
+    return T.ExactOperator(basis, basis,
+                           {(i, i): 1 for i in range(len(basis))})
+
+
+def add(*ops):
+    """Sum of operators of one shape."""
+    out = T.ExactOperator(ops[0].domain, ops[0].codomain)
+    for op in ops:
+        if (op.domain.labels, op.codomain.labels) != (
+                out.domain.labels, out.codomain.labels):
+            raise ValueError("operator shape mismatch")
+        for (r, c), v in op.data.items():
+            out.add_entry(r, c, v)
+    return out
+
+
+def scaled(op, scalar):
+    return T.ExactOperator(op.domain, op.codomain,
+                           {key: scalar * v for key, v in op.data.items()})
+
+
+def compose(a, b):
+    """a * b: b first, then a; every pair of entries that meet is added."""
+    if b.codomain.labels != a.domain.labels:
+        raise ValueError("composition shape mismatch")
+    rows_of_b: dict = {}
+    for (m, c), bv in b.data.items():
+        rows_of_b.setdefault(m, []).append((c, bv))
+    out = T.ExactOperator(b.domain, a.codomain)
+    for (r, m), av in a.data.items():
+        for c, bv in rows_of_b.get(m, ()):
+            out.add_entry(r, c, av * bv)
+    return out
+
+
+def commutator(a, b):
+    return add(compose(a, b), scaled(compose(b, a), -1))
+
+
+def trace(op):
+    return sum((v for (r, c), v in op.data.items() if r == c), Fraction(0))
+
+
+def rank(op):
+    """Rank by dense elimination of the operator's matrix."""
+    ncols = len(op.domain)
+    return ncols - dense_nullity(dense_matrix(op), ncols)
+
+
+# ---------------------------------------------------------------------------
+# symmetric group and gl(k) actions on tensor powers, as whole operators
+
+
+def sn_action(sigma, k: int, n: int, basis=None):
+    """Slot permutation on the n-fold tensor power of C^k.  The factor in
+    slot a moves to slot sigma(a), which makes the map multiplicative:
+    compose(sn_action(s), sn_action(t)) == sn_action(s after t)."""
+    if len(sigma) != n:
+        raise ValueError(f"permutation length {len(sigma)} != {n}")
+    b = basis or T.IndexedBasis.tensor_power(k, n)
+    op = T.ExactOperator(b, b)
+    for col, lab in enumerate(b.labels):
+        tgt = [0] * n
+        for a in range(n):
+            tgt[sigma[a]] = lab[a]
+        op.add_entry(b.ordinal(tuple(tgt)), col, 1)
+    return op
+
+
+def gl_tensor_action(i: int, j: int, k: int, n: int, basis=None):
+    """Derivation action of the elementary matrix E_ij across the n slots."""
+    b = basis or T.IndexedBasis.tensor_power(k, n)
+    op = T.ExactOperator(b, b)
+    for col, lab in enumerate(b.labels):
+        for slot, letter in enumerate(lab):
+            if letter == j:
+                tgt = lab[:slot] + (i,) + lab[slot + 1:]
+                op.add_entry(b.ordinal(tgt), col, 1)
+    return op
+
+
+def _fixing_perms(blocks, n):
+    """Every permutation of range(n) that maps each block onto itself, by
+    filtering all of S_n."""
+    return [p for p in permutations(range(n))
+            if all(sorted(p[a] for a in blk) == sorted(blk) for blk in blocks)]
+
+
+def young_symmetrizer(shape, k: int, basis=None):
+    """Column antisymmetrizer times row symmetrizer for the row-reading
+    tableau of the shape, as a product of two sums of slot permutations."""
+    lam = W.partition(shape)
+    n = sum(lam)
+    b = basis or T.IndexedBasis.tensor_power(k, n)
+    rows, c = [], 0
+    for r in lam:
+        rows.append(list(range(c, c + r)))
+        c += r
+    cols = [[row[j] for row in rows if j < len(row)]
+            for j in range(lam[0] if lam else 0)]
+    row_sym = add(T.ExactOperator(b, b), *(sn_action(p, k, n, basis=b)
+                                           for p in _fixing_perms(rows, n)))
+    col_anti = add(T.ExactOperator(b, b),
+                   *(scaled(sn_action(q, k, n, basis=b), W.perm_sign(q))
+                     for q in _fixing_perms(cols, n)))
+    return compose(col_anti, row_sym)
+
+
+def inducing_irrep(shape, M: int):
+    """The U(M) irrep of the shape built from whole operators: the image
+    of ``young_symmetrizer`` in the package's ``ReducedSpan``, fed one
+    weight class at a time, highest first, and the restriction of
+    ``gl_tensor_action`` to it by ``restrict_by_leaders``, as the fields
+    (basis, basis_weights, highest_index, action) of an ``InducingIrrep``.
+    Only the operators are built here; the span is the package's, so the
+    bases can be compared exactly."""
+    n = sum(shape)
+    wb = T.IndexedBasis.tensor_power(M, n)
+    sym = young_symmetrizer(shape, M, basis=wb).terms()
+    span, weights = T.ReducedSpan(), []
+    for wt in sorted({tuple(w.count(a) for a in range(M)) for w in wb},
+                     reverse=True):
+        for c, word in enumerate(wb.labels):
+            if tuple(word.count(a) for a in range(M)) == wt and \
+                    span.insert(dict(sym(c))):
+                weights.append(wt)
+    action = span.restrict_by_leaders({
+        (a, b): gl_tensor_action(a, b, M, n, basis=wb).terms()
+        for a in range(M) for b in range(M)})
+    highest = weights.index(tuple(shape) + (0,) * (M - len(shape)))
+    return span.rows, weights, highest, action
 
 
 def monomial_count(nvars: int, degree: int) -> int:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -64,6 +65,12 @@ def test_run_config_validation():
     with pytest.raises(ShapeMismatch):
         cli.RunConfig(degree=-1)
     assert cli.RunConfig(degree=0).degree == 0
+    with pytest.raises(ShapeMismatch, match="seed must be nonnegative"):
+        cli.RunConfig(seed=-1)
+    assert cli.RunConfig(seed=0).seed == 0
+    for tol in (math.inf, math.nan, -1e-9):
+        with pytest.raises(ShapeMismatch, match="finite and positive"):
+            cli.RunConfig(tolerance=tol)
 
 
 def test_load_config(tmp_path):
@@ -230,6 +237,47 @@ def test_orbit_rank_too_small(capsys):
 def test_orbit_rejects_bad_tolerance(capsys):
     code, _, _ = run(capsys, "orbit", "--k", "2", "--m", "1", "--tol=-1e-9")
     assert code == 2
+
+
+def assert_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-all", "--seed", "-1"),
+    ("orbit", "--k", "2", "--m", "1", "--seed", "-1"),
+], ids=["verify-all", "orbit"])
+def test_a_negative_seed_is_a_usage_error(capsys, argv):
+    """numpy refuses a negative seed; the command line says so first."""
+    assert_usage_error(capsys, argv, "seed")
+
+
+def test_a_negative_seed_in_a_config_file_is_a_usage_error(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kmax=1\nseed=-1\n")
+    assert_usage_error(capsys, ("verify-all", "--config", str(cfg)),
+                       "seed must be nonnegative")
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+@pytest.mark.parametrize("argv", [
+    ("orbit", "--k", "2", "--m", "1", "--tol"),
+    ("verify-all", "--tolerance"),
+], ids=["orbit", "verify-all"])
+def test_a_tolerance_that_is_not_finite_is_a_usage_error(capsys, argv, tol):
+    """Every comparison with inf holds and every one with nan fails, so
+    neither tolerance could fail or pass an orbit check for its reason."""
+    assert_usage_error(capsys, (*argv, tol), "finite and positive")
+
+
+def test_an_infinite_tolerance_in_a_config_file_is_a_usage_error(
+        capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kmax=1\ntolerance=inf\n")
+    assert_usage_error(capsys, ("verify-all", "--config", str(cfg)),
+                       "finite and positive")
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ reads the echelon of a ``ReducedSpan``, no reference to the Fock
 operator matrix wrappers but their definitions (solves and the bracket
 check read generator images), no import of scipy, whose ``linalg`` once
 took most of the command line's start-up (``howe_forge.cli`` loads
-without it), and no private function or method that nothing in the
-package references."""
+without it), no private function or method that nothing in the package
+references, and no public function, class or method that only the
+tests reference."""
 
 import ast
 import os
@@ -20,8 +21,18 @@ import pytest
 
 from howe_forge.tensor import ReducedSpan
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "howe_forge"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "howe_forge"
 SOURCES = sorted(PACKAGE.glob("*.py"))
+# the package's users besides the tests
+USERS = sorted((ROOT / "scripts").glob("*.py")) + sorted(
+    (ROOT / "perfbench").glob("*.py"))
+# public names that only the tests reference, each with its reason
+TEST_ONLY_PUBLIC = {
+    # acceptance criterion 3 reads it: a wrong-degree piece of the compact
+    # induction has no invariants, which no report of the package shows
+    "degree_selection_check",
+}
 BROAD = {"Exception", "BaseException"}
 FLOAT_SIDE = {"classical.py"}  # the seeded float64 orbit checks
 EXACT_CONSTANTS = {"_F0", "_F1"}  # Fraction(0) and Fraction(1)
@@ -139,19 +150,49 @@ def referenced_names(trees):
             if isinstance(n, (ast.Name, ast.Attribute))}
 
 
+def named_names(trees):
+    """``referenced_names`` and every string that is an identifier, the
+    way ``getattr`` names an attribute."""
+    return referenced_names(trees) | {
+        n.value for tree in trees for n in ast.walk(tree)
+        if isinstance(n, ast.Constant) and isinstance(n.value, str)
+        and n.value.isidentifier()}
+
+
+def definitions(tree):
+    """Module-level functions and classes, and the methods of the
+    classes."""
+    out = []
+    for n in tree.body:
+        if isinstance(n, (ast.FunctionDef, ast.ClassDef)):
+            out.append(n)
+        if isinstance(n, ast.ClassDef):
+            out += [m for m in n.body if isinstance(m, ast.FunctionDef)]
+    return out
+
+
 def unreferenced_privates(tree, path, used=None):
-    """Module-level private functions and private methods whose name is
-    not in ``used``, the names the package references (by default those
-    of this tree alone); dunder methods are called by the language."""
+    """Module-level private functions and classes and private methods
+    whose name is not in ``used``, the names the package references (by
+    default those of this tree alone); dunder methods are called by the
+    language."""
     if used is None:
         used = referenced_names([tree])
-    defs = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
-    for cls in tree.body:
-        if isinstance(cls, ast.ClassDef):
-            defs += [n for n in cls.body if isinstance(n, ast.FunctionDef)]
-    return [f"{where(path, n)} {n.name}" for n in defs
+    return [f"{where(path, n)} {n.name}" for n in definitions(tree)
             if n.name.startswith("_") and not n.name.endswith("__")
             and n.name not in used]
+
+
+def unreferenced_publics(tree, path, used=None):
+    """Public module-level functions and classes and public methods whose
+    name is not in ``used``, the names the package, the scripts and the
+    benchmark name (by default those of this tree alone), and not in
+    ``TEST_ONLY_PUBLIC``."""
+    if used is None:
+        used = named_names([tree])
+    return [f"{where(path, n)} {n.name}" for n in definitions(tree)
+            if not n.name.startswith("_") and n.name not in used
+            and n.name not in TEST_ONLY_PUBLIC]
 
 
 def test_the_package_has_sources():
@@ -173,6 +214,16 @@ def test_every_private_helper_is_referenced():
             for hit in unreferenced_privates(tree, path, used)] == []
 
 
+def test_every_public_name_has_a_user_besides_the_tests():
+    trees = {path: tree_of(path) for path in SOURCES}
+    used = named_names([*trees.values(), *map(tree_of, USERS)])
+    assert [hit for path, tree in trees.items()
+            for hit in unreferenced_publics(tree, path, used)] == []
+    # each exemption names a definition that still has no other user
+    defined = {n.name for tree in trees.values() for n in definitions(tree)}
+    assert TEST_ONLY_PUBLIC <= defined - used
+
+
 @pytest.mark.parametrize("rule,source", [
     (asserts, "def f(x):\n    assert x\n"),
     (broad_handlers, "try:\n    pass\nexcept:\n    pass\n"),
@@ -191,6 +242,8 @@ def test_every_private_helper_is_referenced():
     (unreferenced_privates, "def _gone(x):\n    return x\n"),
     (unreferenced_privates,
      "class A:\n    def _gone(self):\n        return 1\n"),
+    (unreferenced_publics,
+     "class A:\n    def gone(self):\n        return 1\n\nA()\n"),
 ])
 def test_each_rule_catches_a_violation(rule, source):
     path = Path("example.py")
@@ -207,7 +260,8 @@ def test_rules_pass_clean_code():
     assert not asserts(tree, path) + broad_handlers(tree, path) \
         + unused_imports(tree, path) + float_divisions(tree, path) \
         + span_echelon_reads(tree, path) + fock_operator_calls(tree, path) \
-        + scipy_imports(tree, path) + unreferenced_privates(tree, path)
+        + scipy_imports(tree, path) + unreferenced_privates(tree, path) \
+        + unreferenced_publics(tree, path)
 
 
 def test_the_float_side_may_divide():

@@ -84,6 +84,47 @@ def test_irrep_diagonal_trace_counts_boxes():
 
 
 # ---------------------------------------------------------------------------
+# the irrep's readers of word labels against whole operators
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_word_readers_match_the_whole_operators(k):
+    """Every Young-symmetrizer column and every gl(k) image read off a
+    word equals that column of the operator built from slot permutations
+    and slot derivations, for every shape of at most 4 boxes, also those
+    with more than k rows, whose symmetrizer vanishes."""
+    for n in range(5):
+        wb = T.IndexedBasis.tensor_power(k, n)
+        for lam in W.partitions_of(n):
+            sym = bf.young_symmetrizer(lam, k, basis=wb).terms()
+            for c in range(len(wb)):
+                assert rieffel._symmetrizer_column(lam, wb, c) == dict(
+                    sym(c)), (lam, wb.label(c))
+        for a, b in product(range(k), repeat=2):
+            op = bf.gl_tensor_action(a, b, k, n, basis=wb).terms()
+            image = rieffel._word_images(wb, a, b)
+            for c in range(len(wb)):
+                assert T.linear_image(image, {c: 1}) == dict(op(c))
+
+
+@pytest.mark.parametrize("M", [1, 2, 3])
+def test_inducing_irrep_matches_the_whole_operator_build(M):
+    """The irrep read off word labels has the basis, the weights, the
+    highest vector and the restricted action of the irrep built from the
+    whole symmetrizer and gl(M) operators, for every shape of at most 4
+    boxes and at most M rows."""
+    for n in range(5):
+        for lam in W.partitions_of(n, max_rows=M):
+            ir = build_inducing_irrep(lam, M)
+            basis, weights, highest, action = bf.inducing_irrep(lam, M)
+            assert ir.basis == basis
+            assert ir.basis_weights == weights
+            assert ir.highest_index == highest
+            assert {key: op.data for key, op in ir.action.items()} == {
+                key: op.data for key, op in action.items()}
+
+
+# ---------------------------------------------------------------------------
 # compact induction
 
 
@@ -421,7 +462,7 @@ def test_bracket_check_catches_each_rescaled_generator():
     assert T.gl_relation_failures({"k": fam}, cols) == []
     for key, op in mod.gl_k.items():
         bad = dict(fam)
-        bad[key] = op.scaled(2).terms()
+        bad[key] = bf.scaled(op, 2).terms()
         assert T.gl_relation_failures({"k": bad}, cols), key
 
 

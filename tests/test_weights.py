@@ -318,10 +318,13 @@ def test_shift_rejects_unknown_context():
 def test_halfint_weight_roundtrip():
     w = W.HalfIntWeight.from_entries([Fraction(7, 2), Fraction(-3, 2)])
     assert str(w) == "(7/2, -3/2)"
-    assert W.HalfIntWeight.parse("7/2,-3/2") == w
+    assert w.doubled == (7, -3) and w.entries == (Fraction(7, 2),
+                                                  Fraction(-3, 2))
+    assert W.HalfIntWeight.from_entries(w.entries) == w
     assert not w.is_integral
-    v = W.HalfIntWeight.parse("(4, -1)")
+    v = W.HalfIntWeight.from_entries([4, -1], group="U(1,1)")
     assert v.is_integral and v.entries == (4, -1)
+    assert str(v) == "U(1,1)(4, -1)"
 
 
 def test_halfint_weight_rejects_thirds():
