@@ -2,12 +2,11 @@
 
 The compact model is the polynomial algebra on a k x M matrix of
 variables x[i,a]; gl(k) acts along rows, gl(M) along columns.  Each
-generator is described once, by the image terms that ``FockModel.images``
-reads off a monomial's exponent label.  Solves read them on the monomials
-they visit, and so does the bracket check (``FockModel.bracket_failures``,
-through ``tensor.gl_relation_failures``): no whole-piece Fock matrix is
-built in the package.  The ``*_op`` wrappers, which build one, serve the
-tests as a matrix oracle and the benchmark's tracer.
+generator has one form, the image terms that ``FockModel.images`` reads
+off a monomial's exponent label (see ``tensor``).  Solves read them on
+the monomials they visit, and so does the bracket check
+(``FockModel.bracket_failures``, through ``tensor.gl_relation_failures``):
+no whole-piece Fock matrix is built in the package.
 
 The indefinite (oscillator) model adjoins a k x N block y[i,b].  The
 gl(k) action twists by the dual on the y block; the middle-algebra
@@ -29,8 +28,8 @@ from itertools import permutations
 from . import weights as W
 from .errors import InvariantBroken, NotRenormalizable, ShapeMismatch, \
     TooLarge
-from .tensor import BASIS_CAP, ExactOperator, IndexedBasis, ReducedSpan, \
-    block_kernel, commutator_rows, gl_relation_failures, subgroup_perms
+from .tensor import BASIS_CAP, IndexedBasis, ReducedSpan, block_kernel, \
+    commutator_rows, gl_relation_failures, subgroup_perms
 
 
 def _convention_constants(k: int, M: int, N: int, convention: str):
@@ -109,16 +108,14 @@ class FockModel:
                 raise ShapeMismatch("compact model has no y grading")
             xb = IndexedBasis.monomials(self.nxvars, p)
             if self.N == 0:
-                self._bases[key] = IndexedBasis(
-                    xb.labels, name=f"F({self.k},{self.M})_{p}")
+                self._bases[key] = xb
             else:
                 yb = IndexedBasis.monomials(self.nyvars, q)
                 if len(xb) * len(yb) > BASIS_CAP:
                     raise TooLarge(
                         f"bidegree {key} needs {len(xb) * len(yb)} monomials")
                 self._bases[key] = IndexedBasis(
-                    (lx + ly for lx in xb.labels for ly in yb.labels),
-                    name=f"F({self.k},{self.M},{self.N})_{p},{q}")
+                    lx + ly for lx in xb.labels for ly in yb.labels)
         return self._bases[key]
 
     def pieces(self) -> list[tuple[int, int]]:
@@ -176,32 +173,22 @@ class FockModel:
             return out
         return image
 
-    def _operator(self, family: str, a: int, b: int, piece) -> ExactOperator:
-        """The generator's matrix, from its images over every column."""
-        p, q = piece
-        shift = self._SHIFT.get(family, 0)
-        op = ExactOperator(self.basis(p, q),
-                           self.basis(p + shift, q + shift))
-        image = self.images(family, a, b, piece)
-        for col in range(len(op.domain)):
-            for row, v in image(col):
-                op.add_entry(row, col, v)
-        return op
+    # Only the benchmark's tracer names these five, as one layer; they go
+    # when ROADMAP item 1 changes the tracer.
+    def gl_k_op(self, i: int, j: int, piece):
+        return self.images("k", i, j, piece)
 
-    def gl_k_op(self, i: int, j: int, piece) -> ExactOperator:
-        return self._operator("k", i, j, piece)
+    def gl_m_op(self, a: int, b: int, piece):
+        return self.images("m", a, b, piece)
 
-    def gl_m_op(self, a: int, b: int, piece) -> ExactOperator:
-        return self._operator("m", a, b, piece)
+    def gl_n_op(self, b: int, c: int, piece):
+        return self.images("n", b, c, piece)
 
-    def gl_n_op(self, b: int, c: int, piece) -> ExactOperator:
-        return self._operator("n", b, c, piece)
+    def raiser_op(self, a: int, b: int, piece):
+        return self.images("raise", a, b, piece)
 
-    def raiser_op(self, a: int, b: int, piece) -> ExactOperator:
-        return self._operator("raise", a, b, piece)
-
-    def lowerer_op(self, a: int, b: int, piece) -> ExactOperator:
-        return self._operator("lower", a, b, piece)
+    def lowerer_op(self, a: int, b: int, piece):
+        return self.images("lower", a, b, piece)
 
     def bracket_failures(self, piece) -> list[str]:
         """Exact check, on one piece, of the gl(k), gl(M) and gl(N)

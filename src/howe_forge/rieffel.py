@@ -14,20 +14,20 @@ corresponding highest-weight module, solved on its one weight block, and
 a failed match certifies that the induced space is empty.  Emptiness is
 a value, not an error.
 
-The exact linear algebra is shared with ``tensor``: the invariants are
-``block_kernel`` solves over the weight blocks of (Fock piece) x irrep.
-Each Fock generator is given by the image terms ``FockModel.images``
-reads off monomial labels, the irrep's by its restricted operator.  The
-inducing irrep is read off word labels in the same way: each column of
-its Young symmetrizer (``_symmetrizer_column``) and each gl(M) image
+The exact linear algebra is shared with ``tensor``, and so is its one
+operator form, image terms: the invariants are ``block_kernel`` solves
+over the weight blocks of (Fock piece) x irrep, with each Fock generator
+given by the image terms ``FockModel.images`` reads off monomial labels.
+The inducing irrep is read off word labels in the same way: each column
+of its Young symmetrizer (``_symmetrizer_column``) and each gl(M) image
 (``_word_images``) comes from one word, so no operator on the whole
 tensor power is built.  Every module basis is the ``rows`` of one
 ``ReducedSpan``, and the restricted actions on it (the inducing irrep's
-gl(M), an induced module's gl(k)) are the ``ExactOperator``s one
-``restrict_by_leaders`` call reads off that span.  The induced inner
-product is the Fock norm, <x^e, x^e> = prod e!, tensored with the form
-of the word coordinates the irrep lives in; both are diagonal, so it is
-one ``gram_matrix``.
+gl(M), an induced module's gl(k)) are the image terms on its row
+indices that one ``restrict_by_leaders`` call reads off that span.  The
+induced inner product is the Fock norm, <x^e, x^e> = prod e!, tensored
+with the form of the word coordinates the irrep lives in; both are
+diagonal, so it is one ``gram_matrix``.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ from functools import cache
 from . import weights as W
 from .errors import InvariantBroken, ShapeMismatch, TooLarge
 from .fock import FockModel, raising_images, strict_signed_pairs
-from .tensor import ExactOperator, IndexedBasis, ReducedSpan, \
-    block_kernel, gl_commutant_dim, gl_relation_failures, gram_matrix, \
+from .tensor import IndexedBasis, ReducedSpan, block_kernel, \
+    gl_commutant_dim, gl_relation_failures, gram_matrix, \
     linear_image, perm_inverse, subgroup_perms
 
 _F1 = Fraction(1)
@@ -95,7 +95,7 @@ class InducingIrrep:
     M: int
     basis: list[dict[int, Fraction]]
     basis_weights: list[tuple[int, ...]]
-    action: dict[tuple[int, int], ExactOperator]
+    action: dict  # (a, b) -> image terms of E_ab on range(dim)
     highest_index: int
 
     @property
@@ -186,7 +186,7 @@ def _inducing_irrep(shape: tuple[int, ...], M: int) -> InducingIrrep:
         raise InvariantBroken(f"highest weight {hw_wt} is not simple")
     for a in range(M):
         for b in range(a + 1, M):
-            if linear_image(ops[(a, b)].terms(), {highest: _F1}):
+            if linear_image(ops[(a, b)], {highest: _F1}):
                 raise InvariantBroken("highest vector not annihilated")
     return InducingIrrep(shape, M, span.rows, basis_weights, ops, highest)
 
@@ -203,7 +203,7 @@ class InducedModule:
     k: int
     inputs: dict
     basis: list[dict]
-    gl_k: dict[tuple[int, int], ExactOperator]
+    gl_k: dict  # (i, j) -> image terms of E_ij on range(dimension)
     highest_weight: tuple | None
     commutant: int | None
     gram_positive: bool
@@ -266,19 +266,16 @@ class Empty:
 
 
 def _checked_module(ambient: str, k: int, inputs: dict, basis: list[dict],
-                    gl_k: dict[tuple[int, int], ExactOperator],
-                    highest_weight, gram: list[list[Fraction]]
+                    gl_k: dict, highest_weight, gram: list[list[Fraction]]
                     ) -> InducedModule:
     """The module with its three checks: commutant of the restricted
     gl(k) action, positivity of the Gram matrix and the gl(k) relations."""
     return InducedModule(
         ambient, k, inputs, basis, gl_k,
         highest_weight=highest_weight,
-        commutant=gl_commutant_dim(k, lambda i, j: gl_k[(i, j)]),
+        commutant=gl_commutant_dim(gl_k, len(basis)),
         gram_positive=_ldl_positive(gram),
-        bracket_ok=not gl_relation_failures(
-            {"k": {ij: op.terms() for ij, op in gl_k.items()}},
-            range(len(basis))),
+        bracket_ok=not gl_relation_failures({"k": gl_k}, range(len(basis))),
     )
 
 
@@ -313,8 +310,10 @@ def _diagonal_terms(model: FockModel, piece, irrep: InducingIrrep, a, b):
     on the keys (f, h)."""
     fock = _on_fock(model.images("m", a, b, piece))
     dual: dict[int, list] = {}  # -E_ab^T sends h to c wherever E_ab[h, c] != 0
-    for (h, c), v in irrep.action[(a, b)].data.items():
-        dual.setdefault(h, []).append((c, -v))
+    action = irrep.action[(a, b)]
+    for c in range(irrep.dim):
+        for h, v in action(c):
+            dual.setdefault(h, []).append((c, -v))
     return lambda key: fock(key) + [((key[0], c), v)
                                     for c, v in dual.get(key[1], ())]
 
@@ -413,6 +412,11 @@ def induce_noncompact_graded(k: int, M: int, N: int, inducing_weight,
     entry below k, and any row overflow therefore certify emptiness by
     exact integer arithmetic.
     """
+    for name, value, least in (("k", k, 1), ("M", M, 1), ("N", N, 1),
+                               ("d", d, 0)):
+        if value < least:
+            raise ShapeMismatch(
+                f"graded induction needs {name} >= {least}, got {value}")
     w = (inducing_weight if isinstance(inducing_weight, W.HalfIntWeight)
          else W.HalfIntWeight.from_entries(inducing_weight))
     if len(w.doubled) != M + N:

@@ -1,31 +1,29 @@
-"""Exact sparse operators on indexed bases.
+"""Exact linear algebra over the rationals, on sparse vectors and maps.
 
-An ``ExactOperator`` is a container: its entries, added one at a time
-by ``add_entry``, and their column index ``terms``; nothing in the
-package multiplies whole operators.  Entries are keyed by (row, col)
-ordinals with exact rational values: ``int`` wherever a value is
-integral, ``Fraction`` only where a quotient is really produced.  All
-arithmetic is exact; there are no tolerance parameters in this module.
+Every linear map in the package has one form: its image terms, a
+function that sends a basis key c to the (target, value) pairs of its
+image.  Values are exact rationals: ``int`` wherever a value is
+integral, ``Fraction`` only where a quotient is really produced; there
+are no tolerance parameters in this module.  Four consumers share that
+form: ``linear_image`` extends a map linearly to a sparse vector,
+``block_kernel`` solves the joint kernel of several maps on one block of
+basis keys, ``gl_relation_failures``, the one bracket check, checks the
+relations of commuting gl families column by column, and
+``commutant_dim`` solves for the joint commutant of maps on range(d).
+The Fock generators come in that form straight from
+``fock.FockModel.images``, so no whole-piece matrix is built in the
+package.
+
 One elimination serves every caller: ``ReducedSpan``, the reduced span
 of rational rows, kept in integers by the fraction-free update
 row <- (p*row - a*prow) / content.  Each row is integer and primitive,
 positive at its pivot (its lowest column when inserted) and 0 at every
 other row's pivot.  Ranks (its length, as in ``commutant_dim``), kernels
 (``kernel_basis``), module bases (its ``rows``) and the restriction of a
-gl family to an invariant span (its ``restrict_by_leaders``) all come
-from it, and divide only at the output, by the pivot entries.
-
-Linear maps given by their image terms (basis key -> (target, value)
-pairs) have three shared consumers: ``linear_image`` extends such a map
-linearly to a sparse vector, ``block_kernel`` solves the joint kernel of
-several of them on one block of basis keys, with one ``kernel_basis``
-call, and ``gl_relation_failures``, the one bracket check, checks the
-relations of commuting gl families column by column.  The Fock
-generators come in that form straight from ``fock.FockModel.images``, so
-no whole-piece Fock matrix is built in the package;
-``ExactOperator.terms`` is an operator's column index in that form.
-``gram_matrix`` is the one inner product routine, in mutually orthogonal
-coordinates with given squared norms.
+family of maps to an invariant span (``restrict_by_leaders``, image
+terms on the row indices) all come from it, and divide only at the
+output, by the pivot entries.  ``gram_matrix`` is the one inner product
+routine, in mutually orthogonal coordinates with given squared norms.
 
 The symmetric-group material (the central projectors' family check,
 the subgroups that fix blocks of slots) and the commutant solves live
@@ -56,14 +54,13 @@ _F0 = Fraction(0)
 class IndexedBasis:
     """An ordered family of hashable labels with ordinal lookup."""
 
-    __slots__ = ("labels", "_index", "name")
+    __slots__ = ("labels", "_index")
 
-    def __init__(self, labels, name: str = ""):
+    def __init__(self, labels):
         self.labels = tuple(labels)
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         if len(self._index) != len(self.labels):
             raise ValueError("duplicate labels in basis")
-        self.name = name
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -77,15 +74,12 @@ class IndexedBasis:
     def label(self, i: int):
         return self.labels[i]
 
-    def __repr__(self) -> str:
-        return f"IndexedBasis({self.name or len(self.labels)}, dim={len(self)})"
-
     @classmethod
     def tensor_power(cls, k: int, n: int) -> "IndexedBasis":
         """Multi-indices for the n-fold tensor power of C^k, lex order."""
         if k**n > BASIS_CAP:
             raise TooLarge(f"tensor power basis k^n = {k**n} exceeds cap {BASIS_CAP}")
-        return cls(product(range(k), repeat=n), name=f"T({k},{n})")
+        return cls(product(range(k), repeat=n))
 
     @classmethod
     def monomials(cls, nvars: int, degree: int) -> "IndexedBasis":
@@ -104,56 +98,7 @@ class IndexedBasis:
 
         labels = [] if nvars == 0 and degree > 0 else (
             [()] if nvars == 0 else gen(nvars, degree))
-        return cls(labels, name=f"Mono({nvars},{degree})")
-
-
-# ---------------------------------------------------------------------------
-# operators
-
-
-class ExactOperator:
-    """Sparse linear map between indexed bases over the rationals."""
-
-    __slots__ = ("domain", "codomain", "data")
-
-    def __init__(self, domain: IndexedBasis, codomain: IndexedBasis, data=None):
-        self.domain = domain
-        self.codomain = codomain
-        self.data: dict[tuple[int, int], int | Fraction] = {}
-        if data:
-            for (r, c), v in data.items():
-                self.add_entry(r, c, v)
-
-    def add_entry(self, row: int, col: int, value) -> None:
-        if not isinstance(value, (int, Fraction)):
-            value = Fraction(value)  # exact for floats and strings too
-        key = (row, col)
-        old = self.data.get(key)
-        new = value if old is None else old + value
-        if new:
-            self.data[key] = new
-        else:
-            self.data.pop(key, None)
-
-    def terms(self):
-        """The column index as a map col -> [(row, value)], in storage
-        order: the form ``linear_image``, ``block_kernel`` and
-        ``restrict_by_leaders`` take."""
-        cols: dict[int, list[tuple[int, int | Fraction]]] = {}
-        for (r, c), v in self.data.items():
-            cols.setdefault(c, []).append((r, v))
-        return lambda c: cols.get(c, ())
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ExactOperator)
-            and self.domain.labels == other.domain.labels
-            and self.codomain.labels == other.codomain.labels
-            and self.data == other.data
-        )
-
-    def __hash__(self):
-        raise TypeError("ExactOperator is mutable; not hashable")
+        return cls(labels)
 
 
 # ---------------------------------------------------------------------------
@@ -257,20 +202,18 @@ class ReducedSpan:
         return out
 
     def restrict_by_leaders(self, family: dict) -> dict:
-        """Operators of a family of linear maps, each given by its image
-        terms (see ``linear_image``), restricted to the span, which every
-        map must send into itself; the operators share one module basis
-        with one label per row, and keep the family's keys.  Each row is
-        0 at the other rows' pivots, so the coordinate of an image on row
-        i is image[pivot] / row[pivot].  The image is checked to equal
-        that combination exactly, in integers, and ``ShapeMismatch`` is
-        raised when a map leaves the span."""
+        """A family of linear maps, each given by its image terms (see
+        ``linear_image``), restricted to the span, which every map must
+        send into itself: image terms on the row indices, keyed like the
+        family.  Each row is 0 at the other rows' pivots, so the
+        coordinate of an image on row i is image[pivot] / row[pivot].  The
+        image is checked to equal that combination exactly, in integers,
+        and ``ShapeMismatch`` is raised when a map leaves the span."""
         rows = self.rows
-        basis = IndexedBasis(range(len(rows)), name=f"module({len(rows)})")
         out = {}
         for key, terms in family.items():
-            op = out[key] = ExactOperator(basis, basis)
-            for j, row in enumerate(rows):
+            cols = []
+            for row in rows:
                 image, den = _cleared(linear_image(terms, row))
                 coords = sorted((i, a, rows[i][c]) for c, a in image.items()
                                 if (i := self._pivots.get(c)) is not None)
@@ -279,8 +222,8 @@ class ReducedSpan:
                 if linear_image(lambda i: rows[i].items(), combo) != {
                         c: scale * v for c, v in image.items()}:
                     raise ShapeMismatch("a map does not preserve the span")
-                for i, a, p in coords:
-                    op.data[(i, j)] = _quotient(a, den * p)
+                cols.append([(i, _quotient(a, den * p)) for i, a, p in coords])
+            out[key] = cols.__getitem__
         return out
 
 
@@ -429,16 +372,18 @@ def gl_relation_failures(families: dict, columns) -> list[str]:
     return bad
 
 
-def gl_commutant_dim(rank: int, op) -> int:
-    """Dimension of the commutant of one gl(rank) action, with op(i, j)
-    the operator of E_ij.  The E_{i,i+1} and E_{i+1,i} generate, and the
-    E_ii are solved in advance as Cartans; for rank 1 the Cartan is the
-    only generator."""
-    carts = [op(i, i) for i in range(rank)]
+def gl_commutant_dim(family: dict, d: int) -> int:
+    """Dimension of the commutant of one gl(rank) action on range(d),
+    with ``family`` mapping (i, j) to the image terms of E_ij.  The
+    E_{i,i+1} and E_{i+1,i} generate, and the E_ii are solved in advance
+    as Cartans; for rank 1 the Cartan is the only generator."""
+    rank = max(i for i, _ in family) + 1
+    carts = [family[(i, i)] for i in range(rank)]
     if rank == 1:
-        return commutant_dim(carts)
-    gens = [op(i + s, i + 1 - s) for i in range(rank - 1) for s in (0, 1)]
-    return commutant_dim(gens, cartans=carts)
+        return commutant_dim(carts, d)
+    gens = [family[(i + s, i + 1 - s)]
+            for i in range(rank - 1) for s in (0, 1)]
+    return commutant_dim(gens, d, carts)
 
 
 def commutator_rows(terms, columns, block, var):
@@ -461,28 +406,34 @@ def commutator_rows(terms, columns, block, var):
             yield eq.popitem()[1]
 
 
-def commutant_dim(generators: list[ExactOperator],
-                  cartans: list[ExactOperator] | None = None) -> int:
-    """Dimension of the joint commutant, by exact linear solve.
+def _integral_terms(terms, d: int):
+    """The map on range(d) scaled by the least positive integer that makes
+    every image value an integer, as image terms."""
+    cols = [terms(c) for c in range(d)]
+    den = math.lcm(*(v.denominator for col in cols for _, v in col))
+    return [[(t, v.numerator * (den // v.denominator)) for t, v in col]
+            for col in cols].__getitem__
+
+
+def commutant_dim(generators: list, d: int, cartans=()) -> int:
+    """Dimension of the joint commutant of maps on range(d), each given by
+    its image terms, by exact linear solve.
 
     Unknowns are the matrix entries of X; each generator A contributes the
-    equations AX - XA = 0 (``commutator_rows``).  When ``cartans`` is
-    given, those operators must be diagonal; X is then restricted to the
-    joint-eigenvalue blocks they cut out, which is exactly the commutation
-    constraint with the Cartan subalgebra, solved in advance.
+    equations AX - XA = 0 (``commutator_rows``).  The ``cartans`` must be
+    diagonal; X is then restricted to the joint-eigenvalue blocks they cut
+    out, which is exactly the commutation constraint with the Cartan
+    subalgebra, solved in advance.
     """
-    if not generators:
-        raise ValueError("need at least one generator")
-    d = len(generators[0].domain)
-    for g in generators:
-        if len(g.domain) != d or len(g.codomain) != d:
-            raise ValueError("generators must share one square basis")
-
     diags = []
-    for h in cartans or ():
-        if any(r != c for r, c in h.data):
-            raise ValueError("cartan operators must be diagonal")
-        diags.append([h.data.get((i, i), 0) for i in range(d)])
+    for h in cartans:
+        diag = []
+        for i in range(d):
+            image = h(i)
+            if any(t != i for t, _ in image):
+                raise ValueError("cartan operators must be diagonal")
+            diag.append(sum(v for _, v in image))
+        diags.append(diag)
     blocks: dict[tuple, list[int]] = {}  # joint eigenvalues -> block
     for i in range(d):
         blocks.setdefault(tuple(diag[i] for diag in diags), []).append(i)
@@ -502,8 +453,8 @@ def commutant_dim(generators: list[ExactOperator],
     # X(cA) = (cA)X iff XA = AX: scaled by the lcm c of its denominators,
     # A gives integer equation rows
     rows = (row for g in generators for row in commutator_rows(
-        ExactOperator(g.domain, g.codomain, _cleared(g.data)[0]).terms(),
-        range(d), block_of.__getitem__, lambda r, c: var_id[(r, c)]))
+        _integral_terms(g, d), range(d), block_of.__getitem__,
+        lambda r, c: var_id[(r, c)]))
     return nvars - len(ReducedSpan(rows))
 
 

@@ -5,14 +5,20 @@ algebra over Fractions or integers and one-sample-at-a-time float64
 loops, sized for tiny inputs.  The point is that none of it shares code paths with the
 package implementations it checks.  The one exception is
 ``isotypic_projector``, the dense oracle for the projector family check,
-which builds a package operator from the package's characters.  The
+which builds an operator from the package's characters.  The
 compact-induction oracles (``casimir_kernel``, ``two_factor_gram``) take
-a package model and inducing irrep as their input data.  The whole
-operators on tensor powers (``sn_action``, ``gl_tensor_action``,
-``young_symmetrizer``) and their algebra (``add``, ``compose``, ...)
-live only here, as the oracle for the package's readers of word labels;
-``inducing_irrep`` feeds them to the package's span, so that its output
-can be compared exactly with ``rieffel.build_inducing_irrep``.
+a package model and inducing irrep as their input data.
+
+The package has one operator form, image terms (key -> [(target,
+value)]).  The matrix type, ``ExactOperator``, lives only here: the
+matrices of the Fock generators (``fock_operator``) and of restricted
+maps on a module (``module_operator``) are read off the package's image
+terms, and the whole operators on tensor powers (``sn_action``,
+``gl_tensor_action``, ``young_symmetrizer``) and their algebra (``add``,
+``compose``, ...) are the oracle for the package's readers of word and
+monomial labels; ``inducing_irrep`` feeds them to the package's span, so
+that its output can be compared exactly with
+``rieffel.build_inducing_irrep``.
 """
 
 from __future__ import annotations
@@ -49,6 +55,82 @@ def time_bounded(test):
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, old)
     return run
+
+
+# ---------------------------------------------------------------------------
+# exact sparse operators on indexed bases
+
+
+class ExactOperator:
+    """Sparse linear map between indexed bases over the rationals, its
+    entries keyed by (row, col) ordinals: ``int`` wherever a value is
+    integral, ``Fraction`` otherwise."""
+
+    __slots__ = ("domain", "codomain", "data")
+
+    def __init__(self, domain, codomain, data=None):
+        self.domain = domain
+        self.codomain = codomain
+        self.data: dict[tuple[int, int], int | Fraction] = {}
+        if data:
+            for (r, c), v in data.items():
+                self.add_entry(r, c, v)
+
+    def add_entry(self, row: int, col: int, value) -> None:
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)  # exact for floats and strings too
+        key = (row, col)
+        old = self.data.get(key)
+        new = value if old is None else old + value
+        if new:
+            self.data[key] = new
+        else:
+            self.data.pop(key, None)
+
+    def terms(self):
+        """The column index as image terms col -> [(row, value)], in
+        storage order: the package's operator form."""
+        cols: dict[int, list[tuple[int, int | Fraction]]] = {}
+        for (r, c), v in self.data.items():
+            cols.setdefault(c, []).append((r, v))
+        return lambda c: cols.get(c, ())
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, ExactOperator)
+            and self.domain.labels == other.domain.labels
+            and self.codomain.labels == other.codomain.labels
+            and self.data == other.data
+        )
+
+    def __hash__(self):
+        raise TypeError("ExactOperator is mutable; not hashable")
+
+
+def fock_operator(model, family: str, a: int, b: int, piece):
+    """The matrix of one Fock generator on a piece (see
+    ``FockModel.images`` for the families), from its image terms over
+    every column; "raise" and "lower" map into the piece of bidegree one
+    up or one down."""
+    p, q = piece
+    shift = {"raise": 1, "lower": -1}.get(family, 0)
+    op = ExactOperator(model.basis(p, q), model.basis(p + shift, q + shift))
+    image = model.images(family, a, b, piece)
+    for col in range(len(op.domain)):
+        for row, v in image(col):
+            op.add_entry(row, col, v)
+    return op
+
+
+def module_operator(terms, d: int):
+    """The matrix of a map on range(d) given by its image terms, such as
+    a restricted action on a module of dimension d."""
+    basis = T.IndexedBasis(range(d))
+    op = ExactOperator(basis, basis)
+    for col in range(d):
+        for row, v in terms(col):
+            op.add_entry(row, col, v)
+    return op
 
 
 def enumerate_ssyt(shape: tuple[int, ...], max_entry: int) -> list[tuple]:
@@ -261,14 +343,14 @@ def cycle_type_class_size(cycle_type: tuple[int, ...]) -> int:
 
 def isotypic_projector(shape, k: int, basis=None):
     """Central projector (f/n!) * sum_sigma chi(sigma) sigma on the tensor
-    power, as a package ``ExactOperator`` built by accumulating slot
+    power, as an ``ExactOperator`` built by accumulating slot
     permutations one at a time."""
     lam = W.partition(shape)
     n = sum(lam)
     b = basis or T.IndexedBasis.tensor_power(k, n)
     chi = {mu: W.sn_character(lam, mu) for mu in W.partitions_of(n)}
     scale = Fraction(W.sn_dim(lam), math.factorial(n))
-    op = T.ExactOperator(b, b)
+    op = ExactOperator(b, b)
     for sigma in permutations(range(n)):
         c = chi[perm_cycle_type(sigma)]
         if c == 0:
@@ -281,17 +363,17 @@ def isotypic_projector(shape, k: int, basis=None):
 
 
 # ---------------------------------------------------------------------------
-# operator algebra on package ExactOperators, entry by entry
+# operator algebra on ExactOperators, entry by entry
 
 
 def identity(basis):
-    return T.ExactOperator(basis, basis,
-                           {(i, i): 1 for i in range(len(basis))})
+    return ExactOperator(basis, basis,
+                         {(i, i): 1 for i in range(len(basis))})
 
 
 def add(*ops):
     """Sum of operators of one shape."""
-    out = T.ExactOperator(ops[0].domain, ops[0].codomain)
+    out = ExactOperator(ops[0].domain, ops[0].codomain)
     for op in ops:
         if (op.domain.labels, op.codomain.labels) != (
                 out.domain.labels, out.codomain.labels):
@@ -302,8 +384,8 @@ def add(*ops):
 
 
 def scaled(op, scalar):
-    return T.ExactOperator(op.domain, op.codomain,
-                           {key: scalar * v for key, v in op.data.items()})
+    return ExactOperator(op.domain, op.codomain,
+                         {key: scalar * v for key, v in op.data.items()})
 
 
 def compose(a, b):
@@ -313,7 +395,7 @@ def compose(a, b):
     rows_of_b: dict = {}
     for (m, c), bv in b.data.items():
         rows_of_b.setdefault(m, []).append((c, bv))
-    out = T.ExactOperator(b.domain, a.codomain)
+    out = ExactOperator(b.domain, a.codomain)
     for (r, m), av in a.data.items():
         for c, bv in rows_of_b.get(m, ()):
             out.add_entry(r, c, av * bv)
@@ -345,7 +427,7 @@ def sn_action(sigma, k: int, n: int, basis=None):
     if len(sigma) != n:
         raise ValueError(f"permutation length {len(sigma)} != {n}")
     b = basis or T.IndexedBasis.tensor_power(k, n)
-    op = T.ExactOperator(b, b)
+    op = ExactOperator(b, b)
     for col, lab in enumerate(b.labels):
         tgt = [0] * n
         for a in range(n):
@@ -357,7 +439,7 @@ def sn_action(sigma, k: int, n: int, basis=None):
 def gl_tensor_action(i: int, j: int, k: int, n: int, basis=None):
     """Derivation action of the elementary matrix E_ij across the n slots."""
     b = basis or T.IndexedBasis.tensor_power(k, n)
-    op = T.ExactOperator(b, b)
+    op = ExactOperator(b, b)
     for col, lab in enumerate(b.labels):
         for slot, letter in enumerate(lab):
             if letter == j:
@@ -385,9 +467,9 @@ def young_symmetrizer(shape, k: int, basis=None):
         c += r
     cols = [[row[j] for row in rows if j < len(row)]
             for j in range(lam[0] if lam else 0)]
-    row_sym = add(T.ExactOperator(b, b), *(sn_action(p, k, n, basis=b)
-                                           for p in _fixing_perms(rows, n)))
-    col_anti = add(T.ExactOperator(b, b),
+    row_sym = add(ExactOperator(b, b), *(sn_action(p, k, n, basis=b)
+                                         for p in _fixing_perms(rows, n)))
+    col_anti = add(ExactOperator(b, b),
                    *(scaled(sn_action(q, k, n, basis=b), W.perm_sign(q))
                      for q in _fixing_perms(cols, n)))
     return compose(col_anti, row_sym)
@@ -669,8 +751,8 @@ def casimir_kernel(model, piece, irrep) -> list[dict]:
     k, M = model.k, model.M
     fb = model.basis(*piece)
     dual: dict = {}  # -E_ab^T sends h to c wherever E_ab[h, c] != 0
-    for (a, b), op in irrep.action.items():
-        for (r, c), v in op.data.items():
+    for (a, b), terms in irrep.action.items():
+        for (r, c), v in module_operator(terms, irrep.dim).data.items():
             dual.setdefault((a, b, r), []).append((c, -v))
 
     def diagonal(a, b, key):

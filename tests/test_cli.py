@@ -181,6 +181,19 @@ def test_induce_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv,named", [
+    (("--mn-group", "1,1", "--weight", "3,-1", "--deg", "-1"),
+     "d >= 0, got -1"),
+    (("--mn-group", "1,-1", "--weight", "3"), "N >= 1, got -1"),
+    (("--mn-group", "1,0", "--weight", "3"), "N >= 1, got 0"),
+    (("--mn-group", "0,1", "--weight", "-1"), "M >= 1, got 0"),
+], ids=["negative-window", "negative-N", "zero-N", "zero-M"])
+def test_induce_graded_names_a_bad_group_or_window(capsys, argv, named):
+    code, out, err = run(capsys, "induce", "--k", "2", *argv)
+    assert code == 2 and out == ""
+    assert named in err
+
+
 def test_induce_rejects_tsv_format(capsys):
     code, out, err = run(capsys, "induce", "--k", "3", "--m-group", "2",
                          "--weight", "2,1", "--format", "tsv")

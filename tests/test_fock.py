@@ -96,7 +96,8 @@ def test_first_order_action_is_polarization():
     b = model.basis(2, 0)
     # E[0,1] x[0,0]x[0,1] = x[0,0]^2  (one derivative, one multiplication)
     src = b.ordinal((1, 1, 0, 0)[: len(b.labels[0])])
-    out = apply(model.gl_m_op(0, 1, (2, 0)), {src: Fraction(1)})
+    out = apply(bf.fock_operator(model, "m", 0, 1, (2, 0)),
+                {src: Fraction(1)})
     assert out == {b.ordinal((2, 0)): Fraction(1)}
 
 
@@ -104,14 +105,15 @@ def test_gl_k_twists_by_the_dual_on_the_y_block():
     osc = FockModel(2, 1, 1, 2, "sq")
     b = osc.basis(0, 1)
     assert b.labels == ((0, 0, 1, 0), (0, 0, 0, 1))
-    op = osc.gl_k_op(0, 1, (0, 1))
+    op = bf.fock_operator(osc, "k", 0, 1, (0, 1))
     assert apply(op, {0: Fraction(1)}) == {1: Fraction(-1)}
     assert apply(op, {1: Fraction(1)}) == {}
 
 
 def test_raiser_is_multiplication_by_the_pairing():
     osc = FockModel(2, 1, 1, 2, "sq")
-    out = apply(osc.raiser_op(0, 0, (0, 0)), {0: Fraction(1)})
+    out = apply(bf.fock_operator(osc, "raise", 0, 0, (0, 0)),
+                {0: Fraction(1)})
     b = osc.basis(1, 1)
     assert out == {
         b.ordinal((1, 0, 1, 0)): Fraction(1),
@@ -121,7 +123,7 @@ def test_raiser_is_multiplication_by_the_pairing():
 
 def test_lowerer_is_the_paired_second_derivative():
     osc = FockModel(2, 1, 1, 2, "sq")
-    low = osc.lowerer_op(0, 0, (1, 1))
+    low = bf.fock_operator(osc, "lower", 0, 0, (1, 1))
     b = osc.basis(1, 1)
     assert apply(low, {b.ordinal((1, 0, 1, 0)): Fraction(1)}) == {
         0: Fraction(1)}
@@ -132,11 +134,10 @@ def matrix_bracket_failures(model, piece):
     """Ordered generator pairs that break the gl(k), gl(M), gl(N)
     relations or the commutation across them on one piece, checked on the
     generator matrices with the oracle's operator products."""
-    fams = {name: {(a, b): op(a, b, piece)
+    fams = {name: {(a, b): bf.fock_operator(model, name, a, b, piece)
                    for a, b in product(range(rank), repeat=2)}
-            for name, op, rank in (("k", model.gl_k_op, model.k),
-                                   ("m", model.gl_m_op, model.M),
-                                   ("n", model.gl_n_op, model.N))}
+            for name, rank in (("k", model.k), ("m", model.M),
+                               ("n", model.N))}
     bad = []
     for f, g in product(fams, repeat=2):
         for ((i, j), a), ((l, m), b) in product(fams[f].items(),
@@ -207,29 +208,33 @@ def test_lowerer_raiser_commutator(convention, k, M, N):
     """[L(a,b), R(c,d)] closes onto the middle algebras with no scalar
     left over, in either convention."""
     model = FockModel(k, M, N, 4, convention)
+
+    def op(*args):
+        return bf.fock_operator(model, *args)
+
     for a in range(M):
         for b in range(N):
             for c in range(M):
                 for d in range(N):
                     lhs = bf.add(
-                        bf.compose(model.lowerer_op(a, b, (2, 2)),
-                                   model.raiser_op(c, d, (1, 1))),
-                        bf.scaled(bf.compose(model.raiser_op(c, d, (0, 0)),
-                                             model.lowerer_op(a, b, (1, 1))),
+                        bf.compose(op("lower", a, b, (2, 2)),
+                                   op("raise", c, d, (1, 1))),
+                        bf.scaled(bf.compose(op("raise", c, d, (0, 0)),
+                                             op("lower", a, b, (1, 1))),
                                   -1))
                     rhs = [bf.scaled(lhs, 0)]
                     if b == d:
-                        rhs.append(model.gl_m_op(c, a, (1, 1)))
+                        rhs.append(op("m", c, a, (1, 1)))
                     if a == c:
-                        rhs.append(bf.scaled(model.gl_n_op(b, d, (1, 1)), -1))
+                        rhs.append(bf.scaled(op("n", b, d, (1, 1)), -1))
                     assert lhs == bf.add(*rhs)
 
 
 @pytest.mark.parametrize("convention", ["sq", "hf"])
 def test_lower_after_raise_on_constants_counts_rank(convention):
     model = FockModel(2, 1, 1, 2, convention)
-    lr = bf.compose(model.lowerer_op(0, 0, (1, 1)),
-                    model.raiser_op(0, 0, (0, 0)))
+    lr = bf.compose(bf.fock_operator(model, "lower", 0, 0, (1, 1)),
+                    bf.fock_operator(model, "raise", 0, 0, (0, 0)))
     assert apply(lr, {0: Fraction(1)}) == {0: Fraction(2)}
 
 
@@ -246,15 +251,16 @@ def test_operators_hold_ints_where_integral(model, convention):
     model = model(convention)
     fractions = 0
     for piece in model.pieces():
-        gl = [([(ij, op(*ij, piece))
+        gl = [([(ij, bf.fock_operator(model, family, *ij, piece))
                 for ij in product(range(rank), repeat=2)], True)
-              for op, rank in ((model.gl_k_op, model.k),
-                               (model.gl_m_op, model.M),
-                               (model.gl_n_op, model.N))]
+              for family, rank in (("k", model.k), ("m", model.M),
+                                   ("n", model.N))]
         pairs = [(a, b) for a in range(model.M) for b in range(model.N)]
-        shifting = [(ab, model.raiser_op(*ab, piece)) for ab in pairs]
+        shifting = [(ab, bf.fock_operator(model, "raise", *ab, piece))
+                    for ab in pairs]
         if piece[0] and piece[1]:
-            shifting += [(ab, model.lowerer_op(*ab, piece)) for ab in pairs]
+            shifting += [(ab, bf.fock_operator(model, "lower", *ab, piece))
+                         for ab in pairs]
         for fam, diagonal in gl + [(shifting, False)]:
             for (i, j), op in fam:
                 for v in op.data.values():
@@ -287,7 +293,8 @@ def test_highest_weight_count_matches_raiser_nullity():
     nullity with the naive eliminator."""
     model = FockModel(2, 2, 0, 2, "sq")
     b = model.basis(2, 0)
-    ops = [model.gl_k_op(0, 1, (2, 0)), model.gl_m_op(0, 1, (2, 0))]
+    ops = [bf.fock_operator(model, family, 0, 1, (2, 0))
+           for family in ("k", "m")]
     rows = []
     for col in range(len(b)):
         image = {}
@@ -346,12 +353,12 @@ def all_block_highest_weights(model, piece):
     block, dominant or not, by dense Fraction row reduction: one kernel
     vector per free column of the block, 1 there and minus the reduced
     row entries at the pivots, keyed by basis ordinal."""
-    ops = [op(a, b, piece) for op, rank in ((model.gl_k_op, model.k),
-                                           (model.gl_m_op, model.M),
-                                           (model.gl_n_op, model.N))
+    ops = [bf.fock_operator(model, family, a, b, piece)
+           for family, rank in (("k", model.k), ("m", model.M),
+                                ("n", model.N))
            for a in range(rank) for b in range(a + 1, rank)]
     if model.N and piece[0] and piece[1]:
-        ops += [model.lowerer_op(a, b, piece)
+        ops += [bf.fock_operator(model, "lower", a, b, piece)
                 for a in range(model.M) for b in range(model.N)]
     dense = [bf.dense_matrix(op) for op in ops]
     out = []
@@ -387,7 +394,7 @@ def test_dropping_the_lowering_condition_adds_vectors():
     model = FockModel(2, 1, 1, 2, "sq")
     strict = joint_highest_weight_vectors(model, (1, 1))
     # the kernel of the one gl(2) raiser alone, without the lowerer
-    raiser = model.gl_k_op(0, 1, (1, 1)).terms()
+    raiser = model.images("k", 0, 1, (1, 1))
     loose = [model.dressed_weights(key)[0]
              for key, members in model.weight_blocks((1, 1)).items()
              for _ in T.block_kernel(members, [raiser])]
@@ -432,10 +439,10 @@ def blocked_commutator_rows(model, piece):
     var = {key: i for i, key in enumerate(
         (r, c) for blk in blocks for r in blk for c in blk)}
     rows = []
-    for rank, op in ((model.k, model.gl_k_op), (model.M, model.gl_m_op)):
+    for rank, family in ((model.k, "k"), (model.M, "m")):
         for i in range(rank - 1):
-            for a in (bf.dense_matrix(op(i, i + 1, piece)),
-                      bf.dense_matrix(op(i + 1, i, piece))):
+            for pair in ((i, i + 1), (i + 1, i)):
+                a = bf.dense_matrix(bf.fock_operator(model, family, *pair, piece))
                 for t, c in product(range(len(a)), repeat=2):
                     terms = [(var[(j, c)], a[t][j]) for j in block[c]]
                     terms += [(var[(t, j)], -a[j][c]) for j in block[t]]
@@ -480,10 +487,13 @@ SCALES = [Fraction(3, 7), Fraction(-5, 2), 2, Fraction(-1, 3),
           Fraction(7, 4), -3]
 
 
-def rescaled(ops):
-    """Each operator times its own nonzero rational."""
-    return [bf.scaled(op, SCALES[i % len(SCALES)])
-            for i, op in enumerate(ops)]
+def rescaled(maps):
+    """Each map, given by its image terms, times its own nonzero
+    rational."""
+    def times(terms, x):
+        return lambda c: [(t, x * v) for t, v in terms(c)]
+    return [times(terms, SCALES[i % len(SCALES)])
+            for i, terms in enumerate(maps)]
 
 
 def test_commutant_dim_ignores_rescaled_generators_on_howe_pieces():
@@ -494,12 +504,13 @@ def test_commutant_dim_ignores_rescaled_generators_on_howe_pieces():
     for d in verify_howe(2, 3, 4, model=model).degrees:
         piece = (d.degree, 0)
         gens, carts = [], []
-        for rank, op in ((2, model.gl_k_op), (3, model.gl_m_op)):
-            gens += [op(i + s, i + 1 - s, piece)
+        for family, rank in (("k", 2), ("m", 3)):
+            gens += [model.images(family, i + s, i + 1 - s, piece)
                      for i in range(rank - 1) for s in (0, 1)]
-            carts += [op(i, i, piece) for i in range(rank)]
-        assert T.commutant_dim(gens, cartans=carts) == d.commutant
-        assert T.commutant_dim(rescaled(gens), cartans=rescaled(carts)) \
+            carts += [model.images(family, i, i, piece) for i in range(rank)]
+        dim = len(model.basis(*piece))
+        assert T.commutant_dim(gens, dim, carts) == d.commutant
+        assert T.commutant_dim(rescaled(gens), dim, rescaled(carts)) \
             == d.commutant
 
 
@@ -511,7 +522,7 @@ def test_commutant_dim_ignores_rescaled_generators_on_a_restricted_module():
     model = FockModel(3, 2, 1, 2, "hf")
     piece = (1, 1)
     (h,) = joint_highest_weight_vectors(model, piece)
-    lowers = [model.gl_k_op(i + 1, i, piece).terms() for i in range(2)]
+    lowers = [model.images("k", i + 1, i, piece) for i in range(2)]
     span, queue = T.ReducedSpan([h.vector]), [h.vector]
     while queue:
         v = queue.pop()
@@ -520,15 +531,16 @@ def test_commutant_dim_ignores_rescaled_generators_on_a_restricted_module():
             if img and span.insert(img):
                 queue.append(img)
     ops = span.restrict_by_leaders({
-        (i, j): model.gl_k_op(i, j, piece).terms()
+        (i, j): model.images("k", i, j, piece)
         for i in range(3) for j in range(3)})
     gens = [ops[(i + s, i + 1 - s)] for i in range(2) for s in (0, 1)]
     carts = [ops[(i, i)] for i in range(3)]
     assert len(span) == 8
-    assert any(type(v) is Fraction for op in carts for v in op.data.values())
-    assert T.commutant_dim(gens, cartans=carts) == 1
-    assert T.commutant_dim(rescaled(gens), cartans=rescaled(carts)) == 1
-    assert T.commutant_dim(rescaled(gens + carts)) == 1
+    assert any(type(v) is Fraction for terms in carts
+               for c in range(len(span)) for _, v in terms(c))
+    assert T.commutant_dim(gens, 8, carts) == 1
+    assert T.commutant_dim(rescaled(gens), 8, rescaled(carts)) == 1
+    assert T.commutant_dim(rescaled(gens + carts), 8) == 1
 
 
 def test_verify_howe_releases_each_checked_piece():

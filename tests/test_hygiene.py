@@ -4,8 +4,10 @@
 ``except Exception``, no unused imports, no true division that could
 make a float in the exact layers, no module but ``tensor.py`` that
 reads the echelon of a ``ReducedSpan``, no reference to the Fock
-operator matrix wrappers but their definitions (solves and the bracket
-check read generator images), no import of scipy, whose ``linalg`` once
+operator wrappers but their definitions (solves and the bracket check
+read generator images), no definition, import or mention of the test
+oracle's matrix type ``ExactOperator`` (the package's one operator form
+is image terms), no import of scipy, whose ``linalg`` once
 took most of the command line's start-up (``howe_forge.cli`` loads
 without it), no private function or method that nothing in the package
 references, and no public function, class or method that only the
@@ -25,8 +27,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "howe_forge"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 # the package's users besides the tests
-USERS = sorted((ROOT / "scripts").glob("*.py")) + sorted(
-    (ROOT / "perfbench").glob("*.py"))
+USERS = sorted((ROOT / "perfbench").glob("*.py"))
 # public names that only the tests reference, each with its reason
 TEST_ONLY_PUBLIC = {
     # acceptance criterion 3 reads it: a wrong-degree piece of the compact
@@ -41,6 +42,7 @@ SPAN_HOME = "tensor.py"
 SPAN_ECHELON = {"echelon"} | {
     name for name in ReducedSpan.__slots__ if name.startswith("_")}
 FOCK_OPS = {"gl_k_op", "gl_m_op", "gl_n_op", "raiser_op", "lowerer_op"}
+ORACLE_MATRIX = "ExactOperator"  # lives in tests/bruteforce.py
 
 
 def tree_of(path):
@@ -128,6 +130,28 @@ def fock_operator_calls(tree, path):
             if isinstance(n, ast.Attribute) and n.attr in FOCK_OPS]
 
 
+def oracle_matrix_names(tree, path):
+    """Definitions, imports, names, attributes and strings (docstrings
+    among them) that mention the oracle's matrix type."""
+    out = []
+    for n in ast.walk(tree):
+        if isinstance(n, (ast.FunctionDef, ast.ClassDef)):
+            hit = n.name == ORACLE_MATRIX
+        elif isinstance(n, ast.alias):
+            hit = ORACLE_MATRIX in (n.name.rpartition(".")[2], n.asname)
+        elif isinstance(n, ast.Name):
+            hit = n.id == ORACLE_MATRIX
+        elif isinstance(n, ast.Attribute):
+            hit = n.attr == ORACLE_MATRIX
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            hit = ORACLE_MATRIX in n.value
+        else:
+            continue
+        if hit:
+            out.append(where(path, n))
+    return out
+
+
 def scipy_imports(tree, path):
     """Imports of scipy or of any of its submodules."""
     out = []
@@ -185,8 +209,8 @@ def unreferenced_privates(tree, path, used=None):
 
 def unreferenced_publics(tree, path, used=None):
     """Public module-level functions and classes and public methods whose
-    name is not in ``used``, the names the package, the scripts and the
-    benchmark name (by default those of this tree alone), and not in
+    name is not in ``used``, the names the package and the benchmark
+    name (by default those of this tree alone), and not in
     ``TEST_ONLY_PUBLIC``."""
     if used is None:
         used = named_names([tree])
@@ -201,7 +225,8 @@ def test_the_package_has_sources():
 
 @pytest.mark.parametrize("rule", [asserts, broad_handlers, unused_imports,
                                   float_divisions, span_echelon_reads,
-                                  fock_operator_calls, scipy_imports])
+                                  fock_operator_calls, oracle_matrix_names,
+                                  scipy_imports])
 def test_package_sources_keep_the_rule(rule):
     bad = [hit for path in SOURCES for hit in rule(tree_of(path), path)]
     assert bad == []
@@ -237,6 +262,10 @@ def test_every_public_name_has_a_user_besides_the_tests():
     (span_echelon_reads, "def f(span, c):\n    return c in span._pivots\n"),
     (fock_operator_calls,
      "def solve(model, piece):\n    return model.raiser_op(0, 0, piece)\n"),
+    (oracle_matrix_names, "class ExactOperator: pass"),
+    (oracle_matrix_names, "from .tensor import ExactOperator as Op"),
+    (oracle_matrix_names, "op = T.ExactOperator(b, b)"),
+    (oracle_matrix_names, '"""Restrictions come as ExactOperators."""'),
     (scipy_imports, "from scipy.linalg import expm\n"),
     (scipy_imports, "import numpy as np, scipy.linalg as sla\n"),
     (unreferenced_privates, "def _gone(x):\n    return x\n"),
@@ -260,7 +289,8 @@ def test_rules_pass_clean_code():
     assert not asserts(tree, path) + broad_handlers(tree, path) \
         + unused_imports(tree, path) + float_divisions(tree, path) \
         + span_echelon_reads(tree, path) + fock_operator_calls(tree, path) \
-        + scipy_imports(tree, path) + unreferenced_privates(tree, path) \
+        + oracle_matrix_names(tree, path) + scipy_imports(tree, path) \
+        + unreferenced_privates(tree, path) \
         + unreferenced_publics(tree, path)
 
 

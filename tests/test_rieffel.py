@@ -70,16 +70,19 @@ def test_irrep_action_satisfies_the_bracket():
     def matsub(a, b):
         return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
-    e00, e01, e10, e11 = (bf.dense_matrix(ir.action[key])
-                          for key in [(0, 0), (0, 1), (1, 0), (1, 1)])
+    e00, e01, e10, e11 = (
+        bf.dense_matrix(bf.module_operator(ir.action[key], ir.dim))
+        for key in [(0, 0), (0, 1), (1, 0), (1, 1)])
     assert matsub(matmul(e01, e10), matmul(e10, e01)) == matsub(e00, e11)
 
 
 def test_irrep_diagonal_trace_counts_boxes():
     for m, M in [((2, 1), 2), ((2,), 3), ((1, 1), 3)]:
         ir = build_inducing_irrep(m, M)
-        total = sum(bf.dense_matrix(ir.action[(a, a)])[i][i]
-                    for a in range(M) for i in range(ir.dim))
+        diagonals = [bf.module_operator(ir.action[(a, a)], ir.dim)
+                     for a in range(M)]
+        total = sum(bf.dense_matrix(op)[i][i]
+                    for op in diagonals for i in range(ir.dim))
         assert total == sum(m) * ir.dim
 
 
@@ -120,8 +123,10 @@ def test_inducing_irrep_matches_the_whole_operator_build(M):
             assert ir.basis == basis
             assert ir.basis_weights == weights
             assert ir.highest_index == highest
-            assert {key: op.data for key, op in ir.action.items()} == {
-                key: op.data for key, op in action.items()}
+            assert {key: bf.module_operator(terms, ir.dim).data
+                    for key, terms in ir.action.items()} == {
+                key: bf.module_operator(terms, ir.dim).data
+                for key, terms in action.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +281,13 @@ def test_noncompact_weight_length_checked():
         induce_noncompact_graded(3, 1, 1, (2, -1, 0), 4)
 
 
+def test_noncompact_refuses_a_rank_below_one():
+    """A rank of 0 is a usage error before any weight is read, not an
+    emptiness certificate; the command line checks k itself."""
+    with pytest.raises(ShapeMismatch, match="k >= 1, got 0"):
+        induce_noncompact_graded(0, 1, 1, (1, 0), 4)
+
+
 def test_noncompact_window_overflow():
     with pytest.raises(TooLarge):
         induce_noncompact_graded(2, 1, 1, (6, -3), 4)
@@ -346,22 +358,24 @@ def test_noncompact_rank_one_pairs_realize_their_label(k, a, b):
 # the restricted gl(k) action against a dense oracle
 
 
-def assert_one_module_basis(mod):
-    """Every restricted operator acts on the same module basis object."""
-    bases = {id(b) for op in mod.gl_k.values() for b in (op.domain, op.codomain)}
-    assert len(bases) == 1
-    assert len(mod.gl_k[(0, 0)].domain) == mod.dimension
+def assert_maps_rows_to_rows(mod):
+    """Every restricted map sends each row index of the module basis to
+    row indices."""
+    assert {t for terms in mod.gl_k.values()
+            for c in range(mod.dimension) for t, _ in terms(c)} \
+        <= set(range(mod.dimension))
 
 
 def assert_gl_k_matches_oracle(mod, k, M, N, d, piece):
     assert f"bidegree {piece}" in mod.ambient
-    assert_one_module_basis(mod)
+    assert_maps_rows_to_rows(mod)
     model = FockModel(k, M, N, d, "sq")
     for i in range(k):
         for j in range(k):
-            want = bf.dense_restriction(model.gl_k_op(i, j, piece).data,
-                                        mod.basis)
-            assert bf.dense_matrix(mod.gl_k[(i, j)]) == want
+            want = bf.dense_restriction(
+                bf.fock_operator(model, "k", i, j, piece).data, mod.basis)
+            assert bf.dense_matrix(bf.module_operator(
+                mod.gl_k[(i, j)], mod.dimension)) == want
 
 
 @pytest.mark.parametrize("k,M,N,weight,d,piece", [
@@ -383,14 +397,14 @@ def test_compact_gl_k_matches_dense_oracle(k, M, m):
     dimh = build_inducing_irrep(m, M).dim
     piece = (sum(m), 0)
     model = FockModel(k, M, 0, piece[0], "sq")
-    assert_one_module_basis(mod)
-    for (i, j), mat in mod.gl_k.items():
+    assert_maps_rows_to_rows(mod)
+    for (i, j), terms in mod.gl_k.items():
         # gl(k) acts on the Fock factor of each (monomial, irrep) coordinate
-        entries = {((r, h), (c, h)): v
-                   for (r, c), v in model.gl_k_op(i, j, piece).data.items()
+        entries = {((r, h), (c, h)): v for (r, c), v in bf.fock_operator(
+                       model, "k", i, j, piece).data.items()
                    for h in range(dimh)}
-        assert bf.dense_matrix(mat) == bf.dense_restriction(
-            entries, mod.basis)
+        assert bf.dense_matrix(bf.module_operator(terms, mod.dimension)) \
+            == bf.dense_restriction(entries, mod.basis)
 
 
 def test_restrict_by_leaders_rejects_an_operator_leaving_the_span():
@@ -412,11 +426,11 @@ def test_restrict_by_leaders_rejects_an_operator_leaving_the_span():
         span.restrict_by_leaders({"shift": shift})
     ops = span.restrict_by_leaders({"same": same, "twice": lambda c: [
         (c, Fraction(2))]})
-    assert list(ops) == ["same", "twice"]
-    assert ops["same"].domain is ops["twice"].codomain  # one module basis
-    assert ops["same"].domain.labels == (0, 1)
-    assert bf.dense_matrix(ops["same"]) == [[1, 0], [0, 1]]
-    assert bf.dense_matrix(ops["twice"]) == [[2, 0], [0, 2]]
+    assert list(ops) == ["same", "twice"]  # keyed like the family
+    # image terms on the row indices
+    assert [ops["twice"](i) for i in range(2)] == [[(0, 2)], [(1, 2)]]
+    assert bf.dense_matrix(bf.module_operator(ops["same"], 2)) == [
+        [1, 0], [0, 1]]
 
 
 @pytest.mark.parametrize("entry", [int, Fraction])
@@ -457,12 +471,12 @@ def test_ldl_positive_against_dense_oracle(gram):
 
 def test_bracket_check_catches_each_rescaled_generator():
     mod = induce_compact(2, 2, (2, 1))
-    fam = {key: op.terms() for key, op in mod.gl_k.items()}
     cols = range(mod.dimension)
-    assert T.gl_relation_failures({"k": fam}, cols) == []
-    for key, op in mod.gl_k.items():
-        bad = dict(fam)
-        bad[key] = bf.scaled(op, 2).terms()
+    assert T.gl_relation_failures({"k": mod.gl_k}, cols) == []
+    for key, terms in mod.gl_k.items():
+        bad = dict(mod.gl_k)
+        bad[key] = bf.scaled(bf.module_operator(terms, mod.dimension),
+                             2).terms()
         assert T.gl_relation_failures({"k": bad}, cols), key
 
 

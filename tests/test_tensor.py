@@ -47,7 +47,7 @@ def test_basis_cap():
 
 def test_operator_arithmetic_roundtrip():
     b = T.IndexedBasis.tensor_power(2, 1)
-    a = T.ExactOperator(b, b, {(0, 1): Fraction(1, 2), (1, 0): Fraction(3)})
+    a = bf.ExactOperator(b, b, {(0, 1): Fraction(1, 2), (1, 0): Fraction(3)})
     ident = bf.identity(b)
     assert bf.add(a, ident, bf.scaled(a, -1)) == ident
     assert bf.scaled(a, 2).data[(0, 1)] == 1
@@ -58,7 +58,7 @@ def test_operator_arithmetic_roundtrip():
 
 def test_add_entry_is_exact_for_every_value_type():
     b = T.IndexedBasis.tensor_power(2, 1)
-    op = T.ExactOperator(b, b)
+    op = bf.ExactOperator(b, b)
     op.add_entry(0, 0, 1)
     op.add_entry(0, 0, 0.25)
     op.add_entry(0, 1, "1/3")
@@ -68,7 +68,7 @@ def test_add_entry_is_exact_for_every_value_type():
                        (1, 1): Fraction(2)}
     assert all(type(v) in (int, Fraction) for v in op.data.values())
     assert type(op.data[(1, 1)]) is int  # ints stay ints
-    fresh = T.ExactOperator(b, b)
+    fresh = bf.ExactOperator(b, b)
     fresh.add_entry(0, 0, 0.1)
     fresh.add_entry(1, 0, "1/3")
     assert fresh.data == {(0, 0): Fraction(3602879701896397, 2**55),
@@ -442,11 +442,18 @@ def test_young_symmetrizer_image_inside_isotypic_block():
 # commutants
 
 
+def commutant(gens, cartans=()):
+    """``T.commutant_dim`` on the image terms of oracle operators that
+    share one square basis."""
+    return T.commutant_dim([g.terms() for g in gens], len(gens[0].domain),
+                           [h.terms() for h in cartans])
+
+
 def test_commutant_s3_on_cube_of_c2():
     bas = T.IndexedBasis.tensor_power(2, 3)
     gens = [bf.sn_action((1, 0, 2), 2, 3, basis=bas),
             bf.sn_action((0, 2, 1), 2, 3, basis=bas)]
-    got = T.commutant_dim(gens)
+    got = commutant(gens)
     assert got == sum(W.weyl_dim(lam, 2) ** 2 for lam in W.partitions_of(3))
     assert got == 20
 
@@ -468,7 +475,7 @@ def test_commutant_matches_dense_oracle():
                     row[i * d + j] += dense[j][l]
                     row[j * d + l] -= dense[i][j]
                 rows.append(row)
-    assert T.commutant_dim(gens) == bf.dense_nullity(rows, d * d)
+    assert commutant(gens) == bf.dense_nullity(rows, d * d)
 
 
 def test_joint_commutant_is_multiplicity_count():
@@ -480,7 +487,7 @@ def test_joint_commutant_is_multiplicity_count():
         gens += [bf.gl_tensor_action(i, j, k, n, basis=bas)
                  for i in range(k) for j in range(k)]
         labels = [lam for lam in W.partitions_of(n) if W.weyl_dim(lam, k)]
-        assert T.commutant_dim(gens) == len(labels)
+        assert commutant(gens) == len(labels)
 
 
 def test_commutant_cartan_blocks_match_plain_solve():
@@ -489,25 +496,35 @@ def test_commutant_cartan_blocks_match_plain_solve():
     others = [bf.gl_tensor_action(0, 1, 2, 2, basis=bas),
               bf.gl_tensor_action(1, 0, 2, 2, basis=bas),
               bf.sn_action((1, 0), 2, 2, basis=bas)]
-    assert (T.commutant_dim(others, cartans=carts)
-            == T.commutant_dim(others + carts))
+    assert commutant(others, cartans=carts) == commutant(others + carts)
 
 
 def test_gl_commutant_dim_asks_only_for_chevalley_and_cartan_generators():
     bas = T.IndexedBasis.tensor_power(2, 2)
+    gl2 = {(i, j): bf.gl_tensor_action(i, j, 2, 2, basis=bas).terms()
+           for i in range(2) for j in range(2)}
     asked = []
 
-    def gl2(i, j):
-        asked.append((i, j))
-        return bf.gl_tensor_action(i, j, 2, 2, basis=bas)
+    class Family(dict):
+        def __getitem__(self, key):
+            asked.append(key)
+            return super().__getitem__(key)
 
     # the tensor square of C^2 is Sym^2 + Wedge^2, each once
-    assert T.gl_commutant_dim(2, gl2) == 2
+    assert T.gl_commutant_dim(Family(gl2), len(bas)) == 2
     assert sorted(asked) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     # rank 1, all Cartan: E_00 alone has eigenvalues 2, 1, 1, 0
     asked.clear()
-    assert T.gl_commutant_dim(1, gl2) == 1 + 2 ** 2 + 1
+    assert T.gl_commutant_dim(Family({(0, 0): gl2[(0, 0)]}), len(bas)) \
+        == 1 + 2 ** 2 + 1
     assert asked == [(0, 0)]
+
+
+def test_commutant_dim_refuses_a_cartan_that_is_not_diagonal():
+    bas = T.IndexedBasis.tensor_power(2, 2)
+    e01 = bf.gl_tensor_action(0, 1, 2, 2, basis=bas)
+    with pytest.raises(ValueError, match="diagonal"):
+        commutant([e01], cartans=[e01])
 
 
 def test_gram_matrix_weights_each_coordinate():
@@ -529,7 +546,7 @@ def test_commutant_cap():
     gens = [bf.sn_action((1, 0) + tuple(range(2, 8)), 2, 8)]
     assert len(gens[0].domain) ** 2 > T.BASIS_CAP
     with pytest.raises(TooLarge):
-        T.commutant_dim(gens)
+        commutant(gens)
 
 
 # ---------------------------------------------------------------------------
