@@ -1,12 +1,13 @@
 """Graded polynomial models with commuting Lie-algebra actions.
 
 The compact model is the polynomial algebra on a k x M matrix of
-variables x[i,a]; gl(k) acts along rows, gl(M) along columns.  Each
-generator has one form, the image terms that ``FockModel.images`` reads
-off a monomial's exponent label (see ``tensor``).  Solves read them on
-the monomials they visit, and so does the bracket check
-(``FockModel.bracket_failures``, through ``tensor.gl_relation_failures``):
-no whole-piece Fock matrix is built in the package.
+variables x[i,a]; gl(k) acts along rows, gl(M) along columns.  Fock
+vectors are keyed by exponent labels, and each generator has one form,
+the image terms that ``FockModel.images`` reads off a label onto labels
+(see ``tensor``).  Solves read them on the monomials they visit, and so
+does the bracket check (``FockModel.bracket_failures``, through
+``tensor.gl_relation_failures``): no Fock matrix and no basis of a
+target piece is built in the package.
 
 The indefinite (oscillator) model adjoins a k x N block y[i,b].  The
 gl(k) action twists by the dual on the y block; the middle-algebra
@@ -28,8 +29,8 @@ from itertools import permutations
 from . import weights as W
 from .errors import InvariantBroken, NotRenormalizable, ShapeMismatch, \
     TooLarge
-from .tensor import BASIS_CAP, IndexedBasis, ReducedSpan, block_kernel, \
-    commutator_rows, gl_relation_failures, subgroup_perms
+from .tensor import BASIS_CAP, ReducedSpan, block_kernel, \
+    commutator_rows, gl_relation_failures, monomials, subgroup_perms
 
 
 def _convention_constants(k: int, M: int, N: int, convention: str):
@@ -101,21 +102,21 @@ class FockModel:
 
     # bases ------------------------------------------------------------------
 
-    def basis(self, p: int, q: int) -> IndexedBasis:
+    def basis(self, p: int, q: int) -> tuple[tuple[int, ...], ...]:
+        """Exponent labels of the monomials of bidegree (p, q)."""
         key = (p, q)
         if key not in self._bases:
             if self.N == 0 and q != 0:
                 raise ShapeMismatch("compact model has no y grading")
-            xb = IndexedBasis.monomials(self.nxvars, p)
+            xb = monomials(self.nxvars, p)
             if self.N == 0:
                 self._bases[key] = xb
             else:
-                yb = IndexedBasis.monomials(self.nyvars, q)
+                yb = monomials(self.nyvars, q)
                 if len(xb) * len(yb) > BASIS_CAP:
                     raise TooLarge(
                         f"bidegree {key} needs {len(xb) * len(yb)} monomials")
-                self._bases[key] = IndexedBasis(
-                    lx + ly for lx in xb.labels for ly in yb.labels)
+                self._bases[key] = tuple(lx + ly for lx in xb for ly in yb)
         return self._bases[key]
 
     def pieces(self) -> list[tuple[int, int]]:
@@ -131,30 +132,27 @@ class FockModel:
 
     _SHIFT = {"raise": 1, "lower": -1}  # bidegree shift of the x-y blocks
 
-    def images(self, family: str, a: int, b: int, piece):
-        """Image terms o -> [(target ordinal, value)] of one generator on
-        the monomials of a piece, read off their labels.  ``family`` "k",
-        "m" or "n" is E_ab of gl(k), gl(M) or gl(N), first order plus the
+    def images(self, family: str, a: int, b: int):
+        """Image terms lab -> [(target label, value)] of one generator,
+        read off the exponent label of a monomial.  ``family`` "k", "m" or
+        "n" is E_ab of gl(k), gl(M) or gl(N), first order plus the
         convention constant on the diagonal; "raise" is multiplication by
-        sum_i x[i,a] y[i,b], into bidegree (p+1, q+1), and "lower" is
-        sum_i d2/(dx[i,a] dy[i,b]), into (p-1, q-1)."""
-        p, q = piece
+        sum_i x[i,a] y[i,b], up one in both degrees, and "lower" is
+        sum_i d2/(dx[i,a] dy[i,b]), down one in both."""
         shift = self._SHIFT.get(family, 0)
-        labels = self.basis(p, q).labels
-        ordinal = self.basis(p + shift, q + shift).ordinal
         k, M, N, x, y = self.k, self.M, self.N, self.xvar, self.yvar
         if shift:
             pairs = [(x(i, a), y(i, b)) for i in range(k)]
 
-            def image(o):
-                lab, out = labels[o], []
+            def image(lab):
+                out = []
                 for u, w in pairs:
                     value = 1 if shift > 0 else lab[u] * lab[w]
                     if value:
                         tgt = list(lab)
                         tgt[u] += shift
                         tgt[w] += shift
-                        out.append((ordinal(tuple(tgt)), value))
+                        out.append((tuple(tgt), value))
                 return out
             return image
         if family == "k":  # the dual on the y block
@@ -166,39 +164,39 @@ class FockModel:
             terms = [(-1, y(i, b), y(i, a)) for i in range(k)]
         const = {"k": self.c_k, "m": self.c_m, "n": self.c_n}[family]
 
-        def image(o):
-            out = [(ordinal(t), v) for t, v in _image(labels[o], terms)]
+        def image(lab):
+            out = list(_image(lab, terms))
             if a == b and const:
-                out.append((o, const))
+                out.append((lab, const))
             return out
         return image
 
     # Only the benchmark's tracer names these five, as one layer; they go
     # when ROADMAP item 1 changes the tracer.
-    def gl_k_op(self, i: int, j: int, piece):
-        return self.images("k", i, j, piece)
+    def gl_k_op(self, i: int, j: int):
+        return self.images("k", i, j)
 
-    def gl_m_op(self, a: int, b: int, piece):
-        return self.images("m", a, b, piece)
+    def gl_m_op(self, a: int, b: int):
+        return self.images("m", a, b)
 
-    def gl_n_op(self, b: int, c: int, piece):
-        return self.images("n", b, c, piece)
+    def gl_n_op(self, b: int, c: int):
+        return self.images("n", b, c)
 
-    def raiser_op(self, a: int, b: int, piece):
-        return self.images("raise", a, b, piece)
+    def raiser_op(self, a: int, b: int):
+        return self.images("raise", a, b)
 
-    def lowerer_op(self, a: int, b: int, piece):
-        return self.images("lower", a, b, piece)
+    def lowerer_op(self, a: int, b: int):
+        return self.images("lower", a, b)
 
     def bracket_failures(self, piece) -> list[str]:
         """Exact check, on one piece, of the gl(k), gl(M) and gl(N)
         relations and of the commutation across them, read off the
         generator images; returns labels of the failing pairs."""
-        families = {family: {(a, b): self.images(family, a, b, piece)
+        families = {family: {(a, b): self.images(family, a, b)
                              for a in range(rank) for b in range(rank)}
                     for family, rank in (("k", self.k), ("m", self.M),
                                          ("n", self.N))}
-        return gl_relation_failures(families, range(len(self.basis(*piece))))
+        return gl_relation_failures(families, self.basis(*piece))
 
     def release(self, piece) -> None:
         """Drop the weight blocks of one piece; a later call rebuilds them."""
@@ -217,12 +215,13 @@ class FockModel:
         return (tuple(rows), tuple(sum(label[a:kM:M]) for a in range(M)),
                 tuple(sum(label[kM + b::N]) for b in range(N)))
 
-    def weight_blocks(self, piece) -> dict[tuple, list[int]]:
-        """Basis ordinals of a piece by weight key, kept until ``release``."""
+    def weight_blocks(self, piece) -> dict[tuple, list[tuple[int, ...]]]:
+        """Monomial labels of a piece by weight key, in basis order, kept
+        until ``release``."""
         if piece not in self._blocks:
             blocks = self._blocks[piece] = {}
-            for i, lab in enumerate(self.basis(*piece).labels):
-                blocks.setdefault(self.weight_key(lab), []).append(i)
+            for lab in self.basis(*piece):
+                blocks.setdefault(self.weight_key(lab), []).append(lab)
         return self._blocks[piece]
 
     def dressed_weights(self, key) -> tuple[tuple, tuple, tuple]:
@@ -251,17 +250,17 @@ class HighestWeightVector:
     k_weight: tuple[Fraction, ...]
     m_weight: tuple[Fraction, ...]
     n_weight: tuple[Fraction, ...]
-    vector: dict[int, int | Fraction]
+    vector: dict[tuple[int, ...], int | Fraction]  # keyed by monomial label
 
 
-def raising_images(model: FockModel, piece) -> list:
-    """Image maps of the raising operators on a piece: E_ab (a < b) of
-    gl(k), gl(M) and gl(N), and for the indefinite model the lowerers."""
-    maps = [model.images(family, a, b, piece) for family, rank in
+def raising_images(model: FockModel) -> list:
+    """Image maps of the raising operators: E_ab (a < b) of gl(k), gl(M)
+    and gl(N), and for the indefinite model the lowerers."""
+    maps = [model.images(family, a, b) for family, rank in
             (("k", model.k), ("m", model.M), ("n", model.N))
             for a in range(rank) for b in range(a + 1, rank)]
-    if model.N and piece[0] and piece[1]:
-        maps += [model.images("lower", a, b, piece)
+    if model.N:
+        maps += [model.images("lower", a, b)
                  for a in range(model.M) for b in range(model.N)]
     return maps
 
@@ -287,7 +286,7 @@ def joint_highest_weight_vectors(model: FockModel,
     included, so the result enumerates the new lowest K-type highest
     weight vectors rather than every K-highest vector.
     """
-    maps = raising_images(model, piece)
+    maps = raising_images(model)
     out: list[HighestWeightVector] = []
     for key, members in sorted(model.weight_blocks(piece).items()):
         if all(x >= y for w in (key[0], key[1], [-v for v in key[2]])
@@ -420,7 +419,6 @@ def weyl_commutant_dim(model: FockModel, n: int) -> int:
     read off the monomial labels of the dominant blocks only.
     """
     k, M = model.k, model.M
-    labels = model.basis(n, 0).labels
     blocks = model.weight_blocks((n, 0))
 
     def permuted(lab, rows, cols):  # x[rows[i], cols[a]] moves to x[i, a]
@@ -437,8 +435,8 @@ def weyl_commutant_dim(model: FockModel, n: int) -> int:
     for (rw, cw, _), members in blocks.items():
         if sorting(rw) != list(range(k)) or sorting(cw) != list(range(M)):
             continue
-        at.update((labels[o], p) for p, o in enumerate(members))
-        moved = [[at[permuted(labels[o], hr, hc)] for o in members]
+        at.update((lab, p) for p, lab in enumerate(members))
+        moved = [[at[permuted(lab, hr, hc)] for lab in members]
                  for hr in subgroup_perms(moving(rw), k)
                  for hc in subgroup_perms(moving(cw), M)]
         ids: dict[tuple[int, int], int] = {}
@@ -447,7 +445,7 @@ def weyl_commutant_dim(model: FockModel, n: int) -> int:
                            for q in range(len(members))]
                           for p in range(len(members))]
         nvars += len(ids)
-        reps += [o for p, o in enumerate(members)
+        reps += [lab for p, lab in enumerate(members)
                  if min(m[p] for m in moved) == p]
         dominant += members
     if nvars > BASIS_CAP:
@@ -458,18 +456,18 @@ def weyl_commutant_dim(model: FockModel, n: int) -> int:
     for (rw, cw, _), members in blocks.items():
         rows, cols = sorting(rw), sorting(cw)
         table = tables[tuple(rw[i] for i in rows), tuple(cw[a] for a in cols)]
-        for o in members:
-            block_of[o] = members
-            pos[o] = at[permuted(labels[o], rows, cols)]
-            home[o] = table[pos[o]]
+        for lab in members:
+            block_of[lab] = members
+            pos[lab] = at[permuted(lab, rows, cols)]
+            home[lab] = table[pos[lab]]
 
-    roots = [model.images(family, a, b, (n, 0))
+    roots = [model.images(family, a, b)
              for family, rank in (("k", k), ("m", M))
              for a, b in permutations(range(rank), 2)]
 
     def equations():
         for root in roots:
-            image = {o: root(o) for o in dominant}
+            image = {lab: root(lab) for lab in dominant}
             yield from commutator_rows(image.__getitem__, reps,
                                        block_of.__getitem__,
                                        lambda r, c: home[r][pos[c]])

@@ -15,19 +15,21 @@ a failed match certifies that the induced space is empty.  Emptiness is
 a value, not an error.
 
 The exact linear algebra is shared with ``tensor``, and so is its one
-operator form, image terms: the invariants are ``block_kernel`` solves
-over the weight blocks of (Fock piece) x irrep, with each Fock generator
-given by the image terms ``FockModel.images`` reads off monomial labels.
-The inducing irrep is read off word labels in the same way: each column
-of its Young symmetrizer (``_symmetrizer_column``) and each gl(M) image
-(``_word_images``) comes from one word, so no operator on the whole
+operator form, image terms keyed by labels: the invariants are
+``block_kernel`` solves over the weight blocks of (Fock piece) x irrep,
+keyed (monomial, irrep row index), with each Fock generator given by
+the image terms ``FockModel.images`` reads off monomial labels.  The
+inducing irrep is keyed by words in the same way: each column of its
+Young symmetrizer (``_symmetrizer_column``) and each gl(M) image
+(``_word_images``) is read off one word, so no operator on the whole
 tensor power is built.  Every module basis is the ``rows`` of one
 ``ReducedSpan``, and the restricted actions on it (the inducing irrep's
 gl(M), an induced module's gl(k)) are the image terms on its row
 indices that one ``restrict_by_leaders`` call reads off that span.  The
-induced inner product is the Fock norm, <x^e, x^e> = prod e!, tensored
-with the form of the word coordinates the irrep lives in; both are
-diagonal, so it is one ``gram_matrix``.
+induced inner product is the Fock norm, <x^e, x^e> = prod e!
+(``_fock_norm``), tensored with the form of the (monomial, word)
+coordinates the irrep lives in; both are diagonal, so it is one
+``gram_matrix``.
 """
 
 from __future__ import annotations
@@ -40,9 +42,9 @@ from functools import cache
 from . import weights as W
 from .errors import InvariantBroken, ShapeMismatch, TooLarge
 from .fock import FockModel, raising_images, strict_signed_pairs
-from .tensor import IndexedBasis, ReducedSpan, block_kernel, \
-    gl_commutant_dim, gl_relation_failures, gram_matrix, \
-    linear_image, perm_inverse, subgroup_perms
+from .tensor import ReducedSpan, block_kernel, gl_commutant_dim, \
+    gl_relation_failures, gram_matrix, linear_image, perm_inverse, \
+    subgroup_perms, tensor_power
 
 _F1 = Fraction(1)
 
@@ -71,9 +73,9 @@ def _ldl_positive(gram: list[list[Fraction]]) -> bool:
     return True
 
 
-def _fock_norms(fb: IndexedBasis) -> list[int]:
-    """Squared norms <x^e, x^e> = prod e! of the monomials of a piece."""
-    return [math.prod(map(math.factorial, lab)) for lab in fb.labels]
+def _fock_norm(lab) -> int:
+    """Squared norm <x^e, x^e> = prod e! of the monomial with label e."""
+    return math.prod(map(math.factorial, lab))
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +86,7 @@ def _fock_norms(fb: IndexedBasis) -> list[int]:
 class InducingIrrep:
     """Irreducible U(M) module realized inside a tensor power.
 
-    ``basis`` holds exact vectors in word coordinates (words form an
+    ``basis`` holds exact vectors keyed by word (words form an
     orthonormal basis of the ambient tensor power, so the irrep's form is
     the plain dot product there); each basis vector has a definite
     weight, recorded in ``basis_weights``.  One instance serves every
@@ -93,7 +95,7 @@ class InducingIrrep:
 
     m: tuple[int, ...]
     M: int
-    basis: list[dict[int, Fraction]]
+    basis: list[dict[tuple[int, ...], int]]
     basis_weights: list[tuple[int, ...]]
     action: dict  # (a, b) -> image terms of E_ab on range(dim)
     highest_index: int
@@ -126,22 +128,21 @@ def _symmetrizer_terms(shape: tuple[int, ...]) -> list[tuple[tuple, int]]:
             for q in subgroup_perms(cols, n) for p in subgroup_perms(rows, n)]
 
 
-def _symmetrizer_column(shape, wb: IndexedBasis, c: int) -> dict:
-    """Column c of the Young symmetrizer of the shape on the words of wb,
-    read off the word w: sum over q in C, p in R of sign(q) e_{q p w}."""
-    word, out = wb.label(c), {}
+def _symmetrizer_column(shape, word) -> dict:
+    """Column ``word`` of the Young symmetrizer of the shape, read off the
+    word w: sum over q in C, p in R of sign(q) e_{q p w}, keyed by word."""
+    out = {}
     for slots, sign in _symmetrizer_terms(shape):
-        t = wb.ordinal(tuple(word[s] for s in slots))
+        t = tuple(word[s] for s in slots)
         out[t] = out.get(t, 0) + sign
     return {t: v for t, v in out.items() if v}
 
 
-def _word_images(wb: IndexedBasis, a: int, b: int):
-    """Image terms c -> [(target ordinal, 1)] of E_ab on the words of wb,
-    read off the word: each slot holding letter b in turn set to a."""
-    def image(c):
-        w = wb.label(c)
-        return [(wb.ordinal(w[:s] + (a,) + w[s + 1:]), 1)
+def _word_images(a: int, b: int):
+    """Image terms w -> [(target word, 1)] of E_ab, read off the word w:
+    each slot holding letter b in turn set to a."""
+    def image(w):
+        return [(w[:s] + (a,) + w[s + 1:], 1)
                 for s, letter in enumerate(w) if letter == b]
     return image
 
@@ -158,18 +159,17 @@ def build_inducing_irrep(m, M: int) -> InducingIrrep:
 def _inducing_irrep(shape: tuple[int, ...], M: int) -> InducingIrrep:
     if len(shape) > M:
         raise ShapeMismatch(f"label {shape} has more than {M} rows")
-    wb = IndexedBasis.tensor_power(M, sum(shape))
     # image basis: one span, fed one weight (content) class at a time; the
     # classes have disjoint supports, so every reduced row is a weight
     # vector with a leader coordinate, which makes restriction a lookup
-    by_weight: dict[tuple[int, ...], list[int]] = {}
-    for i, word in enumerate(wb.labels):
-        by_weight.setdefault(_word_weight(word, M), []).append(i)
+    by_weight: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for word in tensor_power(M, sum(shape)):
+        by_weight.setdefault(_word_weight(word, M), []).append(word)
     span = ReducedSpan()
     basis_weights: list[tuple[int, ...]] = []
     for wt in sorted(by_weight, reverse=True):
-        for c in by_weight[wt]:
-            if span.insert(_symmetrizer_column(shape, wb, c)):
+        for word in by_weight[wt]:
+            if span.insert(_symmetrizer_column(shape, word)):
                 basis_weights.append(wt)
     expected = W.weyl_dim(shape, M)
     if len(span) != expected:
@@ -177,7 +177,7 @@ def _inducing_irrep(shape: tuple[int, ...], M: int) -> InducingIrrep:
             f"symmetrizer image has dim {len(span)}, expected {expected}")
 
     ops = span.restrict_by_leaders({
-        (a, b): _word_images(wb, a, b) for a in range(M) for b in range(M)})
+        (a, b): _word_images(a, b) for a in range(M) for b in range(M)})
 
     hw_wt = shape + (0,) * (M - len(shape))
     highest = basis_weights.index(hw_wt)
@@ -292,9 +292,9 @@ def _compact_blocks(model: FockModel, piece, irrep: InducingIrrep):
     by_weight: dict[tuple, list[int]] = {}
     for h, hwt in enumerate(irrep.basis_weights):
         by_weight.setdefault(hwt, []).append(h)
-    blocks: dict[tuple, list[tuple[int, int]]] = {}
-    for f, lab in enumerate(model.basis(*piece).labels):
-        xrow, xcol, _ = model.weight_key(lab)
+    blocks: dict[tuple, list[tuple[tuple[int, ...], int]]] = {}
+    for f in model.basis(*piece):
+        xrow, xcol, _ = model.weight_key(f)
         for h in by_weight.get(xcol, ()):
             blocks.setdefault(xrow, []).append((f, h))
     return blocks
@@ -305,10 +305,10 @@ def _on_fock(image):
     return lambda key: [((r, key[1]), v) for r, v in image(key[0])]
 
 
-def _diagonal_terms(model: FockModel, piece, irrep: InducingIrrep, a, b):
+def _diagonal_terms(model: FockModel, irrep: InducingIrrep, a, b):
     """Image terms of the diagonal action D(E_ab) = E_ab x 1 - 1 x E_ab^T
     on the keys (f, h)."""
-    fock = _on_fock(model.images("m", a, b, piece))
+    fock = _on_fock(model.images("m", a, b))
     dual: dict[int, list] = {}  # -E_ab^T sends h to c wherever E_ab[h, c] != 0
     action = irrep.action[(a, b)]
     for c in range(irrep.dim):
@@ -331,7 +331,7 @@ def _diagonal_invariants(model: FockModel, piece,
     blocks = _compact_blocks(model, piece, irrep)
     # diagonal generators vanish identically on these blocks; only the
     # off-diagonal ones constrain
-    maps = [_diagonal_terms(model, piece, irrep, a, b)
+    maps = [_diagonal_terms(model, irrep, a, b)
             for a in range(M) for b in range(M) if a != b]
     out: list[dict] = []
     for key in sorted(blocks):
@@ -349,7 +349,6 @@ def induce_compact(k: int, M: int, m) -> InducedModule:
     model = FockModel(k, M, 0, n, "sq")
     piece = (n, 0)
     invariants = _diagonal_invariants(model, piece, irrep)
-    fb = model.basis(*piece)
     inputs = {"k": k, "M": M, "m": list(shape)}
     ambient = f"deg-{n} polynomials on {k}x{M} tensor irrep {shape or '()'}"
 
@@ -361,19 +360,17 @@ def induce_compact(k: int, M: int, m) -> InducedModule:
     span = ReducedSpan(invariants)
     basis = span.rows
     gl_k = span.restrict_by_leaders({
-        (i, j): _on_fock(model.images("k", i, j, piece))
+        (i, j): _on_fock(model.images("k", i, j))
         for i in range(k) for j in range(k)})
     # a row's gl(k) weight is that of any monomial f of its keys (f, h)
-    hw = max(model.weight_key(fb.label(next(iter(row))[0]))[0]
-             for row in basis)
+    hw = max(model.weight_key(next(iter(row))[0])[0] for row in basis)
 
     # in (monomial, word) coordinates both factors' forms are diagonal
     def in_words(key):
         return [((key[0], w), c) for w, c in irrep.basis[key[1]].items()]
 
-    norms = _fock_norms(fb)
     gram = gram_matrix([linear_image(in_words, row) for row in basis],
-                       lambda key: norms[key[0]])
+                       lambda key: _fock_norm(key[0]))
     return _checked_module(ambient, k, inputs, basis, gl_k, hw, gram)
 
 
@@ -454,13 +451,12 @@ def induce_noncompact_graded(k: int, M: int, N: int, inducing_weight,
            tuple(x - model.c_m for x in a_blk),
            tuple(model.c_n - x for x in b_blk))
     kernel = block_kernel(model.weight_blocks(piece).get(key, []),
-                          raising_images(model, piece))
+                          raising_images(model))
     if len(kernel) != 1:
         raise InvariantBroken(f"block {key} of bidegree {piece} has "
                               f"{len(kernel)} highest weight vectors, not 1")
 
-    fb = model.basis(*piece)
-    lowers = [model.images("k", i + 1, i, piece) for i in range(k - 1)]
+    lowers = [model.images("k", i + 1, i) for i in range(k - 1)]
     span = ReducedSpan(kernel)
     queue = kernel
     while queue:
@@ -472,11 +468,11 @@ def induce_noncompact_graded(k: int, M: int, N: int, inducing_weight,
 
     basis = span.rows
     gl_k = span.restrict_by_leaders({
-        (i, j): model.images("k", i, j, piece)
+        (i, j): model.images("k", i, j)
         for i in range(k) for j in range(k)})
     return _checked_module(
         f"bidegree {piece} polynomials on {k}x({M}+{N})", k, dict(inputs),
-        basis, gl_k, hw, gram_matrix(basis, _fock_norms(fb).__getitem__))
+        basis, gl_k, hw, gram_matrix(basis, _fock_norm))
 
 
 def _partitions_within(rows: int, total: int):
@@ -500,15 +496,10 @@ def emptiness_survey(k: int, M: int, N: int, window: int) -> dict:
     collisions = []
     ok = True
 
-    def run(weight, d=window):
-        # collisions may need a slightly wider bidegree window
-        while True:
-            try:
-                return induce_noncompact_graded(k, M, N, weight, d)
-            except TooLarge:
-                if d > 4 * window + 16:
-                    raise
-                d = 2 * d + 1
+    # a renormalized collision has bidegree |m| + |n| + M(N - k) <=
+    # 2 * window + M * N; shifted labels stay within the window, and
+    # below-rank weights are empty before the window is checked
+    d = 2 * window + M * N
 
     def record(branch, weight_text, good, detail):
         nonlocal ok
@@ -519,7 +510,7 @@ def emptiness_survey(k: int, M: int, N: int, window: int) -> dict:
     for m, n in strict_signed_pairs(M, N, window):
         halfint = W.renormalize_weight(W.SignedWeight(m, n), M, N)
         text = "(" + ", ".join(str(e) for e in halfint.entries) + ")"
-        out = run(halfint)
+        out = induce_noncompact_graded(k, M, N, halfint, d)
         if out.empty:
             record("renormalized", text, True, out.reason)
             continue
@@ -538,7 +529,7 @@ def emptiness_survey(k: int, M: int, N: int, window: int) -> dict:
         neg = tuple(-x for x in reversed(n + (0,) * (N - len(n))))
         for t in sorted({0, k - 1}):
             w = (t,) * M + neg
-            out = run(w)
+            out = induce_noncompact_graded(k, M, N, w, d)
             good = out.empty and out.reason.startswith("entry below the rank")
             record("below-rank", str(w), good,
                    out.reason if out.empty else f"dim {out.dimension}")
@@ -549,7 +540,7 @@ def emptiness_survey(k: int, M: int, N: int, window: int) -> dict:
                 continue
             w = tuple(x + k for x in m + (0,) * (M - len(m)))
             w += tuple(-x for x in reversed(n + (0,) * (N - len(n))))
-            out = run(w)
+            out = induce_noncompact_graded(k, M, N, w, d)
             want = W.SignedWeight(m, n).realize(k)
             good = (not out.empty and out.sound
                     and out.highest_weight == want

@@ -2,9 +2,12 @@
 
 Every linear map in the package has one form: its image terms, a
 function that sends a basis key c to the (target, value) pairs of its
-image.  Values are exact rationals: ``int`` wherever a value is
-integral, ``Fraction`` only where a quotient is really produced; there
-are no tolerance parameters in this module.  Four consumers share that
+image.  A key is the label of its basis vector: an exponent tuple from
+``monomials``, a word from ``tensor_power``, a pair of those, or a row
+index of a module basis; no position is kept for a label.  Values are
+exact rationals: ``int`` wherever a value is integral, ``Fraction``
+only where a quotient is really produced; there are no tolerance
+parameters in this module.  Four consumers share that
 form: ``linear_image`` extends a map linearly to a sparse vector,
 ``block_kernel`` solves the joint kernel of several maps on one block of
 basis keys, ``gl_relation_failures``, the one bracket check, checks the
@@ -39,7 +42,7 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .errors import ShapeMismatch, TooLarge
+from .errors import InvariantBroken, ShapeMismatch, TooLarge
 from . import weights as W
 
 BASIS_CAP = 20_000  # basis vectors or solve unknowns; TooLarge beyond
@@ -51,54 +54,30 @@ _F0 = Fraction(0)
 # bases
 
 
-class IndexedBasis:
-    """An ordered family of hashable labels with ordinal lookup."""
+def tensor_power(k: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Words of the n-fold tensor power of C^k, lex order."""
+    if k**n > BASIS_CAP:
+        raise TooLarge(f"tensor power basis k^n = {k**n} exceeds cap {BASIS_CAP}")
+    return tuple(product(range(k), repeat=n))
 
-    __slots__ = ("labels", "_index")
 
-    def __init__(self, labels):
-        self.labels = tuple(labels)
-        self._index = {lab: i for i, lab in enumerate(self.labels)}
-        if len(self._index) != len(self.labels):
-            raise ValueError("duplicate labels in basis")
+def monomials(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    """Exponent tuples of fixed total degree, descending lex order."""
+    if nvars == 0:
+        return ((),) if degree == 0 else ()
+    size = math.comb(nvars + degree - 1, degree)
+    if size > BASIS_CAP:
+        raise TooLarge(f"monomial basis size {size} exceeds cap {BASIS_CAP}")
 
-    def __len__(self) -> int:
-        return len(self.labels)
+    def gen(rem_vars, rem_deg):
+        if rem_vars == 1:
+            yield (rem_deg,)
+            return
+        for d in range(rem_deg, -1, -1):
+            for rest in gen(rem_vars - 1, rem_deg - d):
+                yield (d,) + rest
 
-    def __iter__(self):
-        return iter(self.labels)
-
-    def ordinal(self, label) -> int:
-        return self._index[label]
-
-    def label(self, i: int):
-        return self.labels[i]
-
-    @classmethod
-    def tensor_power(cls, k: int, n: int) -> "IndexedBasis":
-        """Multi-indices for the n-fold tensor power of C^k, lex order."""
-        if k**n > BASIS_CAP:
-            raise TooLarge(f"tensor power basis k^n = {k**n} exceeds cap {BASIS_CAP}")
-        return cls(product(range(k), repeat=n))
-
-    @classmethod
-    def monomials(cls, nvars: int, degree: int) -> "IndexedBasis":
-        """Exponent tuples of fixed total degree, lex order."""
-        size = math.comb(nvars + degree - 1, degree) if nvars else (1 if degree == 0 else 0)
-        if size > BASIS_CAP:
-            raise TooLarge(f"monomial basis size {size} exceeds cap {BASIS_CAP}")
-
-        def gen(rem_vars, rem_deg):
-            if rem_vars == 1:
-                yield (rem_deg,)
-                return
-            for d in range(rem_deg, -1, -1):
-                for rest in gen(rem_vars - 1, rem_deg - d):
-                    yield (d,) + rest
-
-        labels = [] if nvars == 0 and degree > 0 else (
-            [()] if nvars == 0 else gen(nvars, degree))
-        return cls(labels)
+    return tuple(gen(nvars, degree))
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +131,8 @@ class ReducedSpan:
     __slots__ = ("rows", "_pivots")
 
     def __init__(self, vectors=()):
-        self.rows: list[dict[int, int]] = []
-        self._pivots: dict[int, int] = {}
+        self.rows: list[dict] = []
+        self._pivots: dict = {}
         for vec in vectors:
             self.insert(vec)
 
@@ -283,13 +262,14 @@ def gram_matrix(vectors, weight) -> list[list[Fraction]]:
     of coordinate o."""
     d = len(vectors)
     g = [[_F0] * d for _ in range(d)]
-    for u, a in enumerate(vectors):
+    for u, a in enumerate({o: x * weight(o) for o, x in vec.items()}
+                          for vec in vectors):
         for v in range(u, d):
             s = _F0
             for o, cv in vectors[v].items():
                 x = a.get(o)
                 if x:
-                    s += x * cv * weight(o)
+                    s += x * cv
             g[u][v] = g[v][u] = s
     return g
 
@@ -431,7 +411,7 @@ def commutant_dim(generators: list, d: int, cartans=()) -> int:
         for i in range(d):
             image = h(i)
             if any(t != i for t, _ in image):
-                raise ValueError("cartan operators must be diagonal")
+                raise InvariantBroken("cartan operators must be diagonal")
             diag.append(sum(v for _, v in image))
         diags.append(diag)
     blocks: dict[tuple, list[int]] = {}  # joint eigenvalues -> block

@@ -9,15 +9,18 @@ which builds an operator from the package's characters.  The
 compact-induction oracles (``casimir_kernel``, ``two_factor_gram``) take
 a package model and inducing irrep as their input data.
 
-The package has one operator form, image terms (key -> [(target,
-value)]).  The matrix type, ``ExactOperator``, lives only here: the
-matrices of the Fock generators (``fock_operator``) and of restricted
-maps on a module (``module_operator``) are read off the package's image
-terms, and the whole operators on tensor powers (``sn_action``,
-``gl_tensor_action``, ``young_symmetrizer``) and their algebra (``add``,
-``compose``, ...) are the oracle for the package's readers of word and
-monomial labels; ``inducing_irrep`` feeds them to the package's span, so
-that its output can be compared exactly with
+The package has one operator form, image terms keyed by labels (key ->
+[(target, value)]).  The matrix type, ``ExactOperator``, and the
+label <-> position map of its rows and columns, ``IndexedBasis``, live
+only here: the matrices of the Fock generators (``fock_operator``) and
+of restricted maps on a module (``module_operator``) are read off the
+package's image terms, and the whole operators on tensor powers
+(``sn_action``, ``gl_tensor_action``, ``young_symmetrizer``) and their
+algebra (``add``, ``compose``, ...) are the oracle for the package's
+readers of word and monomial labels.  ``labelled_terms`` and
+``labelled_entries`` key a matrix by labels again, and
+``inducing_irrep`` feeds the whole operators to the package's span that
+way, so that its output can be compared exactly with
 ``rieffel.build_inducing_irrep``.
 """
 
@@ -59,6 +62,35 @@ def time_bounded(test):
 
 # ---------------------------------------------------------------------------
 # exact sparse operators on indexed bases
+
+
+class IndexedBasis:
+    """An ordered family of hashable labels with ordinal lookup."""
+
+    __slots__ = ("labels", "_index")
+
+    def __init__(self, labels):
+        self.labels = tuple(labels)
+        self._index = {lab: i for i, lab in enumerate(self.labels)}
+        if len(self._index) != len(self.labels):
+            raise ValueError("duplicate labels in basis")
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __iter__(self):
+        return iter(self.labels)
+
+    def ordinal(self, label) -> int:
+        return self._index[label]
+
+    def label(self, i: int):
+        return self.labels[i]
+
+    @classmethod
+    def tensor_power(cls, k: int, n: int) -> "IndexedBasis":
+        """Multi-indices for the n-fold tensor power of C^k, lex order."""
+        return cls(product(range(k), repeat=n))
 
 
 class ExactOperator:
@@ -110,22 +142,36 @@ class ExactOperator:
 def fock_operator(model, family: str, a: int, b: int, piece):
     """The matrix of one Fock generator on a piece (see
     ``FockModel.images`` for the families), from its image terms over
-    every column; "raise" and "lower" map into the piece of bidegree one
-    up or one down."""
+    every column's monomial label; "raise" and "lower" map into the piece
+    of bidegree one up or one down."""
     p, q = piece
     shift = {"raise": 1, "lower": -1}.get(family, 0)
-    op = ExactOperator(model.basis(p, q), model.basis(p + shift, q + shift))
-    image = model.images(family, a, b, piece)
-    for col in range(len(op.domain)):
-        for row, v in image(col):
-            op.add_entry(row, col, v)
+    op = ExactOperator(IndexedBasis(model.basis(p, q)),
+                       IndexedBasis(model.basis(p + shift, q + shift)))
+    image = model.images(family, a, b)
+    for col, lab in enumerate(op.domain):
+        for tgt, v in image(lab):
+            op.add_entry(op.codomain.ordinal(tgt), col, v)
     return op
+
+
+def labelled_terms(op):
+    """The image terms of an operator on the labels of its bases."""
+    terms = op.terms()
+    return lambda lab: [(op.codomain.label(r), v)
+                        for r, v in terms(op.domain.ordinal(lab))]
+
+
+def labelled_entries(op) -> dict:
+    """The entries of an operator keyed by (row label, column label)."""
+    return {(op.codomain.label(r), op.domain.label(c)): v
+            for (r, c), v in op.data.items()}
 
 
 def module_operator(terms, d: int):
     """The matrix of a map on range(d) given by its image terms, such as
     a restricted action on a module of dimension d."""
-    basis = T.IndexedBasis(range(d))
+    basis = IndexedBasis(range(d))
     op = ExactOperator(basis, basis)
     for col in range(d):
         for row, v in terms(col):
@@ -347,7 +393,7 @@ def isotypic_projector(shape, k: int, basis=None):
     permutations one at a time."""
     lam = W.partition(shape)
     n = sum(lam)
-    b = basis or T.IndexedBasis.tensor_power(k, n)
+    b = basis or IndexedBasis.tensor_power(k, n)
     chi = {mu: W.sn_character(lam, mu) for mu in W.partitions_of(n)}
     scale = Fraction(W.sn_dim(lam), math.factorial(n))
     op = ExactOperator(b, b)
@@ -426,7 +472,7 @@ def sn_action(sigma, k: int, n: int, basis=None):
     compose(sn_action(s), sn_action(t)) == sn_action(s after t)."""
     if len(sigma) != n:
         raise ValueError(f"permutation length {len(sigma)} != {n}")
-    b = basis or T.IndexedBasis.tensor_power(k, n)
+    b = basis or IndexedBasis.tensor_power(k, n)
     op = ExactOperator(b, b)
     for col, lab in enumerate(b.labels):
         tgt = [0] * n
@@ -438,7 +484,7 @@ def sn_action(sigma, k: int, n: int, basis=None):
 
 def gl_tensor_action(i: int, j: int, k: int, n: int, basis=None):
     """Derivation action of the elementary matrix E_ij across the n slots."""
-    b = basis or T.IndexedBasis.tensor_power(k, n)
+    b = basis or IndexedBasis.tensor_power(k, n)
     op = ExactOperator(b, b)
     for col, lab in enumerate(b.labels):
         for slot, letter in enumerate(lab):
@@ -460,7 +506,7 @@ def young_symmetrizer(shape, k: int, basis=None):
     tableau of the shape, as a product of two sums of slot permutations."""
     lam = W.partition(shape)
     n = sum(lam)
-    b = basis or T.IndexedBasis.tensor_power(k, n)
+    b = basis or IndexedBasis.tensor_power(k, n)
     rows, c = [], 0
     for r in lam:
         rows.append(list(range(c, c + r)))
@@ -484,17 +530,17 @@ def inducing_irrep(shape, M: int):
     Only the operators are built here; the span is the package's, so the
     bases can be compared exactly."""
     n = sum(shape)
-    wb = T.IndexedBasis.tensor_power(M, n)
-    sym = young_symmetrizer(shape, M, basis=wb).terms()
+    wb = IndexedBasis.tensor_power(M, n)
+    sym = labelled_terms(young_symmetrizer(shape, M, basis=wb))
     span, weights = T.ReducedSpan(), []
     for wt in sorted({tuple(w.count(a) for a in range(M)) for w in wb},
                      reverse=True):
-        for c, word in enumerate(wb.labels):
+        for word in wb:
             if tuple(word.count(a) for a in range(M)) == wt and \
-                    span.insert(dict(sym(c))):
+                    span.insert(dict(sym(word))):
                 weights.append(wt)
     action = span.restrict_by_leaders({
-        (a, b): gl_tensor_action(a, b, M, n, basis=wb).terms()
+        (a, b): labelled_terms(gl_tensor_action(a, b, M, n, basis=wb))
         for a in range(M) for b in range(M)})
     highest = weights.index(tuple(shape) + (0,) * (M - len(shape)))
     return span.rows, weights, highest, action
@@ -730,9 +776,9 @@ def weight_difference_blocks(model, piece, irrep) -> dict:
     the blocks that the diagonal gl(M) action and its Casimir keep."""
     k, M = model.k, model.M
     blocks: dict = {}
-    for f, lab in enumerate(model.basis(*piece).labels):
-        rows = tuple(sum(lab[i * M:(i + 1) * M]) for i in range(k))
-        cols = tuple(sum(lab[a::M]) for a in range(M))
+    for f in model.basis(*piece):
+        rows = tuple(sum(f[i * M:(i + 1) * M]) for i in range(k))
+        cols = tuple(sum(f[a::M]) for a in range(M))
         for h, hwt in enumerate(irrep.basis_weights):
             diff = tuple(c - w for c, w in zip(cols, hwt))
             blocks.setdefault((rows, diff), []).append((f, h))
@@ -749,7 +795,6 @@ def casimir_kernel(model, piece, irrep) -> list[dict]:
     E_ab acts on a monomial as sum_i x[i,a] d/dx[i,b], read off its
     exponent label, and on the irrep by its restricted operator."""
     k, M = model.k, model.M
-    fb = model.basis(*piece)
     dual: dict = {}  # -E_ab^T sends h to c wherever E_ab[h, c] != 0
     for (a, b), terms in irrep.action.items():
         for (r, c), v in module_operator(terms, irrep.dim).data.items():
@@ -757,14 +802,14 @@ def casimir_kernel(model, piece, irrep) -> list[dict]:
 
     def diagonal(a, b, key):
         f, h = key
-        lab, out = fb.label(f), []
+        out = []
         for i in range(k):
-            e = lab[i * M + b]
+            e = f[i * M + b]
             if e:
-                tgt = list(lab)
+                tgt = list(f)
                 tgt[i * M + b] -= 1
                 tgt[i * M + a] += 1
-                out.append(((fb.ordinal(tuple(tgt)), h), e))
+                out.append(((tuple(tgt), h), e))
         out += [((f, c), v) for c, v in dual.get((a, b, h), ())]
         return out
 
@@ -788,7 +833,7 @@ def casimir_kernel(model, piece, irrep) -> list[dict]:
     return kernel
 
 
-def two_factor_gram(basis: list[dict], labels, irrep_basis: list[dict]
+def two_factor_gram(basis: list[dict], irrep_basis: list[dict]
                     ) -> list[list[Fraction]]:
     """Gram matrix of vectors keyed (monomial f, irrep vector h) in the
     form sum_f e! sum_{h, h'} u[f, h] v[f, h'] <b_h, b_h'>, with e the
@@ -796,7 +841,8 @@ def two_factor_gram(basis: list[dict], labels, irrep_basis: list[dict]
     b_h'> the dot product of irrep basis vectors in word coordinates."""
     hgram = [[sum(x * b.get(w, 0) for w, x in a.items())
               for b in irrep_basis] for a in irrep_basis]
-    norms = [math.prod(math.factorial(e) for e in lab) for lab in labels]
+    norms = {f: math.prod(math.factorial(e) for e in f)
+             for vec in basis for f, _ in vec}
     by_f = []
     for vec in basis:
         index: dict = {}

@@ -7,11 +7,13 @@ reads the echelon of a ``ReducedSpan``, no reference to the Fock
 operator wrappers but their definitions (solves and the bracket check
 read generator images), no definition, import or mention of the test
 oracle's matrix type ``ExactOperator`` (the package's one operator form
-is image terms), no import of scipy, whose ``linalg`` once
-took most of the command line's start-up (``howe_forge.cli`` loads
-without it), no private function or method that nothing in the package
-references, and no public function, class or method that only the
-tests reference."""
+is image terms), no definition, import or mention of the oracle's
+label <-> position map ``IndexedBasis`` and no ``.ordinal(`` call
+(vectors and image terms are keyed by their labels), no import of
+scipy, whose ``linalg`` once took most of the command line's start-up
+(``howe_forge.cli`` loads without it), no private function or method
+that nothing in the package references, and no public function, class
+or method that only the tests reference."""
 
 import ast
 import os
@@ -43,6 +45,7 @@ SPAN_ECHELON = {"echelon"} | {
     name for name in ReducedSpan.__slots__ if name.startswith("_")}
 FOCK_OPS = {"gl_k_op", "gl_m_op", "gl_n_op", "raiser_op", "lowerer_op"}
 ORACLE_MATRIX = "ExactOperator"  # lives in tests/bruteforce.py
+ORACLE_BASIS = "IndexedBasis"  # the same
 
 
 def tree_of(path):
@@ -130,26 +133,40 @@ def fock_operator_calls(tree, path):
             if isinstance(n, ast.Attribute) and n.attr in FOCK_OPS]
 
 
-def oracle_matrix_names(tree, path):
+def mentions(tree, path, name):
     """Definitions, imports, names, attributes and strings (docstrings
-    among them) that mention the oracle's matrix type."""
+    among them) that mention ``name``."""
     out = []
     for n in ast.walk(tree):
         if isinstance(n, (ast.FunctionDef, ast.ClassDef)):
-            hit = n.name == ORACLE_MATRIX
+            hit = n.name == name
         elif isinstance(n, ast.alias):
-            hit = ORACLE_MATRIX in (n.name.rpartition(".")[2], n.asname)
+            hit = name in (n.name.rpartition(".")[2], n.asname)
         elif isinstance(n, ast.Name):
-            hit = n.id == ORACLE_MATRIX
+            hit = n.id == name
         elif isinstance(n, ast.Attribute):
-            hit = n.attr == ORACLE_MATRIX
+            hit = n.attr == name
         elif isinstance(n, ast.Constant) and isinstance(n.value, str):
-            hit = ORACLE_MATRIX in n.value
+            hit = name in n.value
         else:
             continue
         if hit:
             out.append(where(path, n))
     return out
+
+
+def oracle_matrix_names(tree, path):
+    """Mentions of the oracle's matrix type."""
+    return mentions(tree, path, ORACLE_MATRIX)
+
+
+def ordinal_lookups(tree, path):
+    """Mentions of the oracle's indexed basis, and calls of an
+    ``.ordinal`` method: a label's position in a basis."""
+    return mentions(tree, path, ORACLE_BASIS) + [
+        f"{where(path, n)} .ordinal" for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+        and n.func.attr == "ordinal"]
 
 
 def scipy_imports(tree, path):
@@ -226,7 +243,7 @@ def test_the_package_has_sources():
 @pytest.mark.parametrize("rule", [asserts, broad_handlers, unused_imports,
                                   float_divisions, span_echelon_reads,
                                   fock_operator_calls, oracle_matrix_names,
-                                  scipy_imports])
+                                  ordinal_lookups, scipy_imports])
 def test_package_sources_keep_the_rule(rule):
     bad = [hit for path in SOURCES for hit in rule(tree_of(path), path)]
     assert bad == []
@@ -266,6 +283,11 @@ def test_every_public_name_has_a_user_besides_the_tests():
     (oracle_matrix_names, "from .tensor import ExactOperator as Op"),
     (oracle_matrix_names, "op = T.ExactOperator(b, b)"),
     (oracle_matrix_names, '"""Restrictions come as ExactOperators."""'),
+    (ordinal_lookups, "class IndexedBasis: pass"),
+    (ordinal_lookups, "from .tensor import IndexedBasis as Basis"),
+    (ordinal_lookups, "wb = T.IndexedBasis.tensor_power(2, 3)"),
+    (ordinal_lookups, '"""Image terms on IndexedBasis ordinals."""'),
+    (ordinal_lookups, "t = fb.ordinal(tuple(tgt))"),
     (scipy_imports, "from scipy.linalg import expm\n"),
     (scipy_imports, "import numpy as np, scipy.linalg as sla\n"),
     (unreferenced_privates, "def _gone(x):\n    return x\n"),
@@ -289,7 +311,8 @@ def test_rules_pass_clean_code():
     assert not asserts(tree, path) + broad_handlers(tree, path) \
         + unused_imports(tree, path) + float_divisions(tree, path) \
         + span_echelon_reads(tree, path) + fock_operator_calls(tree, path) \
-        + oracle_matrix_names(tree, path) + scipy_imports(tree, path) \
+        + oracle_matrix_names(tree, path) + ordinal_lookups(tree, path) \
+        + scipy_imports(tree, path) \
         + unreferenced_privates(tree, path) \
         + unreferenced_publics(tree, path)
 

@@ -97,17 +97,18 @@ def test_word_readers_match_the_whole_operators(k):
     and slot derivations, for every shape of at most 4 boxes, also those
     with more than k rows, whose symmetrizer vanishes."""
     for n in range(5):
-        wb = T.IndexedBasis.tensor_power(k, n)
+        wb = bf.IndexedBasis.tensor_power(k, n)
+        assert T.tensor_power(k, n) == wb.labels
         for lam in W.partitions_of(n):
-            sym = bf.young_symmetrizer(lam, k, basis=wb).terms()
-            for c in range(len(wb)):
-                assert rieffel._symmetrizer_column(lam, wb, c) == dict(
-                    sym(c)), (lam, wb.label(c))
+            sym = bf.labelled_terms(bf.young_symmetrizer(lam, k, basis=wb))
+            for word in wb:
+                assert rieffel._symmetrizer_column(lam, word) == dict(
+                    sym(word)), (lam, word)
         for a, b in product(range(k), repeat=2):
-            op = bf.gl_tensor_action(a, b, k, n, basis=wb).terms()
-            image = rieffel._word_images(wb, a, b)
-            for c in range(len(wb)):
-                assert T.linear_image(image, {c: 1}) == dict(op(c))
+            op = bf.labelled_terms(bf.gl_tensor_action(a, b, k, n, basis=wb))
+            image = rieffel._word_images(a, b)
+            for word in wb:
+                assert T.linear_image(image, {word: 1}) == dict(op(word))
 
 
 @pytest.mark.parametrize("M", [1, 2, 3])
@@ -240,10 +241,8 @@ def test_compact_gram_is_the_two_factor_form(monkeypatch):
             if mod.empty:
                 assert grams == []
                 continue
-            labels = FockModel(k, M, 0, tot, "sq").basis(tot, 0).labels
             irrep = build_inducing_irrep(m, M)
-            assert grams == [bf.two_factor_gram(mod.basis, labels,
-                                                irrep.basis)]
+            assert grams == [bf.two_factor_gram(mod.basis, irrep.basis)]
             assert mod.gram_positive
             cells += 1
     assert cells == 88  # every nonempty cell of acceptance criterion 3
@@ -293,6 +292,23 @@ def test_noncompact_window_overflow():
         induce_noncompact_graded(2, 1, 1, (6, -3), 4)
 
 
+def test_graded_induction_builds_only_the_piece_it_solves(monkeypatch):
+    """Generator images read their targets off monomial labels, so graded
+    induction asks the model for the basis of its own piece alone, not
+    for the piece one bidegree down that the lowerers map into."""
+    asked = []
+    basis = FockModel.basis
+
+    def spy(model, p, q):
+        asked.append((p, q))
+        return basis(model, p, q)
+
+    monkeypatch.setattr(FockModel, "basis", spy)
+    mod = induce_noncompact_graded(3, 2, 1, (5, 4, -2), 6)
+    assert not mod.empty and f"bidegree {(3, 2)}" in mod.ambient
+    assert set(asked) == {(3, 2)}
+
+
 @pytest.mark.parametrize("k,M,N,weight,reason", [
     (2, 1, 1, (0, 0), "entry below the rank: 0 < 2"),
     (2, 1, 1, (1, -3), "entry below the rank: 1 < 2"),
@@ -313,8 +329,8 @@ def test_emptiness_is_a_value_with_a_reason(k, M, N, weight, reason):
 
 
 @pytest.mark.parametrize("maps,count", [
-    (lambda model, piece: [], 2),  # x00 x11 and x01 x10 both survive
-    (lambda model, piece: [lambda o: [(o, 1)]], 0),  # nothing survives
+    (lambda model: [], 2),  # x00 x11 and x01 x10 both survive
+    (lambda model: [lambda o: [(o, 1)]], 0),  # nothing survives
 ], ids=["no-raisers", "identity"])
 def test_graded_target_block_must_hold_one_vector(monkeypatch, maps, count):
     """The target's weight block at bidegree (2, 0) holds two monomials;
@@ -372,8 +388,8 @@ def assert_gl_k_matches_oracle(mod, k, M, N, d, piece):
     model = FockModel(k, M, N, d, "sq")
     for i in range(k):
         for j in range(k):
-            want = bf.dense_restriction(
-                bf.fock_operator(model, "k", i, j, piece).data, mod.basis)
+            want = bf.dense_restriction(bf.labelled_entries(
+                bf.fock_operator(model, "k", i, j, piece)), mod.basis)
             assert bf.dense_matrix(bf.module_operator(
                 mod.gl_k[(i, j)], mod.dimension)) == want
 
@@ -400,8 +416,8 @@ def test_compact_gl_k_matches_dense_oracle(k, M, m):
     assert_maps_rows_to_rows(mod)
     for (i, j), terms in mod.gl_k.items():
         # gl(k) acts on the Fock factor of each (monomial, irrep) coordinate
-        entries = {((r, h), (c, h)): v for (r, c), v in bf.fock_operator(
-                       model, "k", i, j, piece).data.items()
+        entries = {((r, h), (c, h)): v for (r, c), v in bf.labelled_entries(
+                       bf.fock_operator(model, "k", i, j, piece)).items()
                    for h in range(dimh)}
         assert bf.dense_matrix(bf.module_operator(terms, mod.dimension)) \
             == bf.dense_restriction(entries, mod.basis)
@@ -492,3 +508,20 @@ def test_emptiness_verdict_requires_the_module_checks(monkeypatch):
     assert not rep["ok"]
     assert [c for c in rep["cells"] if not c["ok"]] == [
         dict(c, ok=False) for c in nonempty]
+
+
+def test_a_refused_induction_leaves_the_survey_after_one_call(monkeypatch):
+    """The survey's window covers the bidegree of every weight it asks
+    for, so a TooLarge from graded induction, such as a piece past
+    BASIS_CAP, leaves the survey at once instead of being retried on a
+    wider window."""
+    calls = []
+
+    def refuse(*args):
+        calls.append(args)
+        raise TooLarge("piece past the cap")
+
+    monkeypatch.setattr(rieffel, "induce_noncompact_graded", refuse)
+    with pytest.raises(TooLarge, match="past the cap"):
+        emptiness_survey(2, 1, 1, 3)
+    assert len(calls) == 1
