@@ -242,10 +242,11 @@ def cmd_decompose(args) -> int:
                 ",".join(str(x) for x in term["label"]) or "-",
                 term["dim_k"], term["dim_M"], term["product"],
                 deg["commutant"],
+                deg["commutant_route"],
                 "ok" if deg["ok"] else "FAIL",
             ))
     table = tsv(("degree", "label", "dim_k", "dim_m", "product",
-                 "commutant", "status"), rows)
+                 "commutant", "route", "status"), rows)
     emit(table + ("PASS\n" if rep.ok else "FAIL\n"), args.output)
     return EXIT_OK if rep.ok else EXIT_FALSIFIED
 

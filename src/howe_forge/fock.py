@@ -29,8 +29,8 @@ from itertools import permutations
 from . import weights as W
 from .errors import InvariantBroken, NotRenormalizable, ShapeMismatch, \
     TooLarge
-from .tensor import BASIS_CAP, ReducedSpan, block_kernel, \
-    commutator_rows, gl_relation_failures, monomials, subgroup_perms
+from .tensor import BASIS_CAP, block_kernel, commutator_rows, \
+    gl_relation_failures, monomials, rank_of_rows, subgroup_perms
 
 
 def _convention_constants(k: int, M: int, N: int, convention: str):
@@ -416,7 +416,9 @@ def weyl_commutant_dim(model: FockModel, n: int) -> int:
     column is such a gc.  So a W-equivariant block-diagonal X solves the
     reduced equations exactly when it commutes with every root vector and
     Cartan: both ways the solutions are the commutant.  Root images are
-    read off the monomial labels of the dominant blocks only.
+    read off the monomial labels of the dominant blocks only.  The
+    dimension is the number of unknowns less the rank of the equations
+    (``tensor.rank_of_rows``, sparsest equations first).
     """
     k, M = model.k, model.M
     blocks = model.weight_blocks((n, 0))
@@ -472,7 +474,7 @@ def weyl_commutant_dim(model: FockModel, n: int) -> int:
                                        block_of.__getitem__,
                                        lambda r, c: home[r][pos[c]])
 
-    return nvars - len(ReducedSpan(equations()))
+    return nvars - rank_of_rows(equations())
 
 
 def verify_howe(k: int, M: int, degree: int, convention: str = "sq",

@@ -21,12 +21,18 @@ One elimination serves every caller: ``ReducedSpan``, the reduced span
 of rational rows, kept in integers by the fraction-free update
 row <- (p*row - a*prow) / content.  Each row is integer and primitive,
 positive at its pivot (its lowest column when inserted) and 0 at every
-other row's pivot.  Ranks (its length, as in ``commutant_dim``), kernels
-(``kernel_basis``), module bases (its ``rows``) and the restriction of a
-family of maps to an invariant span (``restrict_by_leaders``, image
-terms on the row indices) all come from it, and divide only at the
-output, by the pivot entries.  ``gram_matrix`` is the one inner product
-routine, in mutually orthogonal coordinates with given squared norms.
+other row's pivot.  Ranks (``rank_of_rows``, which ``commutant_dim`` and
+``fock.weyl_commutant_dim`` read), kernels (``kernel_basis``), module
+bases (its ``rows``) and the restriction of a family of maps to an
+invariant span (``restrict_by_leaders``, image terms on the row indices)
+all come from it, and divide only at the output, by the pivot entries.
+``rank_of_rows`` inserts the sparsest rows first, which cuts the fill-in
+that back-substitution clears.  The order cannot change a result: for a
+fixed column order the reduced row echelon form is unique.  Kernels and
+module spans take their rows in the order given, since a span's ``rows``
+are a module basis in insertion order, and sorting the kernel solves
+bought no time.  ``gram_matrix`` is the one inner product routine, in
+mutually orthogonal coordinates with given squared norms.
 
 The symmetric-group material (the central projectors' family check,
 the subgroups that fix blocks of slots) and the commutant solves live
@@ -204,6 +210,15 @@ class ReducedSpan:
                 cols.append([(i, _quotient(a, den * p)) for i, a, p in coords])
             out[key] = cols.__getitem__
         return out
+
+
+def rank_of_rows(rows) -> int:
+    """Rank of the sparse rational rows.  They go into one ``ReducedSpan``
+    sparsest first (a stable sort by support size, so ties keep their
+    order), which leaves less fill-in for back-substitution to clear.  The
+    order cannot change the rank, nor the span's reduced row echelon form,
+    which is unique for a fixed column order."""
+    return len(ReducedSpan(sorted(rows, key=len)))
 
 
 def kernel_basis(rows, ncols: int) -> list[dict[int, int | Fraction]]:
@@ -403,7 +418,8 @@ def commutant_dim(generators: list, d: int, cartans=()) -> int:
     equations AX - XA = 0 (``commutator_rows``).  The ``cartans`` must be
     diagonal; X is then restricted to the joint-eigenvalue blocks they cut
     out, which is exactly the commutation constraint with the Cartan
-    subalgebra, solved in advance.
+    subalgebra, solved in advance.  The dimension is the number of
+    unknowns less the rank of the equations (``rank_of_rows``).
     """
     diags = []
     for h in cartans:
@@ -435,7 +451,7 @@ def commutant_dim(generators: list, d: int, cartans=()) -> int:
     rows = (row for g in generators for row in commutator_rows(
         _integral_terms(g, d), range(d), block_of.__getitem__,
         lambda r, c: var_id[(r, c)]))
-    return nvars - len(ReducedSpan(rows))
+    return nvars - rank_of_rows(rows)
 
 
 # ---------------------------------------------------------------------------

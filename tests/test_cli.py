@@ -94,7 +94,8 @@ def test_decompose_one_group_table(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0].split("\t") == ["degree", "label", "dim_k", "dim_m",
-                                    "product", "commutant", "status"]
+                                    "product", "commutant", "route",
+                                    "status"]
     assert lines[-1] == "PASS"
     assert "2,1" in out
 

@@ -1,5 +1,6 @@
 """Graded polynomial models and the pairing/label checks built on them."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -472,6 +473,35 @@ def test_commutant_dim_matches_kernel_count_on_howe_pieces():
             assert d.commutant == bf.dense_nullity(
                 *blocked_commutator_rows(model, (d.degree, 0)))
     assert ((1, 1), (1, 1), ()) in model.weight_blocks((2, 0))
+
+
+def test_commutator_systems_reduce_alike_in_every_order():
+    """The unreduced commutator systems of the (2, 3) pieces up to degree
+    4 have one rank and one reduced echelon, its rows keyed by pivot,
+    whether the rows come in generation order, reversed, sparsest first
+    (as ``rank_of_rows`` takes them) or shuffled."""
+    model = FockModel(2, 3, 0, 4, "sq")
+    for n in range(5):
+        dense_rows, nvars = blocked_commutator_rows(model, (n, 0))
+        rows = [{x: v for x, v in enumerate(row) if v} for row in dense_rows]
+        shuffle = random.Random(n)
+        orders = [rows, rows[::-1], sorted(rows, key=len)] + [
+            shuffle.sample(rows, len(rows)) for _ in range(3)]
+        echelons = [{min(row): row for row in T.ReducedSpan(order).rows}
+                    for order in orders]
+        assert all(e == echelons[0] for e in echelons[1:])
+        rank = nvars - bf.dense_nullity(dense_rows, nvars)
+        assert len(echelons[0]) == rank
+        assert [T.rank_of_rows(order) for order in orders] == [rank] * 6
+
+
+@bf.time_bounded
+def test_weyl_commutant_dim_at_degree_seven():
+    """By Howe duality the commutant of gl(3) + gl(3) on the degree-7
+    piece has one dimension per partition of 7 with at most 3 rows."""
+    expected = tuple(W.partitions_of(7, max_rows=3))
+    assert fock.weyl_commutant_dim(FockModel(3, 3, 0, 7, "sq"), 7) \
+        == len(expected) == 8
 
 
 @bf.time_bounded

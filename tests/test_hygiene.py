@@ -3,9 +3,11 @@
 ``ForgeError`` subclasses instead), no bare ``except:`` or
 ``except Exception``, no unused imports, no true division that could
 make a float in the exact layers, no module but ``tensor.py`` that
-reads the echelon of a ``ReducedSpan``, no reference to the Fock
-operator wrappers but their definitions (solves and the bracket check
-read generator images), no definition, import or mention of the test
+reads the echelon of a ``ReducedSpan`` or takes the length of a
+``ReducedSpan(...)`` (rank solves go through ``tensor.rank_of_rows``,
+which orders the rows), no reference to the Fock operator wrappers but
+their definitions (solves and the bracket check read generator
+images), no definition, import or mention of the test
 oracle's matrix type ``ExactOperator`` (the package's one operator form
 is image terms), no definition, import or mention of the oracle's
 label <-> position map ``IndexedBasis`` and no ``.ordinal(`` call
@@ -126,6 +128,24 @@ def span_echelon_reads(tree, path):
             if isinstance(n, ast.Attribute) and n.attr in SPAN_ECHELON]
 
 
+def span_ranks(tree, path):
+    """``len`` of a ``ReducedSpan(...)`` outside ``tensor.py``: every rank
+    solve goes through ``tensor.rank_of_rows``."""
+    if path.name == SPAN_HOME:
+        return []
+    out = []
+    for n in ast.walk(tree):
+        if not (isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                and n.func.id == "len" and n.args
+                and isinstance(n.args[0], ast.Call)):
+            continue
+        made = n.args[0].func
+        if getattr(made, "id", None) == "ReducedSpan" \
+                or getattr(made, "attr", None) == "ReducedSpan":
+            out.append(where(path, n))
+    return out
+
+
 def fock_operator_calls(tree, path):
     """References to the Fock matrix wrappers; their definitions in
     ``fock.py`` are not references."""
@@ -242,8 +262,9 @@ def test_the_package_has_sources():
 
 @pytest.mark.parametrize("rule", [asserts, broad_handlers, unused_imports,
                                   float_divisions, span_echelon_reads,
-                                  fock_operator_calls, oracle_matrix_names,
-                                  ordinal_lookups, scipy_imports])
+                                  span_ranks, fock_operator_calls,
+                                  oracle_matrix_names, ordinal_lookups,
+                                  scipy_imports])
 def test_package_sources_keep_the_rule(rule):
     bad = [hit for path in SOURCES for hit in rule(tree_of(path), path)]
     assert bad == []
@@ -277,6 +298,8 @@ def test_every_public_name_has_a_user_besides_the_tests():
     (float_divisions, "y = Fraction(1) * 3 / 4\n"),
     (span_echelon_reads, "basis = [row for _, row in span.echelon]\n"),
     (span_echelon_reads, "def f(span, c):\n    return c in span._pivots\n"),
+    (span_ranks, "r = len(T.ReducedSpan(rows))"),
+    (span_ranks, "r = n - len(ReducedSpan(rows))"),
     (fock_operator_calls,
      "def solve(model, piece):\n    return model.raiser_op(0, 0, piece)\n"),
     (oracle_matrix_names, "class ExactOperator: pass"),
@@ -306,11 +329,13 @@ def test_rules_pass_clean_code():
               "import os.path\nfrom math import gcd as g\n"
               "try:\n    x = g(os.path.sep, 2)\n"
               "except ValueError:\n    pass\n"
-              "y = Fraction(x) / 3 + _F1 / x - x // 2\n")
+              "y = Fraction(x) / 3 + _F1 / x - x // 2\n"
+              "r = len(span) + rank_of_rows(rows)\n")
     tree, path = ast.parse(source), Path("example.py")
     assert not asserts(tree, path) + broad_handlers(tree, path) \
         + unused_imports(tree, path) + float_divisions(tree, path) \
-        + span_echelon_reads(tree, path) + fock_operator_calls(tree, path) \
+        + span_echelon_reads(tree, path) + span_ranks(tree, path) \
+        + fock_operator_calls(tree, path) \
         + oracle_matrix_names(tree, path) + ordinal_lookups(tree, path) \
         + scipy_imports(tree, path) \
         + unreferenced_privates(tree, path) \
