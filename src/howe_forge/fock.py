@@ -64,12 +64,13 @@ def _image(lab, terms):
 
 @dataclass
 class FockModel:
-    """Polynomial model, graded piece by piece, with exact generator images."""
+    """Polynomial model as one graded algebra with no top degree: each
+    piece is built when it is asked for, up to ``BASIS_CAP`` monomials,
+    and generator images are exact."""
 
     k: int
     M: int
     N: int
-    degree: int
     convention: str
     c_k: int | Fraction = field(init=False)
     c_m: int | Fraction = field(init=False)
@@ -78,7 +79,7 @@ class FockModel:
     _blocks: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if self.k <= 0 or self.M <= 0 or self.N < 0 or self.degree < 0:
+        if self.k <= 0 or self.M <= 0 or self.N < 0:
             raise ShapeMismatch(
                 f"bad model parameters k={self.k}, M={self.M}, N={self.N}")
         self.c_k, self.c_m, self.c_n = _convention_constants(
@@ -119,14 +120,14 @@ class FockModel:
                 self._bases[key] = tuple(lx + ly for lx in xb for ly in yb)
         return self._bases[key]
 
-    def pieces(self) -> list[tuple[int, int]]:
+    def pieces(self, degree: int) -> list[tuple[int, int]]:
+        """The pieces of total degree at most ``degree``."""
+        if degree < 0:
+            raise ShapeMismatch(f"negative degree {degree}")
         if self.N == 0:
-            return [(n, 0) for n in range(self.degree + 1)]
-        return [
-            (p, q)
-            for p in range(self.degree + 1)
-            for q in range(self.degree + 1 - p)
-        ]
+            return [(n, 0) for n in range(degree + 1)]
+        return [(p, q) for p in range(degree + 1)
+                for q in range(degree + 1 - p)]
 
     # generators -------------------------------------------------------------
 
@@ -477,8 +478,8 @@ def weyl_commutant_dim(model: FockModel, n: int) -> int:
     return nvars - rank_of_rows(equations())
 
 
-def verify_howe(k: int, M: int, degree: int, convention: str = "sq",
-                model: FockModel | None = None) -> HoweReport:
+def verify_howe(k: int, M: int, degree: int,
+                convention: str = "sq") -> HoweReport:
     """Check the multiplicity-free paired decomposition of every graded
     piece up to the degree: label sets, the paired dimension identity,
     multiplicity counts from the weight-space dimensions, and the
@@ -486,8 +487,8 @@ def verify_howe(k: int, M: int, degree: int, convention: str = "sq",
     (``weyl_commutant_dim``), which reads no weight count, so it checks
     multiplicity-freeness independently of ``mult_ok``.  Every piece takes
     that matrix route.  The brackets are checked first, on the piece of
-    degree min(1, degree), of ``model`` when one is given."""
-    model = model or FockModel(k, M, 0, degree, convention)
+    degree min(1, degree)."""
+    model = FockModel(k, M, 0, convention)
     _smoke_check(model, (min(1, degree), 0))
     reports = []
     for n in range(degree + 1):
@@ -537,10 +538,9 @@ def verify_howe(k: int, M: int, degree: int, convention: str = "sq",
     return HoweReport(k, M, convention, tuple(reports))
 
 
-def howe_stability_check(M: int, degree: int, kmax: int,
-                         convention: str = "sq") -> dict:
+def howe_stability_check(M: int, degree: int, kmax: int) -> dict:
     """Label sets must be k-independent in the stable range n <= k."""
-    reports = {k: verify_howe(k, M, degree, convention) for k in range(1, kmax + 1)}
+    reports = {k: verify_howe(k, M, degree) for k in range(1, kmax + 1)}
     stable = True
     details = []
     for k in range(1, kmax):
@@ -661,13 +661,13 @@ def verify_kv(k: int, M: int, N: int, degree: int,
     (1, 1) when the degree reaches it."""
     if N <= 0:
         raise ShapeMismatch("oscillator model needs N >= 1")
-    model = FockModel(k, M, N, degree, convention)
+    model = FockModel(k, M, N, convention)
     if degree >= 2:
         _smoke_check(model, (1, 1))
     context = "kave" if convention == "sq" else "kave2"
     bidegrees = []
     occurring: set[tuple[int, ...]] = set()
-    for piece in model.pieces():
+    for piece in model.pieces(degree):
         p, q = piece
         hwvs = joint_highest_weight_vectors(model, piece)
         model.release(piece)  # no later piece reads this one

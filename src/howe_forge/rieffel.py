@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import cache
 
 from . import weights as W
-from .errors import InvariantBroken, ShapeMismatch, TooLarge
+from .errors import InvariantBroken, ShapeMismatch
 from .fock import FockModel, raising_images, strict_signed_pairs
 from .tensor import ReducedSpan, block_kernel, gl_commutant_dim, \
     gl_relation_failures, gram_matrix, linear_image, perm_inverse, \
@@ -346,7 +346,7 @@ def induce_compact(k: int, M: int, m) -> InducedModule:
     shape = W.partition(m)
     irrep = build_inducing_irrep(shape, M)
     n = sum(shape)
-    model = FockModel(k, M, 0, n, "sq")
+    model = FockModel(k, M, 0, "sq")
     piece = (n, 0)
     invariants = _diagonal_invariants(model, piece, irrep)
     inputs = {"k": k, "M": M, "m": list(shape)}
@@ -378,7 +378,7 @@ def degree_selection_check(k: int, M: int, m, n_wrong: int) -> dict:
     """The invariant subspace of a wrong-degree piece must vanish."""
     shape = W.partition(m)
     irrep = build_inducing_irrep(shape, M)
-    model = FockModel(k, M, 0, n_wrong, "sq")
+    model = FockModel(k, M, 0, "sq")
     basis = _diagonal_invariants(model, (n_wrong, 0), irrep)
     return {
         "k": k,
@@ -394,14 +394,16 @@ def degree_selection_check(k: int, M: int, m, n_wrong: int) -> dict:
 # graded induction for the indefinite middle group
 
 
-def induce_noncompact_graded(k: int, M: int, N: int, inducing_weight,
-                             d: int) -> InducedModule | Empty:
+def induce_noncompact_graded(k: int, M: int, N: int,
+                             inducing_weight) -> InducedModule | Empty:
     """Match an inducing weight against the joint label list of the
     oscillator model; build the lowest compact-type block on a match,
     certify emptiness otherwise.  A match names one weight block: the
     realized label for gl(k), the inducing weight for gl(M) + gl(N).  Its
     joint kernel of the raising maps must be one vector, which the gl(k)
-    lowering operators then span out.
+    lowering operators then span out.  The model has no top degree, so a
+    match is solved at its own bidegree (|m|, |n|) whatever its size;
+    only a piece past ``BASIS_CAP`` monomials raises ``TooLarge``.
 
     The plainly quantized labels all have the block form
     (m_1 + k, ..., m_M + k, -n_N, ..., -n_1) with partitions m, n whose
@@ -409,11 +411,10 @@ def induce_noncompact_graded(k: int, M: int, N: int, inducing_weight,
     entry below k, and any row overflow therefore certify emptiness by
     exact integer arithmetic.
     """
-    for name, value, least in (("k", k, 1), ("M", M, 1), ("N", N, 1),
-                               ("d", d, 0)):
-        if value < least:
+    for name, value in (("k", k), ("M", M), ("N", N)):
+        if value < 1:
             raise ShapeMismatch(
-                f"graded induction needs {name} >= {least}, got {value}")
+                f"graded induction needs {name} >= 1, got {value}")
     w = (inducing_weight if isinstance(inducing_weight, W.HalfIntWeight)
          else W.HalfIntWeight.from_entries(inducing_weight))
     if len(w.doubled) != M + N:
@@ -441,11 +442,8 @@ def induce_noncompact_graded(k: int, M: int, N: int, inducing_weight,
         return Empty(inputs,
                      f"label needs {rows_m + rows_n} rows, rank is {k}")
 
-    p, q = sum(m_cand), sum(n_cand)
-    if p + q > d:
-        raise TooLarge(f"candidate bidegree ({p}, {q}) exceeds window {d}")
-    model = FockModel(k, M, N, d, "sq")
-    piece = (p, q)
+    model = FockModel(k, M, N, "sq")
+    piece = (sum(m_cand), sum(n_cand))
     hw = W.SignedWeight(W.partition(m_cand), W.partition(n_cand)).realize(k)
     key = (tuple(x - model.c_k for x in hw),
            tuple(x - model.c_m for x in a_blk),
@@ -491,15 +489,12 @@ def emptiness_survey(k: int, M: int, N: int, window: int) -> dict:
     empty); and shifted labels with m+k on the left block (always the
     module with the label's realized highest weight).  Every nonempty
     module must also have commutant 1, a positive Gram matrix and a gl(k)
-    action that satisfies the brackets."""
+    action that satisfies the brackets.  The ``window`` bounds the block
+    sizes of the three families; graded induction itself has no window,
+    and a ``TooLarge`` from a piece past ``BASIS_CAP`` leaves the survey."""
     cells = []
     collisions = []
     ok = True
-
-    # a renormalized collision has bidegree |m| + |n| + M(N - k) <=
-    # 2 * window + M * N; shifted labels stay within the window, and
-    # below-rank weights are empty before the window is checked
-    d = 2 * window + M * N
 
     def record(branch, weight_text, good, detail):
         nonlocal ok
@@ -510,7 +505,7 @@ def emptiness_survey(k: int, M: int, N: int, window: int) -> dict:
     for m, n in strict_signed_pairs(M, N, window):
         halfint = W.renormalize_weight(W.SignedWeight(m, n), M, N)
         text = "(" + ", ".join(str(e) for e in halfint.entries) + ")"
-        out = induce_noncompact_graded(k, M, N, halfint, d)
+        out = induce_noncompact_graded(k, M, N, halfint)
         if out.empty:
             record("renormalized", text, True, out.reason)
             continue
@@ -529,7 +524,7 @@ def emptiness_survey(k: int, M: int, N: int, window: int) -> dict:
         neg = tuple(-x for x in reversed(n + (0,) * (N - len(n))))
         for t in sorted({0, k - 1}):
             w = (t,) * M + neg
-            out = induce_noncompact_graded(k, M, N, w, d)
+            out = induce_noncompact_graded(k, M, N, w)
             good = out.empty and out.reason.startswith("entry below the rank")
             record("below-rank", str(w), good,
                    out.reason if out.empty else f"dim {out.dimension}")
@@ -540,7 +535,7 @@ def emptiness_survey(k: int, M: int, N: int, window: int) -> dict:
                 continue
             w = tuple(x + k for x in m + (0,) * (M - len(m)))
             w += tuple(-x for x in reversed(n + (0,) * (N - len(n))))
-            out = induce_noncompact_graded(k, M, N, w, d)
+            out = induce_noncompact_graded(k, M, N, w)
             want = W.SignedWeight(m, n).realize(k)
             good = (not out.empty and out.sound
                     and out.highest_weight == want

@@ -69,6 +69,8 @@ def tensor_power(k: int, n: int) -> tuple[tuple[int, ...], ...]:
 
 def monomials(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
     """Exponent tuples of fixed total degree, descending lex order."""
+    if degree < 0:
+        raise ShapeMismatch(f"negative degree {degree}")
     if nvars == 0:
         return ((),) if degree == 0 else ()
     size = math.comb(nvars + degree - 1, degree)
@@ -384,6 +386,8 @@ def gl_commutant_dim(family: dict, d: int) -> int:
 def commutator_rows(terms, columns, block, var):
     """Rows of the equations (AX - XA)[t, c] = 0 for each key c in
     ``columns``, one row per target t, each yielded and dropped in turn.
+    Entries that cancel are left out, and so is a row that cancels to
+    nothing.
 
     A is given by its image terms (key -> (target, value) pairs, see
     ``linear_image``).  X is block diagonal: X[r, c] is the unknown
@@ -398,7 +402,9 @@ def commutator_rows(terms, columns, block, var):
             row = eq.setdefault(t, {})
             row[x] = row.get(x, 0) + v
         while eq:
-            yield eq.popitem()[1]
+            row = {x: v for x, v in eq.popitem()[1].items() if v}
+            if row:
+                yield row
 
 
 def _integral_terms(terms, d: int):

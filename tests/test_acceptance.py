@@ -124,7 +124,7 @@ def test_criterion_5_graded_emptiness():
             for m, n in strict_signed_pairs(M, N, 4):
                 shifted = W.renormalize_weight(W.SignedWeight(m, n), M, N)
                 label = _label_collision(shifted.entries, k, M, N)
-                out = induce_noncompact_graded(k, M, N, shifted, 12)
+                out = induce_noncompact_graded(k, M, N, shifted)
                 if label is None:
                     ok = ok and out.empty
                     empties += 1
@@ -143,7 +143,7 @@ def test_criterion_5_graded_emptiness():
                 for n1 in range(3):
                     w = (t,) * M + tuple(
                         -x for x in ([n1] + [0] * (N - 1))[::-1])
-                    out = induce_noncompact_graded(k, M, N, w, 12)
+                    out = induce_noncompact_graded(k, M, N, w)
                     ok = ok and out.empty and \
                         out.reason.startswith("entry below the rank")
                     empties += 1
@@ -158,7 +158,7 @@ def test_criterion_5_graded_emptiness():
                                       m + (0,) * (M - len(m)))
                             w += tuple(-x for x in
                                        reversed(n + (0,) * (N - len(n))))
-                            out = induce_noncompact_graded(k, M, N, w, 4)
+                            out = induce_noncompact_graded(k, M, N, w)
                             want = W.SignedWeight(m, n).realize(k)
                             ok = ok and not out.empty \
                                 and out.highest_weight == want \

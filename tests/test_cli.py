@@ -183,12 +183,10 @@ def test_induce_usage_errors(capsys):
 
 
 @pytest.mark.parametrize("argv,named", [
-    (("--mn-group", "1,1", "--weight", "3,-1", "--deg", "-1"),
-     "d >= 0, got -1"),
     (("--mn-group", "1,-1", "--weight", "3"), "N >= 1, got -1"),
     (("--mn-group", "1,0", "--weight", "3"), "N >= 1, got 0"),
     (("--mn-group", "0,1", "--weight", "-1"), "M >= 1, got 0"),
-], ids=["negative-window", "negative-N", "zero-N", "zero-M"])
+], ids=["negative-N", "zero-N", "zero-M"])
 def test_induce_graded_names_a_bad_group_or_window(capsys, argv, named):
     code, out, err = run(capsys, "induce", "--k", "2", *argv)
     assert code == 2 and out == ""
@@ -206,7 +204,7 @@ def test_induce_rejects_tsv_format(capsys):
 
 
 def test_induce_compact_rejects_graded_only_flags(capsys):
-    for extra in (("--signed", "1:1"), ("--halfint", "3/2"), ("--deg", "99")):
+    for extra in (("--signed", "1:1"), ("--halfint", "3/2")):
         code, out, err = run(capsys, "induce", "--k", "2", "--m-group", "2",
                              "--weight", "1", *extra)
         assert code == 2 and out == ""
@@ -214,9 +212,39 @@ def test_induce_compact_rejects_graded_only_flags(capsys):
 
 
 def test_induce_window_overflow_is_infeasible(capsys):
-    code, _, err = run(capsys, "induce", "--k", "2", "--mn-group", "1,1",
-                       "--weight", "6,-3", "--deg", "4")
-    assert code == 1 and "infeasible" in err
+    """Bidegree (200, 200) needs 201 x 201 monomials, past BASIS_CAP."""
+    code, out, err = run(capsys, "induce", "--k", "2", "--mn-group", "1,1",
+                         "--weight", "202,-200")
+    assert code == 1 and out == ""
+    assert err == "infeasible: bidegree (200, 200) needs 40401 monomials\n"
+
+
+def test_induce_graded_has_no_degree_window(capsys):
+    code, out, _ = run(capsys, "induce", "--k", "2", "--mn-group", "1,1",
+                       "--weight", "12,-3")
+    assert code == 0
+    assert json.loads(out)["dimension"] == 14  # signed_weight_dim((10, -3), 2)
+    with pytest.raises(SystemExit):
+        cli.main(["induce", "--help"])
+    assert "--deg" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv,code,line", [
+    (("orbit", "--k", "3", "--m", "2,0", "--seeds", "1"), 1,
+     "infeasible: level-set norms must be positive, got (2, 0)"),
+    (("orbit", "--k", "3", "--m", "1,2", "--seeds", "1"), 2,
+     "error: block not weakly decreasing: (1, 2)"),
+    (("induce", "--k", "3", "--mn-group", "1,1", "--signed", "2,3:1"), 2,
+     "error: block not weakly decreasing: (2, 3)"),
+    (("induce", "--k", "3", "--m-group", "2", "--weight", "1,2"), 2,
+     "error: parts not weakly decreasing: (1, 2)"),
+], ids=["orbit-bad-weight", "orbit-shape", "induce-signed-shape",
+        "induce-compact-shape"])
+def test_each_error_class_has_one_exit_code(capsys, argv, code, line):
+    """``main`` maps ShapeMismatch to a usage error and BadWeight to an
+    infeasible request, whichever subcommand raises it."""
+    got, out, err = run(capsys, *argv)
+    assert (got, out, err) == (code, "", line + "\n")
 
 
 # ---------------------------------------------------------------------------

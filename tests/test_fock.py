@@ -38,36 +38,36 @@ def apply(op, vec):
 
 
 def test_compact_pieces_and_dimensions():
-    model = FockModel(2, 2, 0, 3, "sq")
-    assert model.pieces() == [(0, 0), (1, 0), (2, 0), (3, 0)]
+    model = FockModel(2, 2, 0, "sq")
+    assert model.pieces(3) == [(0, 0), (1, 0), (2, 0), (3, 0)]
     for n in range(4):
         assert len(model.basis(n, 0)) == bf.monomial_count(4, n)
 
 
 def test_oscillator_pieces_cover_the_bidegree_window():
-    model = FockModel(2, 1, 1, 2, "sq")
-    assert model.pieces() == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
-    for p, q in model.pieces():
+    model = FockModel(2, 1, 1, "sq")
+    assert model.pieces(2) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
+    for p, q in model.pieces(2):
         assert len(model.basis(p, q)) == (
             bf.monomial_count(2, p) * bf.monomial_count(2, q))
 
 
 def test_bad_parameters_rejected():
     with pytest.raises(ShapeMismatch):
-        FockModel(0, 2, 0, 2, "sq")
+        FockModel(0, 2, 0, "sq")
     with pytest.raises(ShapeMismatch):
-        FockModel(2, 2, 0, 2, "bogus")
+        FockModel(2, 2, 0, "bogus")
     with pytest.raises(ShapeMismatch, match="N >= 1"):
         verify_kv(2, 1, 0, 2)
 
 
 def test_piece_cap_enforced():
     # 9 variables in degree 9: C(17, 9) = 24310 monomials
-    model = FockModel(3, 3, 0, 9, "sq")
+    model = FockModel(3, 3, 0, "sq")
     with pytest.raises(TooLarge):
         model.basis(9, 0)
     # 4 + 4 variables in bidegree (15, 15): 816 monomials on each side
-    model = FockModel(2, 2, 2, 30, "sq")
+    model = FockModel(2, 2, 2, "sq")
     with pytest.raises(TooLarge):
         model.basis(15, 15)
 
@@ -78,22 +78,20 @@ def test_failed_bracket_smoke_check_raises(monkeypatch):
     with pytest.raises(InvariantBroken, match="bracket smoke check"):
         verify_howe(2, 2, 2)
     with pytest.raises(InvariantBroken, match="bracket smoke check"):
-        verify_howe(2, 2, 2, model=FockModel(2, 2, 0, 2, "sq"))
-    with pytest.raises(InvariantBroken, match="bracket smoke check"):
         verify_kv(2, 1, 1, 2)
 
 
 def test_weight_key_reads_rows_and_columns():
-    model = FockModel(2, 2, 0, 3, "sq")
+    model = FockModel(2, 2, 0, "sq")
     # x[0,0]^2: row weight (2, 0), column weight (2, 0), no y block
     assert model.weight_key((2, 0, 0, 0)) == ((2, 0), (2, 0), ())
-    osc = FockModel(2, 1, 1, 2, "sq")
+    osc = FockModel(2, 1, 1, "sq")
     # x[0,0]*y[1,0]: the y block counts against the row weight
     assert osc.weight_key((1, 0, 0, 1)) == ((1, -1), (1,), (1,))
 
 
 def test_first_order_action_is_polarization():
-    model = FockModel(1, 2, 0, 2, "sq")
+    model = FockModel(1, 2, 0, "sq")
     b = bf.IndexedBasis(model.basis(2, 0))
     # E[0,1] x[0,0]x[0,1] = x[0,0]^2  (one derivative, one multiplication)
     src = b.ordinal((1, 1, 0, 0)[: len(b.labels[0])])
@@ -103,7 +101,7 @@ def test_first_order_action_is_polarization():
 
 
 def test_gl_k_twists_by_the_dual_on_the_y_block():
-    osc = FockModel(2, 1, 1, 2, "sq")
+    osc = FockModel(2, 1, 1, "sq")
     b = osc.basis(0, 1)
     assert b == ((0, 0, 1, 0), (0, 0, 0, 1))
     op = bf.fock_operator(osc, "k", 0, 1, (0, 1))
@@ -112,7 +110,7 @@ def test_gl_k_twists_by_the_dual_on_the_y_block():
 
 
 def test_raiser_is_multiplication_by_the_pairing():
-    osc = FockModel(2, 1, 1, 2, "sq")
+    osc = FockModel(2, 1, 1, "sq")
     out = apply(bf.fock_operator(osc, "raise", 0, 0, (0, 0)),
                 {0: Fraction(1)})
     b = bf.IndexedBasis(osc.basis(1, 1))
@@ -123,7 +121,7 @@ def test_raiser_is_multiplication_by_the_pairing():
 
 
 def test_lowerer_is_the_paired_second_derivative():
-    osc = FockModel(2, 1, 1, 2, "sq")
+    osc = FockModel(2, 1, 1, "sq")
     low = bf.fock_operator(osc, "lower", 0, 0, (1, 1))
     b = bf.IndexedBasis(osc.basis(1, 1))
     assert apply(low, {b.ordinal((1, 0, 1, 0)): Fraction(1)}) == {
@@ -156,8 +154,8 @@ def matrix_bracket_failures(model, piece):
 @pytest.mark.parametrize("convention", ["sq", "hf"])
 def test_bracket_relations_hold_on_every_piece(convention):
     for k, M, N in [(1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2, 0)]:
-        model = FockModel(k, M, N, 2, convention)
-        for piece in model.pieces():
+        model = FockModel(k, M, N, convention)
+        for piece in model.pieces(2):
             assert matrix_bracket_failures(model, piece) == []
             assert model.bracket_failures(piece) == []
 
@@ -167,7 +165,7 @@ def test_bracket_check_agrees_with_the_matrix_oracle(family, a, b):
     """A generator with doubled images still commutes with the other
     families and breaks relations within its own; the image-term check
     fails on each unordered pair whose matrices fail both ways round."""
-    model = FockModel(2, 2, 2, 2, "hf")
+    model = FockModel(2, 2, 2, "hf")
     real = model.images
 
     def images(fam, x, y):
@@ -178,7 +176,7 @@ def test_bracket_check_agrees_with_the_matrix_oracle(family, a, b):
 
     model.images = images
     seen = []
-    for piece in model.pieces():
+    for piece in model.pieces(2):
         bad = model.bracket_failures(piece)
         assert 2 * len(bad) == len(matrix_bracket_failures(model, piece))
         seen += bad
@@ -190,7 +188,7 @@ def test_bracket_check_reports_a_cross_family_fault():
     """A gl(k) generator posing as the one generator of the "m" family
     keeps every relation within its family and fails only to commute
     with gl(k)."""
-    model = FockModel(2, 2, 0, 2, "sq")
+    model = FockModel(2, 2, 0, "sq")
     piece = (2, 0)
     cols = model.basis(*piece)
     gl_k = {(i, j): model.images("k", i, j)
@@ -208,7 +206,7 @@ def test_bracket_check_reports_a_cross_family_fault():
 def test_lowerer_raiser_commutator(convention, k, M, N):
     """[L(a,b), R(c,d)] closes onto the middle algebras with no scalar
     left over, in either convention."""
-    model = FockModel(k, M, N, 4, convention)
+    model = FockModel(k, M, N, convention)
 
     def op(*args):
         return bf.fock_operator(model, *args)
@@ -233,7 +231,7 @@ def test_lowerer_raiser_commutator(convention, k, M, N):
 
 @pytest.mark.parametrize("convention", ["sq", "hf"])
 def test_lower_after_raise_on_constants_counts_rank(convention):
-    model = FockModel(2, 1, 1, 2, convention)
+    model = FockModel(2, 1, 1, convention)
     lr = bf.compose(bf.fock_operator(model, "lower", 0, 0, (1, 1)),
                     bf.fock_operator(model, "raise", 0, 0, (0, 0)))
     assert apply(lr, {0: Fraction(1)}) == {0: Fraction(2)}
@@ -241,8 +239,8 @@ def test_lower_after_raise_on_constants_counts_rank(convention):
 
 @pytest.mark.parametrize("convention", ["sq", "hf"])
 @pytest.mark.parametrize("model", [
-    lambda c: FockModel(3, 2, 0, 3, c),
-    lambda c: FockModel(1, 2, 1, 3, c),
+    lambda c: FockModel(3, 2, 0, c),
+    lambda c: FockModel(1, 2, 1, c),
 ], ids=["compact", "oscillator"])
 def test_operators_hold_ints_where_integral(model, convention):
     """Only int and Fraction values; every sq operator, raiser, lowerer
@@ -251,7 +249,7 @@ def test_operators_hold_ints_where_integral(model, convention):
     (M - N)/2 = k/2 = 1/2 in this oscillator model."""
     model = model(convention)
     fractions = 0
-    for piece in model.pieces():
+    for piece in model.pieces(3):
         gl = [([(ij, bf.fock_operator(model, family, *ij, piece))
                 for ij in product(range(rank), repeat=2)], True)
               for family, rank in (("k", model.k), ("m", model.M),
@@ -278,7 +276,7 @@ def test_operators_hold_ints_where_integral(model, convention):
 
 
 def test_compact_highest_weights_pair_up():
-    model = FockModel(2, 2, 0, 3, "sq")
+    model = FockModel(2, 2, 0, "sq")
     hw = joint_highest_weight_vectors(model, (2, 0))
     got = sorted((h.k_weight, h.m_weight) for h in hw)
     assert got == [
@@ -292,7 +290,7 @@ def test_compact_highest_weights_pair_up():
 def test_highest_weight_count_matches_raiser_nullity():
     """Independent count: stack all raising matrices densely and take the
     nullity with the naive eliminator."""
-    model = FockModel(2, 2, 0, 2, "sq")
+    model = FockModel(2, 2, 0, "sq")
     b = model.basis(2, 0)
     ops = [bf.fock_operator(model, family, 0, 1, (2, 0))
            for family in ("k", "m")]
@@ -318,7 +316,7 @@ def test_highest_weight_count_matches_raiser_nullity():
        st.integers(min_value=0, max_value=3))
 @settings(max_examples=25, deadline=None)
 def test_highest_weight_count_is_partition_count(k, M, n):
-    model = FockModel(k, M, 0, n, "sq")
+    model = FockModel(k, M, 0, "sq")
     hw = joint_highest_weight_vectors(model, (n, 0))
     assert len(hw) == len(list(W.partitions_of(n, max_rows=min(k, M))))
     for h in hw:
@@ -328,19 +326,19 @@ def test_highest_weight_count_is_partition_count(k, M, n):
 
 
 def test_oscillator_highest_weights_sq():
-    model = FockModel(2, 1, 1, 2, "sq")
+    model = FockModel(2, 1, 1, "sq")
     seen = {}
-    for piece in model.pieces():
+    for piece in model.pieces(2):
         for h in joint_highest_weight_vectors(model, piece):
             seen[piece] = (h.k_weight, h.m_weight, h.n_weight)
     assert seen[(0, 0)] == (frac_tuple(0, 0), frac_tuple(2), frac_tuple(0))
     assert seen[(1, 1)] == (frac_tuple(1, -1), frac_tuple(3), frac_tuple(-1))
     assert seen[(0, 2)] == (frac_tuple(0, -2), frac_tuple(2), frac_tuple(-2))
-    assert len(seen) == len(model.pieces())
+    assert len(seen) == len(model.pieces(2))
 
 
 def test_oscillator_highest_weights_hf():
-    model = FockModel(2, 1, 1, 2, "hf")
+    model = FockModel(2, 1, 1, "hf")
     (h,) = joint_highest_weight_vectors(model, (0, 0))
     assert (h.k_weight, h.m_weight, h.n_weight) == (
         frac_tuple(0, 0), frac_tuple(1), frac_tuple(-1))
@@ -387,14 +385,14 @@ def test_dominant_blocks_hold_every_highest_weight_vector(k, M, N):
     """The dominant-block solve returns the very vectors of a solve over
     every weight block, on every piece up to degree 4; with N = 2 the y
     column sums of a dominant block increase."""
-    model = FockModel(k, M, N, 4, "sq")
-    for piece in model.pieces():
+    model = FockModel(k, M, N, "sq")
+    for piece in model.pieces(4):
         assert joint_highest_weight_vectors(model, piece) \
             == all_block_highest_weights(model, piece)
 
 
 def test_dropping_the_lowering_condition_adds_vectors():
-    model = FockModel(2, 1, 1, 2, "sq")
+    model = FockModel(2, 1, 1, "sq")
     strict = joint_highest_weight_vectors(model, (1, 1))
     # the kernel of the one gl(2) raiser alone, without the lowerer
     raiser = model.images("k", 0, 1)
@@ -410,7 +408,7 @@ def test_dropping_the_lowering_condition_adds_vectors():
 
 
 def test_compact_multiplicities_are_diagonal():
-    model = FockModel(2, 2, 0, 3, "sq")
+    model = FockModel(2, 2, 0, "sq")
     mults = compact_multiplicities(model, 3)
     assert mults == {
         ((3,), (3,)): 1,
@@ -465,8 +463,8 @@ def test_commutant_dim_matches_kernel_count_on_howe_pieces():
     system, solved densely; at (2, 2, 2) the weight ((1, 1), (1, 1)) has
     the stabilizer S_2 x S_2."""
     for k, M in ((2, 3), (3, 2), (2, 2)):
-        model = FockModel(k, M, 0, 4, "sq")
-        rep = verify_howe(k, M, 4, model=model)
+        model = FockModel(k, M, 0, "sq")
+        rep = verify_howe(k, M, 4)
         assert rep.ok and len(rep.degrees) == 5
         for d in rep.degrees:
             assert d.commutant_route == "matrix"
@@ -480,7 +478,7 @@ def test_commutator_systems_reduce_alike_in_every_order():
     4 have one rank and one reduced echelon, its rows keyed by pivot,
     whether the rows come in generation order, reversed, sparsest first
     (as ``rank_of_rows`` takes them) or shuffled."""
-    model = FockModel(2, 3, 0, 4, "sq")
+    model = FockModel(2, 3, 0, "sq")
     for n in range(5):
         dense_rows, nvars = blocked_commutator_rows(model, (n, 0))
         rows = [{x: v for x, v in enumerate(row) if v} for row in dense_rows]
@@ -500,7 +498,7 @@ def test_weyl_commutant_dim_at_degree_seven():
     """By Howe duality the commutant of gl(3) + gl(3) on the degree-7
     piece has one dimension per partition of 7 with at most 3 rows."""
     expected = tuple(W.partitions_of(7, max_rows=3))
-    assert fock.weyl_commutant_dim(FockModel(3, 3, 0, 7, "sq"), 7) \
+    assert fock.weyl_commutant_dim(FockModel(3, 3, 0, "sq"), 7) \
         == len(expected) == 8
 
 
@@ -515,6 +513,26 @@ def test_commutant_does_not_read_the_multiplicity_counts(monkeypatch):
     assert top.commutant == 7 and top.commutant_ok
     assert top.commutant_route == "matrix"
     assert not top.mult_ok and not top.ok
+
+
+def test_weyl_commutator_rows_hold_no_zero_entry(monkeypatch):
+    """The rows the Weyl-reduced solve of each (2, 3) piece up to degree
+    4 hands to ``rank_of_rows`` carry no cancelled entry, so none is
+    empty either."""
+    seen = []
+    rank = fock.rank_of_rows
+
+    def spy(rows):
+        rows = list(rows)
+        seen.extend(rows)
+        return rank(rows)
+
+    monkeypatch.setattr(fock, "rank_of_rows", spy)
+    model = FockModel(2, 3, 0, "sq")
+    for n in range(5):
+        assert fock.weyl_commutant_dim(model, n) \
+            == len(tuple(W.partitions_of(n, max_rows=2)))
+    assert seen and all(row and all(row.values()) for row in seen)
 
 
 SCALES = [Fraction(3, 7), Fraction(-5, 2), 2, Fraction(-1, 3),
@@ -534,8 +552,8 @@ def test_commutant_dim_ignores_rescaled_generators_on_howe_pieces():
     """X(cA) = (cA)X iff XA = AX: rescaling generators and Cartans by
     different rationals, which the equations clear, keeps every commutant
     of verify_howe(2, 3, 4)."""
-    model = FockModel(2, 3, 0, 4, "sq")
-    for d in verify_howe(2, 3, 4, model=model).degrees:
+    model = FockModel(2, 3, 0, "sq")
+    for d in verify_howe(2, 3, 4).degrees:
         piece = (d.degree, 0)
         gens, carts = [], []
         for family, rank in (("k", 2), ("m", 3)):
@@ -555,7 +573,7 @@ def test_commutant_dim_ignores_rescaled_generators_on_a_restricted_module():
     the hf oscillator model, restricted to its reduced basis: the
     Cartans carry the constant (M - N)/2 = 1/2, and the commutant stays 1
     under rescaling, with or without the Cartans solved in advance."""
-    model = FockModel(3, 2, 1, 2, "hf")
+    model = FockModel(3, 2, 1, "hf")
     piece = (1, 1)
     (h,) = joint_highest_weight_vectors(model, piece)
     lowers = [model.images("k", i + 1, i) for i in range(2)]
@@ -579,16 +597,39 @@ def test_commutant_dim_ignores_rescaled_generators_on_a_restricted_module():
     assert T.commutant_dim(rescaled(gens + carts), 8) == 1
 
 
-def test_verify_howe_releases_each_checked_piece():
-    model = FockModel(2, 2, 0, 3, "sq")
+def test_verify_howe_releases_each_checked_piece(monkeypatch):
+    model = FockModel(2, 2, 0, "sq")
     kept = model.weight_blocks((1, 0))
     blocks = model.weight_blocks((2, 0))
     assert model.weight_blocks((2, 0)) is blocks  # built once per piece
     model.release((2, 0))
     assert list(model._blocks) == [(1, 0)]
     assert model.weight_blocks((1, 0)) is kept  # the other piece stays
-    assert verify_howe(2, 2, 3, model=model).ok
-    assert model._blocks == {}
+
+    released, models = [], []
+    release = FockModel.release
+
+    def spy(self, piece):
+        released.append(piece)
+        models.append(self)
+        release(self, piece)
+
+    monkeypatch.setattr(FockModel, "release", spy)
+    assert verify_howe(2, 2, 3).ok
+    assert released == [(0, 0), (1, 0), (2, 0), (3, 0)]
+    assert len(set(map(id, models))) == 1 and models[0]._blocks == {}
+
+
+@pytest.mark.parametrize("check", [
+    lambda: verify_howe(2, 2, -1),
+    lambda: verify_kv(2, 1, 1, -1),
+    lambda: FockModel(2, 1, 1, "sq").pieces(-1),
+    lambda: FockModel(2, 2, 0, "sq").basis(-1, 0),
+], ids=["verify_howe", "verify_kv", "pieces", "basis"])
+def test_a_negative_degree_is_a_usage_error(check):
+    """The model has no top degree, but no piece has a negative one."""
+    with pytest.raises(ShapeMismatch, match="negative degree -1"):
+        check()
 
 
 def test_verify_howe_dimension_factors_match_tableaux():

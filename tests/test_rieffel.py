@@ -187,6 +187,11 @@ def test_degree_selection_only_hits_the_matching_degree(k, M, m, n_wrong):
     assert out["ok"] and out["dimension"] == 0
 
 
+def test_degree_selection_refuses_a_negative_degree():
+    with pytest.raises(ShapeMismatch, match="negative degree -1"):
+        degree_selection_check(2, 2, (1,), -1)
+
+
 @pytest.mark.parametrize("k,M,m,n", [
     (3, 2, (2, 1), 3), (3, 2, (2, 1), 2), (2, 2, (1, 1), 2), (3, 3, (2, 1), 3),
     (2, 1, (3,), 3),
@@ -194,7 +199,7 @@ def test_degree_selection_only_hits_the_matching_degree(k, M, m, n_wrong):
 def test_zero_weight_blocks_are_those_of_the_full_grouping(k, M, m, n):
     """The package keeps, keyed by row weight alone and in the same
     order, the zero-difference blocks of the full grouping."""
-    model = FockModel(k, M, 0, n, "sq")
+    model = FockModel(k, M, 0, "sq")
     irrep = build_inducing_irrep(m, M)
     full = bf.weight_difference_blocks(model, (n, 0), irrep)
     want = [(key[0], members) for key, members in full.items()
@@ -215,7 +220,7 @@ def test_compact_invariants_span_the_casimir_kernel(k, M, m):
     full diagonal Casimir over every block."""
     mod = induce_compact(k, M, m)
     n = sum(m)
-    model = FockModel(k, M, 0, n, "sq")
+    model = FockModel(k, M, 0, "sq")
     kernel = bf.casimir_kernel(model, (n, 0), build_inducing_irrep(m, M))
     assert len(kernel) == mod.dimension
     assert bf.spans_agree(mod.basis, kernel)
@@ -253,7 +258,7 @@ def test_compact_gram_is_the_two_factor_form(monkeypatch):
 
 
 def test_noncompact_frozen_example():
-    mod = induce_noncompact_graded(3, 1, 1, (4, -1), 4)
+    mod = induce_noncompact_graded(3, 1, 1, (4, -1))
     assert mod.dimension == 8
     assert mod.highest_weight == (1, 0, -1)
     assert mod.commutant == 1
@@ -261,14 +266,14 @@ def test_noncompact_frozen_example():
 
 
 def test_noncompact_dimension_matches_signed_label():
-    mod = induce_noncompact_graded(2, 1, 1, (4, -2), 6)
+    mod = induce_noncompact_graded(2, 1, 1, (4, -2))
     hw = W.SignedWeight((2,), (2,)).realize(2)
     assert mod.highest_weight == hw
     assert mod.dimension == W.signed_weight_dim(hw, 2) == 5
 
 
 def test_noncompact_json_fields():
-    js = induce_noncompact_graded(2, 1, 1, (3, -1), 6).to_json()
+    js = induce_noncompact_graded(2, 1, 1, (3, -1)).to_json()
     assert js["dimension"] == 3
     assert js["highest_weight"] == ["1", "-1"]
     assert js["inputs"] == {"M": 1, "N": 1, "k": 2, "weight": "(3, -1)"}
@@ -277,19 +282,30 @@ def test_noncompact_json_fields():
 
 def test_noncompact_weight_length_checked():
     with pytest.raises(ShapeMismatch):
-        induce_noncompact_graded(3, 1, 1, (2, -1, 0), 4)
+        induce_noncompact_graded(3, 1, 1, (2, -1, 0))
 
 
 def test_noncompact_refuses_a_rank_below_one():
     """A rank of 0 is a usage error before any weight is read, not an
     emptiness certificate; the command line checks k itself."""
     with pytest.raises(ShapeMismatch, match="k >= 1, got 0"):
-        induce_noncompact_graded(0, 1, 1, (1, 0), 4)
+        induce_noncompact_graded(0, 1, 1, (1, 0))
 
 
 def test_noncompact_window_overflow():
-    with pytest.raises(TooLarge):
-        induce_noncompact_graded(2, 1, 1, (6, -3), 4)
+    """The label m = n = (200) sits at bidegree (200, 200): 201 x 201 =
+    40,401 monomials, past BASIS_CAP, so the piece is refused."""
+    with pytest.raises(TooLarge, match="40401 monomials"):
+        induce_noncompact_graded(2, 1, 1, (202, -200))
+
+
+def test_noncompact_induction_has_no_degree_window():
+    """Bidegree (10, 3) is past any small window; the module is the
+    label's, of dimension signed_weight_dim((10, -3), 2) = 14."""
+    mod = induce_noncompact_graded(2, 1, 1, (12, -3))
+    assert f"bidegree {(10, 3)}" in mod.ambient
+    assert mod.highest_weight == (10, -3) and mod.sound
+    assert mod.dimension == W.signed_weight_dim((10, -3), 2) == 14
 
 
 def test_graded_induction_builds_only_the_piece_it_solves(monkeypatch):
@@ -304,7 +320,7 @@ def test_graded_induction_builds_only_the_piece_it_solves(monkeypatch):
         return basis(model, p, q)
 
     monkeypatch.setattr(FockModel, "basis", spy)
-    mod = induce_noncompact_graded(3, 2, 1, (5, 4, -2), 6)
+    mod = induce_noncompact_graded(3, 2, 1, (5, 4, -2))
     assert not mod.empty and f"bidegree {(3, 2)}" in mod.ambient
     assert set(asked) == {(3, 2)}
 
@@ -319,7 +335,7 @@ def test_graded_induction_builds_only_the_piece_it_solves(monkeypatch):
      "half-integer entries match no quantized label"),
 ])
 def test_emptiness_is_a_value_with_a_reason(k, M, N, weight, reason):
-    out = induce_noncompact_graded(k, M, N, weight, 4)
+    out = induce_noncompact_graded(k, M, N, weight)
     assert out.empty
     assert out.dimension == 0
     assert out.reason == reason
@@ -336,10 +352,10 @@ def test_graded_target_block_must_hold_one_vector(monkeypatch, maps, count):
     """The target's weight block at bidegree (2, 0) holds two monomials;
     the raisers leave one vector, other conditions leave 2 or 0, and then
     the induction raises instead of picking one."""
-    assert induce_noncompact_graded(2, 2, 1, (3, 3, 0), 4).dimension == 1
+    assert induce_noncompact_graded(2, 2, 1, (3, 3, 0)).dimension == 1
     monkeypatch.setattr(rieffel, "raising_images", maps)
     with pytest.raises(InvariantBroken, match=f"has {count} highest weight"):
-        induce_noncompact_graded(2, 2, 1, (3, 3, 0), 4)
+        induce_noncompact_graded(2, 2, 1, (3, 3, 0))
 
 
 def test_label_collision_weight_is_nonempty():
@@ -348,7 +364,7 @@ def test_label_collision_weight_is_nonempty():
     weight is the nonempty module belonging to the latter."""
     shifted = W.renormalize_weight(W.SignedWeight((2, 1), (1,)), 2, 1)
     assert shifted.entries == (2, 2, -2)
-    mod = induce_noncompact_graded(2, 2, 1, (2, 2, -2), 4)
+    mod = induce_noncompact_graded(2, 2, 1, (2, 2, -2))
     assert not mod.empty
     assert mod.dimension == 3
     assert mod.highest_weight == (0, -2)
@@ -359,7 +375,7 @@ def test_label_collision_weight_is_nonempty():
                                                range(3))))
 def test_noncompact_rank_one_pairs_realize_their_label(k, a, b):
     weight = (a + k, -b)
-    mod = induce_noncompact_graded(k, 1, 1, weight, a + b)
+    mod = induce_noncompact_graded(k, 1, 1, weight)
     if len([v for v in (a, b) if v]) > k:
         assert mod.empty
         return
@@ -367,7 +383,7 @@ def test_noncompact_rank_one_pairs_realize_their_label(k, a, b):
     assert mod.dimension == W.signed_weight_dim(label.realize(k), k)
     assert mod.highest_weight == label.realize(k)
     assert mod.gram_positive
-    assert_gl_k_matches_oracle(mod, k, 1, 1, a + b, (a, b))
+    assert_gl_k_matches_oracle(mod, k, 1, 1, (a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +398,10 @@ def assert_maps_rows_to_rows(mod):
         <= set(range(mod.dimension))
 
 
-def assert_gl_k_matches_oracle(mod, k, M, N, d, piece):
+def assert_gl_k_matches_oracle(mod, k, M, N, piece):
     assert f"bidegree {piece}" in mod.ambient
     assert_maps_rows_to_rows(mod)
-    model = FockModel(k, M, N, d, "sq")
+    model = FockModel(k, M, N, "sq")
     for i in range(k):
         for j in range(k):
             want = bf.dense_restriction(bf.labelled_entries(
@@ -394,16 +410,17 @@ def assert_gl_k_matches_oracle(mod, k, M, N, d, piece):
                 mod.gl_k[(i, j)], mod.dimension)) == want
 
 
-@pytest.mark.parametrize("k,M,N,weight,d,piece", [
-    (3, 1, 1, (5, -2), 4, (2, 2)),
+@pytest.mark.parametrize("k,M,N,weight,piece", [
+    (3, 1, 1, (5, -2), (2, 2)),
     # renormalized-weight collision: (2, 2, -2) is the label n = (2)
-    (2, 2, 1, (2, 2, -2), 4, (0, 2)),
-    (2, 1, 1, (4, -2), 6, (2, 2)),
-])
-def test_graded_gl_k_matches_dense_oracle(k, M, N, weight, d, piece):
-    mod = induce_noncompact_graded(k, M, N, weight, d)
+    (2, 2, 1, (2, 2, -2), (0, 2)),
+    (2, 1, 1, (4, -2), (2, 2)),
+], ids=["3-1-1-weight0-4-piece0", "2-2-1-weight1-4-piece1",
+        "2-1-1-weight2-6-piece2"])  # the names the suite has listed them by
+def test_graded_gl_k_matches_dense_oracle(k, M, N, weight, piece):
+    mod = induce_noncompact_graded(k, M, N, weight)
     assert not mod.empty
-    assert_gl_k_matches_oracle(mod, k, M, N, d, piece)
+    assert_gl_k_matches_oracle(mod, k, M, N, piece)
 
 
 @pytest.mark.parametrize("k,M,m", [(2, 2, (2, 1)), (3, 2, (1, 1)), (2, 2, (2,)),
@@ -412,7 +429,7 @@ def test_compact_gl_k_matches_dense_oracle(k, M, m):
     mod = induce_compact(k, M, m)
     dimh = build_inducing_irrep(m, M).dim
     piece = (sum(m), 0)
-    model = FockModel(k, M, 0, piece[0], "sq")
+    model = FockModel(k, M, 0, "sq")
     assert_maps_rows_to_rows(mod)
     for (i, j), terms in mod.gl_k.items():
         # gl(k) acts on the Fock factor of each (monomial, irrep) coordinate
@@ -511,10 +528,9 @@ def test_emptiness_verdict_requires_the_module_checks(monkeypatch):
 
 
 def test_a_refused_induction_leaves_the_survey_after_one_call(monkeypatch):
-    """The survey's window covers the bidegree of every weight it asks
-    for, so a TooLarge from graded induction, such as a piece past
-    BASIS_CAP, leaves the survey at once instead of being retried on a
-    wider window."""
+    """Graded induction has no degree window to widen, so a TooLarge from
+    it, a piece past BASIS_CAP, leaves the survey at once and is not
+    retried."""
     calls = []
 
     def refuse(*args):

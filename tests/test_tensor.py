@@ -530,6 +530,15 @@ def test_commutant_dim_refuses_a_cartan_that_is_not_diagonal():
         commutant([e01], cartans=[e01])
 
 
+def test_a_generator_commuting_with_every_x_yields_no_rows():
+    """Every entry of (AX - XA)[t, c] cancels for the identity A, so no
+    row is yielded."""
+    block = {c: blk for blk in (range(2), range(2, 5)) for c in blk}
+    rows = T.commutator_rows(lambda c: [(c, 1)], range(5), block.__getitem__,
+                             lambda r, c: (r, c))
+    assert list(rows) == []
+
+
 def test_gram_matrix_weights_each_coordinate():
     vecs = [{0: Fraction(1), 2: Fraction(1, 2)}, {2: Fraction(2)},
             {1: Fraction(3)}]
