@@ -17,7 +17,10 @@ differentiation (lowerers, bidegree (-1,-1)).
 
 Convention constants ("sq" plain, "hf" symmetrized) are fixed here once
 and validated downstream against the expected label shifts; they are the
-only free normalization in the whole module.
+only free normalization in the whole module.  Weights travel as integer
+weight keys (``FockModel.weight_key``): ``FockModel.dressed_weights`` adds
+the constants and ``FockModel.block`` takes them off again, and no other
+module reads them.
 """
 
 from __future__ import annotations
@@ -226,13 +229,25 @@ class FockModel:
         return self._blocks[piece]
 
     def dressed_weights(self, key) -> tuple[tuple, tuple, tuple]:
-        """Add the convention constants back onto a weight key."""
+        """The gl(k), gl(M) and gl(N) weights of a weight key, as
+        Fractions: the convention constants added on, and the y column
+        sums negated, since gl(N) acts contragrediently.  ``block`` is the
+        inverse."""
         kw, mw, nw = key
         return (
             tuple(Fraction(x) + self.c_k for x in kw),
             tuple(Fraction(x) + self.c_m for x in mw),
             tuple(-Fraction(x) + self.c_n for x in nw),
         )
+
+    def block(self, piece, kw, mw, nw) -> list[tuple[int, ...]]:
+        """Monomial labels of the block of a piece whose dressed weights
+        (``dressed_weights``) are (kw, mw, nw), in basis order; [] when the
+        piece has no such block."""
+        key = (tuple(x - self.c_k for x in kw),
+               tuple(x - self.c_m for x in mw),
+               tuple(self.c_n - x for x in nw))
+        return self.weight_blocks(piece).get(key, [])
 
 
 def _smoke_check(model: FockModel, piece) -> None:
@@ -247,10 +262,12 @@ def _smoke_check(model: FockModel, piece) -> None:
 
 @dataclass(frozen=True)
 class HighestWeightVector:
+    """A joint highest weight vector of a piece, with the integer weight
+    key of its block (``FockModel.weight_key``); the model's
+    ``dressed_weights`` reads the weights off the key."""
+
     bidegree: tuple[int, int]
-    k_weight: tuple[Fraction, ...]
-    m_weight: tuple[Fraction, ...]
-    n_weight: tuple[Fraction, ...]
+    key: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
     vector: dict[tuple[int, ...], int | Fraction]  # keyed by monomial label
 
 
@@ -285,15 +302,15 @@ def joint_highest_weight_vectors(model: FockModel,
 
     For the indefinite model the second-order lowering operators are
     included, so the result enumerates the new lowest K-type highest
-    weight vectors rather than every K-highest vector.
+    weight vectors rather than every K-highest vector.  Each vector
+    carries its block's weight key, without the convention constants.
     """
     maps = raising_images(model)
     out: list[HighestWeightVector] = []
     for key, members in sorted(model.weight_blocks(piece).items()):
         if all(x >= y for w in (key[0], key[1], [-v for v in key[2]])
                for x, y in zip(w, w[1:])):
-            kw, mw, nw = model.dressed_weights(key)
-            out += [HighestWeightVector(piece, kw, mw, nw, vec)
+            out += [HighestWeightVector(piece, key, vec)
                     for vec in block_kernel(members, maps)]
     return out
 
@@ -387,16 +404,6 @@ class HoweReport:
             "degrees": [d.to_json() for d in self.degrees],
             "ok": self.ok,
         }
-
-
-def _strip_constant(weight, const) -> tuple[int, ...] | None:
-    out = []
-    for x in weight:
-        v = Fraction(x) - const
-        if v.denominator != 1:
-            return None
-        out.append(int(v))
-    return tuple(out)
 
 
 def weyl_commutant_dim(model: FockModel, n: int) -> int:
@@ -497,16 +504,7 @@ def verify_howe(k: int, M: int, degree: int,
         labels = []
         pairing_ok = True
         for h in hwvs:
-            lam_k = _strip_constant(h.k_weight, model.c_k)
-            lam_m = _strip_constant(h.m_weight, model.c_m)
-            if lam_k is None or lam_m is None:
-                pairing_ok = False
-                continue
-            try:
-                pk, pm = W.partition(lam_k), W.partition(lam_m)
-            except ShapeMismatch:
-                pairing_ok = False
-                continue
+            pk, pm = W.partition(h.key[0]), W.partition(h.key[1])
             if pk != pm:
                 pairing_ok = False
             labels.append(pk)
@@ -619,15 +617,11 @@ class KvReport:
         }
 
 
-def _parse_kv_weight(weight, c_k, M, N, k) -> tuple | None:
-    """Split an integral dominant U(k) weight into its (m, n) blocks."""
-    stripped = _strip_constant(weight, c_k)
-    if stripped is None:
-        return None
-    if any(stripped[i] < stripped[i + 1] for i in range(k - 1)):
-        return None
-    pos = tuple(x for x in stripped if x > 0)
-    neg = tuple(-x for x in reversed(stripped) if x < 0)
+def _parse_kv_weight(rows, M, N) -> tuple | None:
+    """Split the gl(k) rows of a dominant weight key into its (m, n)
+    blocks."""
+    pos = tuple(x for x in rows if x > 0)
+    neg = tuple(-x for x in reversed(rows) if x < 0)
     if len(pos) > M or len(neg) > N:
         return None
     return (pos + (0,) * (M - len(pos)), neg + (0,) * (N - len(neg)))
@@ -676,7 +670,7 @@ def verify_kv(k: int, M: int, N: int, degree: int,
         unexplained = 0
         seen = []
         for h in hwvs:
-            parsed = _parse_kv_weight(h.k_weight, model.c_k, M, N, k)
+            parsed = _parse_kv_weight(h.key[0], M, N)
             if parsed is None:
                 unexplained += 1
                 continue
@@ -685,8 +679,9 @@ def verify_kv(k: int, M: int, N: int, degree: int,
                                        k=k, M=M, N=N, side="left")
             pred_right = W.shift_weight((m_blk, n_blk), convention, context,
                                         k=k, M=M, N=N, side="right")
-            got_left = W.HalfIntWeight.from_entries(h.k_weight)
-            got_right = W.HalfIntWeight.from_entries(h.m_weight + h.n_weight)
+            kw, mw, nw = model.dressed_weights(h.key)
+            got_left = W.HalfIntWeight.from_entries(kw)
+            got_right = W.HalfIntWeight.from_entries(mw + nw)
             ok = (pred_left.doubled == got_left.doubled
                   and pred_right.doubled == got_right.doubled
                   and (m_blk, n_blk) in expected

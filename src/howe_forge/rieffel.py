@@ -445,13 +445,10 @@ def induce_noncompact_graded(k: int, M: int, N: int,
     model = FockModel(k, M, N, "sq")
     piece = (sum(m_cand), sum(n_cand))
     hw = W.SignedWeight(W.partition(m_cand), W.partition(n_cand)).realize(k)
-    key = (tuple(x - model.c_k for x in hw),
-           tuple(x - model.c_m for x in a_blk),
-           tuple(model.c_n - x for x in b_blk))
-    kernel = block_kernel(model.weight_blocks(piece).get(key, []),
+    kernel = block_kernel(model.block(piece, hw, a_blk, b_blk),
                           raising_images(model))
     if len(kernel) != 1:
-        raise InvariantBroken(f"block {key} of bidegree {piece} has "
+        raise InvariantBroken(f"block {hw}, {w} of bidegree {piece} has "
                               f"{len(kernel)} highest weight vectors, not 1")
 
     lowers = [model.images("k", i + 1, i) for i in range(k - 1)]
@@ -510,11 +507,9 @@ def emptiness_survey(k: int, M: int, N: int, window: int) -> dict:
             record("renormalized", text, True, out.reason)
             continue
         hw = out.highest_weight
-        good = out.sound and out.dimension == W.signed_weight_dim(hw, k)
-        try:
-            good = good and hw != W.SignedWeight(m, n).realize(k)
-        except ShapeMismatch:
-            pass
+        good = (out.sound and out.dimension == W.signed_weight_dim(hw, k)
+                and (len(m) + len(n) > k
+                     or hw != W.SignedWeight(m, n).realize(k)))
         record("renormalized", text, good,
                f"collision: highest weight {hw}, dim {out.dimension}")
         collisions.append({"blocks": [list(m), list(n)], "weight": text,

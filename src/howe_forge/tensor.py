@@ -53,9 +53,6 @@ from . import weights as W
 
 BASIS_CAP = 20_000  # basis vectors or solve unknowns; TooLarge beyond
 
-_F0 = Fraction(0)
-
-
 # ---------------------------------------------------------------------------
 # bases
 
@@ -273,16 +270,17 @@ def block_kernel(members, maps) -> list[dict]:
             for vec in kernel_basis(rows, len(members))]
 
 
-def gram_matrix(vectors, weight) -> list[list[Fraction]]:
+def gram_matrix(vectors, weight) -> list[list[int | Fraction]]:
     """Gram matrix of sparse vectors in mutually orthogonal coordinates,
     <u, v> = sum_o u[o] v[o] weight(o), with weight(o) the squared norm
-    of coordinate o."""
+    of coordinate o; sums are in the type of the entries, so integer
+    vectors and norms give an integer matrix."""
     d = len(vectors)
-    g = [[_F0] * d for _ in range(d)]
+    g = [[0] * d for _ in range(d)]
     for u, a in enumerate({o: x * weight(o) for o, x in vec.items()}
                           for vec in vectors):
         for v in range(u, d):
-            s = _F0
+            s = 0
             for o, cv in vectors[v].items():
                 x = a.get(o)
                 if x:
@@ -373,11 +371,9 @@ def gl_commutant_dim(family: dict, d: int) -> int:
     """Dimension of the commutant of one gl(rank) action on range(d),
     with ``family`` mapping (i, j) to the image terms of E_ij.  The
     E_{i,i+1} and E_{i+1,i} generate, and the E_ii are solved in advance
-    as Cartans; for rank 1 the Cartan is the only generator."""
+    as Cartans; for rank 1 there is no other generator."""
     rank = max(i for i, _ in family) + 1
     carts = [family[(i, i)] for i in range(rank)]
-    if rank == 1:
-        return commutant_dim(carts, d)
     gens = [family[(i + s, i + 1 - s)]
             for i in range(rank - 1) for s in (0, 1)]
     return commutant_dim(gens, d, carts)

@@ -420,7 +420,7 @@ def shift_weight(
     ``context`` picks which dual-pair setting the label lives in:
 
     * ``dec2``   rank-one compact pairing; ``w`` is a single degree n.
-      left = U(k) side, right = U(1) side.
+      It is ``howehf`` with M = 1 and the one-row label (n).
     * ``howehf`` general compact pairing; ``w`` is a partition.
       left = U(k) side, right = U(M) side.
     * ``kave`` / ``kave2`` the indefinite pairing; ``w`` is a SignedWeight
@@ -441,17 +441,7 @@ def shift_weight(
     hf = convention == "hf"
 
     if context == "dec2":
-        if k is None or k <= 0:
-            raise ShapeMismatch("dec2 needs a positive rank k")
-        n = int(w)
-        if n < 0:
-            raise ShapeMismatch("degree must be nonnegative")
-        if side == "left":
-            doubled = [2 * n] + [0] * (k - 1)
-            if hf:
-                doubled = [d + 1 for d in doubled]
-            return HalfIntWeight(tuple(doubled), group="U(k)")
-        return HalfIntWeight((2 * n + (k if hf else 0),), group="U(1)")
+        context, w, M = "howehf", (int(w),), 1
 
     if context == "howehf":
         if k is None or k <= 0 or M is None or M <= 0:

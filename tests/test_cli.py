@@ -366,6 +366,23 @@ def test_verify_all_seed_1_report_is_frozen(capsys, fmt):
     assert digest == VERIFY_ALL_SEED_1_SHA256[fmt]
 
 
+# The same for one grid size up, whose cells include M = 3 and N = 2.
+VERIFY_ALL_MID = ("verify-all", "--seed", "1", "--kmax", "3", "--mmax", "3",
+                  "--nmax", "2", "--degree", "4")
+VERIFY_ALL_MID_SHA256 = {
+    "json": "79f5241d7a5d8d4e2b6173b41c28d2c05b88a755ac89375fc91b1187a9d4870b",
+    "tsv": "16cf0d99048c87fbc2dbf5b01b8e8ab22048accb770927a1b2366797da36a988",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(VERIFY_ALL_MID_SHA256))
+def test_verify_all_mid_grid_report_is_frozen(capsys, fmt):
+    code, out, _ = run(capsys, *VERIFY_ALL_MID, "--format", fmt)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == VERIFY_ALL_MID_SHA256[fmt]
+
+
 def test_verify_all_threads_do_not_change_output(capsys):
     _, serial, _ = run(capsys, *VERIFY_ALL_SMALL, "--format", "json")
     _, fanned, _ = run(capsys, *VERIFY_ALL_SMALL, "--format", "json",

@@ -90,6 +90,22 @@ def test_weight_key_reads_rows_and_columns():
     assert osc.weight_key((1, 0, 0, 1)) == ((1, -1), (1,), (1,))
 
 
+@pytest.mark.parametrize("convention", ["sq", "hf"])
+@pytest.mark.parametrize("N", [0, 1, 2])
+def test_block_inverts_dressed_weights(convention, N):
+    model = FockModel(2, 2, N, convention)
+    for piece in model.pieces(3):
+        blocks = model.weight_blocks(piece)
+        for key, members in blocks.items():
+            kw, mw, nw = model.dressed_weights(key)
+            assert model.block(piece, kw, mw, nw) == members
+            # the gl(k) rows of a piece sum to p - q, so no block has this
+            off = (kw[0] + 1,) + kw[1:]
+            assert model.block(piece, off, mw, nw) == []
+            half = (kw[0] + Fraction(1, 2),) + kw[1:]
+            assert model.block(piece, half, mw, nw) == []
+
+
 def test_first_order_action_is_polarization():
     model = FockModel(1, 2, 0, "sq")
     b = bf.IndexedBasis(model.basis(2, 0))
@@ -278,13 +294,14 @@ def test_operators_hold_ints_where_integral(model, convention):
 def test_compact_highest_weights_pair_up():
     model = FockModel(2, 2, 0, "sq")
     hw = joint_highest_weight_vectors(model, (2, 0))
-    got = sorted((h.k_weight, h.m_weight) for h in hw)
+    got = sorted(model.dressed_weights(h.key)[:2] for h in hw)
     assert got == [
         (frac_tuple(1, 1), frac_tuple(1, 1)),
         (frac_tuple(2, 0), frac_tuple(2, 0)),
     ]
     hw3 = joint_highest_weight_vectors(model, (3, 0))
-    assert sorted(h.k_weight for h in hw3) == [frac_tuple(2, 1), frac_tuple(3, 0)]
+    assert sorted(model.dressed_weights(h.key)[0] for h in hw3) == [
+        frac_tuple(2, 1), frac_tuple(3, 0)]
 
 
 def test_highest_weight_count_matches_raiser_nullity():
@@ -321,8 +338,9 @@ def test_highest_weight_count_is_partition_count(k, M, n):
     assert len(hw) == len(list(W.partitions_of(n, max_rows=min(k, M))))
     for h in hw:
         # multiplicity-free pairing: the label on each side is the same
-        label = tuple(int(x) for x in h.k_weight if x)
-        assert tuple(int(x) for x in h.m_weight if x) == label
+        kw, mw, _ = model.dressed_weights(h.key)
+        label = tuple(int(x) for x in kw if x)
+        assert tuple(int(x) for x in mw if x) == label
 
 
 def test_oscillator_highest_weights_sq():
@@ -330,7 +348,7 @@ def test_oscillator_highest_weights_sq():
     seen = {}
     for piece in model.pieces(2):
         for h in joint_highest_weight_vectors(model, piece):
-            seen[piece] = (h.k_weight, h.m_weight, h.n_weight)
+            seen[piece] = model.dressed_weights(h.key)
     assert seen[(0, 0)] == (frac_tuple(0, 0), frac_tuple(2), frac_tuple(0))
     assert seen[(1, 1)] == (frac_tuple(1, -1), frac_tuple(3), frac_tuple(-1))
     assert seen[(0, 2)] == (frac_tuple(0, -2), frac_tuple(2), frac_tuple(-2))
@@ -340,10 +358,10 @@ def test_oscillator_highest_weights_sq():
 def test_oscillator_highest_weights_hf():
     model = FockModel(2, 1, 1, "hf")
     (h,) = joint_highest_weight_vectors(model, (0, 0))
-    assert (h.k_weight, h.m_weight, h.n_weight) == (
+    assert model.dressed_weights(h.key) == (
         frac_tuple(0, 0), frac_tuple(1), frac_tuple(-1))
     (h,) = joint_highest_weight_vectors(model, (1, 1))
-    assert (h.k_weight, h.m_weight, h.n_weight) == (
+    assert model.dressed_weights(h.key) == (
         frac_tuple(1, -1), frac_tuple(2), frac_tuple(-2))
 
 
@@ -368,14 +386,13 @@ def all_block_highest_weights(model, piece):
                 for r in range(len(mat))]
         rref = bf.dense_rref(rows, len(members))
         pivots = [row.index(next(x for x in row if x)) for row in rref]
-        kw, mw, nw = model.dressed_weights(key)
         for free in range(len(members)):
             if free in pivots:
                 continue
             vec = {members[free]: 1}
             vec.update({members[p]: -row[free]
                         for p, row in zip(pivots, rref) if row[free]})
-            out.append(fock.HighestWeightVector(piece, kw, mw, nw, vec))
+            out.append(fock.HighestWeightVector(piece, key, vec))
     return out
 
 

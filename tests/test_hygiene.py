@@ -13,7 +13,10 @@ is image terms), no definition, import or mention of the oracle's
 label <-> position map ``IndexedBasis`` and no ``.ordinal(`` call
 (vectors and image terms are keyed by their labels), no import of
 scipy, whose ``linalg`` once took most of the command line's start-up
-(``howe_forge.cli`` loads without it), no private function or method
+(``howe_forge.cli`` loads without it), no module but ``fock.py`` that
+reads a Fock model's convention constants ``c_k``, ``c_m`` or ``c_n``
+(weights travel as weight keys, and ``FockModel.block`` takes the
+constants off), no private function or method
 that nothing in the package references, and no public function, class
 or method that only the tests reference."""
 
@@ -40,7 +43,7 @@ TEST_ONLY_PUBLIC = {
 }
 BROAD = {"Exception", "BaseException"}
 FLOAT_SIDE = {"classical.py"}  # the seeded float64 orbit checks
-EXACT_CONSTANTS = {"_F0", "_F1"}  # Fraction(0) and Fraction(1)
+EXACT_CONSTANTS = {"_F1"}  # Fraction(1)
 SPAN_HOME = "tensor.py"
 # the span's private pivot index, and the (pivot, row) list it replaced
 SPAN_ECHELON = {"echelon"} | {
@@ -48,6 +51,8 @@ SPAN_ECHELON = {"echelon"} | {
 FOCK_OPS = {"gl_k_op", "gl_m_op", "gl_n_op", "raiser_op", "lowerer_op"}
 ORACLE_MATRIX = "ExactOperator"  # lives in tests/bruteforce.py
 ORACLE_BASIS = "IndexedBasis"  # the same
+CONVENTION_HOME = "fock.py"
+CONVENTION_CONSTANTS = {"c_k", "c_m", "c_n"}
 
 
 def tree_of(path):
@@ -100,7 +105,7 @@ def unused_imports(tree, path):
 def float_divisions(tree, path):
     """True divisions (``/`` and ``/=``) outside the float side whose left
     operand is not a Fraction, i.e. neither a ``Fraction(...)`` call nor
-    ``_F0``/``_F1``: on two ints such a division makes a float."""
+    ``_F1``: on two ints such a division makes a float."""
     if path.name in FLOAT_SIDE:
         return []
     out = []
@@ -151,6 +156,16 @@ def fock_operator_calls(tree, path):
     ``fock.py`` are not references."""
     return [f"{where(path, n)} .{n.attr}" for n in ast.walk(tree)
             if isinstance(n, ast.Attribute) and n.attr in FOCK_OPS]
+
+
+def convention_constant_reads(tree, path):
+    """Attribute reads of the convention constants outside ``fock.py``:
+    other modules hand weights to the model and take weight keys back."""
+    if path.name == CONVENTION_HOME:
+        return []
+    return [f"{where(path, n)} .{n.attr}" for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute)
+            and n.attr in CONVENTION_CONSTANTS]
 
 
 def mentions(tree, path, name):
@@ -263,6 +278,7 @@ def test_the_package_has_sources():
 @pytest.mark.parametrize("rule", [asserts, broad_handlers, unused_imports,
                                   float_divisions, span_echelon_reads,
                                   span_ranks, fock_operator_calls,
+                                  convention_constant_reads,
                                   oracle_matrix_names, ordinal_lookups,
                                   scipy_imports])
 def test_package_sources_keep_the_rule(rule):
@@ -302,6 +318,9 @@ def test_every_public_name_has_a_user_besides_the_tests():
     (span_ranks, "r = n - len(ReducedSpan(rows))"),
     (fock_operator_calls,
      "def solve(model, piece):\n    return model.raiser_op(0, 0, piece)\n"),
+    (convention_constant_reads, "key = tuple(x - model.c_k for x in hw)"),
+    (convention_constant_reads, "shift = model.c_m"),
+    (convention_constant_reads, "nw = [fock.c_n - x for x in b]"),
     (oracle_matrix_names, "class ExactOperator: pass"),
     (oracle_matrix_names, "from .tensor import ExactOperator as Op"),
     (oracle_matrix_names, "op = T.ExactOperator(b, b)"),
@@ -336,6 +355,7 @@ def test_rules_pass_clean_code():
         + unused_imports(tree, path) + float_divisions(tree, path) \
         + span_echelon_reads(tree, path) + span_ranks(tree, path) \
         + fock_operator_calls(tree, path) \
+        + convention_constant_reads(tree, path) \
         + oracle_matrix_names(tree, path) + ordinal_lookups(tree, path) \
         + scipy_imports(tree, path) \
         + unreferenced_privates(tree, path) \
@@ -353,6 +373,13 @@ def test_only_the_span_module_reads_the_echelon():
     assert span_echelon_reads(tree, Path("rieffel.py"))
     assert not span_echelon_reads(tree, Path("tensor.py"))
     assert "_pivots" in SPAN_ECHELON
+
+
+def test_only_the_fock_module_reads_the_convention_constants():
+    tree = ast.parse("key = tuple(x - model.c_k for x in hw)\n")
+    assert convention_constant_reads(tree, Path("rieffel.py")) == [
+        "rieffel.py:1 .c_k"]
+    assert convention_constant_reads(tree, Path("fock.py")) == []
 
 
 def test_no_module_builds_fock_operators():
