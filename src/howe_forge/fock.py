@@ -7,7 +7,8 @@ the image terms that ``FockModel.images`` reads off a label onto labels
 (see ``tensor``).  Solves read them on the monomials they visit, and so
 does the bracket check (``FockModel.bracket_failures``, through
 ``tensor.gl_relation_failures``): no Fock matrix and no basis of a
-target piece is built in the package.
+target piece is built in the package.  The model caches nothing, and the
+highest weight solves build only weight blocks, from their column sums.
 
 The indefinite (oscillator) model adjoins a k x N block y[i,b].  The
 gl(k) action twists by the dual on the y block; the middle-algebra
@@ -27,13 +28,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
+from operator import sub
 
 from . import weights as W
 from .errors import InvariantBroken, NotRenormalizable, ShapeMismatch, \
     TooLarge
 from .tensor import BASIS_CAP, block_kernel, commutator_rows, \
-    gl_relation_failures, monomials, rank_of_rows, subgroup_perms
+    gl_relation_failures, monomial_count, monomials, rank_of_rows, \
+    subgroup_perms
 
 
 def _convention_constants(k: int, M: int, N: int, convention: str):
@@ -65,11 +68,23 @@ def _image(lab, terms):
             yield tuple(tgt), coeff * e
 
 
+def _fillings(sums, k):
+    """The k-row matrices of non-negative integers with the given column
+    sums, in descending lex order, each as its entries row by row and its
+    row sums."""
+    if k == 1:
+        yield tuple(sums), (sum(sums),)
+        return
+    for row in product(*(range(c, -1, -1) for c in sums)):
+        for rest, rows in _fillings([c - r for c, r in zip(sums, row)], k - 1):
+            yield row + rest, (sum(row),) + rows
+
+
 @dataclass
 class FockModel:
-    """Polynomial model as one graded algebra with no top degree: each
-    piece is built when it is asked for, up to ``BASIS_CAP`` monomials,
-    and generator images are exact."""
+    """Polynomial model as one graded algebra with no top degree, keeping
+    no piece: ``basis`` and ``blocks`` build theirs on each call, up to
+    ``BASIS_CAP`` monomials a piece, and generator images are exact."""
 
     k: int
     M: int
@@ -78,8 +93,6 @@ class FockModel:
     c_k: int | Fraction = field(init=False)
     c_m: int | Fraction = field(init=False)
     c_n: int | Fraction = field(init=False)
-    _bases: dict = field(default_factory=dict, repr=False)
-    _blocks: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.k <= 0 or self.M <= 0 or self.N < 0:
@@ -106,22 +119,20 @@ class FockModel:
 
     # bases ------------------------------------------------------------------
 
+    def check_piece(self, p: int, q: int) -> None:
+        """Refuse bidegree (p, q) past ``BASIS_CAP`` monomials, or with a
+        negative degree or a y degree the compact model lacks."""
+        if self.N == 0 and q != 0:
+            raise ShapeMismatch("compact model has no y grading")
+        size = monomial_count(self.nxvars, p) * monomial_count(self.nyvars, q)
+        if size > BASIS_CAP:
+            raise TooLarge(f"bidegree {(p, q)} needs {size} monomials")
+
     def basis(self, p: int, q: int) -> tuple[tuple[int, ...], ...]:
         """Exponent labels of the monomials of bidegree (p, q)."""
-        key = (p, q)
-        if key not in self._bases:
-            if self.N == 0 and q != 0:
-                raise ShapeMismatch("compact model has no y grading")
-            xb = monomials(self.nxvars, p)
-            if self.N == 0:
-                self._bases[key] = xb
-            else:
-                yb = monomials(self.nyvars, q)
-                if len(xb) * len(yb) > BASIS_CAP:
-                    raise TooLarge(
-                        f"bidegree {key} needs {len(xb) * len(yb)} monomials")
-                self._bases[key] = tuple(lx + ly for lx in xb for ly in yb)
-        return self._bases[key]
+        self.check_piece(p, q)
+        xb, yb = monomials(self.nxvars, p), monomials(self.nyvars, q)
+        return tuple(lx + ly for lx in xb for ly in yb) if self.N else xb
 
     def pieces(self, degree: int) -> list[tuple[int, int]]:
         """The pieces of total degree at most ``degree``."""
@@ -202,10 +213,6 @@ class FockModel:
                                          ("n", self.N))}
         return gl_relation_failures(families, self.basis(*piece))
 
-    def release(self, piece) -> None:
-        """Drop the weight blocks of one piece; a later call rebuilds them."""
-        self._blocks.pop(piece, None)
-
     # weights ----------------------------------------------------------------
 
     def weight_key(self, label) -> tuple:
@@ -220,13 +227,28 @@ class FockModel:
                 tuple(sum(label[kM + b::N]) for b in range(N)))
 
     def weight_blocks(self, piece) -> dict[tuple, list[tuple[int, ...]]]:
-        """Monomial labels of a piece by weight key, in basis order, kept
-        until ``release``."""
-        if piece not in self._blocks:
-            blocks = self._blocks[piece] = {}
-            for lab in self.basis(*piece):
-                blocks.setdefault(self.weight_key(lab), []).append(lab)
-        return self._blocks[piece]
+        """Monomial labels of a piece by weight key, in basis order."""
+        blocks = {}
+        for lab in self.basis(*piece):
+            blocks.setdefault(self.weight_key(lab), []).append(lab)
+        return blocks
+
+    def blocks(self, piece, mw, nw) -> dict[tuple, list[tuple[int, ...]]]:
+        """The blocks of ``weight_blocks(piece)`` with x column sums ``mw``
+        and y column sums ``nw``, none unless these are non-negative integers
+        adding up to the piece.  They are built from the k-row fillings of
+        those sums (``_fillings``), not from a basis."""
+        self.check_piece(*piece)
+        if (len(mw), len(nw), sum(mw), sum(nw)) != (self.M, self.N, *piece) \
+                or any(c < 0 or c != int(c) for c in (*mw, *nw)):
+            return {}
+        mw, nw = tuple(map(int, mw)), tuple(map(int, nw))
+        ys, blocks = list(_fillings(nw, self.k)), {}
+        for x, xrows in _fillings(mw, self.k):  # x, then y: basis order
+            for y, yrows in ys:
+                key = (tuple(map(sub, xrows, yrows)), mw, nw)
+                blocks.setdefault(key, []).append(x + y)
+        return blocks
 
     def dressed_weights(self, key) -> tuple[tuple, tuple, tuple]:
         """The gl(k), gl(M) and gl(N) weights of a weight key, as
@@ -247,7 +269,7 @@ class FockModel:
         key = (tuple(x - self.c_k for x in kw),
                tuple(x - self.c_m for x in mw),
                tuple(self.c_n - x for x in nw))
-        return self.weight_blocks(piece).get(key, [])
+        return self.blocks(piece, key[1], key[2]).get(key, [])
 
 
 def _smoke_check(model: FockModel, piece) -> None:
@@ -298,41 +320,47 @@ def joint_highest_weight_vectors(model: FockModel,
     kernel.  In ``weight_key`` terms a block is dominant when the k rows
     and the x column sums are non-increasing and the y column sums are
     non-decreasing, since gl(N) acts contragrediently: its weight is
-    -nw + c_n.
+    -nw + c_n.  So ``model.blocks`` builds the blocks of the dominant
+    column sums alone, and the piece's basis is never built.
 
     For the indefinite model the second-order lowering operators are
     included, so the result enumerates the new lowest K-type highest
     weight vectors rather than every K-highest vector.  Each vector
     carries its block's weight key, without the convention constants.
     """
+    (p, q), M, N = piece, model.M, model.N
+    model.check_piece(p, q)
+    dominant = {}
+    for m, n in product(W.partitions_of(p, max_rows=M),
+                        W.partitions_of(q, max_rows=N)):
+        blocks = model.blocks(piece, m + (0,) * (M - len(m)),
+                              (0,) * (N - len(n)) + n[::-1])
+        dominant.update((key, members) for key, members in blocks.items()
+                        if all(x >= y for x, y in zip(key[0], key[0][1:])))
     maps = raising_images(model)
-    out: list[HighestWeightVector] = []
-    for key, members in sorted(model.weight_blocks(piece).items()):
-        if all(x >= y for w in (key[0], key[1], [-v for v in key[2]])
-               for x, y in zip(w, w[1:])):
-            out += [HighestWeightVector(piece, key, vec)
-                    for vec in block_kernel(members, maps)]
-    return out
+    return [HighestWeightVector(piece, key, vec)
+            for key, members in sorted(dominant.items())
+            for vec in block_kernel(members, maps)]
 
 
 # ---------------------------------------------------------------------------
 # multiplicities from weight counts (independent of the kernel solve)
 
 
-def compact_multiplicities(model: FockModel, degree: int) -> dict[tuple, int]:
+def compact_multiplicities(model: FockModel, blocks) -> dict[tuple, int]:
     """Multiplicity of each U(k) x U(M) label pair in a compact graded
-    piece, solved from weight-space dimensions by triangular elimination
-    against products of tableau counts."""
-    counts = {key: len(members)
-              for key, members in model.weight_blocks((degree, 0)).items()}
+    piece, given as its ``weight_blocks``, solved from weight-space
+    dimensions by triangular elimination against products of tableau
+    counts."""
     k, M = model.k, model.M
+    degree = sum(next(iter(blocks))[1])  # every key's column sums add to it
     parts_k = list(W.partitions_of(degree, max_rows=k))
     parts_m = list(W.partitions_of(degree, max_rows=M))
     mult: dict[tuple, int] = {}
     for lam in parts_k:  # lex descending = dominance-compatible
         for mu in parts_m:
             key = (lam + (0,) * (k - len(lam)), mu + (0,) * (M - len(mu)), ())
-            val = counts.get(key, 0)
+            val = len(blocks.get(key, ()))
             for (lam2, mu2), m2 in mult.items():
                 if m2:
                     val -= m2 * W.kostka(lam2, key[0]) * W.kostka(mu2, key[1])
@@ -406,9 +434,10 @@ class HoweReport:
         }
 
 
-def weyl_commutant_dim(model: FockModel, n: int) -> int:
-    """Dimension of the joint commutant of gl(k) + gl(M) on the compact
-    piece of degree n, solved as an S_k x S_M-reduced exact system.
+def weyl_commutant_dim(model: FockModel, blocks) -> int:
+    """Dimension of the joint commutant of gl(k) + gl(M) on a compact
+    piece, given as its ``weight_blocks``, solved as an S_k x S_M-reduced
+    exact system.
 
     W = S_k x S_M permutes the variables x[i,a], and so the monomials, by
     permutation matrices in GL(k) x GL(M).  So an X in the commutant is
@@ -429,7 +458,6 @@ def weyl_commutant_dim(model: FockModel, n: int) -> int:
     (``tensor.rank_of_rows``, sparsest equations first).
     """
     k, M = model.k, model.M
-    blocks = model.weight_blocks((n, 0))
 
     def permuted(lab, rows, cols):  # x[rows[i], cols[a]] moves to x[i, a]
         return tuple(lab[r * M + c] for r in rows for c in cols)
@@ -499,7 +527,8 @@ def verify_howe(k: int, M: int, degree: int,
     _smoke_check(model, (min(1, degree), 0))
     reports = []
     for n in range(degree + 1):
-        b = model.basis(n, 0)
+        blocks = model.weight_blocks((n, 0))
+        dim = sum(map(len, blocks.values()))
         hwvs = joint_highest_weight_vectors(model, (n, 0))
         labels = []
         pairing_ok = True
@@ -512,16 +541,15 @@ def verify_howe(k: int, M: int, degree: int,
         labels_ok = sorted(labels) == sorted(expected)
 
         cauchy = W.cauchy_check(k, M, n)
-        dims_ok = cauchy.ok and cauchy.total == len(b)
+        dims_ok = cauchy.ok and cauchy.total == dim
 
         mult_ok = all(v == (lam == mu and lam in expected) for (lam, mu), v
-                      in compact_multiplicities(model, n).items())
-        commutant = weyl_commutant_dim(model, n)
-        model.release((n, 0))  # no later degree reads this piece
+                      in compact_multiplicities(model, blocks).items())
+        commutant = weyl_commutant_dim(model, blocks)
 
         reports.append(HoweDegreeReport(
             degree=n,
-            dim=len(b),
+            dim=dim,
             labels=tuple(sorted(labels, reverse=True)),
             expected=expected,
             labels_ok=labels_ok,
@@ -664,7 +692,6 @@ def verify_kv(k: int, M: int, N: int, degree: int,
     for piece in model.pieces(degree):
         p, q = piece
         hwvs = joint_highest_weight_vectors(model, piece)
-        model.release(piece)  # no later piece reads this one
         expected = expected_kv_labels(k, M, N, p, q)
         matches = []
         unexplained = 0

@@ -64,25 +64,34 @@ def tensor_power(k: int, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(product(range(k), repeat=n))
 
 
-def monomials(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
-    """Exponent tuples of fixed total degree, descending lex order."""
+def monomial_count(nvars: int, degree: int) -> int:
+    """Number of ``monomials(nvars, degree)``, refused as that refuses."""
     if degree < 0:
         raise ShapeMismatch(f"negative degree {degree}")
-    if nvars == 0:
-        return ((),) if degree == 0 else ()
-    size = math.comb(nvars + degree - 1, degree)
+    size = math.comb(nvars + degree - 1, degree) if nvars else int(degree == 0)
     if size > BASIS_CAP:
         raise TooLarge(f"monomial basis size {size} exceeds cap {BASIS_CAP}")
+    return size
 
-    def gen(rem_vars, rem_deg):
-        if rem_vars == 1:
-            yield (rem_deg,)
-            return
-        for d in range(rem_deg, -1, -1):
-            for rest in gen(rem_vars - 1, rem_deg - d):
-                yield (d,) + rest
 
-    return tuple(gen(nvars, degree))
+def monomials(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    """Exponent tuples of fixed total degree, descending lex order.  Each
+    follows from the one before: the last nonzero entry before the end
+    gives up one, and the entry after it takes that one plus the end's."""
+    monomial_count(nvars, degree)
+    if nvars == 0:
+        return ((),) if degree == 0 else ()
+    e, out = [degree] + [0] * (nvars - 1), []
+    while True:
+        out.append(tuple(e))
+        if e[-1] == degree:
+            return tuple(out)
+        end, e[-1] = e[-1], 0
+        j = nvars - 2
+        while not e[j]:
+            j -= 1
+        e[j] -= 1
+        e[j + 1] = end + 1
 
 
 # ---------------------------------------------------------------------------

@@ -238,11 +238,15 @@ def test_induce_graded_has_no_degree_window(capsys):
      "error: block not weakly decreasing: (2, 3)"),
     (("induce", "--k", "3", "--m-group", "2", "--weight", "1,2"), 2,
      "error: parts not weakly decreasing: (1, 2)"),
+    (("induce", "--k", "3", "--mn-group", "2,1", "--weight", "40,10,-30"), 1,
+     "infeasible: monomial basis size 1906884 exceeds cap 20000"),
 ], ids=["orbit-bad-weight", "orbit-shape", "induce-signed-shape",
-        "induce-compact-shape"])
+        "induce-compact-shape", "induce-piece-cap"])
 def test_each_error_class_has_one_exit_code(capsys, argv, code, line):
-    """``main`` maps ShapeMismatch to a usage error and BadWeight to an
-    infeasible request, whichever subcommand raises it."""
+    """``main`` maps ShapeMismatch to a usage error and BadWeight or
+    TooLarge to an infeasible request, whichever subcommand raises it.
+    The x side of bidegree (44, 30) alone, C(49, 5) monomials in six
+    variables, is past BASIS_CAP."""
     got, out, err = run(capsys, *argv)
     assert (got, out, err) == (code, "", line + "\n")
 
@@ -381,6 +385,21 @@ def test_verify_all_mid_grid_report_is_frozen(capsys, fmt):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == VERIFY_ALL_MID_SHA256[fmt]
+
+
+# The k = 4 cells at degree 4, whose graded inductions build their weight
+# blocks from the column sums alone.
+VERIFY_ALL_K4_JSON_SHA256 = \
+    "1dfb6563fb5ddcfc399bfb7d269c0c2e4064916c1a9d6a28706971b523a3a601"
+
+
+def test_verify_all_k4_grid_report_is_frozen(capsys):
+    code, out, _ = run(capsys, "verify-all", "--seed", "1", "--kmax", "4",
+                       "--mmax", "3", "--nmax", "2", "--degree", "4",
+                       "--format", "json")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == VERIFY_ALL_K4_JSON_SHA256
 
 
 def test_verify_all_threads_do_not_change_output(capsys):

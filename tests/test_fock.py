@@ -1,5 +1,6 @@
 """Graded polynomial models and the pairing/label checks built on them."""
 
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import product
@@ -104,6 +105,41 @@ def test_block_inverts_dressed_weights(convention, N):
             assert model.block(piece, off, mw, nw) == []
             half = (kw[0] + Fraction(1, 2),) + kw[1:]
             assert model.block(piece, half, mw, nw) == []
+            # x column 1 summing to -1, a wrong x total, a half-integer
+            # column; then a wrong y total and a half-integer y column
+            moved, h = key[1][1] + 1, Fraction(1, 2)
+            for bad in ((mw[0] + moved, mw[1] - moved), (mw[0] + 1, mw[1]),
+                        (mw[0] + h, mw[1] - h)):
+                assert model.block(piece, kw, bad, nw) == []
+            if N:
+                for bad in ((nw[0] - 1,) + nw[1:], (nw[0] + h,) + nw[1:]):
+                    assert model.block(piece, kw, mw, bad) == []
+
+
+@pytest.mark.parametrize("k,M,N", [(1, 1, 1), (2, 1, 1), (2, 2, 1),
+                                   (3, 2, 2), (4, 3, 2), (2, 1, 2),
+                                   (3, 3, 1)])
+def test_blocks_from_column_sums_match_the_full_grouping(k, M, N):
+    """For every pair of column sums of every piece up to bidegree (4, 4),
+    the blocks built from the sums are those of the whole piece with
+    those sums, in the same order; a piece past the cap is refused by
+    both."""
+    model = FockModel(k, M, N, "sq")
+    for p, q in product(range(5), repeat=2):
+        pairs = [(mw, nw) for mw in product(range(p + 1), repeat=M)
+                 if sum(mw) == p
+                 for nw in product(range(q + 1), repeat=N) if sum(nw) == q]
+        try:
+            full = model.weight_blocks((p, q))
+        except TooLarge as refused:
+            with pytest.raises(TooLarge) as also:
+                model.blocks((p, q), *pairs[0])
+            assert str(also.value) == str(refused)
+            continue
+        for mw, nw in pairs:
+            assert list(model.blocks((p, q), mw, nw).items()) == [
+                (key, members) for key, members in full.items()
+                if key[1:] == (mw, nw)]
 
 
 def test_first_order_action_is_polarization():
@@ -426,7 +462,7 @@ def test_dropping_the_lowering_condition_adds_vectors():
 
 def test_compact_multiplicities_are_diagonal():
     model = FockModel(2, 2, 0, "sq")
-    mults = compact_multiplicities(model, 3)
+    mults = compact_multiplicities(model, model.weight_blocks((3, 0)))
     assert mults == {
         ((3,), (3,)): 1,
         ((3,), (2, 1)): 0,
@@ -515,7 +551,8 @@ def test_weyl_commutant_dim_at_degree_seven():
     """By Howe duality the commutant of gl(3) + gl(3) on the degree-7
     piece has one dimension per partition of 7 with at most 3 rows."""
     expected = tuple(W.partitions_of(7, max_rows=3))
-    assert fock.weyl_commutant_dim(FockModel(3, 3, 0, "sq"), 7) \
+    model = FockModel(3, 3, 0, "sq")
+    assert fock.weyl_commutant_dim(model, model.weight_blocks((7, 0))) \
         == len(expected) == 8
 
 
@@ -524,8 +561,10 @@ def test_commutant_does_not_read_the_multiplicity_counts(monkeypatch):
     """With every multiplicity count off by one, verify_howe(3, 3, 6)
     still finds the commutant 7 at degree 6, and only mult_ok fails."""
     real = fock.compact_multiplicities
-    monkeypatch.setattr(fock, "compact_multiplicities", lambda model, n: {
-        pair: v + 1 for pair, v in real(model, n).items()})
+    monkeypatch.setattr(fock, "compact_multiplicities",
+                        lambda model, blocks: {
+                            pair: v + 1
+                            for pair, v in real(model, blocks).items()})
     top = verify_howe(3, 3, 6).degrees[6]
     assert top.commutant == 7 and top.commutant_ok
     assert top.commutant_route == "matrix"
@@ -547,7 +586,7 @@ def test_weyl_commutator_rows_hold_no_zero_entry(monkeypatch):
     monkeypatch.setattr(fock, "rank_of_rows", spy)
     model = FockModel(2, 3, 0, "sq")
     for n in range(5):
-        assert fock.weyl_commutant_dim(model, n) \
+        assert fock.weyl_commutant_dim(model, model.weight_blocks((n, 0))) \
             == len(tuple(W.partitions_of(n, max_rows=2)))
     assert seen and all(row and all(row.values()) for row in seen)
 
@@ -614,27 +653,27 @@ def test_commutant_dim_ignores_rescaled_generators_on_a_restricted_module():
     assert T.commutant_dim(rescaled(gens + carts), 8) == 1
 
 
-def test_verify_howe_releases_each_checked_piece(monkeypatch):
-    model = FockModel(2, 2, 0, "sq")
-    kept = model.weight_blocks((1, 0))
-    blocks = model.weight_blocks((2, 0))
-    assert model.weight_blocks((2, 0)) is blocks  # built once per piece
-    model.release((2, 0))
-    assert list(model._blocks) == [(1, 0)]
-    assert model.weight_blocks((1, 0)) is kept  # the other piece stays
+def test_fock_model_keeps_no_cache():
+    """The model holds its shape, its convention and the constants that
+    convention fixes, and nothing it has built."""
+    assert [f.name for f in dataclasses.fields(FockModel)] \
+        == ["k", "M", "N", "convention", "c_k", "c_m", "c_n"]
+    assert not hasattr(FockModel, "release")
 
-    released, models = [], []
-    release = FockModel.release
 
-    def spy(self, piece):
-        released.append(piece)
-        models.append(self)
-        release(self, piece)
+def test_verify_kv_builds_only_the_smoke_check_piece(monkeypatch):
+    """Highest weight vectors are solved on blocks built from their
+    column sums, so only the bracket check lists a piece."""
+    asked = []
+    basis = FockModel.basis
 
-    monkeypatch.setattr(FockModel, "release", spy)
-    assert verify_howe(2, 2, 3).ok
-    assert released == [(0, 0), (1, 0), (2, 0), (3, 0)]
-    assert len(set(map(id, models))) == 1 and models[0]._blocks == {}
+    def spy(model, p, q):
+        asked.append((p, q))
+        return basis(model, p, q)
+
+    monkeypatch.setattr(FockModel, "basis", spy)
+    assert verify_kv(3, 2, 1, 5).ok
+    assert asked == [(1, 1)]
 
 
 @pytest.mark.parametrize("check", [

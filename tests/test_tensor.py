@@ -3,7 +3,7 @@
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -38,6 +38,11 @@ def test_monomial_basis_counts():
     b = T.monomials(3, 4)
     assert len(b) == len(set(b)) == math.comb(3 + 4 - 1, 4)
     assert all(sum(lab) == 4 for lab in b)
+    # every exponent tuple of the degree, in descending lex order
+    for nvars, degree in product(range(6), range(7)):
+        assert T.monomials(nvars, degree) == tuple(sorted(
+            (e for e in product(range(degree + 1), repeat=nvars)
+             if sum(e) == degree), reverse=True))
 
 
 def test_basis_cap():
