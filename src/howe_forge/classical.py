@@ -14,8 +14,8 @@ momentum pairings are checked exactly on the matrix units of gl(M+N) and
 gl(k), so that check draws nothing.  The level-set frames and the group
 elements of the invariance check are seeded samples, and the seed travels
 with the point so reports are reproducible.  Those group elements,
-exp(iH) in U(k) and exp(i eta H / 2) in U(M,N), come from ``_expm``,
-numpy scaling and squaring over a whole stack of generators.
+exp(iH) in U(k) and exp(i eta H / 2) in U(M,N), take one normal draw per
+point and one stacked ``_expm`` each; the boost has a closed form.
 """
 
 from __future__ import annotations
@@ -148,11 +148,6 @@ def sample_level_set(w, k: int, seed: int = 0) -> ConstrainedPoint:
 # group elements
 
 
-def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return (a + a.conj().T) / 2
-
-
 def _expm(a: np.ndarray) -> np.ndarray:
     """exp of a matrix or of each matrix in a stack by scaling and squaring
     with the degree-13 Pade approximant r13 and its coefficients b_0..b_13
@@ -182,30 +177,34 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
+def _hermitian(rows: np.ndarray, d: int) -> np.ndarray:
+    x = rows.reshape(len(rows), 2, d, d)
+    a = x[:, 0] + 1j * x[:, 1]
+    return (a + _dagger(a)) / 2
+
+
 def group_samples(k: int, eta: np.ndarray, samples: int,
                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Stacks of `samples` unitaries exp(iH) in U(k) and, unless eta is
     empty, as many pseudo-unitaries exp(i eta H / 2), which preserve the
-    signed form.  Each sample draws its left generator, then its right one;
-    each family goes through one stacked ``_expm``."""
+    signed form, from one normal draw with a row of generator parts per
+    sample (left real, left imaginary, right real, right imaginary)."""
     n = len(eta)
-    left, right = [], []
-    for _ in range(samples):
-        left.append(random_hermitian(k, rng))
-        if n:
-            right.append(random_hermitian(n, rng))
-    return (_expm(1j * np.reshape(left, (samples, k, k))),
-            _expm(1j * eta @ np.reshape(right, (len(right), n, n)) / 2))
+    draws = rng.standard_normal((samples, 2 * (k * k + n * n)))
+    left, right = np.split(draws, [2 * k * k], axis=1)
+    return (_expm(1j * _hermitian(left, k)),
+            _expm(1j * eta @ _hermitian(right[:samples if n else 0], n) / 2))
 
 
 def boost(M: int, N: int, rapidity: float) -> np.ndarray:
-    """A pseudo-unitary mixing the first positive and first negative slot;
-    genuinely non-unitary for rapidity != 0."""
-    if N == 0:
-        raise ShapeMismatch("a boost needs a negative slot")
-    h = np.zeros((M + N, M + N), dtype=complex)
-    h[0, M], h[M, 0] = 1.0, -1.0  # eta times the symmetric slot mixer
-    return _expm(1j * rapidity * h)
+    """exp(i r eta h) for h the symmetric mixer of slots 0 and M, in closed
+    form: cosh r on both, +-i sinh r across.  Non-unitary for r != 0."""
+    if M == 0 or N == 0:
+        raise ShapeMismatch("a boost needs a positive and a negative slot")
+    U = np.eye(M + N, dtype=complex)
+    U[0, 0] = U[M, M] = math.cosh(rapidity)
+    U[0, M], U[M, 0] = 1j * math.sinh(rapidity), -1j * math.sinh(rapidity)
+    return U
 
 
 def is_pseudo_unitary(U: np.ndarray, eta: np.ndarray,
@@ -275,7 +274,7 @@ def stabilizer_ok(p: ConstrainedPoint, tol: float = DEFAULT_TOL) -> bool:
     min_norm = math.sqrt(min(p.target.m + p.target.n))
     if stabilizer_defect(p, U, tol) < abs(np.exp(1j * theta) - 1) * min_norm - tol:
         return False
-    if N:
+    if M and N:
         if stabilizer_defect(p, boost(M, N, 0.5), tol) <= 1e-6:
             return False
     return True

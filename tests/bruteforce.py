@@ -691,23 +691,24 @@ def dense_restriction(op_entries: dict, basis: list[dict]) -> list[list[Fraction
     return [row[d:] for row in aug[:d]]
 
 
+def random_hermitian(d: int, rng) -> np.ndarray:
+    """A d x d Hermitian (A + A^dagger) / 2 from two draws: A's real part,
+    then its imaginary part."""
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return (a + a.conj().T) / 2
+
+
 def group_samples(k: int, signature, samples: int, rng):
     """Lists of `samples` unitaries exp(iH) and, when M+N > 0, as many
     pseudo-unitaries exp(i eta H / 2), one expm per matrix.  Each sample
-    draws a k x k Hermitian H, then an (M+N) x (M+N) one, each as a real
-    part then an imaginary part."""
+    draws a k x k Hermitian H, then an (M+N) x (M+N) one."""
     M, N = signature
     eta = np.diag([1.0] * M + [-1.0] * N)
-
-    def hermitian(d):
-        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        return (a + a.conj().T) / 2
-
     left, right = [], []
     for _ in range(samples):
-        left.append(expm(1j * hermitian(k)))
+        left.append(expm(1j * random_hermitian(k, rng)))
         if M + N:
-            right.append(expm(1j * eta @ hermitian(M + N) / 2))
+            right.append(expm(1j * eta @ random_hermitian(M + N, rng) / 2))
     return left, right
 
 

@@ -153,8 +153,31 @@ def test_batched_invariance_matches_the_per_sample_loop(seed, w, extra,
     assert (fast <= TOL) == (slow <= TOL)
 
 
+@given(seeds, st.sampled_from([(0, 0), (1, 0), (3, 0), (1, 1), (2, 1),
+                               (0, 2), (3, 2)]),
+       st.integers(min_value=0, max_value=5),
+       st.integers(min_value=0, max_value=6))
+@settings(max_examples=40, deadline=None)
+def test_group_samples_draw_in_the_per_sample_order(seed, signature, k,
+                                                    samples):
+    """The one batched draw gives, bit for bit, the generators of a loop
+    that draws each sample's left and then right Hermitian matrix."""
+    eta = C.eta_matrix(*signature)
+    n = len(eta)
+    rng = np.random.default_rng(seed)
+    left, right = [], []
+    for _ in range(samples):
+        left.append(bf.random_hermitian(k, rng))
+        if n:
+            right.append(bf.random_hermitian(n, rng))
+    g, U = C.group_samples(k, eta, samples, np.random.default_rng(seed))
+    assert np.array_equal(g, C._expm(1j * np.reshape(left, (samples, k, k))))
+    assert np.array_equal(
+        U, C._expm(1j * eta @ np.reshape(right, (len(right), n, n)) / 2))
+
+
 def hermitian_stack(rng, count, n):
-    return np.array([C.random_hermitian(n, rng) for _ in range(count)])
+    return np.array([bf.random_hermitian(n, rng) for _ in range(count)])
 
 
 def assert_expm_matches_scipy(a):
@@ -186,12 +209,26 @@ def test_expm_edge_cases_match_scipy():
     # one scale serves the stack: the small members are over-scaled
     assert_expm_matches_scipy(np.concatenate(
         [1j * hermitian_stack(rng, 5, 4) / 10, big]))
-    for rapidity in (0.5, 3.0):
-        h = np.zeros((3, 3), dtype=complex)
-        h[0, 2], h[2, 0] = 1.0, -1.0
-        want = bf.expm_each(1j * rapidity * h[None])[0]
-        got = C.boost(2, 1, rapidity)
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("rapidity", [0.5, 3.0])
+def test_boost_matches_scipy(rapidity):
+    h = np.zeros((3, 3), dtype=complex)
+    h[0, 2], h[2, 0] = 1.0, -1.0
+    want = bf.expm_each(1j * rapidity * h[None])[0]
+    got = C.boost(2, 1, rapidity)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("M,N", [(1, 1), (2, 1), (3, 2), (1, 3)])
+def test_boost_at_rapidity_zero_is_the_identity(M, N):
+    assert np.array_equal(C.boost(M, N, 0.0), np.eye(M + N))
+
+
+def test_boost_stays_pseudo_unitary_at_large_rapidity():
+    b = C.boost(3, 2, 3.0)
+    assert C.is_pseudo_unitary(b, C.eta_matrix(3, 2))
+    assert not C.is_pseudo_unitary(b, np.eye(5))
 
 
 def test_group_samples_handle_empty_stacks():
@@ -318,6 +355,19 @@ def test_stabilizer_defect_rejects_non_pseudo_unitary():
 def test_boost_needs_a_negative_slot():
     with pytest.raises(ShapeMismatch):
         C.boost(2, 0, 0.5)
+
+
+def test_boost_needs_a_positive_slot():
+    """U(0, N) is compact: slot 0 is no positive slot to mix with."""
+    with pytest.raises(ShapeMismatch):
+        C.boost(0, 2, 0.5)
+
+
+def test_all_negative_orbits_pass_without_a_boost():
+    rep = C.verify_orbit(C.sample_level_set(((), (2, 1)), 3, seed=1))
+    assert rep["checks"] == {"pairing": True, "invariance": True,
+                             "stabilizer": True}
+    assert rep["ok"] is True
 
 
 def test_boost_is_pseudo_unitary_and_not_unitary():

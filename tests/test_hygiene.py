@@ -16,7 +16,9 @@ scipy, whose ``linalg`` once took most of the command line's start-up
 (``howe_forge.cli`` loads without it), no module but ``fock.py`` that
 reads a Fock model's convention constants ``c_k``, ``c_m`` or ``c_n``
 (weights travel as weight keys, and ``FockModel.block`` takes the
-constants off), no private function or method
+constants off), no ``.standard_normal(`` call inside a ``for``, a
+``while`` or a comprehension (a batch of samples takes one draw), no
+private function or method
 that nothing in the package references, and no public function, class
 or method that only the tests reference."""
 
@@ -219,6 +221,18 @@ def scipy_imports(tree, path):
     return out
 
 
+def loop_draws(tree, path):
+    """``.standard_normal(`` calls that sit inside a loop or a
+    comprehension: a batch of seeded samples is one draw."""
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
+             ast.DictComp, ast.GeneratorExp)
+    calls = {c for loop in ast.walk(tree) if isinstance(loop, loops)
+             for c in ast.walk(loop) if isinstance(c, ast.Call)
+             and isinstance(c.func, ast.Attribute)
+             and c.func.attr == "standard_normal"}
+    return sorted(where(path, c) for c in calls)
+
+
 def referenced_names(trees):
     """Every name read as a variable or an attribute in the trees."""
     return {n.id if isinstance(n, ast.Name) else n.attr
@@ -280,7 +294,7 @@ def test_the_package_has_sources():
                                   span_ranks, fock_operator_calls,
                                   convention_constant_reads,
                                   oracle_matrix_names, ordinal_lookups,
-                                  scipy_imports])
+                                  scipy_imports, loop_draws])
 def test_package_sources_keep_the_rule(rule):
     bad = [hit for path in SOURCES for hit in rule(tree_of(path), path)]
     assert bad == []
@@ -332,6 +346,8 @@ def test_every_public_name_has_a_user_besides_the_tests():
     (ordinal_lookups, "t = fb.ordinal(tuple(tgt))"),
     (scipy_imports, "from scipy.linalg import expm\n"),
     (scipy_imports, "import numpy as np, scipy.linalg as sla\n"),
+    (loop_draws, "hs = [rng.standard_normal((3, 3)) for _ in range(4)]"),
+    (loop_draws, "while x:\n    x = rng.standard_normal(2)[0]\n"),
     (unreferenced_privates, "def _gone(x):\n    return x\n"),
     (unreferenced_privates,
      "class A:\n    def _gone(self):\n        return 1\n"),
@@ -349,7 +365,8 @@ def test_rules_pass_clean_code():
               "try:\n    x = g(os.path.sep, 2)\n"
               "except ValueError:\n    pass\n"
               "y = Fraction(x) / 3 + _F1 / x - x // 2\n"
-              "r = len(span) + rank_of_rows(rows)\n")
+              "r = len(span) + rank_of_rows(rows)\n"
+              "z = rng.standard_normal((4, 3, 3))\n")
     tree, path = ast.parse(source), Path("example.py")
     assert not asserts(tree, path) + broad_handlers(tree, path) \
         + unused_imports(tree, path) + float_divisions(tree, path) \
@@ -357,7 +374,7 @@ def test_rules_pass_clean_code():
         + fock_operator_calls(tree, path) \
         + convention_constant_reads(tree, path) \
         + oracle_matrix_names(tree, path) + ordinal_lookups(tree, path) \
-        + scipy_imports(tree, path) \
+        + scipy_imports(tree, path) + loop_draws(tree, path) \
         + unreferenced_privates(tree, path) \
         + unreferenced_publics(tree, path)
 
