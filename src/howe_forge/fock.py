@@ -19,9 +19,9 @@ differentiation (lowerers, bidegree (-1,-1)).
 Convention constants ("sq" plain, "hf" symmetrized) are fixed here once
 and validated downstream against the expected label shifts; they are the
 only free normalization in the whole module.  Weights travel as integer
-weight keys (``FockModel.weight_key``): ``FockModel.dressed_weights`` adds
-the constants and ``FockModel.block`` takes them off again, and no other
-module reads them.
+weight keys, which ``FockModel.blocks`` alone builds:
+``FockModel.dressed_weights`` adds the constants and ``FockModel.block``
+takes them off again, and no other module reads them.
 """
 
 from __future__ import annotations
@@ -215,29 +215,22 @@ class FockModel:
 
     # weights ----------------------------------------------------------------
 
-    def weight_key(self, label) -> tuple:
-        """Joint Cartan data of a monomial, without the scalar constants:
-        the row sums of x less those of y, then the column sums of x and
-        of y, read as slices (see ``xvar`` and ``yvar``)."""
-        k, M, N = self.k, self.M, self.N
-        kM = k * M
-        rows = [sum(label[i * M:(i + 1) * M])
-                - sum(label[kM + i * N:kM + (i + 1) * N]) for i in range(k)]
-        return (tuple(rows), tuple(sum(label[a:kM:M]) for a in range(M)),
-                tuple(sum(label[kM + b::N]) for b in range(N)))
-
     def weight_blocks(self, piece) -> dict[tuple, list[tuple[int, ...]]]:
-        """Monomial labels of a piece by weight key, in basis order."""
-        blocks = {}
-        for lab in self.basis(*piece):
-            blocks.setdefault(self.weight_key(lab), []).append(lab)
-        return blocks
+        """Monomial labels of a piece by weight key, each block in basis
+        order: the ``blocks`` of every pair of column sums of the piece."""
+        self.check_piece(*piece)
+        return {key: members for mw in monomials(self.M, piece[0])
+                for nw in monomials(self.N, piece[1])
+                for key, members in self.blocks(piece, mw, nw).items()}
 
     def blocks(self, piece, mw, nw) -> dict[tuple, list[tuple[int, ...]]]:
-        """The blocks of ``weight_blocks(piece)`` with x column sums ``mw``
-        and y column sums ``nw``, none unless these are non-negative integers
-        adding up to the piece.  They are built from the k-row fillings of
-        those sums (``_fillings``), not from a basis."""
+        """The weight blocks of a piece with x column sums ``mw`` and y
+        column sums ``nw``, none unless these are non-negative integers
+        adding up to the piece.  A block's weight key, its joint Cartan
+        data without the convention constants, is the row sums of x less
+        those of y, then ``mw``, then ``nw``; its members are in basis
+        order.  They are built from the k-row fillings of the column sums
+        (``_fillings``), not from a basis."""
         self.check_piece(*piece)
         if (len(mw), len(nw), sum(mw), sum(nw)) != (self.M, self.N, *piece) \
                 or any(c < 0 or c != int(c) for c in (*mw, *nw)):
@@ -285,7 +278,7 @@ def _smoke_check(model: FockModel, piece) -> None:
 @dataclass(frozen=True)
 class HighestWeightVector:
     """A joint highest weight vector of a piece, with the integer weight
-    key of its block (``FockModel.weight_key``); the model's
+    key of its block (``FockModel.blocks``); the model's
     ``dressed_weights`` reads the weights off the key."""
 
     bidegree: tuple[int, int]
@@ -317,11 +310,12 @@ def joint_highest_weight_vectors(model: FockModel,
     module of that sl(2), so its weight is non-negative on
     E_ii - E_{i+1,i+1}.  A vector killed by every raising operator
     therefore has a dominant weight, and every other block has an empty
-    kernel.  In ``weight_key`` terms a block is dominant when the k rows
-    and the x column sums are non-increasing and the y column sums are
-    non-decreasing, since gl(N) acts contragrediently: its weight is
-    -nw + c_n.  So ``model.blocks`` builds the blocks of the dominant
-    column sums alone, and the piece's basis is never built.
+    kernel.  By its weight key (see ``FockModel.blocks``) a block is
+    dominant when the k rows and the x column sums are non-increasing and
+    the y column sums are non-decreasing, since gl(N) acts
+    contragrediently: its weight is -nw + c_n.  So ``model.blocks``
+    builds the blocks of the dominant column sums alone, and the piece's
+    basis is never built.
 
     For the indefinite model the second-order lowering operators are
     included, so the result enumerates the new lowest K-type highest
@@ -659,19 +653,10 @@ def strict_signed_pairs(M: int, N: int, max_total: int):
     """Strictly decreasing positive blocks (m, n) with |m|, |n| within the
     window; candidates for the half-form orbit labels."""
     def blocks(length, cap):
-        # strictly decreasing positive tuples with sum <= cap
-        def rec(prev, left, size):
-            if size == 0:
-                yield ()
-                return
-            for v in range(min(prev - 1, left - (size * (size - 1)) // 2), 0, -1):
-                for rest in rec(v, left - v, size - 1):
-                    yield (v,) + rest
-        yield from rec(cap + 1, cap, length)
+        return sorted((p for p in W.partitions_upto(cap, length)
+                       if len(p) == len(set(p)) == length), reverse=True)
 
-    for m in blocks(M, max_total):
-        for n in blocks(N, max_total):
-            yield (m, n)
+    return product(blocks(M, max_total), blocks(N, max_total))
 
 
 def verify_kv(k: int, M: int, N: int, degree: int,

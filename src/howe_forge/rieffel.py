@@ -17,8 +17,9 @@ a value, not an error.
 The exact linear algebra is shared with ``tensor``, and so is its one
 operator form, image terms keyed by labels: the invariants are
 ``block_kernel`` solves over the weight blocks of (Fock piece) x irrep,
-keyed (monomial, irrep row index), with each Fock generator given by
-the image terms ``FockModel.images`` reads off monomial labels.  The
+keyed (monomial, irrep row index), whose monomials ``FockModel.blocks``
+builds from each irrep weight as column sums, with each Fock generator
+given by the image terms ``FockModel.images`` reads off their labels.  The
 inducing irrep is keyed by words in the same way: each column of its
 Young symmetrizer (``_symmetrizer_column``) and each gl(M) image
 (``_word_images``) is read off one word, so no operator on the whole
@@ -281,22 +282,23 @@ def _checked_module(ambient: str, k: int, inputs: dict, basis: list[dict],
 
 def _compact_blocks(model: FockModel, piece, irrep: InducingIrrep):
     """The members (f, h) of the combined basis that can carry invariants,
-    grouped by the gl(k) weight of the monomial f.
+    grouped by the gl(k) weight of f, the row part of its weight key.
 
     The diagonal generators are diagonal matrices with eigenvalue
     (column weight of f) - (weight of h) per member, so any invariant
     vector is supported where that difference vanishes: each monomial
-    pairs only with the irrep vectors whose weight is its column weight.
-    The off-diagonal generators keep the gl(k) weight, so each group is
-    solved on its own."""
+    pairs only with the irrep vectors whose weight is its column weight,
+    and ``model.blocks`` builds the monomials of each irrep weight from
+    those column sums.  The off-diagonal generators keep the gl(k)
+    weight, so each group is solved on its own."""
     by_weight: dict[tuple, list[int]] = {}
     for h, hwt in enumerate(irrep.basis_weights):
         by_weight.setdefault(hwt, []).append(h)
     blocks: dict[tuple, list[tuple[tuple[int, ...], int]]] = {}
-    for f in model.basis(*piece):
-        xrow, xcol, _ = model.weight_key(f)
-        for h in by_weight.get(xcol, ()):
-            blocks.setdefault(xrow, []).append((f, h))
+    for wt, hs in by_weight.items():
+        for (xrow, _, _), fs in model.blocks(piece, wt, ()).items():
+            blocks.setdefault(xrow, []).extend(
+                (f, h) for f in fs for h in hs)
     return blocks
 
 
@@ -319,9 +321,10 @@ def _diagonal_terms(model: FockModel, irrep: InducingIrrep, a, b):
 
 
 def _diagonal_invariants(model: FockModel, piece,
-                         irrep: InducingIrrep) -> list[dict]:
+                         irrep: InducingIrrep) -> dict[tuple, list[dict]]:
     """Joint kernel of the diagonal inducing-side action
-    D(X) = X_Fock x 1 - 1 x X_irrep^T, solved block by block.
+    D(X) = X_Fock x 1 - 1 x X_irrep^T, solved block by block and keyed by
+    the blocks' gl(k) weights.
 
     The inducing factor enters through its conjugate space, so its
     generators act by the contragredient -X^T; the joint kernel is then
@@ -333,10 +336,7 @@ def _diagonal_invariants(model: FockModel, piece,
     # off-diagonal ones constrain
     maps = [_diagonal_terms(model, irrep, a, b)
             for a in range(M) for b in range(M) if a != b]
-    out: list[dict] = []
-    for key in sorted(blocks):
-        out += block_kernel(blocks[key], maps)
-    return out
+    return {key: block_kernel(blocks[key], maps) for key in sorted(blocks)}
 
 
 def induce_compact(k: int, M: int, m) -> InducedModule:
@@ -348,7 +348,8 @@ def induce_compact(k: int, M: int, m) -> InducedModule:
     n = sum(shape)
     model = FockModel(k, M, 0, "sq")
     piece = (n, 0)
-    invariants = _diagonal_invariants(model, piece, irrep)
+    solved = _diagonal_invariants(model, piece, irrep)
+    invariants = [v for vecs in solved.values() for v in vecs]
     inputs = {"k": k, "M": M, "m": list(shape)}
     ambient = f"deg-{n} polynomials on {k}x{M} tensor irrep {shape or '()'}"
 
@@ -362,8 +363,7 @@ def induce_compact(k: int, M: int, m) -> InducedModule:
     gl_k = span.restrict_by_leaders({
         (i, j): _on_fock(model.images("k", i, j))
         for i in range(k) for j in range(k)})
-    # a row's gl(k) weight is that of any monomial f of its keys (f, h)
-    hw = max(model.weight_key(next(iter(row))[0])[0] for row in basis)
+    hw = max(key for key, vecs in solved.items() if vecs)
 
     # in (monomial, word) coordinates both factors' forms are diagonal
     def in_words(key):
@@ -379,14 +379,15 @@ def degree_selection_check(k: int, M: int, m, n_wrong: int) -> dict:
     shape = W.partition(m)
     irrep = build_inducing_irrep(shape, M)
     model = FockModel(k, M, 0, "sq")
-    basis = _diagonal_invariants(model, (n_wrong, 0), irrep)
+    solved = _diagonal_invariants(model, (n_wrong, 0), irrep)
+    dimension = sum(map(len, solved.values()))
     return {
         "k": k,
         "M": M,
         "m": list(shape),
         "n_wrong": n_wrong,
-        "dimension": len(basis),
-        "ok": len(basis) == 0,
+        "dimension": dimension,
+        "ok": dimension == 0,
     }
 
 
@@ -470,13 +471,6 @@ def induce_noncompact_graded(k: int, M: int, N: int,
         basis, gl_k, hw, gram_matrix(basis, _fock_norm))
 
 
-def _partitions_within(rows: int, total: int):
-    out = [()]
-    for t in range(1, total + 1):
-        out.extend(W.partitions_of(t, max_rows=rows))
-    return out
-
-
 def emptiness_survey(k: int, M: int, N: int, window: int) -> dict:
     """Sweep the graded induction over one signature with three weight
     families: renormalized weights built from strictly decreasing blocks
@@ -515,7 +509,7 @@ def emptiness_survey(k: int, M: int, N: int, window: int) -> dict:
         collisions.append({"blocks": [list(m), list(n)], "weight": text,
                            "highest_weight": list(hw)})
 
-    for n in _partitions_within(N, window):
+    for n in W.partitions_upto(window, N):
         neg = tuple(-x for x in reversed(n + (0,) * (N - len(n))))
         for t in sorted({0, k - 1}):
             w = (t,) * M + neg
@@ -524,8 +518,8 @@ def emptiness_survey(k: int, M: int, N: int, window: int) -> dict:
             record("below-rank", str(w), good,
                    out.reason if out.empty else f"dim {out.dimension}")
 
-    for m in _partitions_within(M, window):
-        for n in _partitions_within(N, window - sum(m)):
+    for m in W.partitions_upto(window, M):
+        for n in W.partitions_upto(window - sum(m), N):
             if len(m) + len(n) > k:
                 continue
             w = tuple(x + k for x in m + (0,) * (M - len(m)))

@@ -63,6 +63,13 @@ def partitions_of(n: int, max_rows: int | None = None) -> Iterator[Partition]:
     yield from rec(n, n, rows)
 
 
+def partitions_upto(total: int, max_rows: int) -> list[Partition]:
+    """The partitions of 0, 1, ..., total with at most max_rows rows, each
+    size in ``partitions_of`` order."""
+    return [lam for t in range(total + 1)
+            for lam in partitions_of(t, max_rows=max_rows)]
+
+
 def conjugate(shape: Partition) -> Partition:
     lam = partition(shape)
     if not lam:

@@ -771,6 +771,23 @@ def spans_agree(a: list[dict], b: list[dict]) -> bool:
     return rank(a) == rank(b) == rank([*a, *b])
 
 
+def weight_blocks(model, piece) -> dict:
+    """The monomial labels of a piece's basis, in basis order, grouped by
+    weight key: the row sums of x less those of y, then the column sums
+    of x and of y, read off each label as slices."""
+    k, M, N = model.k, model.M, model.N
+    kM = k * M
+    blocks: dict = {}
+    for lab in model.basis(*piece):
+        rows = tuple(sum(lab[i * M:(i + 1) * M])
+                     - sum(lab[kM + i * N:kM + (i + 1) * N])
+                     for i in range(k))
+        key = (rows, tuple(sum(lab[a:kM:M]) for a in range(M)),
+               tuple(sum(lab[kM + b::N]) for b in range(N)))
+        blocks.setdefault(key, []).append(lab)
+    return blocks
+
+
 def weight_difference_blocks(model, piece, irrep) -> dict:
     """Every key (f, h) of (compact Fock piece) x irrep, grouped by the
     row sums of monomial f and by (column sums of f) - (weight of h):

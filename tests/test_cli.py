@@ -4,11 +4,14 @@ import hashlib
 import json
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from howe_forge import cli
+from howe_forge import weights as W
 from howe_forge.errors import ShapeMismatch
+from howe_forge.rieffel import induce_compact
 
 
 def run(capsys, *argv):
@@ -400,6 +403,25 @@ def test_verify_all_k4_grid_report_is_frozen(capsys):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == VERIFY_ALL_K4_JSON_SHA256
+
+
+# verify-all shows compact induction only as ok flags, so this pins the
+# full reports of acceptance criterion 3's grid: k 1-4, M 1-3, |m| <= 4,
+# 100 modules in partitions_of order.
+INDUCE_COMPACT_GRID_SHA256 = \
+    "3197c9b4bccb2a4ab68300e39ded9e484b790c7ce9aa58b458bddc933c099c51"
+
+
+def test_induce_compact_grid_reports_are_frozen():
+    digest, cells = hashlib.sha256(), 0
+    for k, M, tot in product(range(1, 5), range(1, 4), range(5)):
+        for m in W.partitions_of(tot, max_rows=M):
+            rep = induce_compact(k, M, m).to_json()
+            digest.update((json.dumps(rep, sort_keys=True, indent=2)
+                           + "\n").encode())
+            cells += 1
+    assert cells == 100
+    assert digest.hexdigest() == INDUCE_COMPACT_GRID_SHA256
 
 
 def test_verify_all_threads_do_not_change_output(capsys):

@@ -85,10 +85,23 @@ def test_failed_bracket_smoke_check_raises(monkeypatch):
 def test_weight_key_reads_rows_and_columns():
     model = FockModel(2, 2, 0, "sq")
     # x[0,0]^2: row weight (2, 0), column weight (2, 0), no y block
-    assert model.weight_key((2, 0, 0, 0)) == ((2, 0), (2, 0), ())
+    assert model.blocks((2, 0), (2, 0), ())[((2, 0), (2, 0), ())] \
+        == [(2, 0, 0, 0)]
     osc = FockModel(2, 1, 1, "sq")
     # x[0,0]*y[1,0]: the y block counts against the row weight
-    assert osc.weight_key((1, 0, 0, 1)) == ((1, -1), (1,), (1,))
+    assert osc.blocks((1, 1), (1,), (1,))[((1, -1), (1,), (1,))] \
+        == [(1, 0, 0, 1)]
+
+
+def test_weight_blocks_checks_the_cap_before_listing_column_sums():
+    """The piece is refused with the basis's own text, not with that of
+    the 20,100 column sums of degree 199 in three columns."""
+    model = FockModel(2, 3, 0, "sq")
+    text = "^monomial basis size 2802350040 exceeds cap 20000$"
+    with pytest.raises(TooLarge, match=text):
+        model.basis(199, 0)
+    with pytest.raises(TooLarge, match=text):
+        model.weight_blocks((199, 0))
 
 
 @pytest.mark.parametrize("convention", ["sq", "hf"])
@@ -121,25 +134,29 @@ def test_block_inverts_dressed_weights(convention, N):
                                    (3, 3, 1)])
 def test_blocks_from_column_sums_match_the_full_grouping(k, M, N):
     """For every pair of column sums of every piece up to bidegree (4, 4),
-    the blocks built from the sums are those of the whole piece with
-    those sums, in the same order; a piece past the cap is refused by
-    both."""
+    the blocks built from the sums are those of the whole piece's basis
+    grouped by weight key (``bf.weight_blocks``) with those sums, in the
+    same order, and ``weight_blocks`` is that grouping, members in basis
+    order; a piece past the cap is refused by all three."""
     model = FockModel(k, M, N, "sq")
     for p, q in product(range(5), repeat=2):
         pairs = [(mw, nw) for mw in product(range(p + 1), repeat=M)
                  if sum(mw) == p
                  for nw in product(range(q + 1), repeat=N) if sum(nw) == q]
         try:
-            full = model.weight_blocks((p, q))
+            full = bf.weight_blocks(model, (p, q))
         except TooLarge as refused:
-            with pytest.raises(TooLarge) as also:
-                model.blocks((p, q), *pairs[0])
-            assert str(also.value) == str(refused)
+            for build in (lambda: model.blocks((p, q), *pairs[0]),
+                          lambda: model.weight_blocks((p, q))):
+                with pytest.raises(TooLarge) as also:
+                    build()
+                assert str(also.value) == str(refused)
             continue
         for mw, nw in pairs:
             assert list(model.blocks((p, q), mw, nw).items()) == [
                 (key, members) for key, members in full.items()
                 if key[1:] == (mw, nw)]
+        assert model.weight_blocks((p, q)) == full
 
 
 def test_first_order_action_is_polarization():
@@ -760,3 +777,13 @@ def test_strict_signed_pairs_are_strictly_decreasing():
         assert all(a > b for a, b in zip(m, m[1:]))
         assert len(m) == 2 and len(n) == 1
         assert sum(m) <= 4 and sum(n) <= 4
+
+    def strict(length, cap):
+        # every tuple of entries in cap..1, kept when strictly decreasing
+        # and within the cap: descending lex order
+        return [t for t in product(range(cap, 0, -1), repeat=length)
+                if sum(t) <= cap and all(a > b for a, b in zip(t, t[1:]))]
+
+    for M, N, cap in product(range(5), range(4), range(12)):
+        assert list(strict_signed_pairs(M, N, cap)) \
+            == list(product(strict(M, cap), strict(N, cap)))

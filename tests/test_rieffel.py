@@ -197,15 +197,17 @@ def test_degree_selection_refuses_a_negative_degree():
     (2, 1, (3,), 3),
 ])
 def test_zero_weight_blocks_are_those_of_the_full_grouping(k, M, m, n):
-    """The package keeps, keyed by row weight alone and in the same
-    order, the zero-difference blocks of the full grouping."""
+    """The package keeps, keyed by row weight alone, the zero-difference
+    blocks of the full grouping.  Member order is not compared: the
+    package groups by irrep weight first, and the span of each block's
+    kernel does not depend on the order of its unknowns."""
     model = FockModel(k, M, 0, "sq")
     irrep = build_inducing_irrep(m, M)
     full = bf.weight_difference_blocks(model, (n, 0), irrep)
-    want = [(key[0], members) for key, members in full.items()
-            if key[1] == (0,) * M]
+    want = {key[0]: sorted(members) for key, members in full.items()
+            if key[1] == (0,) * M}
     got = rieffel._compact_blocks(model, (n, 0), irrep)
-    assert list(got.items()) == want
+    assert {row: sorted(members) for row, members in got.items()} == want
     assert bool(want) == (n == sum(m))
 
 
@@ -323,6 +325,23 @@ def test_graded_induction_builds_only_the_piece_it_solves(monkeypatch):
     monkeypatch.setattr(FockModel, "basis", spy)
     mod = induce_noncompact_graded(3, 2, 1, (5, 4, -2))
     assert not mod.empty and f"bidegree {(3, 2)}" in mod.ambient
+    assert asked == []
+
+
+def test_compact_induction_builds_no_piece_basis(monkeypatch):
+    """Compact induction and the degree selection read the monomials of
+    each irrep weight off the model's weight blocks, built from that
+    weight as column sums, so no piece basis is asked for."""
+    asked = []
+    basis = FockModel.basis
+
+    def spy(model, p, q):
+        asked.append((p, q))
+        return basis(model, p, q)
+
+    monkeypatch.setattr(FockModel, "basis", spy)
+    assert not induce_compact(3, 2, (2, 1)).empty
+    assert degree_selection_check(3, 2, (2, 1), 2)["ok"]
     assert asked == []
 
 
