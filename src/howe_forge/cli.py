@@ -14,6 +14,12 @@ the run parameters; explicit flags always win.  The environment variable
 ``HOWE_FORGE_THREADS`` sets the default worker count used to fan out
 independent grid cells; output order is sorted by parameters, never by
 completion time.
+
+``decompose`` and ``induce`` are exact and never load numpy; numpy
+loads only where it is used: for ``orbit``, and for the schur-weyl and
+orbit sections of ``verify-all`` (``tensor.projector_family_check`` and
+the float side ``classical``).  The thread pool loads only for more than
+one thread.
 """
 
 from __future__ import annotations
@@ -23,11 +29,9 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from . import classical as C
 from . import weights as W
 from .errors import (BadWeight, ForgeError, RankTooSmall, ShapeMismatch,
                      TooLarge)
@@ -192,6 +196,7 @@ def grid_map(fn, cells, threads: int):
     """Order-preserving map over independent grid cells."""
     cells = list(cells)
     if threads > 1 and len(cells) > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, cells))
     return [fn(c) for c in cells]
@@ -299,6 +304,7 @@ def cmd_induce(args) -> int:
 
 
 def cmd_orbit(args) -> int:
+    from . import classical as C
     if args.k < 1 or args.seeds < 1 or args.seed < 0:
         return fail_usage("need k >= 1, seeds >= 1 and seed >= 0")
     if not (math.isfinite(args.tol) and args.tol > 0):
@@ -393,6 +399,7 @@ def run_verify_all(cfg: RunConfig) -> dict:
         rows = len(m) + len(n)
         for k in range(rows, max(rows, cfg.kmax) + 1):
             orb_cells.append((m, n, k))
+    from . import classical as C
     def orbit(cell):
         m, n, k = cell
         good = True
@@ -509,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", default="", help="negative block, e.g. 1")
     p.add_argument("--seeds", type=int, default=10, help="number of seeds")
     p.add_argument("--seed", type=int, default=0, help="first seed")
-    p.add_argument("--tol", type=float, default=C.DEFAULT_TOL)
+    p.add_argument("--tol", type=float, default=RunConfig.tolerance)
     p.set_defaults(fn=cmd_orbit, fmt_default="tsv")
 
     p = sub.add_parser(

@@ -46,8 +46,6 @@ from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
 
-import numpy as np
-
 from .errors import InvariantBroken, ShapeMismatch, TooLarge
 from . import weights as W
 
@@ -489,7 +487,11 @@ def projector_family_check(n: int, k: int) -> dict:
     once, on the orbit of one representative word, and its traces count
     once per orbit.  The blocks are n! * P_lambda over int64; an explicit
     bound check guarantees no overflow, so the arithmetic is exact.
+    This is the module's one numpy user, so numpy loads on the first
+    call and not with the module.
     """
+    import numpy as np
+
     shapes = list(W.partitions_of(n))
     patterns = list(W.partitions_of(n, max_rows=k))
     chi = {lam: _character_by_type(lam, n) for lam in shapes}

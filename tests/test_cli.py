@@ -8,7 +8,7 @@ from itertools import product
 
 import pytest
 
-from howe_forge import cli
+from howe_forge import classical, cli
 from howe_forge import weights as W
 from howe_forge.errors import ShapeMismatch
 from howe_forge.rieffel import induce_compact
@@ -281,6 +281,13 @@ def test_orbit_rank_too_small(capsys):
     code, _, err = run(capsys, "orbit", "--k", "1", "--m", "1", "--n", "1")
     assert code == 1
     assert "infeasible" in err
+
+
+def test_orbit_and_verify_all_share_the_default_tolerance(capsys):
+    assert cli.RunConfig().tolerance == classical.DEFAULT_TOL
+    argv = ("orbit", "--k", "4", "--m", "2,1", "--n", "1", "--seeds", "3")
+    got = run(capsys, *argv)
+    assert got[0] == 0 and got == run(capsys, *argv, "--tol", "1e-9")
 
 
 def test_orbit_rejects_bad_tolerance(capsys):

@@ -13,7 +13,10 @@ is image terms), no definition, import or mention of the oracle's
 label <-> position map ``IndexedBasis`` and no ``.ordinal(`` call
 (vectors and image terms are keyed by their labels), no import of
 scipy, whose ``linalg`` once took most of the command line's start-up
-(``howe_forge.cli`` loads without it), no module but ``fock.py`` that
+(``howe_forge.cli`` loads without it), no import of numpy at module
+level outside the float side ``classical.py`` (the exact command line
+loads it only where an orbit check or the projectors' int64 kernel
+runs), no module but ``fock.py`` that
 reads a Fock model's convention constants ``c_k``, ``c_m`` or ``c_n``
 (weights travel as weight keys, and ``FockModel.block`` takes the
 constants off), no ``.standard_normal(`` call inside a ``for``, a
@@ -206,10 +209,11 @@ def ordinal_lookups(tree, path):
         and n.func.attr == "ordinal"]
 
 
-def scipy_imports(tree, path):
-    """Imports of scipy or of any of its submodules."""
+def imports_of(top, nodes, path):
+    """The import statements among ``nodes`` that load the package
+    ``top`` or any of its submodules."""
     out = []
-    for n in ast.walk(tree):
+    for n in nodes:
         if isinstance(n, ast.Import):
             names = [a.name for a in n.names]
         elif isinstance(n, ast.ImportFrom) and not n.level:
@@ -217,8 +221,21 @@ def scipy_imports(tree, path):
         else:
             continue
         out += [f"{where(path, n)} {name}" for name in names
-                if name.partition(".")[0] == "scipy"]
+                if name.partition(".")[0] == top]
     return out
+
+
+def scipy_imports(tree, path):
+    """Imports of scipy or of any of its submodules."""
+    return imports_of("scipy", ast.walk(tree), path)
+
+
+def numpy_at_load(tree, path):
+    """Module-level imports of numpy outside the float side; an import
+    inside a function runs only when the function does."""
+    if path.name in FLOAT_SIDE:
+        return []
+    return imports_of("numpy", tree.body, path)
 
 
 def loop_draws(tree, path):
@@ -294,7 +311,8 @@ def test_the_package_has_sources():
                                   span_ranks, fock_operator_calls,
                                   convention_constant_reads,
                                   oracle_matrix_names, ordinal_lookups,
-                                  scipy_imports, loop_draws])
+                                  scipy_imports, numpy_at_load,
+                                  loop_draws])
 def test_package_sources_keep_the_rule(rule):
     bad = [hit for path in SOURCES for hit in rule(tree_of(path), path)]
     assert bad == []
@@ -346,6 +364,8 @@ def test_every_public_name_has_a_user_besides_the_tests():
     (ordinal_lookups, "t = fb.ordinal(tuple(tgt))"),
     (scipy_imports, "from scipy.linalg import expm\n"),
     (scipy_imports, "import numpy as np, scipy.linalg as sla\n"),
+    (numpy_at_load, "import numpy as np"),
+    (numpy_at_load, "from numpy import linalg"),
     (loop_draws, "hs = [rng.standard_normal((3, 3)) for _ in range(4)]"),
     (loop_draws, "while x:\n    x = rng.standard_normal(2)[0]\n"),
     (unreferenced_privates, "def _gone(x):\n    return x\n"),
@@ -374,7 +394,8 @@ def test_rules_pass_clean_code():
         + fock_operator_calls(tree, path) \
         + convention_constant_reads(tree, path) \
         + oracle_matrix_names(tree, path) + ordinal_lookups(tree, path) \
-        + scipy_imports(tree, path) + loop_draws(tree, path) \
+        + scipy_imports(tree, path) + numpy_at_load(tree, path) \
+        + loop_draws(tree, path) \
         + unreferenced_privates(tree, path) \
         + unreferenced_publics(tree, path)
 
@@ -383,6 +404,16 @@ def test_the_float_side_may_divide():
     tree = ast.parse("def f(a, p):\n    return a / p\n")
     assert float_divisions(tree, Path("example.py"))
     assert not float_divisions(tree, Path("classical.py"))
+
+
+def test_only_the_float_side_imports_numpy_at_load():
+    tree = ast.parse("import numpy as np\n\n"
+                     "def f():\n    import numpy as np\n    return np\n")
+    assert numpy_at_load(tree, Path("tensor.py")) == ["tensor.py:1 numpy"]
+    assert not numpy_at_load(tree, Path("classical.py"))
+    assert not numpy_at_load(ast.parse(
+        "def f():\n    from numpy import linalg\n    return linalg\n"),
+        Path("tensor.py"))
 
 
 def test_only_the_span_module_reads_the_echelon():
@@ -430,3 +461,32 @@ def test_the_command_line_loads_without_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_the_exact_command_line_loads_neither_numpy_nor_the_thread_pool():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p))
+    probe = """\
+import contextlib, io, sys
+import howe_forge.cli as cli
+
+def loaded():
+    return sorted({m.partition(".")[0] for m in sys.modules}
+                  & {"numpy", "concurrent"})
+
+assert loaded() == [], loaded()
+for argv in (["decompose", "--k", "2", "--m", "2", "--deg", "2"],
+             ["decompose", "--k", "2", "--m", "1", "--n", "1", "--deg", "2",
+              "--convention", "hf"],
+             ["induce", "--k", "2", "--mn-group", "1,1", "--weight", "3,-1"],
+             ["induce", "--k", "2", "--m-group", "2", "--weight", "1"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+assert loaded() == [], loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["orbit", "--k", "3", "--m", "1", "--seeds", "1"]) == 0
+assert "numpy" in sys.modules
+"""
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
