@@ -13,9 +13,10 @@ Everything here is float64 with a global default tolerance.  The
 momentum pairings are checked exactly on the matrix units of gl(M+N) and
 gl(k), so that check draws nothing.  The level-set frames and the group
 elements of the invariance check are seeded samples, and the seed travels
-with the point so reports are reproducible.  Those group elements,
-exp(iH) in U(k) and exp(i eta H / 2) in U(M,N), take one normal draw per
-point and one stacked ``_expm`` each; the boost has a closed form.
+with the point so reports are reproducible.  Those group elements are
+Cayley transforms C(iH/2) in U(k) and C(i eta H / 4) in U(M,N), close to
+exp(iH) and exp(i eta H / 2); they take one normal draw per point and one
+stacked linear solve each.  The boost has a closed form.
 """
 
 from __future__ import annotations
@@ -148,33 +149,14 @@ def sample_level_set(w, k: int, seed: int = 0) -> ConstrainedPoint:
 # group elements
 
 
-def _expm(a: np.ndarray) -> np.ndarray:
-    """exp of a matrix or of each matrix in a stack by scaling and squaring
-    with the degree-13 Pade approximant r13 and its coefficients b_0..b_13
-    (Higham, SIAM J. Matrix Anal. Appl. 26, 2005).  One scale s serves the
-    whole stack, set by its largest 1-norm so that every member has norm at
-    most theta_13, where r13's backward error is within unit roundoff; a
-    member of smaller norm pays only the rounding of a few extra squarings,
-    since the generators of one stack share a distribution and so a norm."""
-    b = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-         1187353796428800.0, 129060195264000.0, 10559470521600.0,
-         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-         960960.0, 16380.0, 182.0, 1.0)
-    theta = 5.371920351148152
-    norm = np.max(np.abs(a).sum(axis=-2), initial=0.0)
-    s = max(0, math.ceil(math.log2(norm / theta))) if norm else 0
-    a, ident = a / 2.0 ** s, np.eye(a.shape[-1])
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
-    r = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        r = r @ r
-    return r
+def _cayley(a: np.ndarray) -> np.ndarray:
+    """The Cayley transform (I - A)^-1 (I + A) of a matrix or of each matrix
+    in a stack, by one linear solve.  It maps an anti-Hermitian A into U(d)
+    and an A with A^dagger eta + eta A = 0 into U(M,N); C(X/2) = exp(X) +
+    O(X^3) (Hairer, Lubich & Wanner, Geometric Numerical Integration,
+    IV.8)."""
+    ident = np.eye(a.shape[-1])
+    return np.linalg.solve(ident - a, ident + a)
 
 
 def _hermitian(rows: np.ndarray, d: int) -> np.ndarray:
@@ -185,15 +167,16 @@ def _hermitian(rows: np.ndarray, d: int) -> np.ndarray:
 
 def group_samples(k: int, eta: np.ndarray, samples: int,
                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Stacks of `samples` unitaries exp(iH) in U(k) and, unless eta is
-    empty, as many pseudo-unitaries exp(i eta H / 2), which preserve the
-    signed form, from one normal draw with a row of generator parts per
-    sample (left real, left imaginary, right real, right imaginary)."""
+    """Stacks of `samples` unitaries C(iH/2) in U(k) and, unless eta is
+    empty, as many pseudo-unitaries C(i eta H / 4), which preserve the
+    signed form, for C the Cayley transform; the generators come from one
+    normal draw with a row of parts per sample (left real, left imaginary,
+    right real, right imaginary)."""
     n = len(eta)
     draws = rng.standard_normal((samples, 2 * (k * k + n * n)))
     left, right = np.split(draws, [2 * k * k], axis=1)
-    return (_expm(1j * _hermitian(left, k)),
-            _expm(1j * eta @ _hermitian(right[:samples if n else 0], n) / 2))
+    return (_cayley(0.5j * _hermitian(left, k)),
+            _cayley(0.25j * eta @ _hermitian(right[:samples if n else 0], n)))
 
 
 def boost(M: int, N: int, rapidity: float) -> np.ndarray:
@@ -207,17 +190,19 @@ def boost(M: int, N: int, rapidity: float) -> np.ndarray:
     return U
 
 
-def is_pseudo_unitary(U: np.ndarray, eta: np.ndarray,
-                      tol: float = DEFAULT_TOL) -> bool:
-    """U eta U^dagger = eta, for the signature matrix eta."""
-    return bool(np.max(np.abs(U @ eta @ U.conj().T - eta), initial=0.0) <= tol)
+def is_pseudo_unitary(U: np.ndarray, eta: np.ndarray) -> bool:
+    """U eta U^dagger = eta to DEFAULT_TOL, for the signature matrix eta;
+    no report tolerance enters, since a report may ask for less than
+    rounding."""
+    return bool(np.max(np.abs(U @ eta @ U.conj().T - eta), initial=0.0)
+                <= DEFAULT_TOL)
 
 
-def stabilizer_defect(p: ConstrainedPoint, U: np.ndarray,
-                      tol: float = DEFAULT_TOL) -> float:
-    """Frobenius distance the right action of U moves the point; zero only
-    for the identity once the frame norms are pinned."""
-    if not is_pseudo_unitary(U, p.eta, tol):
+def stabilizer_defect(p: ConstrainedPoint, U: np.ndarray) -> float:
+    """Frobenius distance the right action of U moves the point, a
+    pseudo-unitary; zero only for the identity once the frame norms are
+    pinned."""
+    if not is_pseudo_unitary(U, p.eta):
         raise ShapeMismatch(f"matrix is not pseudo-unitary for {p.signature}")
     return float(np.linalg.norm(p.psi @ U - p.psi))
 
@@ -231,14 +216,16 @@ def pairing_deviation(p: ConstrainedPoint) -> float:
     (psi X, psi)_S = tr(X G) on the right and (Y psi, psi)_S = tr(Y rho)
     on the left.  Both sides are complex-linear in the generator, so the
     matrix units of gl(M+N) and gl(k) cover every X in u(M,N) and every Y
-    in u(k); the check is exact and draws nothing."""
-    n = sum(p.signature)
+    in u(k); the check is exact and draws nothing.  A unit E_ab gives
+    tr(E_ab Z) = Z[b, a], and E_ab psi is psi's row b moved to row a, so
+    the k^2 images on the left are written straight into a k^3 (M+N)
+    stack, with no k^4 stack of the units themselves."""
+    k, n = p.psi.shape
     X = np.eye(n * n).reshape(n * n, n, n)
-    Y = np.eye(p.k * p.k).reshape(p.k * p.k, p.k, p.k)
-    right = signed_pairing(p.psi @ X, p.psi, p.eta) \
-        - np.trace(X @ moment_right(p), axis1=-2, axis2=-1)
-    left = signed_pairing(Y @ p.psi, p.psi, p.eta) \
-        - np.trace(Y @ moment_left(p), axis1=-2, axis2=-1)
+    Ypsi = np.eye(k)[:, None, :, None] * p.psi[:, None]  # [a, b, a] = psi[b]
+    right = signed_pairing(p.psi @ X, p.psi, p.eta) - moment_right(p).T.ravel()
+    left = signed_pairing(Ypsi.reshape(k * k, k, n), p.psi, p.eta) \
+        - moment_left(p).T.ravel()
     return float(np.max(np.abs(np.concatenate([right, left])), initial=0.0))
 
 
@@ -264,7 +251,7 @@ def stabilizer_ok(p: ConstrainedPoint, tol: float = DEFAULT_TOL) -> bool:
     the identity: zero defect at the identity, and phase/boost elements
     produce a defect bounded below by the smallest frame norm."""
     M, N = p.signature
-    if stabilizer_defect(p, np.eye(M + N), tol) > tol:
+    if stabilizer_defect(p, np.eye(M + N)) > tol:
         return False
     if M + N == 0:
         return True
@@ -272,10 +259,10 @@ def stabilizer_ok(p: ConstrainedPoint, tol: float = DEFAULT_TOL) -> bool:
     U = np.eye(M + N, dtype=complex)
     U[0, 0] = np.exp(1j * theta)
     min_norm = math.sqrt(min(p.target.m + p.target.n))
-    if stabilizer_defect(p, U, tol) < abs(np.exp(1j * theta) - 1) * min_norm - tol:
+    if stabilizer_defect(p, U) < abs(np.exp(1j * theta) - 1) * min_norm - tol:
         return False
     if M and N:
-        if stabilizer_defect(p, boost(M, N, 0.5), tol) <= 1e-6:
+        if stabilizer_defect(p, boost(M, N, 0.5)) <= 1e-6:
             return False
     return True
 

@@ -698,17 +698,24 @@ def random_hermitian(d: int, rng) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
+def cayley(a: np.ndarray) -> np.ndarray:
+    """(I - A)^-1 (I + A) of one matrix, through the explicit inverse."""
+    ident = np.eye(len(a))
+    return np.linalg.inv(ident - a) @ (ident + a)
+
+
 def group_samples(k: int, signature, samples: int, rng):
-    """Lists of `samples` unitaries exp(iH) and, when M+N > 0, as many
-    pseudo-unitaries exp(i eta H / 2), one expm per matrix.  Each sample
-    draws a k x k Hermitian H, then an (M+N) x (M+N) one."""
+    """Lists of `samples` unitaries C(iH/2) and, when M+N > 0, as many
+    pseudo-unitaries C(i eta H / 4), for C the Cayley transform, one matrix
+    at a time.  Each sample draws a k x k Hermitian H, then an
+    (M+N) x (M+N) one."""
     M, N = signature
     eta = np.diag([1.0] * M + [-1.0] * N)
     left, right = [], []
     for _ in range(samples):
-        left.append(expm(1j * random_hermitian(k, rng)))
+        left.append(cayley(1j * random_hermitian(k, rng) / 2))
         if M + N:
-            right.append(expm(1j * eta @ random_hermitian(M + N, rng) / 2))
+            right.append(cayley(1j * eta @ random_hermitian(M + N, rng) / 4))
     return left, right
 
 

@@ -1,6 +1,7 @@
 """Momentum maps, level-set frames, and orbit spectra in float64."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,6 +126,19 @@ def test_pairing_check_catches_every_perturbed_entry(monkeypatch, name):
             assert C.pairing_deviation(p) > 1e-9, (a, b)
 
 
+def test_pairing_check_memory_stays_cubic_in_k():
+    """At k = 60 a stack of the k^2 matrix units of gl(k) alone would hold
+    k^4 complex entries, 207 MB."""
+    p = C.sample_level_set(((1,), ()), 60, seed=0)
+    tracemalloc.start()
+    try:
+        assert C.pairing_deviation(p) < TOL
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
 @given(seeds)
 @settings(max_examples=10, deadline=None)
 def test_momentum_invariance(seed):
@@ -171,44 +185,44 @@ def test_group_samples_draw_in_the_per_sample_order(seed, signature, k,
         if n:
             right.append(bf.random_hermitian(n, rng))
     g, U = C.group_samples(k, eta, samples, np.random.default_rng(seed))
-    assert np.array_equal(g, C._expm(1j * np.reshape(left, (samples, k, k))))
     assert np.array_equal(
-        U, C._expm(1j * eta @ np.reshape(right, (len(right), n, n)) / 2))
+        g, C._cayley(0.5j * np.reshape(left, (samples, k, k))))
+    assert np.array_equal(
+        U, C._cayley(0.25j * eta @ np.reshape(right, (len(right), n, n))))
 
 
 def hermitian_stack(rng, count, n):
     return np.array([bf.random_hermitian(n, rng) for _ in range(count)])
 
 
-def assert_expm_matches_scipy(a):
-    """Every matrix of the stack within 1e-12 of scipy's expm, relative to
-    the Frobenius norm of scipy's result."""
-    got, want = C._expm(a), bf.expm_each(a)
-    assert got.shape == want.shape == a.shape
-    assert np.all(np.linalg.norm(got - want, axis=(-2, -1))
-                  <= 1e-12 * np.linalg.norm(want, axis=(-2, -1)))
+def form_defect(U, eta):
+    """Largest entry of U eta U^dagger - eta over a stack, relative to the
+    largest squared spectral norm in the stack (at least 1)."""
+    scale = max(1.0, np.max(np.linalg.norm(U, ord=2, axis=(-2, -1)),
+                            initial=0.0) ** 2)
+    return np.max(np.abs(U @ eta @ C._dagger(U) - eta), initial=0.0) / scale
 
 
 @pytest.mark.parametrize("k", range(1, 7))
-def test_expm_matches_scipy_on_both_families(k):
+def test_cayley_samples_lie_in_both_groups(k):
+    """The left stack is unitary, and the right stack is pseudo-unitary
+    for every signature with M+N = k, yet not unitary once both M and N
+    are positive."""
     rng = np.random.default_rng(k)
-    assert_expm_matches_scipy(1j * hermitian_stack(rng, 10, k))
+    g, _ = C.group_samples(k, C.eta_matrix(0, 0), 10, rng)
+    assert form_defect(g, np.eye(k)) <= 1e-12
     for M in range(k + 1):
         eta = C.eta_matrix(M, k - M)
-        assert_expm_matches_scipy(1j * eta @ hermitian_stack(rng, 10, k) / 2)
+        _, U = C.group_samples(1, eta, 10, rng)
+        assert U.shape == (10, k, k)
+        assert form_defect(U, eta) <= 1e-12
+        if 0 < M < k:
+            assert form_defect(U, np.eye(k)) > 1e-3
 
 
-def test_expm_edge_cases_match_scipy():
-    rng = np.random.default_rng(0)
-    for shape in [(0, 3, 3), (0, 0, 0), (2, 0, 0), (2, 3, 3)]:
-        assert_expm_matches_scipy(np.zeros(shape, dtype=complex))
-    big = 1j * hermitian_stack(rng, 1, 4)
-    big *= 50.0 / np.max(np.abs(big).sum(axis=-2))  # 3 squarings at least
-    assert np.max(np.abs(big).sum(axis=-2)) > 8 * 5.371920351148152
-    assert_expm_matches_scipy(big)
-    # one scale serves the stack: the small members are over-scaled
-    assert_expm_matches_scipy(np.concatenate(
-        [1j * hermitian_stack(rng, 5, 4) / 10, big]))
+def test_cayley_of_empty_stacks():
+    for shape in [(0, 3, 3), (0, 0, 0), (2, 0, 0)]:
+        assert C._cayley(np.zeros(shape, dtype=complex)).shape == shape
 
 
 @pytest.mark.parametrize("rapidity", [0.5, 3.0])
@@ -244,6 +258,24 @@ def test_invariance_check_catches_a_non_equivariant_left_map(monkeypatch):
     exact = C._left_map
     monkeypatch.setattr(C, "_left_map", lambda psi, eta: exact(psi, eta)
                         + np.abs(psi[..., :1, :1]) ** 2 * np.eye(3))
+    assert C.invariance_deviation(p) > TOL
+
+
+def test_invariance_check_catches_a_right_stack_built_without_eta(
+        monkeypatch):
+    """Cayley transforms of i H / 4 are unitary but do not preserve the
+    signed form, so they move the left map."""
+    p = C.sample_level_set(((2,), (1,)), 3, seed=5)
+    assert C.invariance_deviation(p) < TOL
+    exact = C.group_samples
+
+    def without_eta(k, eta, samples, rng):
+        g, _ = exact(k, eta, samples, rng)
+        U = C._cayley(0.25j * hermitian_stack(rng, samples, len(eta)))
+        assert form_defect(U, np.eye(len(eta))) <= 1e-12
+        assert form_defect(U, eta) > TOL
+        return g, U
+    monkeypatch.setattr(C, "group_samples", without_eta)
     assert C.invariance_deviation(p) > TOL
 
 

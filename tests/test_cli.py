@@ -290,6 +290,16 @@ def test_orbit_and_verify_all_share_the_default_tolerance(capsys):
     assert got[0] == 0 and got == run(capsys, *argv, "--tol", "1e-9")
 
 
+def test_orbit_tolerance_below_rounding_is_a_fail_verdict(capsys):
+    """The stabilizer check's own phase element is unitary only up to
+    rounding; a report tolerance of 1e-17 fails the checks, it does not
+    reject that element."""
+    code, out, err = run(capsys, "orbit", "--k", "3", "--m", "2,1", "--n",
+                         "1", "--seeds", "2", "--tol", "1e-17")
+    assert code == 1 and not err
+    assert out.splitlines()[-1] == "FAIL"
+
+
 def test_orbit_rejects_bad_tolerance(capsys):
     code, _, _ = run(capsys, "orbit", "--k", "2", "--m", "1", "--tol=-1e-9")
     assert code == 2
@@ -351,6 +361,14 @@ def test_verify_all_small_grid_passes(capsys):
     names = [line.split("\t")[0] for line in out.strip().splitlines()[1:-1]]
     assert names == ["schur-weyl", "howe", "lowest-type", "compact-induction",
                      "emptiness", "orbit", "shift-bookkeeping"]
+
+
+def test_verify_all_tolerance_below_rounding_is_a_fail_verdict(capsys):
+    code, out, err = run(capsys, "verify-all", "--tolerance", "1e-17",
+                         "--kmax", "1", "--mmax", "1")
+    assert code == 1 and not err
+    rows = dict(line.split("\t")[::2] for line in out.splitlines()[1:-1])
+    assert rows["orbit"] == "FAIL" and out.splitlines()[-1] == "FAIL"
 
 
 def test_verify_all_is_deterministic(capsys):
