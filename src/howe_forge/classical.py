@@ -191,11 +191,14 @@ def boost(M: int, N: int, rapidity: float) -> np.ndarray:
 
 
 def is_pseudo_unitary(U: np.ndarray, eta: np.ndarray) -> bool:
-    """U eta U^dagger = eta to DEFAULT_TOL, for the signature matrix eta;
-    no report tolerance enters, since a report may ask for less than
-    rounding."""
-    return bool(np.max(np.abs(U @ eta @ U.conj().T - eta), initial=0.0)
-                <= DEFAULT_TOL)
+    """U eta U^dagger = eta for the signature matrix eta, to DEFAULT_TOL
+    times max(1, ||U||^2) with ||U|| the largest row 2-norm of U: by
+    Cauchy-Schwarz it bounds each entry of U eta U^dagger, so rounding
+    there grows with it, as in a boost of large rapidity.  No report
+    tolerance enters, since a report may ask for less than rounding."""
+    dev = np.max(np.abs(U @ eta @ U.conj().T - eta), initial=0.0)
+    return bool(dev <= DEFAULT_TOL or dev <= DEFAULT_TOL * np.max(
+        np.sum(np.abs(U) ** 2, axis=1)))
 
 
 def stabilizer_defect(p: ConstrainedPoint, U: np.ndarray) -> float:

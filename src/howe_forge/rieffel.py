@@ -30,7 +30,8 @@ indices that one ``restrict_by_leaders`` call reads off that span.  The
 induced inner product is the Fock norm, <x^e, x^e> = prod e!
 (``_fock_norm``), tensored with the form of the (monomial, word)
 coordinates the irrep lives in; both are diagonal, so it is one
-``gram_matrix``.
+``gram_matrix``, and its positivity is checked on each connected
+component of its nonzero pattern (``_ldl_positive``).
 """
 
 from __future__ import annotations
@@ -55,6 +56,36 @@ _F1 = Fraction(1)
 
 
 def _ldl_positive(gram: list[list[Fraction]]) -> bool:
+    """True iff the symmetric matrix is positive definite (exact).
+
+    The matrix is split into the connected components of its nonzero
+    pattern.  Listing the indices component by component permutes rows
+    and columns alike and leaves a block diagonal matrix, so it is
+    positive definite exactly when every block is, and each block goes
+    to ``_bareiss_positive`` on its own.  The Fock form is diagonal in
+    monomials and module bases are weight vectors, so Gram matrices split
+    into many small blocks."""
+    d = len(gram)
+    seen = [False] * d
+    for start in range(d):
+        if seen[start]:
+            continue
+        seen[start] = True
+        block, stack = [], [start]
+        while stack:
+            r = stack.pop()
+            block.append(r)
+            for c, v in enumerate(gram[r]):
+                if v and not seen[c]:
+                    seen[c] = True
+                    stack.append(c)
+        if not _bareiss_positive([[gram[r][c] for c in block]
+                                  for r in block]):
+            return False
+    return True
+
+
+def _bareiss_positive(gram: list[list[Fraction]]) -> bool:
     """True iff the symmetric matrix is positive definite (exact): its
     leading principal minors, the pivots of a fraction-free (Bareiss)
     elimination of the matrix scaled to integers, are all positive."""

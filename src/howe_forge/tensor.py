@@ -13,6 +13,10 @@ form: ``linear_image`` extends a map linearly to a sparse vector,
 basis keys, ``gl_relation_failures``, the one bracket check, checks the
 relations of commuting gl families column by column, and
 ``commutant_dim`` solves for the joint commutant of maps on range(d).
+The bracket check reads each pair with a diagonal E_ii off its
+eigenvalues, [E_ii, B] = s B holding exactly when E_ii moves by s from
+each column c of B to each target of B c, and compares products only for
+the other pairs.
 The Fock generators come in that form straight from
 ``fock.FockModel.images``, so no whole-piece matrix is built in the
 package.
@@ -338,21 +342,56 @@ def gl_relation_failures(families: dict, columns) -> list[str]:
 
     ``families`` maps a name to {(i, j): image terms} (see
     ``linear_image``), every map acting on the span of the keys
-    ``columns``.  Both sides change sign when the pair is swapped and
+    ``columns``; a map that sends a column elsewhere raises
+    ``ShapeMismatch``.  Both sides change sign when the pair is swapped and
     vanish when it repeats a generator, so each unordered pair is checked
-    once, column by column, on the columns of its generators."""
+    once, column by column, on the columns of its generators.
+
+    An E_ii whose image of each column is empty or a multiple of that
+    column is diagonal, with eigenvalue H[c] on column c.  Two diagonal
+    maps commute, as the relations ask of two E_ii, so such a pair is not
+    checked.  For a diagonal H = E_ii and any other generator B, the
+    relation reads [H, B] = s B, with s = d_il - d_im when B = E_lm is in
+    the family of H and s = 0 otherwise; and [H, B] c is the sum of
+    (H[t] - H[c]) B[t, c] t.  So the pair holds exactly when
+    H[t] - H[c] = s for every target t of every B c, a condition on the
+    eigenvalues in which any constant shift of H cancels.  The other
+    pairs compare the products AB c and BA c."""
     cols = {(name, key): {c: linear_image(terms, {c: 1}) for c in columns}
             for name, family in families.items()
             for key, terms in family.items()}
-    # the same columns as image terms, for linear_image to apply
-    maps = {gen: {c: list(col.items()) for c, col in by_col.items()}
-            for gen, by_col in cols.items()}
+    diag = {}  # eigenvalues of each diagonal E_ii, by column
+    for (f, (i, j)), by_col in cols.items():
+        if any(not col.keys() <= by_col.keys() for col in by_col.values()):
+            raise ShapeMismatch(f"{f}{i}{j} sends a column outside the "
+                                "columns")
+        if i == j and all(col.keys() <= {c} for c, col in by_col.items()):
+            diag[f, (i, j)] = {c: col.get(c, 0) for c, col in by_col.items()}
+    # the columns of the maps that enter products, as image terms for
+    # linear_image to apply
+    maps = {gen: {c: list(col.items())
+                  for c, col in by_col.items()}.__getitem__
+            for gen, by_col in cols.items() if gen not in diag}
     gens = list(cols)
     bad = []
-    for s, (f, (i, j)) in enumerate(gens):
-        a, a_terms = cols[f, (i, j)], maps[f, (i, j)].__getitem__
-        for g, (l, m) in gens[s + 1:]:
-            b, b_terms = cols[g, (l, m)], maps[g, (l, m)].__getitem__
+    for s, gen in enumerate(gens):
+        f, (i, j) = gen
+        for other in gens[s + 1:]:
+            g, (l, m) = other
+            label = (f"gl({f})[{i}{j},{l}{m}]" if f == g
+                     else f"{f}{i}{j} vs {g}{l}{m}")
+            if gen in diag or other in diag:
+                if gen in diag and other in diag:
+                    continue  # two diagonal maps commute
+                hgen, bgen = (gen, other) if gen in diag else (other, gen)
+                h, p, (x, y) = diag[hgen], hgen[1][0], bgen[1]
+                shift = (p == x) - (p == y) if f == g else 0
+                if any(h[t] - h[c] != shift
+                       for c, col in cols[bgen].items() for t in col):
+                    bad.append(label)
+                continue
+            a, b = cols[gen], cols[other]
+            a_terms, b_terms = maps[gen], maps[other]
             rhs = []  # (coefficient, columns) of the right-hand side
             if f == g and j == l:
                 rhs.append((1, cols[f, (i, m)]))
@@ -368,8 +407,7 @@ def gl_relation_failures(families: dict, columns) -> list[str]:
                         else:
                             del ba[t]
                 if ab != ba:
-                    bad.append(f"gl({f})[{i}{j},{l}{m}]" if f == g
-                               else f"{f}{i}{j} vs {g}{l}{m}")
+                    bad.append(label)
                     break
     return bad
 

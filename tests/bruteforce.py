@@ -452,6 +452,31 @@ def commutator(a, b):
     return add(compose(a, b), scaled(compose(b, a), -1))
 
 
+def relation_failures(families: dict, d: int) -> list[str]:
+    """Dense all-pairs oracle for ``tensor.gl_relation_failures`` on maps
+    over range(d): the matrix of every commutator of two generators,
+    compared with the relations' right-hand side, d_jl E_im - d_mi E_lj
+    within a family and 0 across families.  Unordered pairs are taken in
+    the package's order and labelled as it labels them."""
+    ops = {(name, key): module_operator(terms, d)
+           for name, family in families.items()
+           for key, terms in family.items()}
+    gens = list(ops)
+    bad = []
+    for s, (f, (i, j)) in enumerate(gens):
+        for g, (l, m) in gens[s + 1:]:
+            a, b = ops[f, (i, j)], ops[g, (l, m)]
+            rhs = [scaled(a, 0)]
+            if f == g and j == l:
+                rhs.append(ops[f, (i, m)])
+            if f == g and m == i:
+                rhs.append(scaled(ops[f, (l, j)], -1))
+            if commutator(a, b) != add(*rhs):
+                bad.append(f"gl({f})[{i}{j},{l}{m}]" if f == g
+                           else f"{f}{i}{j} vs {g}{l}{m}")
+    return bad
+
+
 def trace(op):
     return sum((v for (r, c), v in op.data.items() if r == c), Fraction(0))
 
@@ -640,6 +665,26 @@ def is_positive_definite(mat: list[list[Fraction]]) -> bool:
     leading principal minor is positive."""
     return all(dense_det([row[:n] for row in mat[:n]]) > 0
                for n in range(1, len(mat) + 1))
+
+
+def bareiss_positive(mat: list[list[Fraction]]) -> bool:
+    """Positive definiteness by one fraction-free (Bareiss) elimination
+    of the whole matrix scaled to integers: its pivots are the leading
+    principal minors, which must all be positive."""
+    den = math.lcm(*(v.denominator for row in mat for v in row))
+    a = [[v.numerator * (den // v.denominator) for v in row] for row in mat]
+    d = len(a)
+    prev = 1
+    for i in range(d):
+        p = a[i][i]
+        if p <= 0:
+            return False
+        for r in range(i + 1, d):
+            f = a[r][i]
+            for c in range(i + 1, d):
+                a[r][c] = (p * a[r][c] - f * a[i][c]) // prev  # exact
+        prev = p
+    return True
 
 
 def dense_matrix(op) -> list[list[Fraction]]:

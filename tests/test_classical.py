@@ -245,6 +245,16 @@ def test_boost_stays_pseudo_unitary_at_large_rapidity():
     assert not C.is_pseudo_unitary(b, np.eye(5))
 
 
+def test_boost_is_pseudo_unitary_at_rapidity_10():
+    """Entries near cosh 10 = 1.1e4 leave a rounding deviation of 2.9e-8
+    in U eta U^dagger, inside the bound scaled by ||U||^2 = 2.4e8; one
+    entry off by a relative 1e-6 moves it by about 240."""
+    b, eta = C.boost(2, 1, 10.0), C.eta_matrix(2, 1)
+    assert C.is_pseudo_unitary(b, eta)
+    b[0, 0] *= 1 + 1e-6
+    assert not C.is_pseudo_unitary(b, eta)
+
+
 def test_group_samples_handle_empty_stacks():
     g, U = C.group_samples(3, C.eta_matrix(1, 1), 0, np.random.default_rng(0))
     assert g.shape == (0, 3, 3) and U.shape == (0, 2, 2)

@@ -373,6 +373,34 @@ def test_every_public_name_has_a_user_besides_the_tests():
      "class A:\n    def _gone(self):\n        return 1\n"),
     (unreferenced_publics,
      "class A:\n    def gone(self):\n        return 1\n\nA()\n"),
+], ids=[  # a one-line snippet keeps the name the suite has listed it by
+    "asserts-assert-statement", "broad_handlers-bare-except",
+    "broad_handlers-exception-in-tuple", "unused_imports-os-and-gcd",
+    "float_divisions-slash", "float_divisions-augmented-slash",
+    "float_divisions-fraction-times-int",
+    "span_echelon_reads-echelon-attribute",
+    "span_echelon_reads-private-pivots",
+    "span_ranks-r = len(T.ReducedSpan(rows))",
+    "span_ranks-r = n - len(ReducedSpan(rows))",
+    "fock_operator_calls-raiser_op",
+    "convention_constant_reads-key = tuple(x - model.c_k for x in hw)",
+    "convention_constant_reads-shift = model.c_m",
+    "convention_constant_reads-nw = [fock.c_n - x for x in b]",
+    "oracle_matrix_names-class ExactOperator: pass",
+    "oracle_matrix_names-from .tensor import ExactOperator as Op",
+    "oracle_matrix_names-op = T.ExactOperator(b, b)",
+    'oracle_matrix_names-"""Restrictions come as ExactOperators."""',
+    "ordinal_lookups-class IndexedBasis: pass",
+    "ordinal_lookups-from .tensor import IndexedBasis as Basis",
+    "ordinal_lookups-wb = T.IndexedBasis.tensor_power(2, 3)",
+    'ordinal_lookups-"""Image terms on IndexedBasis ordinals."""',
+    "ordinal_lookups-t = fb.ordinal(tuple(tgt))",
+    "scipy_imports-from-import", "scipy_imports-plain-import",
+    "numpy_at_load-import numpy as np",
+    "numpy_at_load-from numpy import linalg",
+    "loop_draws-hs = [rng.standard_normal((3, 3)) for _ in range(4)]",
+    "loop_draws-while-loop", "unreferenced_privates-function",
+    "unreferenced_privates-method", "unreferenced_publics-method",
 ])
 def test_each_rule_catches_a_violation(rule, source):
     path = Path("example.py")

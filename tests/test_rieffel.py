@@ -1,11 +1,13 @@
 """Induced modules from finite-rank data: compact case and the graded
 indefinite case, where emptiness is a value rather than an error."""
 
+import hashlib
+import json
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
@@ -353,7 +355,8 @@ def test_compact_induction_builds_no_piece_basis(monkeypatch):
     (1, 1, 1, (3, -1), "label needs 2 rows, rank is 1"),
     (2, 1, 1, (Fraction(5, 2), Fraction(-3, 2)),
      "half-integer entries match no quantized label"),
-])
+], ids=["2-1-1-below-rank-0", "2-1-1-below-rank-1", "2-1-1-negative-block",
+        "2-2-1-not-dominant", "1-1-1-row-overflow", "2-1-1-half-integer"])
 def test_emptiness_is_a_value_with_a_reason(k, M, N, weight, reason):
     out = induce_noncompact_graded(k, M, N, weight)
     assert out.empty
@@ -513,13 +516,104 @@ def symmetric_matrices(draw):
             for r in range(d)]
 
 
-@settings(max_examples=300, deadline=None)
-@given(symmetric_matrices())
+@st.composite
+def interleaved_block_matrices(draw):
+    """Several ``symmetric_matrices`` blocks, each positive definite,
+    singular or indefinite, placed on the diagonal of one matrix and then
+    shuffled by one permutation of rows and columns, so that no block is
+    contiguous."""
+    blocks = draw(st.lists(symmetric_matrices(), min_size=1, max_size=4))
+    spots = [(b, r) for b, blk in enumerate(blocks) for r in range(len(blk))]
+    order = draw(st.permutations(spots))
+    return [[blocks[b][r][c] if b == b2 else 0 for b2, c in order]
+            for b, r in order]
+
+
+@settings(max_examples=400, deadline=None)
+@given(symmetric_matrices() | interleaved_block_matrices())
+# blocks [[2, 1], [1, 1]] (positive) and [[1, 2], [2, 1]] (indefinite),
+# interleaved as rows 0, 2 and 1, 3
+@example([[2, 0, 1, 0], [0, 1, 0, 2], [1, 0, 1, 0], [0, 2, 0, 1]])
+@example([[2, 0, 1, 0], [0, 1, 0, 2], [1, 0, 1, 0], [0, 2, 0, 5]])
 def test_ldl_positive_against_dense_oracle(gram):
+    """The verdict of the split into components is the whole matrix's, on
+    single and on shuffled block matrices, in int and Fraction entries."""
     want = bf.is_positive_definite(gram)
+    assert bf.bareiss_positive(gram) == want
     assert rieffel._ldl_positive(gram) == want
     assert rieffel._ldl_positive(
         [[Fraction(x) for x in row] for row in gram]) == want
+
+
+def test_k4_emptiness_survey_reports_are_frozen():
+    """Full reports, cells and collisions, of two k = 4 surveys whose
+    nonempty modules run both the Gram split and the diagonal bracket
+    pairs, as they read before either shortcut."""
+    want = {(3, 2, 3): ("b8aa88ceac059e613e1e8aa7a4d1e5b6"
+                        "6a5c4afeda07031396cc1bff92903b1e", 29, 0),
+            (1, 2, 4): ("f122264aec1a788c2baa5b841f04bc1b"
+                        "b509678f28eda804a21152a77507c8a6", 48, 4)}
+    for (M, N, window), (digest, cells, collisions) in want.items():
+        rep = emptiness_survey(4, M, N, window)
+        assert rep["ok"]
+        assert (len(rep["cells"]), len(rep["collisions"])) == (
+            cells, collisions)
+        assert hashlib.sha256(json.dumps(rep, sort_keys=True).encode()
+                              ).hexdigest() == digest
+
+
+def compact_grid():
+    for k, M, tot in product(range(1, 5), range(1, 4), range(5)):
+        for m in W.partitions_of(tot, max_rows=M):
+            induce_compact(k, M, m)
+
+
+@pytest.mark.parametrize("run,count", [
+    (lambda: emptiness_survey(3, 2, 1, 4), 22),
+    (compact_grid, 88),
+], ids=["emptiness-3-2-1-4", "compact-grid"])
+def test_bracket_check_against_dense_oracle(monkeypatch, run, count):
+    """Every nonempty module's gl(k) passes the bracket check and the
+    dense all-pairs oracle alike."""
+    seen = []
+
+    def record(families, columns):
+        seen.append((families, columns))
+        return T.gl_relation_failures(families, columns)
+
+    monkeypatch.setattr(rieffel, "gl_relation_failures", record)
+    run()
+    assert len(seen) == count
+    for families, columns in seen:
+        assert T.gl_relation_failures(families, columns) == \
+            bf.relation_failures(families, len(columns)) == []
+
+
+def mutated(terms, column, extra):
+    """The map with one more image term on one column."""
+    return lambda c: list(terms(c)) + ([extra] if c == column else [])
+
+
+@pytest.mark.parametrize("mutation", [
+    "shifted-eigenvalue", "non-diagonal", "wrong-weight-target"])
+def test_bracket_check_mutations_against_dense_oracle(mutation):
+    """A module's gl(3), broken in one place, fails on the same pairs as
+    the oracle finds: one eigenvalue of a diagonal E_00 shifted (it stays
+    diagonal), E_11 given an off-diagonal term (the product check takes
+    it), or E_01 given a target of the wrong weight."""
+    mod = induce_compact(3, 2, (2, 1))
+    d = mod.dimension
+    gl_k = dict(mod.gl_k)
+    if mutation == "shifted-eigenvalue":
+        gl_k[0, 0] = mutated(gl_k[0, 0], 0, (0, 1))
+    elif mutation == "non-diagonal":
+        gl_k[1, 1] = mutated(gl_k[1, 1], 0, (1, 1))
+    else:
+        c = next(c for c in range(d) if gl_k[0, 1](c))
+        gl_k[0, 1] = mutated(gl_k[0, 1], c, (c, 1))
+    bad = T.gl_relation_failures({"k": gl_k}, range(d))
+    assert bad
+    assert bad == bf.relation_failures({"k": gl_k}, d)
 
 
 def test_bracket_check_catches_each_rescaled_generator():

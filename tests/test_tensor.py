@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import bruteforce as bf
 from howe_forge import tensor as T
 from howe_forge import weights as W
-from howe_forge.errors import InvariantBroken, TooLarge
+from howe_forge.errors import InvariantBroken, ShapeMismatch, TooLarge
 
 
 # The dense-oracle tests report the first failing system as found:
@@ -542,6 +542,21 @@ def test_a_generator_commuting_with_every_x_yields_no_rows():
     rows = T.commutator_rows(lambda c: [(c, 1)], range(5), block.__getitem__,
                              lambda r, c: (r, c))
     assert list(rows) == []
+
+
+@pytest.mark.parametrize("key", [(0, 1), (1, 1)],
+                         ids=["beside-diagonal-maps", "no-diagonal-map"])
+def test_gl_relation_failures_refuses_a_map_leaving_the_columns(key):
+    """E_01, checked against the diagonal E_00 and E_11 by eigenvalues, or
+    E_11, which is then not diagonal and goes to the product check, sends
+    column 1 to column 2 as well: a shape error, not a failed pair."""
+    gl2 = {(i, j): (lambda c, i=i, j=j: [(i, 1)] if c == j else [])
+           for i, j in product(range(2), repeat=2)}  # column j to row i
+    assert T.gl_relation_failures({"k": gl2}, range(2)) == []
+    inside = gl2[key]
+    gl2[key] = lambda c: inside(c) + ([(2, 1)] if c == 1 else [])
+    with pytest.raises(ShapeMismatch, match="outside the columns"):
+        T.gl_relation_failures({"k": gl2}, range(2))
 
 
 def test_gram_matrix_weights_each_coordinate():
