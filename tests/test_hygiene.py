@@ -336,14 +336,22 @@ def test_every_public_name_has_a_user_besides_the_tests():
 
 
 @pytest.mark.parametrize("rule,source", [
-    (asserts, "def f(x):\n    assert x\n"),
-    (broad_handlers, "try:\n    pass\nexcept:\n    pass\n"),
-    (broad_handlers,
-     "try:\n    pass\nexcept (KeyError, Exception):\n    pass\n"),
-    (unused_imports, "import os\nfrom math import gcd, lcm\nx = lcm(2, 3)\n"),
-    (float_divisions, "def f(a, p):\n    return a[0] / p\n"),
-    (float_divisions, "def f(x):\n    x /= 2\n    return x\n"),
-    (float_divisions, "y = Fraction(1) * 3 / 4\n"),
+    pytest.param(asserts, "def f(x):\n    assert x\n",
+                 id="asserts-assert-statement"),
+    pytest.param(broad_handlers, "try:\n    pass\nexcept:\n    pass\n",
+                 id="broad_handlers-bare-except"),
+    pytest.param(broad_handlers,
+                 "try:\n    pass\nexcept (KeyError, Exception):\n    pass\n",
+                 id="broad_handlers-exception-in-tuple"),
+    pytest.param(unused_imports,
+                 "import os\nfrom math import gcd, lcm\nx = lcm(2, 3)\n",
+                 id="unused_imports-os-and-gcd"),
+    pytest.param(float_divisions, "def f(a, p):\n    return a[0] / p\n",
+                 id="float_divisions-slash"),
+    pytest.param(float_divisions, "def f(x):\n    x /= 2\n    return x\n",
+                 id="float_divisions-augmented-slash"),
+    pytest.param(float_divisions, "y = Fraction(1) * 3 / 4\n",
+                 id="float_divisions-fraction-times-int"),
     (span_echelon_reads, "basis = [row for _, row in span.echelon]\n"),
     (span_echelon_reads, "def f(span, c):\n    return c in span._pivots\n"),
     (span_ranks, "r = len(T.ReducedSpan(rows))"),
@@ -373,34 +381,6 @@ def test_every_public_name_has_a_user_besides_the_tests():
      "class A:\n    def _gone(self):\n        return 1\n"),
     (unreferenced_publics,
      "class A:\n    def gone(self):\n        return 1\n\nA()\n"),
-], ids=[  # a one-line snippet keeps the name the suite has listed it by
-    "asserts-assert-statement", "broad_handlers-bare-except",
-    "broad_handlers-exception-in-tuple", "unused_imports-os-and-gcd",
-    "float_divisions-slash", "float_divisions-augmented-slash",
-    "float_divisions-fraction-times-int",
-    "span_echelon_reads-echelon-attribute",
-    "span_echelon_reads-private-pivots",
-    "span_ranks-r = len(T.ReducedSpan(rows))",
-    "span_ranks-r = n - len(ReducedSpan(rows))",
-    "fock_operator_calls-raiser_op",
-    "convention_constant_reads-key = tuple(x - model.c_k for x in hw)",
-    "convention_constant_reads-shift = model.c_m",
-    "convention_constant_reads-nw = [fock.c_n - x for x in b]",
-    "oracle_matrix_names-class ExactOperator: pass",
-    "oracle_matrix_names-from .tensor import ExactOperator as Op",
-    "oracle_matrix_names-op = T.ExactOperator(b, b)",
-    'oracle_matrix_names-"""Restrictions come as ExactOperators."""',
-    "ordinal_lookups-class IndexedBasis: pass",
-    "ordinal_lookups-from .tensor import IndexedBasis as Basis",
-    "ordinal_lookups-wb = T.IndexedBasis.tensor_power(2, 3)",
-    'ordinal_lookups-"""Image terms on IndexedBasis ordinals."""',
-    "ordinal_lookups-t = fb.ordinal(tuple(tgt))",
-    "scipy_imports-from-import", "scipy_imports-plain-import",
-    "numpy_at_load-import numpy as np",
-    "numpy_at_load-from numpy import linalg",
-    "loop_draws-hs = [rng.standard_normal((3, 3)) for _ in range(4)]",
-    "loop_draws-while-loop", "unreferenced_privates-function",
-    "unreferenced_privates-method", "unreferenced_publics-method",
 ])
 def test_each_rule_catches_a_violation(rule, source):
     path = Path("example.py")
