@@ -30,8 +30,8 @@ indices that one ``restrict_by_leaders`` call reads off that span.  The
 induced inner product is the Fock norm, <x^e, x^e> = prod e!
 (``_fock_norm``), tensored with the form of the (monomial, word)
 coordinates the irrep lives in; both are diagonal, so it is one
-``gram_matrix``, and its positivity is checked on each connected
-component of its nonzero pattern (``_ldl_positive``).
+``gram_matrix``, whose sparse rows go to ``positive_definite``, the
+positivity check of the elimination core ``tensor`` shares.
 """
 
 from __future__ import annotations
@@ -46,63 +46,13 @@ from .errors import InvariantBroken, ShapeMismatch
 from .fock import FockModel, raising_images, strict_signed_pairs
 from .tensor import ReducedSpan, block_kernel, gl_commutant_dim, \
     gl_relation_failures, gram_matrix, linear_image, perm_inverse, \
-    subgroup_perms, tensor_power
+    positive_definite, subgroup_perms, tensor_power
 
 _F1 = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
-# small exact-linear-algebra helpers (module-local)
-
-
-def _ldl_positive(gram: list[list[Fraction]]) -> bool:
-    """True iff the symmetric matrix is positive definite (exact).
-
-    The matrix is split into the connected components of its nonzero
-    pattern.  Listing the indices component by component permutes rows
-    and columns alike and leaves a block diagonal matrix, so it is
-    positive definite exactly when every block is, and each block goes
-    to ``_bareiss_positive`` on its own.  The Fock form is diagonal in
-    monomials and module bases are weight vectors, so Gram matrices split
-    into many small blocks."""
-    d = len(gram)
-    seen = [False] * d
-    for start in range(d):
-        if seen[start]:
-            continue
-        seen[start] = True
-        block, stack = [], [start]
-        while stack:
-            r = stack.pop()
-            block.append(r)
-            for c, v in enumerate(gram[r]):
-                if v and not seen[c]:
-                    seen[c] = True
-                    stack.append(c)
-        if not _bareiss_positive([[gram[r][c] for c in block]
-                                  for r in block]):
-            return False
-    return True
-
-
-def _bareiss_positive(gram: list[list[Fraction]]) -> bool:
-    """True iff the symmetric matrix is positive definite (exact): its
-    leading principal minors, the pivots of a fraction-free (Bareiss)
-    elimination of the matrix scaled to integers, are all positive."""
-    den = math.lcm(*(v.denominator for row in gram for v in row))
-    a = [[v.numerator * (den // v.denominator) for v in row] for row in gram]
-    d = len(a)
-    prev = 1
-    for i in range(d):
-        p = a[i][i]
-        if p <= 0:
-            return False
-        for r in range(i + 1, d):
-            f = a[r][i]
-            for c in range(i + 1, d):
-                a[r][c] = (p * a[r][c] - f * a[i][c]) // prev  # exact
-        prev = p
-    return True
+# the induced inner product
 
 
 def _fock_norm(lab) -> int:
@@ -298,7 +248,7 @@ class Empty:
 
 
 def _checked_module(ambient: str, k: int, inputs: dict, basis: list[dict],
-                    gl_k: dict, highest_weight, gram: list[list[Fraction]]
+                    gl_k: dict, highest_weight, gram: list[dict]
                     ) -> InducedModule:
     """The module with its three checks: commutant of the restricted
     gl(k) action, positivity of the Gram matrix and the gl(k) relations."""
@@ -306,7 +256,7 @@ def _checked_module(ambient: str, k: int, inputs: dict, basis: list[dict],
         ambient, k, inputs, basis, gl_k,
         highest_weight=highest_weight,
         commutant=gl_commutant_dim(gl_k, len(basis)),
-        gram_positive=_ldl_positive(gram),
+        gram_positive=positive_definite(gram),
         bracket_ok=not gl_relation_failures({"k": gl_k}, range(len(basis))),
     )
 

@@ -35,8 +35,11 @@ that back-substitution clears.  The order cannot change a result: for a
 fixed column order the reduced row echelon form is unique.  Kernels and
 module spans take their rows in the order given, since a span's ``rows``
 are a module basis in insertion order, and sorting the kernel solves
-bought no time.  ``gram_matrix`` is the one inner product routine, in
-mutually orthogonal coordinates with given squared norms.
+bought no time.  Positivity is another client: ``positive_definite``
+runs the same update, in order, on the sparse rows of a Gram matrix,
+which ``gram_matrix``, the one inner product routine (in mutually
+orthogonal coordinates with given squared norms), returns as one dict of
+nonzero entries per row.
 
 The symmetric-group material (the central projectors' family check,
 the subgroups that fix blocks of slots) and the commutant solves live
@@ -281,13 +284,14 @@ def block_kernel(members, maps) -> list[dict]:
             for vec in kernel_basis(rows, len(members))]
 
 
-def gram_matrix(vectors, weight) -> list[list[int | Fraction]]:
+def gram_matrix(vectors, weight) -> list[dict[int, int | Fraction]]:
     """Gram matrix of sparse vectors in mutually orthogonal coordinates,
     <u, v> = sum_o u[o] v[o] weight(o), with weight(o) the squared norm
-    of coordinate o; sums are in the type of the entries, so integer
-    vectors and norms give an integer matrix."""
+    of coordinate o, as one row per vector that holds only its nonzero
+    entries, keyed by column; sums are in the type of the entries, so
+    integer vectors and norms give integer rows."""
     d = len(vectors)
-    g = [[0] * d for _ in range(d)]
+    g = [{} for _ in range(d)]
     for u, a in enumerate({o: x * weight(o) for o, x in vec.items()}
                           for vec in vectors):
         for v in range(u, d):
@@ -296,8 +300,31 @@ def gram_matrix(vectors, weight) -> list[list[int | Fraction]]:
                 x = a.get(o)
                 if x:
                     s += x * cv
-            g[u][v] = g[v][u] = s
+            if s:
+                g[u][v] = g[v][u] = s
     return g
+
+
+def positive_definite(rows) -> bool:
+    """True iff every leading principal minor of the matrix with these
+    sparse rows (row i maps each column to its nonzero entry) is
+    positive, exactly: for a symmetric matrix, iff it is positive definite.
+
+    Each row is cleared to integers, a positive scaling, and the rows are
+    eliminated in order by the span's update: while the pivot p is
+    positive, ``_eliminate`` scales a later row only by p / gcd and by its
+    positive content, so pivot i is a positive multiple of D_i / D_(i-1),
+    a ratio of leading principal minors.  No zero is stored, so rows that
+    share no column never meet."""
+    rows = [_cleared(row)[0] for row in rows]
+    for i, prow in enumerate(rows):
+        p = prow.get(i, 0)
+        if p <= 0:
+            return False
+        for row in rows[i + 1:]:  # every later row, not prow's support
+            if a := row.get(i):
+                _eliminate(row, p, a, prow)
+    return True
 
 
 # ---------------------------------------------------------------------------

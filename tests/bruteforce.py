@@ -669,8 +669,10 @@ def is_positive_definite(mat: list[list[Fraction]]) -> bool:
 
 def bareiss_positive(mat: list[list[Fraction]]) -> bool:
     """Positive definiteness by one fraction-free (Bareiss) elimination
-    of the whole matrix scaled to integers: its pivots are the leading
-    principal minors, which must all be positive."""
+    of the whole dense matrix scaled to integers: its pivots are the
+    leading principal minors, which must all be positive.  The
+    whole-matrix oracle for ``tensor.positive_definite``, which takes the
+    matrix as sparse rows and eliminates only the entries stored."""
     den = math.lcm(*(v.denominator for row in mat for v in row))
     a = [[v.numerator * (den // v.denominator) for v in row] for row in mat]
     d = len(a)
@@ -685,6 +687,17 @@ def bareiss_positive(mat: list[list[Fraction]]) -> bool:
                 a[r][c] = (p * a[r][c] - f * a[i][c]) // prev  # exact
         prev = p
     return True
+
+
+def dense_rows(rows: list[dict]) -> list[list]:
+    """A square matrix given as sparse rows, column -> entry, as dense
+    rows, zeros filled in."""
+    return [[row.get(c, 0) for c in range(len(rows))] for row in rows]
+
+
+def sparse_rows(mat: list[list]) -> list[dict]:
+    """Dense rows as sparse rows, column -> entry, zeros omitted."""
+    return [{c: v for c, v in enumerate(row) if v} for row in mat]
 
 
 def dense_matrix(op) -> list[list[Fraction]]:

@@ -22,8 +22,10 @@ reads a Fock model's convention constants ``c_k``, ``c_m`` or ``c_n``
 constants off), no ``.standard_normal(`` call inside a ``for``, a
 ``while`` or a comprehension (a batch of samples takes one draw), no
 private function or method
-that nothing in the package references, and no public function, class
-or method that only the tests reference."""
+that nothing in the package references, no public function, class
+or method that only the tests reference, and no import of another
+module's private name and no read of one as ``W._x`` (the elimination
+helpers of ``tensor`` stay behind its public routines)."""
 
 import ast
 import os
@@ -278,6 +280,11 @@ def definitions(tree):
     return out
 
 
+def private(name):
+    """Leading underscore, and not a dunder, which the language names."""
+    return name.startswith("_") and not name.endswith("__")
+
+
 def unreferenced_privates(tree, path, used=None):
     """Module-level private functions and classes and private methods
     whose name is not in ``used``, the names the package references (by
@@ -286,8 +293,7 @@ def unreferenced_privates(tree, path, used=None):
     if used is None:
         used = referenced_names([tree])
     return [f"{where(path, n)} {n.name}" for n in definitions(tree)
-            if n.name.startswith("_") and not n.name.endswith("__")
-            and n.name not in used]
+            if private(n.name) and n.name not in used]
 
 
 def unreferenced_publics(tree, path, used=None):
@@ -302,6 +308,22 @@ def unreferenced_publics(tree, path, used=None):
             and n.name not in TEST_ONLY_PUBLIC]
 
 
+def foreign_privates(tree, path):
+    """Private names imported from another module, and private attributes
+    read off a name that an import binds, such as ``W._x``; ``self._x``
+    and the attributes of other objects are not such reads."""
+    bound, out = set(), []
+    for n in ast.walk(tree):
+        if isinstance(n, (ast.Import, ast.ImportFrom)):
+            for a in n.names:
+                if isinstance(n, ast.ImportFrom) and private(a.name):
+                    out.append(f"{where(path, n)} {a.name}")
+                bound.add(a.asname or a.name.partition(".")[0])
+    return out + [f"{where(path, n)} .{n.attr}" for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and private(n.attr)
+                  and isinstance(n.value, ast.Name) and n.value.id in bound]
+
+
 def test_the_package_has_sources():
     assert PACKAGE / "tensor.py" in SOURCES
 
@@ -312,7 +334,9 @@ def test_the_package_has_sources():
                                   convention_constant_reads,
                                   oracle_matrix_names, ordinal_lookups,
                                   scipy_imports, numpy_at_load,
-                                  loop_draws])
+                                  loop_draws,
+                                  pytest.param(foreign_privates,
+                                               id="foreign_privates")])
 def test_package_sources_keep_the_rule(rule):
     bad = [hit for path in SOURCES for hit in rule(tree_of(path), path)]
     assert bad == []
@@ -352,12 +376,18 @@ def test_every_public_name_has_a_user_besides_the_tests():
                  id="float_divisions-augmented-slash"),
     pytest.param(float_divisions, "y = Fraction(1) * 3 / 4\n",
                  id="float_divisions-fraction-times-int"),
-    (span_echelon_reads, "basis = [row for _, row in span.echelon]\n"),
-    (span_echelon_reads, "def f(span, c):\n    return c in span._pivots\n"),
+    pytest.param(span_echelon_reads,
+                 "basis = [row for _, row in span.echelon]\n",
+                 id="span_echelon_reads-echelon-attribute"),
+    pytest.param(span_echelon_reads,
+                 "def f(span, c):\n    return c in span._pivots\n",
+                 id="span_echelon_reads-private-pivots"),
     (span_ranks, "r = len(T.ReducedSpan(rows))"),
     (span_ranks, "r = n - len(ReducedSpan(rows))"),
-    (fock_operator_calls,
-     "def solve(model, piece):\n    return model.raiser_op(0, 0, piece)\n"),
+    pytest.param(fock_operator_calls,
+                 "def solve(model, piece):\n"
+                 "    return model.raiser_op(0, 0, piece)\n",
+                 id="fock_operator_calls-raiser_op"),
     (convention_constant_reads, "key = tuple(x - model.c_k for x in hw)"),
     (convention_constant_reads, "shift = model.c_m"),
     (convention_constant_reads, "nw = [fock.c_n - x for x in b]"),
@@ -370,17 +400,28 @@ def test_every_public_name_has_a_user_besides_the_tests():
     (ordinal_lookups, "wb = T.IndexedBasis.tensor_power(2, 3)"),
     (ordinal_lookups, '"""Image terms on IndexedBasis ordinals."""'),
     (ordinal_lookups, "t = fb.ordinal(tuple(tgt))"),
-    (scipy_imports, "from scipy.linalg import expm\n"),
-    (scipy_imports, "import numpy as np, scipy.linalg as sla\n"),
+    pytest.param(scipy_imports, "from scipy.linalg import expm\n",
+                 id="scipy_imports-from-import"),
+    pytest.param(scipy_imports, "import numpy as np, scipy.linalg as sla\n",
+                 id="scipy_imports-plain-import"),
     (numpy_at_load, "import numpy as np"),
     (numpy_at_load, "from numpy import linalg"),
     (loop_draws, "hs = [rng.standard_normal((3, 3)) for _ in range(4)]"),
-    (loop_draws, "while x:\n    x = rng.standard_normal(2)[0]\n"),
-    (unreferenced_privates, "def _gone(x):\n    return x\n"),
-    (unreferenced_privates,
-     "class A:\n    def _gone(self):\n        return 1\n"),
-    (unreferenced_publics,
-     "class A:\n    def gone(self):\n        return 1\n\nA()\n"),
+    pytest.param(loop_draws, "while x:\n    x = rng.standard_normal(2)[0]\n",
+                 id="loop_draws-while-loop"),
+    pytest.param(unreferenced_privates, "def _gone(x):\n    return x\n",
+                 id="unreferenced_privates-function"),
+    pytest.param(unreferenced_privates,
+                 "class A:\n    def _gone(self):\n        return 1\n",
+                 id="unreferenced_privates-method"),
+    pytest.param(unreferenced_publics,
+                 "class A:\n    def gone(self):\n        return 1\n\nA()\n",
+                 id="unreferenced_publics-method"),
+    pytest.param(foreign_privates, "from .tensor import _cleared\n",
+                 id="foreign_privates-import"),
+    pytest.param(foreign_privates,
+                 "from . import tensor as T\nrow, den = T._cleared(v)\n",
+                 id="foreign_privates-module-attribute"),
 ])
 def test_each_rule_catches_a_violation(rule, source):
     path = Path("example.py")
@@ -394,7 +435,8 @@ def test_rules_pass_clean_code():
               "except ValueError:\n    pass\n"
               "y = Fraction(x) / 3 + _F1 / x - x // 2\n"
               "r = len(span) + rank_of_rows(rows)\n"
-              "z = rng.standard_normal((4, 3, 3))\n")
+              "z = rng.standard_normal((4, 3, 3))\n"
+              "w = span._own + os.__name__\n")
     tree, path = ast.parse(source), Path("example.py")
     assert not asserts(tree, path) + broad_handlers(tree, path) \
         + unused_imports(tree, path) + float_divisions(tree, path) \
@@ -405,7 +447,7 @@ def test_rules_pass_clean_code():
         + scipy_imports(tree, path) + numpy_at_load(tree, path) \
         + loop_draws(tree, path) \
         + unreferenced_privates(tree, path) \
-        + unreferenced_publics(tree, path)
+        + unreferenced_publics(tree, path) + foreign_privates(tree, path)
 
 
 def test_the_float_side_may_divide():

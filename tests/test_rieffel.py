@@ -51,7 +51,7 @@ def test_irrep_weights_and_gram():
     assert sorted(ir.basis_weights) == [(1, 2), (2, 1)]
     assert ir.basis_weights[ir.highest_index] == (2, 1)
     # words are orthonormal, so the irrep's form is the plain dot product
-    g = T.gram_matrix(ir.basis, lambda o: 1)
+    g = bf.dense_rows(T.gram_matrix(ir.basis, lambda o: 1))
     assert g == [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(2)]]
 
 
@@ -59,7 +59,8 @@ def test_trivial_irrep():
     ir = build_inducing_irrep((), 2)
     assert ir.dim == 1
     assert ir.basis_weights == [(0, 0)]
-    assert T.gram_matrix(ir.basis, lambda o: 1) == [[Fraction(1)]]
+    assert bf.dense_rows(T.gram_matrix(ir.basis, lambda o: 1)) == [
+        [Fraction(1)]]
 
 
 def test_irrep_action_satisfies_the_bracket():
@@ -237,11 +238,11 @@ def test_compact_gram_is_the_two_factor_form(monkeypatch):
     factor by factor."""
     grams = []
 
-    def record(gram, check=rieffel._ldl_positive):
-        grams.append(gram)
+    def record(gram, check=rieffel.positive_definite):
+        grams.append(bf.dense_rows(gram))
         return check(gram)
 
-    monkeypatch.setattr(rieffel, "_ldl_positive", record)
+    monkeypatch.setattr(rieffel, "positive_definite", record)
     cells = 0
     for k, M, tot in product(range(1, 5), range(1, 4), range(5)):
         for m in W.partitions_of(tot, max_rows=M):
@@ -496,9 +497,9 @@ def test_ldl_positive_is_exact_on_large_entries(entry):
     entry by one makes det = -1."""
     big = 10**17
     gram = [[entry(big), entry(big - 1)], [entry(big - 1), entry(big - 1)]]
-    assert rieffel._ldl_positive(gram)
+    assert T.positive_definite(bf.sparse_rows(gram))
     gram[1][1] = entry(big - 2)
-    assert not rieffel._ldl_positive(gram)
+    assert not T.positive_definite(bf.sparse_rows(gram))
 
 
 @st.composite
@@ -535,14 +536,19 @@ def interleaved_block_matrices(draw):
 # interleaved as rows 0, 2 and 1, 3
 @example([[2, 0, 1, 0], [0, 1, 0, 2], [1, 0, 1, 0], [0, 2, 0, 1]])
 @example([[2, 0, 1, 0], [0, 1, 0, 2], [1, 0, 1, 0], [0, 2, 0, 5]])
+# not symmetric, minors 1, 1, 1: row 1 meets row 0 at column 0, which row 0
+# does not hold at column 1, so each later row is scanned for the pivot
+@example([[1, 0, 1], [1, 1, 0], [0, 2, -1]])
 def test_ldl_positive_against_dense_oracle(gram):
-    """The verdict of the split into components is the whole matrix's, on
-    single and on shuffled block matrices, in int and Fraction entries."""
+    """The verdict on sparse rows, zeros omitted, is the whole dense
+    matrix's, on single and on shuffled block matrices, in int and
+    Fraction entries; rows that store their zeros give the same."""
     want = bf.is_positive_definite(gram)
     assert bf.bareiss_positive(gram) == want
-    assert rieffel._ldl_positive(gram) == want
-    assert rieffel._ldl_positive(
-        [[Fraction(x) for x in row] for row in gram]) == want
+    assert T.positive_definite(bf.sparse_rows(gram)) == want
+    assert T.positive_definite(bf.sparse_rows(
+        [[Fraction(x) for x in row] for row in gram])) == want
+    assert T.positive_definite([dict(enumerate(row)) for row in gram]) == want
 
 
 def test_k4_emptiness_survey_reports_are_frozen():

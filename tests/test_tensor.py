@@ -562,14 +562,19 @@ def test_gl_relation_failures_refuses_a_map_leaving_the_columns(key):
 def test_gram_matrix_weights_each_coordinate():
     vecs = [{0: Fraction(1), 2: Fraction(1, 2)}, {2: Fraction(2)},
             {1: Fraction(3)}]
-    assert T.gram_matrix(vecs, lambda o: 1) == [[Fraction(5, 4), 1, 0],
-                                                [1, 4, 0], [0, 0, 9]]
-    assert T.gram_matrix(vecs, [1, 5, 7].__getitem__) == [
+    plain = T.gram_matrix(vecs, lambda o: 1)
+    assert bf.dense_rows(plain) == [[Fraction(5, 4), 1, 0], [1, 4, 0],
+                                    [0, 0, 9]]
+    weighted = T.gram_matrix(vecs, [1, 5, 7].__getitem__)
+    assert bf.dense_rows(weighted) == [
         [Fraction(11, 4), 7, 0], [7, 28, 0], [0, 0, 45]]
+    for rows in (plain, weighted):  # sparse rows: no zero, symmetric
+        assert all(v for row in rows for v in row.values())
+        assert all(rows[c][r] == v for r, row in enumerate(rows)
+                   for c, v in row.items())
     # coordinates may be any keys, such as (monomial, word) pairs
     pairs = [{(f, 0): x for f, x in vec.items()} for vec in vecs]
-    assert T.gram_matrix(pairs, lambda key: [1, 5, 7][key[0]]) == \
-        T.gram_matrix(vecs, [1, 5, 7].__getitem__)
+    assert T.gram_matrix(pairs, lambda key: [1, 5, 7][key[0]]) == weighted
     assert T.gram_matrix([], lambda o: 1) == []
 
 
