@@ -20,12 +20,14 @@ operator form, image terms keyed by labels: the invariants are
 keyed (monomial, irrep row index), whose monomials ``FockModel.blocks``
 builds from each irrep weight as column sums, with each Fock generator
 given by the image terms ``FockModel.images`` reads off their labels.  The
-inducing irrep is keyed by words in the same way: each column of its
-Young symmetrizer (``_symmetrizer_column``) and each gl(M) image
-(``_word_images``) is read off one word, so no operator on the whole
-tensor power is built.  Every module basis is the ``rows`` of one
-``ReducedSpan``, and the restricted actions on it (the inducing irrep's
-gl(M), an induced module's gl(k)) are the image terms on its row
+inducing irrep is keyed by words in the same way: its highest weight
+vector (``_highest_vector``) and each gl(M) image (``_word_images``) are
+read off words, so no operator on the whole tensor power is built.  The
+inducing irrep and a graded induced module are both cyclic: each is the
+span of one highest weight vector under the lowering operators
+(``_lowered_span``).  Every module basis is the ``rows`` of
+one ``ReducedSpan``, and the restricted actions on it (the inducing
+irrep's gl(M), an induced module's gl(k)) are the image terms on its row
 indices that one ``restrict_by_leaders`` call reads off that span.  The
 induced inner product is the Fock norm, <x^e, x^e> = prod e!
 (``_fock_norm``), tensored with the form of the (monomial, word)
@@ -42,11 +44,11 @@ from fractions import Fraction
 from functools import cache
 
 from . import weights as W
-from .errors import InvariantBroken, ShapeMismatch
+from .errors import InvariantBroken, ShapeMismatch, TooLarge
 from .fock import FockModel, raising_images, strict_signed_pairs
-from .tensor import ReducedSpan, block_kernel, gl_commutant_dim, \
-    gl_relation_failures, gram_matrix, linear_image, perm_inverse, \
-    positive_definite, subgroup_perms, tensor_power
+from .tensor import BASIS_CAP, ReducedSpan, block_kernel, \
+    gl_commutant_dim, gl_relation_failures, gram_matrix, linear_image, \
+    perm_inverse, positive_definite, subgroup_perms
 
 _F1 = Fraction(1)
 
@@ -71,8 +73,9 @@ class InducingIrrep:
     ``basis`` holds exact vectors keyed by word (words form an
     orthonormal basis of the ambient tensor power, so the irrep's form is
     the plain dot product there); each basis vector has a definite
-    weight, recorded in ``basis_weights``.  One instance serves every
-    caller with the same label, so no caller changes it.
+    weight, recorded in ``basis_weights``.  Row 0 is the highest weight
+    vector.  One instance serves every caller with the same label, so no
+    caller changes it.
     """
 
     m: tuple[int, ...]
@@ -80,7 +83,6 @@ class InducingIrrep:
     basis: list[dict[tuple[int, ...], int]]
     basis_weights: list[tuple[int, ...]]
     action: dict  # (a, b) -> image terms of E_ab on range(dim)
-    highest_index: int
 
     @property
     def dim(self) -> int:
@@ -94,30 +96,20 @@ def _word_weight(word, M) -> tuple[int, ...]:
     return tuple(wt)
 
 
-@cache
-def _symmetrizer_terms(shape: tuple[int, ...]) -> list[tuple[tuple, int]]:
-    """(slots, sign(q)) for q in the column group C and p in the row group
-    R of the row-reading tableau of the shape, the terms of its Young
-    symmetrizer sum_{q, p} sign(q) q p.  A slot permutation moves the
-    letter in slot a to slot sigma(a), so the word q p w reads its letters
-    off w at ``slots``, the inverse of a -> q(p(a))."""
+def _highest_vector(shape: tuple[int, ...]) -> dict:
+    """The word w0 with letter r in every slot of row r of the row-reading
+    tableau, antisymmetrized over each column's slots: sum over q in the
+    column group of sign(q) e_{q w0}, keyed by word.  A slot permutation
+    moves the letter in slot a to slot q(a), so q w0 reads its letters off
+    w0 at the inverse of q.  The row group fixes w0, so this is column w0
+    of the Young symmetrizer divided by the order of the row group."""
     n = sum(shape)
     starts = [sum(shape[:r]) for r in range(len(shape))]
-    rows = [list(range(c, c + r)) for c, r in zip(starts, shape)]
     cols = [[c + j for c, r in zip(starts, shape) if j < r]
             for j in range(shape[0] if shape else 0)]
-    return [(perm_inverse(tuple(q[a] for a in p)), W.perm_sign(q))
-            for q in subgroup_perms(cols, n) for p in subgroup_perms(rows, n)]
-
-
-def _symmetrizer_column(shape, word) -> dict:
-    """Column ``word`` of the Young symmetrizer of the shape, read off the
-    word w: sum over q in C, p in R of sign(q) e_{q p w}, keyed by word."""
-    out = {}
-    for slots, sign in _symmetrizer_terms(shape):
-        t = tuple(word[s] for s in slots)
-        out[t] = out.get(t, 0) + sign
-    return {t: v for t, v in out.items() if v}
+    w0 = tuple(r for r, length in enumerate(shape) for _ in range(length))
+    return {tuple(w0[s] for s in perm_inverse(q)): W.perm_sign(q)
+            for q in subgroup_perms(cols, n)}
 
 
 def _word_images(a: int, b: int):
@@ -129,11 +121,26 @@ def _word_images(a: int, b: int):
     return image
 
 
+def _lowered_span(vectors, lowers) -> ReducedSpan:
+    """The span of the vectors under the lowering maps (image terms): each
+    image that enlarges the span is lowered in turn."""
+    span = ReducedSpan(vectors)
+    queue = list(vectors)
+    while queue:
+        v = queue.pop()
+        for terms in lowers:
+            img = linear_image(terms, v)
+            if img and span.insert(img):
+                queue.append(img)
+    return span
+
+
 def build_inducing_irrep(m, M: int) -> InducingIrrep:
-    """Realize the U(M) irrep with the given highest weight as the image
-    of a Young symmetrizer inside the tensor power of the defining rep,
-    with the derived gl(M) action restricted to it.  Each irrep is built
-    once per (partition, M) and shared."""
+    """Realize the U(M) irrep with the given highest weight inside the
+    tensor power of the defining rep, as the span of its highest weight
+    vector under the lowering operators, with the derived gl(M) action
+    restricted to it.  Each irrep is built once per (partition, M) and
+    shared."""
     return _inducing_irrep(W.partition(m), M)
 
 
@@ -141,36 +148,34 @@ def build_inducing_irrep(m, M: int) -> InducingIrrep:
 def _inducing_irrep(shape: tuple[int, ...], M: int) -> InducingIrrep:
     if len(shape) > M:
         raise ShapeMismatch(f"label {shape} has more than {M} rows")
-    # image basis: one span, fed one weight (content) class at a time; the
-    # classes have disjoint supports, so every reduced row is a weight
-    # vector with a leader coordinate, which makes restriction a lookup
-    by_weight: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for word in tensor_power(M, sum(shape)):
-        by_weight.setdefault(_word_weight(word, M), []).append(word)
-    span = ReducedSpan()
-    basis_weights: list[tuple[int, ...]] = []
-    for wt in sorted(by_weight, reverse=True):
-        for word in by_weight[wt]:
-            if span.insert(_symmetrizer_column(shape, word)):
-                basis_weights.append(wt)
+    n = sum(shape)
+    if M**n > BASIS_CAP:
+        raise TooLarge(
+            f"tensor power basis k^n = {M**n} exceeds cap {BASIS_CAP}")
+    # a highest weight vector generates an irreducible submodule; lowering
+    # keeps a vector's weight and words of different weights share no
+    # support, so every reduced row is a weight vector, read off its pivot
+    span = _lowered_span([_highest_vector(shape)],
+                         [_word_images(a + 1, a) for a in range(M - 1)])
     expected = W.weyl_dim(shape, M)
     if len(span) != expected:
         raise ShapeMismatch(
-            f"symmetrizer image has dim {len(span)}, expected {expected}")
+            f"lowered span has dim {len(span)}, expected {expected}")
+    basis_weights = [_word_weight(min(row), M) for row in span.rows]
 
     ops = span.restrict_by_leaders({
         (a, b): _word_images(a, b) for a in range(M) for b in range(M)})
 
+    # sanity: the highest weight is simple, and its vector, row 0, is
+    # killed by the raisers
     hw_wt = shape + (0,) * (M - len(shape))
-    highest = basis_weights.index(hw_wt)
-    # sanity: the highest-weight vector is unique and killed by raisers
     if basis_weights.count(hw_wt) != 1:
         raise InvariantBroken(f"highest weight {hw_wt} is not simple")
     for a in range(M):
         for b in range(a + 1, M):
-            if linear_image(ops[(a, b)], {highest: _F1}):
+            if linear_image(ops[(a, b)], {0: _F1}):
                 raise InvariantBroken("highest vector not annihilated")
-    return InducingIrrep(shape, M, span.rows, basis_weights, ops, highest)
+    return InducingIrrep(shape, M, span.rows, basis_weights, ops)
 
 
 # ---------------------------------------------------------------------------
@@ -433,16 +438,8 @@ def induce_noncompact_graded(k: int, M: int, N: int,
         raise InvariantBroken(f"block {hw}, {w} of bidegree {piece} has "
                               f"{len(kernel)} highest weight vectors, not 1")
 
-    lowers = [model.images("k", i + 1, i) for i in range(k - 1)]
-    span = ReducedSpan(kernel)
-    queue = kernel
-    while queue:
-        v = queue.pop()
-        for terms in lowers:
-            img = linear_image(terms, v)
-            if img and span.insert(img):
-                queue.append(img)
-
+    span = _lowered_span(kernel,
+                         [model.images("k", i + 1, i) for i in range(k - 1)])
     basis = span.rows
     gl_k = span.restrict_by_leaders({
         (i, j): model.images("k", i, j)

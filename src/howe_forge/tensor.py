@@ -3,11 +3,11 @@
 Every linear map in the package has one form: its image terms, a
 function that sends a basis key c to the (target, value) pairs of its
 image.  A key is the label of its basis vector: an exponent tuple from
-``monomials``, a word from ``tensor_power``, a pair of those, or a row
-index of a module basis; no position is kept for a label.  Values are
-exact rationals: ``int`` wherever a value is integral, ``Fraction``
-only where a quotient is really produced; there are no tolerance
-parameters in this module.  Four consumers share that
+``monomials``, a word of a tensor power (one letter per slot), a pair
+of those, or a row index of a module basis; no position is kept for a
+label.  Values are exact rationals: ``int`` wherever a value is
+integral, ``Fraction`` only where a quotient is really produced; there
+are no tolerance parameters in this module.  Four consumers share that
 form: ``linear_image`` extends a map linearly to a sparse vector,
 ``block_kernel`` solves the joint kernel of several maps on one block of
 basis keys, ``gl_relation_failures``, the one bracket check, checks the
@@ -51,7 +51,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
-from itertools import permutations, product
+from itertools import permutations
 
 from .errors import InvariantBroken, ShapeMismatch, TooLarge
 from . import weights as W
@@ -60,13 +60,6 @@ BASIS_CAP = 20_000  # basis vectors or solve unknowns; TooLarge beyond
 
 # ---------------------------------------------------------------------------
 # bases
-
-
-def tensor_power(k: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """Words of the n-fold tensor power of C^k, lex order."""
-    if k**n > BASIS_CAP:
-        raise TooLarge(f"tensor power basis k^n = {k**n} exceeds cap {BASIS_CAP}")
-    return tuple(product(range(k), repeat=n))
 
 
 def monomial_count(nvars: int, degree: int) -> int:

@@ -20,8 +20,8 @@ algebra (``add``, ``compose``, ...) are the oracle for the package's
 readers of word and monomial labels.  ``labelled_terms`` and
 ``labelled_entries`` key a matrix by labels again, and
 ``inducing_irrep`` feeds the whole operators to the package's span that
-way, so that its output can be compared exactly with
-``rieffel.build_inducing_irrep``.
+way, so that its output can be compared exactly, as a span whose rows
+are keyed by their pivot words, with ``rieffel.build_inducing_irrep``.
 """
 
 from __future__ import annotations
@@ -550,10 +550,12 @@ def inducing_irrep(shape, M: int):
     """The U(M) irrep of the shape built from whole operators: the image
     of ``young_symmetrizer`` in the package's ``ReducedSpan``, fed one
     weight class at a time, highest first, and the restriction of
-    ``gl_tensor_action`` to it by ``restrict_by_leaders``, as the fields
-    (basis, basis_weights, highest_index, action) of an ``InducingIrrep``.
-    Only the operators are built here; the span is the package's, so the
-    bases can be compared exactly."""
+    ``gl_tensor_action`` to it by ``restrict_by_leaders``, as (basis,
+    basis weights, row of the highest weight, action).  Only the
+    operators are built here; the span is the package's, so the reduced
+    rows can be compared exactly.  The package lowers its irrep from the
+    highest vector instead, which takes the rows in another order, so the
+    two are compared as spans, row by pivot word, not row by row."""
     n = sum(shape)
     wb = IndexedBasis.tensor_power(M, n)
     sym = labelled_terms(young_symmetrizer(shape, M, basis=wb))

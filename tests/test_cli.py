@@ -243,13 +243,16 @@ def test_induce_graded_has_no_degree_window(capsys):
      "error: parts not weakly decreasing: (1, 2)"),
     (("induce", "--k", "3", "--mn-group", "2,1", "--weight", "40,10,-30"), 1,
      "infeasible: monomial basis size 1906884 exceeds cap 20000"),
+    (("induce", "--k", "2", "--m-group", "4", "--weight", "5,5"), 1,
+     "infeasible: tensor power basis k^n = 1048576 exceeds cap 20000"),
 ], ids=["orbit-bad-weight", "orbit-shape", "induce-signed-shape",
-        "induce-compact-shape", "induce-piece-cap"])
+        "induce-compact-shape", "induce-piece-cap", "induce-irrep-cap"])
 def test_each_error_class_has_one_exit_code(capsys, argv, code, line):
     """``main`` maps ShapeMismatch to a usage error and BadWeight or
     TooLarge to an infeasible request, whichever subcommand raises it.
     The x side of bidegree (44, 30) alone, C(49, 5) monomials in six
-    variables, is past BASIS_CAP."""
+    variables, is past BASIS_CAP, and so are the 4^10 words the U(4)
+    irrep (5, 5) lives in."""
     got, out, err = run(capsys, *argv)
     assert (got, out, err) == (code, "", line + "\n")
 

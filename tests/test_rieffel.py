@@ -3,6 +3,7 @@ indefinite case, where emptiness is a value rather than an error."""
 
 import hashlib
 import json
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -39,7 +40,9 @@ def small_partitions(max_total, max_rows):
 @pytest.mark.parametrize("m,M", [
     ((), 2), ((1,), 2), ((2,), 2), ((1, 1), 2), ((2, 1), 2),
     ((2, 1), 3), ((3, 1), 3), ((1, 1, 1), 3),
+    ((9,), 1), ((5, 5), 2), ((3, 3, 2), 3),
 ])
+@bf.time_bounded
 def test_irrep_dimension_matches_tableau_count(m, M):
     ir = build_inducing_irrep(m, M)
     assert ir.dim == bf.count_ssyt(m, M)
@@ -49,10 +52,24 @@ def test_irrep_weights_and_gram():
     ir = build_inducing_irrep((2, 1), 2)
     assert ir.dim == 2
     assert sorted(ir.basis_weights) == [(1, 2), (2, 1)]
-    assert ir.basis_weights[ir.highest_index] == (2, 1)
+    assert ir.basis_weights[0] == (2, 1)
     # words are orthonormal, so the irrep's form is the plain dot product
     g = bf.dense_rows(T.gram_matrix(ir.basis, lambda o: 1))
     assert g == [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(2)]]
+
+
+def test_irrep_needs_signed_column_antisymmetrizers(monkeypatch):
+    """With every column sign set to 1 the top word is symmetrized over its
+    columns, which is no highest weight vector: its lowered span is larger
+    than the irrep, and the dimension check refuses it."""
+    monkeypatch.setattr(rieffel.W, "perm_sign", lambda q: 1)
+    rieffel._inducing_irrep.cache_clear()
+    try:
+        for m, M in [((1, 1), 2), ((2, 1), 3), ((2, 2), 2)]:
+            with pytest.raises(ShapeMismatch, match="lowered span has dim"):
+                build_inducing_irrep(m, M)
+    finally:
+        rieffel._inducing_irrep.cache_clear()
 
 
 def test_trivial_irrep():
@@ -95,18 +112,19 @@ def test_irrep_diagonal_trace_counts_boxes():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_word_readers_match_the_whole_operators(k):
-    """Every Young-symmetrizer column and every gl(k) image read off a
-    word equals that column of the operator built from slot permutations
-    and slot derivations, for every shape of at most 4 boxes, also those
-    with more than k rows, whose symmetrizer vanishes."""
+    """The highest vector of each shape of at most 4 boxes and at most k
+    rows, times the order |R| of its row group, is column w0 of the Young
+    symmetrizer built from slot permutations, w0 the word with letter r in
+    every slot of row r; and every gl(k) image read off a word equals that
+    column of the operator built from slot derivations."""
     for n in range(5):
         wb = bf.IndexedBasis.tensor_power(k, n)
-        assert T.tensor_power(k, n) == wb.labels
-        for lam in W.partitions_of(n):
+        for lam in W.partitions_of(n, max_rows=k):
             sym = bf.labelled_terms(bf.young_symmetrizer(lam, k, basis=wb))
-            for word in wb:
-                assert rieffel._symmetrizer_column(lam, word) == dict(
-                    sym(word)), (lam, word)
+            w0 = tuple(r for r, part in enumerate(lam) for _ in range(part))
+            rows = math.prod(map(math.factorial, lam))
+            assert {w: rows * v for w, v in
+                    rieffel._highest_vector(lam).items()} == dict(sym(w0)), lam
         for a, b in product(range(k), repeat=2):
             op = bf.labelled_terms(bf.gl_tensor_action(a, b, k, n, basis=wb))
             image = rieffel._word_images(a, b)
@@ -116,21 +134,27 @@ def test_word_readers_match_the_whole_operators(k):
 
 @pytest.mark.parametrize("M", [1, 2, 3])
 def test_inducing_irrep_matches_the_whole_operator_build(M):
-    """The irrep read off word labels has the basis, the weights, the
-    highest vector and the restricted action of the irrep built from the
-    whole symmetrizer and gl(M) operators, for every shape of at most 4
-    boxes and at most M rows."""
+    """The irrep lowered from its highest vector is the span of the irrep
+    built from the whole symmetrizer and gl(M) operators, for every shape
+    of at most 4 boxes and at most M rows.  The two take their rows in
+    different orders, so rows, weights and restricted actions are compared
+    by pivot word, each row's lowest word; the highest vector is row 0."""
     for n in range(5):
         for lam in W.partitions_of(n, max_rows=M):
             ir = build_inducing_irrep(lam, M)
             basis, weights, highest, action = bf.inducing_irrep(lam, M)
-            assert ir.basis == basis
-            assert ir.basis_weights == weights
-            assert ir.highest_index == highest
-            assert {key: bf.module_operator(terms, ir.dim).data
-                    for key, terms in ir.action.items()} == {
-                key: bf.module_operator(terms, ir.dim).data
-                for key, terms in action.items()}
+            ours = [min(row) for row in ir.basis]
+            theirs = [min(row) for row in basis]
+            assert dict(zip(ours, ir.basis)) == dict(zip(theirs, basis))
+            assert dict(zip(ours, ir.basis_weights)) == dict(
+                zip(theirs, weights))
+            position = [ours.index(p) for p in theirs]
+            assert ir.action.keys() == action.keys()
+            for key, terms in action.items():
+                assert bf.module_operator(ir.action[key], ir.dim).data == {
+                    (position[r], position[c]): v for (r, c), v in
+                    bf.module_operator(terms, len(basis)).data.items()}
+            assert weights[highest] == ir.basis_weights[0]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import bruteforce as bf
 from howe_forge import tensor as T
 from howe_forge import weights as W
 from howe_forge.errors import InvariantBroken, ShapeMismatch, TooLarge
+from howe_forge.rieffel import build_inducing_irrep
 
 
 # The dense-oracle tests report the first failing system as found:
@@ -28,12 +29,6 @@ def small_perms(n):
 # bases and raw operator algebra
 
 
-def test_tensor_power_basis_lex_order():
-    b = T.tensor_power(2, 2)
-    assert b == ((0, 0), (0, 1), (1, 0), (1, 1))
-    assert b.index((1, 0)) == 2
-
-
 def test_monomial_basis_counts():
     b = T.monomials(3, 4)
     assert len(b) == len(set(b)) == math.comb(3 + 4 - 1, 4)
@@ -46,8 +41,8 @@ def test_monomial_basis_counts():
 
 
 def test_basis_cap():
-    with pytest.raises(TooLarge):
-        T.tensor_power(10, 10)
+    with pytest.raises(TooLarge, match=r"k\^n = 1048576 exceeds cap 20000"):
+        build_inducing_irrep((5, 5), 4)
 
 
 def test_operator_arithmetic_roundtrip():
