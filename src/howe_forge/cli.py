@@ -476,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
         "decompose", parents=[common],
         help="per-degree duality tables",
         epilog="TSV columns: degree/label/dim_k/dim_m/product/commutant/"
-               "status for one group, p/q/label_m/label_n/mn_weight/"
+               "route/status for one group, p/q/label_m/label_n/mn_weight/"
                "uk_weight/status with --n (mn_weight is the shifted "
                "(m+k, n) column).")
     p.add_argument("--k", type=int, required=True, help="rank of the big group")

@@ -7,8 +7,12 @@ the image terms that ``FockModel.images`` reads off a label onto labels
 (see ``tensor``).  Solves read them on the monomials they visit, and so
 does the bracket check (``FockModel.bracket_failures``, through
 ``tensor.gl_relation_failures``): no Fock matrix and no basis of a
-target piece is built in the package.  The model caches nothing, and the
-highest weight solves build only weight blocks, from their column sums.
+target piece is built in the package.  The model caches nothing.  A
+piece's dominant weight blocks are built from their column sums alone
+(``FockModel.dominant_blocks``), once per piece in ``verify_howe``, whose
+highest weight, multiplicity and commutant solves all read them; the
+commutant solve reaches any other block through the permutation that
+sorts its weight.
 
 The indefinite (oscillator) model adjoins a k x N block y[i,b].  The
 gl(k) action twists by the dual on the y block; the middle-algebra
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import permutations, product
 from operator import sub
 
@@ -35,8 +40,8 @@ from . import weights as W
 from .errors import InvariantBroken, NotRenormalizable, ShapeMismatch, \
     TooLarge
 from .tensor import BASIS_CAP, block_kernel, commutator_rows, \
-    gl_relation_failures, monomial_count, monomials, rank_of_rows, \
-    subgroup_perms
+    gl_relation_failures, monomial_count, monomials, perm_inverse, \
+    rank_of_rows, subgroup_perms
 
 
 def _convention_constants(k: int, M: int, N: int, convention: str):
@@ -215,13 +220,23 @@ class FockModel:
 
     # weights ----------------------------------------------------------------
 
-    def weight_blocks(self, piece) -> dict[tuple, list[tuple[int, ...]]]:
-        """Monomial labels of a piece by weight key, each block in basis
-        order: the ``blocks`` of every pair of column sums of the piece."""
-        self.check_piece(*piece)
-        return {key: members for mw in monomials(self.M, piece[0])
-                for nw in monomials(self.N, piece[1])
-                for key, members in self.blocks(piece, mw, nw).items()}
+    def dominant_blocks(self, piece) -> dict[tuple, list[tuple[int, ...]]]:
+        """The weight blocks of a piece whose weight is dominant: by weight
+        key (see ``blocks``) the k rows and the x column sums are
+        non-increasing and the y column sums non-decreasing, since gl(N)
+        acts contragrediently, its weight being -nw + c_n.  They are the
+        ``blocks`` of the dominant column sums alone; the piece is checked
+        against the cap first."""
+        (p, q), M, N = piece, self.M, self.N
+        self.check_piece(p, q)
+        dominant = {}
+        for m, n in product(W.partitions_of(p, max_rows=M),
+                            W.partitions_of(q, max_rows=N)):
+            blocks = self.blocks(piece, m + (0,) * (M - len(m)),
+                                 (0,) * (N - len(n)) + n[::-1])
+            dominant.update((key, members) for key, members in blocks.items()
+                            if all(x >= y for x, y in zip(key[0], key[0][1:])))
+        return dominant
 
     def blocks(self, piece, mw, nw) -> dict[tuple, list[tuple[int, ...]]]:
         """The weight blocks of a piece with x column sums ``mw`` and y
@@ -298,10 +313,11 @@ def raising_images(model: FockModel) -> list:
     return maps
 
 
-def joint_highest_weight_vectors(model: FockModel,
-                                 piece) -> list[HighestWeightVector]:
+def joint_highest_weight_vectors(model: FockModel, piece,
+                                 blocks=None) -> list[HighestWeightVector]:
     """Exact basis of the joint kernel of all raising operators in the
-    graded piece, solved on its dominant weight blocks only.
+    graded piece, solved on its dominant weight blocks only: ``blocks``
+    when given, else ``model.dominant_blocks(piece)``.
 
     The piece is a finite-dimensional module of gl(k) + gl(M) + gl(N),
     and the raising maps send each weight block to other blocks, so the
@@ -310,30 +326,20 @@ def joint_highest_weight_vectors(model: FockModel,
     module of that sl(2), so its weight is non-negative on
     E_ii - E_{i+1,i+1}.  A vector killed by every raising operator
     therefore has a dominant weight, and every other block has an empty
-    kernel.  By its weight key (see ``FockModel.blocks``) a block is
-    dominant when the k rows and the x column sums are non-increasing and
-    the y column sums are non-decreasing, since gl(N) acts
-    contragrediently: its weight is -nw + c_n.  So ``model.blocks``
-    builds the blocks of the dominant column sums alone, and the piece's
-    basis is never built.
+    kernel.  The dominant blocks are built from the dominant column sums
+    alone (``FockModel.dominant_blocks``), and the piece's basis is never
+    built.
 
     For the indefinite model the second-order lowering operators are
     included, so the result enumerates the new lowest K-type highest
     weight vectors rather than every K-highest vector.  Each vector
     carries its block's weight key, without the convention constants.
     """
-    (p, q), M, N = piece, model.M, model.N
-    model.check_piece(p, q)
-    dominant = {}
-    for m, n in product(W.partitions_of(p, max_rows=M),
-                        W.partitions_of(q, max_rows=N)):
-        blocks = model.blocks(piece, m + (0,) * (M - len(m)),
-                              (0,) * (N - len(n)) + n[::-1])
-        dominant.update((key, members) for key, members in blocks.items()
-                        if all(x >= y for x, y in zip(key[0], key[0][1:])))
+    if blocks is None:
+        blocks = model.dominant_blocks(piece)
     maps = raising_images(model)
     return [HighestWeightVector(piece, key, vec)
-            for key, members in sorted(dominant.items())
+            for key, members in sorted(blocks.items())
             for vec in block_kernel(members, maps)]
 
 
@@ -343,9 +349,9 @@ def joint_highest_weight_vectors(model: FockModel,
 
 def compact_multiplicities(model: FockModel, blocks) -> dict[tuple, int]:
     """Multiplicity of each U(k) x U(M) label pair in a compact graded
-    piece, given as its ``weight_blocks``, solved from weight-space
-    dimensions by triangular elimination against products of tableau
-    counts."""
+    piece, given as its ``FockModel.dominant_blocks``, solved from the
+    dimensions of the dominant weight spaces by triangular elimination
+    against products of tableau counts."""
     k, M = model.k, model.M
     degree = sum(next(iter(blocks))[1])  # every key's column sums add to it
     parts_k = list(W.partitions_of(degree, max_rows=k))
@@ -430,8 +436,8 @@ class HoweReport:
 
 def weyl_commutant_dim(model: FockModel, blocks) -> int:
     """Dimension of the joint commutant of gl(k) + gl(M) on a compact
-    piece, given as its ``weight_blocks``, solved as an S_k x S_M-reduced
-    exact system.
+    piece, given as its ``FockModel.dominant_blocks``, solved as an
+    S_k x S_M-reduced exact system.
 
     W = S_k x S_M permutes the variables x[i,a], and so the monomials, by
     permutation matrices in GL(k) x GL(M).  So an X in the commutant is
@@ -439,17 +445,24 @@ def weyl_commutant_dim(model: FockModel, blocks) -> int:
     blocks, which W maps onto dominant ones (sums descending).  One
     unknown stands for each W-orbit of pairs (r, c) in a block: the
     permutation sorting the weight carries the pair into the dominant
-    block, where its least image under the stabilizer names it.  The
-    equations are (E X - X E)[t, c] = 0 for every root vector E, with c a
+    block, where its least image under the block's stabilizer names it.
+    The equations are (E X - X E)[t, c] = 0 for root vectors E, with c a
     stabilizer-orbit representative in a dominant block.  W permutes the
     roots (g E g^-1 is a root vector), so for a W-equivariant X the
     equation at (E, gt, gc) is the one at (g^-1 E g, t, c), and every
-    column is such a gc.  So a W-equivariant block-diagonal X solves the
-    reduced equations exactly when it commutes with every root vector and
-    Cartan: both ways the solutions are the commutant.  Root images are
-    read off the monomial labels of the dominant blocks only.  The
-    dimension is the number of unknowns less the rank of the equations
-    (``tensor.rank_of_rows``, sparsest equations first).
+    column is such a gc.  For h in the stabilizer of the column c itself,
+    the equations at (h E h^-1, t, c) are those at (E, h^-1 t, c), row for
+    row, since h only relabels unknowns that name W-orbits; so each column
+    takes the least root of each orbit of its stabilizer, and no other.
+    So a W-equivariant block-diagonal X solves the reduced equations
+    exactly when it commutes with every root vector and Cartan: both ways
+    the solutions are the commutant.
+
+    Root images are read off the monomials the equations reach.  A block
+    that is not dominant is listed when an equation first reaches it, as
+    the image of its dominant block under the inverse of the sorting
+    permutation.  The dimension is the number of unknowns less the rank of
+    the equations (``tensor.rank_of_rows``, sparsest equations first).
     """
     k, M = model.k, model.M
 
@@ -462,49 +475,55 @@ def weyl_commutant_dim(model: FockModel, blocks) -> int:
     def sorting(w):  # positions of w, largest entry first, ties in order
         return sorted(range(len(w)), key=w.__getitem__, reverse=True)
 
-    at, tables, reps, dominant = {}, {}, [], []
-    nvars = 0
+    roots = [(family, a, b) for family, rank in (("k", k), ("m", M))
+             for a, b in permutations(range(rank), 2)]
+    columns = {root: [] for root in roots}  # the columns each root takes
+    tables, place, nvars = {}, {}, 0
     for (rw, cw, _), members in blocks.items():
-        if sorting(rw) != list(range(k)) or sorting(cw) != list(range(M)):
-            continue
-        at.update((lab, p) for p, lab in enumerate(members))
-        moved = [[at[permuted(lab, hr, hc)] for lab in members]
-                 for hr in subgroup_perms(moving(rw), k)
-                 for hc in subgroup_perms(moving(cw), M)]
+        at = {lab: p for p, lab in enumerate(members)}
+        stabilizer = list(product(subgroup_perms(moving(rw), k),
+                                  subgroup_perms(moving(cw), M)))
+        moved = [[at[permuted(lab, *h)] for lab in members]
+                 for h in stabilizer]
         ids: dict[tuple[int, int], int] = {}
-        tables[rw, cw] = [[ids.setdefault(min((m[p], m[q]) for m in moved),
-                                          nvars + len(ids))
-                           for q in range(len(members))]
-                          for p in range(len(members))]
+        table = tables[rw, cw] = [
+            [ids.setdefault(min((m[p], m[q]) for m in moved), nvars + len(ids))
+             for q in range(len(members))] for p in range(len(members))]
         nvars += len(ids)
-        reps += [lab for p, lab in enumerate(members)
-                 if min(m[p] for m in moved) == p]
-        dominant += members
+        place.update((lab, (members, table, p))
+                     for p, lab in enumerate(members))
+        for p, lab in enumerate(members):
+            if min(m[p] for m in moved) < p:
+                continue  # not the least of its stabilizer orbit
+            fixing = [h for h, m in zip(stabilizer, moved) if m[p] == p]
+            perms = {"k": {hr for hr, _ in fixing},
+                     "m": {hc for _, hc in fixing}}
+            for family, a, b in roots:
+                if (a, b) == min((g[a], g[b]) for g in perms[family]):
+                    columns[family, a, b].append(lab)
     if nvars > BASIS_CAP:
         raise TooLarge(
             f"commutant solve with {nvars} unknowns exceeds cap {BASIS_CAP}")
 
-    block_of, home, pos = {}, {}, {}  # X[r, c] is unknown home[r][pos[c]]
-    for (rw, cw, _), members in blocks.items():
-        rows, cols = sorting(rw), sorting(cw)
-        table = tables[tuple(rw[i] for i in rows), tuple(cw[a] for a in cols)]
-        for lab in members:
-            block_of[lab] = members
-            pos[lab] = at[permuted(lab, rows, cols)]
-            home[lab] = table[pos[lab]]
+    def block(lab):  # the members of its block, listed on first sight
+        if lab not in place:
+            rw = tuple(sum(lab[i * M:(i + 1) * M]) for i in range(k))
+            cw = tuple(sum(lab[a::M]) for a in range(M))
+            rows, cols = sorting(rw), sorting(cw)
+            key = (tuple(rw[i] for i in rows), tuple(cw[a] for a in cols))
+            back = perm_inverse(rows), perm_inverse(cols)
+            members = [permuted(d, *back) for d in blocks[(*key, ())]]
+            place.update((m, (members, tables[key], p))
+                         for p, m in enumerate(members))
+        return place[lab][0]
 
-    roots = [model.images(family, a, b)
-             for family, rank in (("k", k), ("m", M))
-             for a, b in permutations(range(rank), 2)]
+    def var(r, c):  # X[r, c]: the entry of its table at their positions
+        _, table, p = place[r]
+        return table[p][place[c][2]]
 
-    def equations():
-        for root in roots:
-            image = {lab: root(lab) for lab in dominant}
-            yield from commutator_rows(image.__getitem__, reps,
-                                       block_of.__getitem__,
-                                       lambda r, c: home[r][pos[c]])
-
-    return nvars - rank_of_rows(equations())
+    return nvars - rank_of_rows(
+        row for root in roots for row in commutator_rows(
+            cache(model.images(*root)), columns[root], block, var))
 
 
 def verify_howe(k: int, M: int, degree: int,
@@ -515,15 +534,16 @@ def verify_howe(k: int, M: int, degree: int,
     commutant dimension from the Weyl-reduced exact solve
     (``weyl_commutant_dim``), which reads no weight count, so it checks
     multiplicity-freeness independently of ``mult_ok``.  Every piece takes
-    that matrix route.  The brackets are checked first, on the piece of
-    degree min(1, degree)."""
+    that matrix route.  Each piece's dominant blocks are built once and
+    read by all three solves; its dimension is the monomial count.  The
+    brackets are checked first, on the piece of degree min(1, degree)."""
     model = FockModel(k, M, 0, convention)
     _smoke_check(model, (min(1, degree), 0))
     reports = []
     for n in range(degree + 1):
-        blocks = model.weight_blocks((n, 0))
-        dim = sum(map(len, blocks.values()))
-        hwvs = joint_highest_weight_vectors(model, (n, 0))
+        blocks = model.dominant_blocks((n, 0))
+        dim = monomial_count(model.nxvars, n)
+        hwvs = joint_highest_weight_vectors(model, (n, 0), blocks)
         labels = []
         pairing_ok = True
         for h in hwvs:

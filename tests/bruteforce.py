@@ -855,6 +855,75 @@ def weight_blocks(model, piece) -> dict:
     return blocks
 
 
+def unreduced_commutator_rows(model, dominant) -> tuple[int, list[dict]]:
+    """The number of unknowns and the rows of the S_k x S_M-reduced
+    commutant equations of a compact piece, given as its dominant blocks,
+    with no root left out: every off-diagonal E_ab of gl(k) and gl(M) at
+    every column that is the least of its orbit under its block's
+    stabilizer.  The unknowns are numbered as ``fock.weyl_commutant_dim``
+    numbers them: block by block in the order of ``dominant``, each W-orbit
+    of pairs (p, q) of positions at its first sight, row by row.  Every
+    monomial of the piece is placed in advance, each block of
+    ``weight_blocks`` read through a permutation that sorts its weight;
+    the stabilizers are every permutation that keeps the sums, found by
+    trying them all."""
+    k, M = model.k, model.M
+    piece = (sum(next(iter(dominant))[1]), 0)
+
+    def permuted(lab, rows, cols):  # x[rows[i], cols[a]] moves to x[i, a]
+        return tuple(lab[r * M + c] for r in rows for c in cols)
+
+    def keeping(w):
+        return [g for g in permutations(range(len(w)))
+                if all(w[g[i]] == x for i, x in enumerate(w))]
+
+    def sorting(w):
+        return sorted(range(len(w)), key=lambda i: -w[i])
+
+    at, tables, reps, nvars = {}, {}, [], 0
+    for (rw, cw, _), members in dominant.items():
+        at.update((lab, p) for p, lab in enumerate(members))
+        moved = [[at[permuted(lab, hr, hc)] for lab in members]
+                 for hr in keeping(rw) for hc in keeping(cw)]
+        ids: dict = {}
+        tables[rw, cw] = [[ids.setdefault(min((m[p], m[q]) for m in moved),
+                                          nvars + len(ids))
+                           for q in range(len(members))]
+                          for p in range(len(members))]
+        nvars += len(ids)
+        reps += [lab for p, lab in enumerate(members)
+                 if min(m[p] for m in moved) == p]
+
+    block_of, home, pos = {}, {}, {}  # X[r, c] is unknown home[r][pos[c]]
+    for (rw, cw, _), members in weight_blocks(model, piece).items():
+        rows, cols = sorting(rw), sorting(cw)
+        table = tables[tuple(rw[i] for i in rows), tuple(cw[a] for a in cols)]
+        for lab in members:
+            block_of[lab] = members
+            pos[lab] = at[permuted(lab, rows, cols)]
+            home[lab] = table[pos[lab]]
+
+    out = []
+    for family, rank in (("k", k), ("m", M)):
+        for a, b in permutations(range(rank), 2):
+            root = model.images(family, a, b)
+            for c in reps:  # (E X - X E)[t, c], one row per target t
+                eq: dict = {}
+                for j in block_of[c]:
+                    for t, v in root(j):
+                        row = eq.setdefault(t, {})
+                        x = home[j][pos[c]]
+                        row[x] = row.get(x, 0) + v
+                for j, v in root(c):
+                    for t in block_of[j]:
+                        row = eq.setdefault(t, {})
+                        x = home[t][pos[j]]
+                        row[x] = row.get(x, 0) - v
+                out += [row for row in ({x: v for x, v in row.items() if v}
+                                        for row in eq.values()) if row]
+    return nvars, out
+
+
 def weight_difference_blocks(model, piece, irrep) -> dict:
     """Every key (f, h) of (compact Fock piece) x irrep, grouped by the
     row sums of monomial f and by (column sums of f) - (weight of h):

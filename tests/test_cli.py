@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -110,6 +111,20 @@ def test_decompose_two_group_table_has_shifted_column(capsys):
     header = out.splitlines()[0].split("\t")
     assert "mn_weight" in header and "uk_weight" in header
     assert "3,-1" in out  # the shifted (m+k, n) entry at bidegree (1,1)
+
+
+def test_decompose_help_lists_the_table_columns(capsys, monkeypatch):
+    """The epilog of ``decompose --help`` names the header of each table,
+    the one-group table and the one with ``--n``, in order."""
+    monkeypatch.setenv("COLUMNS", "1000")  # one line, however long
+    with pytest.raises(SystemExit):
+        cli.main(["decompose", "--help"])
+    listed = re.search(r"TSV columns: (\S+) for one group, (\S+) with --n",
+                       capsys.readouterr().out)
+    for columns, extra in zip(listed.groups(), ([], ["--n", "1"])):
+        _, out, _ = run(capsys, "decompose", "--k", "2", "--m", "1",
+                        "--deg", "2", "--format", "tsv", *extra)
+        assert columns.split("/") == out.splitlines()[0].split("\t")
 
 
 def test_decompose_json(capsys):
