@@ -445,7 +445,8 @@ def weyl_commutant_dim(model: FockModel, blocks) -> int:
     blocks, which W maps onto dominant ones (sums descending).  One
     unknown stands for each W-orbit of pairs (r, c) in a block: the
     permutation sorting the weight carries the pair into the dominant
-    block, where its least image under the block's stabilizer names it.
+    block, whose stabilizer orbits of pairs are named in the order they
+    are first met row by row, the whole orbit marked at once.
     The equations are (E X - X E)[t, c] = 0 for root vectors E, with c a
     stabilizer-orbit representative in a dominant block.  W permutes the
     roots (g E g^-1 is a root vector), so for a W-equivariant X the
@@ -485,11 +486,13 @@ def weyl_commutant_dim(model: FockModel, blocks) -> int:
                                   subgroup_perms(moving(cw), M)))
         moved = [[at[permuted(lab, *h)] for lab in members]
                  for h in stabilizer]
-        ids: dict[tuple[int, int], int] = {}
-        table = tables[rw, cw] = [
-            [ids.setdefault(min((m[p], m[q]) for m in moved), nvars + len(ids))
-             for q in range(len(members))] for p in range(len(members))]
-        nvars += len(ids)
+        table = tables[rw, cw] = [[None] * len(members) for _ in members]
+        for p, row in enumerate(table):  # an orbit is met first at its least
+            for q, name in enumerate(row):
+                if name is None:
+                    for m in moved:
+                        table[m[p]][m[q]] = nvars
+                    nvars += 1
         place.update((lab, (members, table, p))
                      for p, lab in enumerate(members))
         for p, lab in enumerate(members):

@@ -23,7 +23,9 @@ package.
 
 One elimination serves every caller: ``ReducedSpan``, the reduced span
 of rational rows, kept in integers by the fraction-free update
-row <- (p*row - a*prow) / content.  Each row is integer and primitive,
+row <- (p*row - a*prow) / gcd(p, a).  A new row is divided by its content
+once, after its forward reduction; a stored row is divided by its content
+after each back-substitution step.  Each row is integer and primitive,
 positive at its pivot (its lowest column when inserted) and 0 at every
 other row's pivot.  Ranks (``rank_of_rows``, which ``commutant_dim`` and
 ``fock.weyl_commutant_dim`` read), kernels (``kernel_basis``), module
@@ -98,7 +100,10 @@ def monomials(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
 
 def _cleared(vec: dict) -> tuple[dict, int]:
     """(den * vec, den) for the least positive den that makes every entry
-    an integer, with the zero entries dropped."""
+    an integer, with the zero entries dropped, always in a new dict.  A
+    vector of nonzero ints, as every commutator row is, is only copied."""
+    if all(type(v) is int and v for v in vec.values()):
+        return dict(vec), 1
     den = math.lcm(*(v.denominator for v in vec.values()))
     return ({c: v.numerator * (den // v.denominator)
              for c, v in vec.items() if v}, den)
@@ -110,10 +115,10 @@ def _quotient(a: int, b: int) -> int | Fraction:
     return Fraction(a, b) if r else q
 
 
-def _eliminate(row: dict, p: int, a: int, prow: dict) -> None:
-    """row <- (p*row - a*prow) / content in place, for integer rows with
-    a at the column where prow has p: that column cancels, entries that
-    cancel are dropped, and the row is left primitive."""
+def _cancel(row: dict, p: int, a: int, prow: dict) -> None:
+    """row <- (p*row - a*prow) / gcd(p, a) in place, for integer rows with
+    a at the column where prow has p: that column cancels, and entries
+    that cancel are dropped."""
     g = math.gcd(p, a)
     pm, am = p // g, a // g
     if pm != 1:
@@ -124,6 +129,14 @@ def _eliminate(row: dict, p: int, a: int, prow: dict) -> None:
             row[c] = x
         else:
             del row[c]
+
+
+def _eliminate(row: dict, p: int, a: int, prow: dict) -> None:
+    """``_cancel``, then row <- row / content, so the row is left
+    primitive: the step for a stored row under back-substitution, and for
+    ``positive_definite``.  A row being inserted is only cancelled, and
+    divided by its content once at the end."""
+    _cancel(row, p, a, prow)
     g = math.gcd(*row.values())  # 0 once the row has cancelled
     if g > 1:
         for c in row:
@@ -155,10 +168,11 @@ class ReducedSpan:
         """Add the vector; return True when it enlarged the span."""
         v, _ = _cleared(vec)
         # rows are 0 at each other's pivots, so elimination adds no pivot
-        # entry: the pivots to clear are read up front, each entry when used
+        # entry: the pivots to clear are read up front, each entry when used.
+        # Only the final division below makes v primitive.
         for piv in [c for c in v if c in self._pivots]:
             row = self.rows[self._pivots[piv]]
-            _eliminate(v, row[piv], v[piv], row)
+            _cancel(v, row[piv], v[piv], row)
         if not v:
             return False
         piv = min(v)
@@ -457,7 +471,10 @@ def commutator_rows(terms, columns, block, var):
     X[t, j] A[j, c] over t in block(j)."""
     for c in columns:
         eq: dict = {}
-        entries = [(t, var(j, c), v) for j in block(c) for t, v in terms(j)]
+        entries = []
+        for j in block(c):  # X[j, c] is looked up once, for all its targets
+            x = var(j, c)
+            entries += [(t, x, v) for t, v in terms(j)]
         entries += [(t, var(t, j), -v) for j, v in terms(c) for t in block(j)]
         for t, x, v in entries:
             row = eq.setdefault(t, {})
