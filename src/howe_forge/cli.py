@@ -10,16 +10,13 @@ carries color codes.  Exit codes: 0 all checks pass, 1 a mathematical
 check failed or the input is infeasible, 2 usage error.
 
 A config file of ``key=value`` lines (``#`` comments allowed) can seed
-the run parameters; explicit flags always win.  The environment variable
-``HOWE_FORGE_THREADS`` sets the default worker count used to fan out
-independent grid cells; output order is sorted by parameters, never by
-completion time.
+the run parameters; explicit flags always win.  ``verify-all`` runs each
+section's cells in order through ``grid_map``.
 
 ``decompose`` and ``induce`` are exact and never load numpy; numpy
 loads only where it is used: for ``orbit``, and for the schur-weyl and
 orbit sections of ``verify-all`` (``tensor.projector_family_check`` and
-the float side ``classical``).  The thread pool loads only for more than
-one thread.
+the float side ``classical``).
 """
 
 from __future__ import annotations
@@ -27,7 +24,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -87,7 +83,6 @@ class RunConfig:
     seeds: int = 5
     fmt: str = "tsv"
     output: str = ""
-    threads: int = 1
 
     def __post_init__(self):
         if min(self.kmax, self.mmax, self.nmax, self.seeds) < 1:
@@ -100,8 +95,6 @@ class RunConfig:
             raise ShapeMismatch("tolerance must be finite and positive")
         if self.fmt not in ("tsv", "json"):
             raise ShapeMismatch(f"unknown format {self.fmt!r}")
-        if self.threads < 1:
-            raise ShapeMismatch("threads must be at least 1")
 
 
 def load_config(path: str) -> dict:
@@ -184,22 +177,11 @@ def fail_usage(message: str) -> int:
     return EXIT_USAGE
 
 
-def default_threads() -> int:
-    raw = os.environ.get("HOWE_FORGE_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
-
-
-def grid_map(fn, cells, threads: int):
-    """Order-preserving map over independent grid cells."""
-    cells = list(cells)
-    if threads > 1 and len(cells) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, cells))
-    return [fn(c) for c in cells]
+def grid_map(fn, cells, name: str) -> dict:
+    """One verify-all section: ``fn`` over its cells in order, each
+    returning a dict with an ``ok`` flag."""
+    rows = [fn(c) for c in cells]
+    return {"name": name, "cells": rows, "ok": all(r["ok"] for r in rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +268,13 @@ def cmd_induce(args) -> int:
                 "give exactly one of --weight / --halfint / --signed")
         if args.signed is not None:
             blocks = parse_signed_blocks(args.signed)
-            pm = blocks.m + (0,) * (M - len(blocks.m))
-            pn = blocks.n + (0,) * (N - len(blocks.n))
+            pm, pn = W.partition(blocks.m), W.partition(blocks.n)
+            for block, rows, cap in (("m", pm, M), ("n", pn, N)):
+                if 0 < cap < len(rows):  # a bad group fails in the induction
+                    return fail_usage(f"block {block} has {len(rows)} rows, "
+                                      f"the group only {cap}")
+            pm += (0,) * (M - len(pm))
+            pn += (0,) * (N - len(pn))
             weight = tuple(x + args.k for x in pm) + tuple(
                 -x for x in reversed(pn))
         else:
@@ -347,8 +334,7 @@ def run_verify_all(cfg: RunConfig) -> dict:
             rank == W.sn_dim(lam) * W.weyl_dim(lam, k)
             for lam, rank in rep["ranks"].items())
         return {"cell": f"n={n} k={k}", "ok": good}
-    cells = grid_map(pf, pf_cells, cfg.threads)
-    sections.append(("schur-weyl", cells))
+    sections.append(grid_map(pf, pf_cells, "schur-weyl"))
 
     howe_cells = [(k, M) for k in range(1, cfg.kmax + 1)
                   for M in range(1, cfg.mmax + 1)]
@@ -356,7 +342,7 @@ def run_verify_all(cfg: RunConfig) -> dict:
         k, M = cell
         rep = verify_howe(k, M, cfg.degree)
         return {"cell": f"k={k} M={M}", "ok": rep.ok}
-    sections.append(("howe", grid_map(howe, howe_cells, cfg.threads)))
+    sections.append(grid_map(howe, howe_cells, "howe"))
 
     kv_cells = [(k, M, N, conv)
                 for k in range(1, cfg.kmax + 1)
@@ -367,7 +353,7 @@ def run_verify_all(cfg: RunConfig) -> dict:
         k, M, N, conv = cell
         rep = verify_kv(k, M, N, cfg.degree, conv)
         return {"cell": f"k={k} M={M} N={N} {conv}", "ok": rep.ok}
-    sections.append(("lowest-type", grid_map(kv, kv_cells, cfg.threads)))
+    sections.append(grid_map(kv, kv_cells, "lowest-type"))
 
     comp_cells = [(k, M, m)
                   for k in range(1, cfg.kmax + 1)
@@ -381,8 +367,7 @@ def run_verify_all(cfg: RunConfig) -> dict:
         if mod.dimension:
             good = good and mod.highest_weight == m + (0,) * (k - len(m))
         return {"cell": f"k={k} M={M} m={m}", "ok": good}
-    sections.append(("compact-induction", grid_map(compact, comp_cells,
-                                                   cfg.threads)))
+    sections.append(grid_map(compact, comp_cells, "compact-induction"))
 
     empt_cells = [(k, M, N) for k in range(1, cfg.kmax + 1)
                   for M in range(1, cfg.mmax + 1)
@@ -392,7 +377,7 @@ def run_verify_all(cfg: RunConfig) -> dict:
         rep = emptiness_survey(k, M, N, cfg.degree)
         return {"cell": f"k={k} M={M} N={N}", "ok": rep["ok"],
                 "collisions": len(rep["collisions"])}
-    sections.append(("emptiness", grid_map(empt, empt_cells, cfg.threads)))
+    sections.append(grid_map(empt, empt_cells, "emptiness"))
 
     orb_cells = []
     for m, n in CLASSICAL_WEIGHTS:
@@ -409,21 +394,18 @@ def run_verify_all(cfg: RunConfig) -> dict:
                 cfg.tolerance)
             good = good and rep["ok"]
         return {"cell": f"m={m} n={n} k={k}", "ok": good}
-    sections.append(("orbit", grid_map(orbit, orb_cells, cfg.threads)))
+    sections.append(grid_map(orbit, orb_cells, "orbit"))
 
-    shift_rows = []
-    for context, arg, kwargs, side, expected in SHIFT_CHECKS:
+    def shift(check):
+        context, arg, kwargs, side, expected = check
         conv = "sq" if context == "kave" else "hf"
         got = W.shift_weight(arg, conv, context, side=side, **kwargs)
-        shift_rows.append({"cell": f"{context} {arg} {side}",
-                           "ok": got.entries == expected})
-    sections.append(("shift-bookkeeping", shift_rows))
+        return {"cell": f"{context} {arg} {side}",
+                "ok": got.entries == expected}
+    sections.append(grid_map(shift, SHIFT_CHECKS, "shift-bookkeeping"))
 
-    ok = all(c["ok"] for _, cells in sections for c in cells)
-    return {"ok": ok, "seed": cfg.seed,
-            "sections": [{"name": name, "cells": cells,
-                          "ok": all(c["ok"] for c in cells)}
-                         for name, cells in sections]}
+    return {"ok": all(s["ok"] for s in sections), "seed": cfg.seed,
+            "sections": sections}
 
 
 def cmd_verify_all(args) -> int:
@@ -431,7 +413,7 @@ def cmd_verify_all(args) -> int:
     if args.config:
         overrides.update(load_config(args.config))
     for name in ("kmax", "mmax", "nmax", "degree", "tolerance", "seed",
-                 "seeds", "threads"):
+                 "seeds"):
         value = getattr(args, name)
         if value is not None:
             overrides[name] = value
@@ -439,8 +421,6 @@ def cmd_verify_all(args) -> int:
         overrides["fmt"] = args.format
     if args.output:
         overrides["output"] = args.output
-    if "threads" not in overrides:
-        overrides["threads"] = default_threads()
     cfg = RunConfig(**overrides)
     report = run_verify_all(cfg)
     if cfg.fmt == "json":
@@ -524,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the whole verification grid (CI entry point)",
         epilog="Config file: key=value lines with the RunConfig fields "
                "(kmax, mmax, nmax, degree, tolerance, seed, seeds, fmt, "
-               "output, threads); flags override the file.")
+               "output); flags override the file.")
     p.add_argument("--config", default="", help="key=value config file")
     p.add_argument("--kmax", type=int, default=None)
     p.add_argument("--mmax", type=int, default=None)
@@ -533,7 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--seeds", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(fn=cmd_verify_all, fmt_default="tsv")
 
     return parser

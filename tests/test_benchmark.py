@@ -3,10 +3,11 @@ workload of ``perfbench/worker.py`` attempts every cell and fails none.
 
 The worker's tracer wraps package functions by name (``traced_layers``,
 the five ``FockModel.*_op`` wrappers among them) and replaces
-``cli.grid_map`` with a three-argument wrapper, so a change to ``src/``
-that drops or reshapes one of those names fails here.  The passes run
-with ``python -B`` in a temporary directory and write nothing under
-``perfbench/``."""
+``cli.grid_map`` with a three-argument wrapper that wraps each cell
+function and forwards the other two arguments, the cells and the section
+name, untouched; so a change to ``src/`` that drops or reshapes one of
+those names fails here.  The passes run with ``python -B`` in a temporary
+directory and write nothing under ``perfbench/``."""
 
 import json
 import os

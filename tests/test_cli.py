@@ -61,8 +61,6 @@ def test_run_config_validation():
         cli.RunConfig(kmax=-1)
     with pytest.raises(ShapeMismatch):
         cli.RunConfig(fmt="yaml")
-    with pytest.raises(ShapeMismatch):
-        cli.RunConfig(threads=0)
     for cap in ("kmax", "mmax", "nmax", "seeds"):
         with pytest.raises(ShapeMismatch, match="at least 1"):
             cli.RunConfig(**{cap: 0})
@@ -185,6 +183,14 @@ def test_induce_signed_blocks(capsys):
     assert rep["dimension"] == 3
 
 
+def test_induce_signed_blocks_drop_trailing_zeros(capsys):
+    """A zero row is no row: ``1,0:0`` is the label ``1:``."""
+    argv = ("induce", "--k", "2", "--mn-group", "1,1", "--signed")
+    code, padded, _ = run(capsys, *argv, "1,0:0")
+    assert code == 0
+    assert (code, padded) == run(capsys, *argv, "1:")[:2]
+
+
 def test_induce_usage_errors(capsys):
     code, _, err = run(capsys, "induce", "--k", "3", "--mn-group", "1,1",
                        "--weight", "x,1")
@@ -254,6 +260,10 @@ def test_induce_graded_has_no_degree_window(capsys):
      "error: block not weakly decreasing: (1, 2)"),
     (("induce", "--k", "3", "--mn-group", "1,1", "--signed", "2,3:1"), 2,
      "error: block not weakly decreasing: (2, 3)"),
+    (("induce", "--k", "3", "--mn-group", "1,1", "--signed", "1,1:"), 2,
+     "error: block m has 2 rows, the group only 1"),
+    (("induce", "--k", "3", "--mn-group", "1,1", "--signed", ":2,1"), 2,
+     "error: block n has 2 rows, the group only 1"),
     (("induce", "--k", "3", "--m-group", "2", "--weight", "1,2"), 2,
      "error: parts not weakly decreasing: (1, 2)"),
     (("induce", "--k", "3", "--mn-group", "2,1", "--weight", "40,10,-30"), 1,
@@ -261,6 +271,7 @@ def test_induce_graded_has_no_degree_window(capsys):
     (("induce", "--k", "2", "--m-group", "4", "--weight", "5,5"), 1,
      "infeasible: tensor power basis k^n = 1048576 exceeds cap 20000"),
 ], ids=["orbit-bad-weight", "orbit-shape", "induce-signed-shape",
+        "induce-signed-m-rows", "induce-signed-n-rows",
         "induce-compact-shape", "induce-piece-cap", "induce-irrep-cap"])
 def test_each_error_class_has_one_exit_code(capsys, argv, code, line):
     """``main`` maps ShapeMismatch to a usage error and BadWeight or
@@ -467,11 +478,28 @@ def test_induce_compact_grid_reports_are_frozen():
     assert digest.hexdigest() == INDUCE_COMPACT_GRID_SHA256
 
 
-def test_verify_all_threads_do_not_change_output(capsys):
-    _, serial, _ = run(capsys, *VERIFY_ALL_SMALL, "--format", "json")
-    _, fanned, _ = run(capsys, *VERIFY_ALL_SMALL, "--format", "json",
-                       "--threads", "4")
-    assert serial == fanned
+def test_verify_all_has_no_thread_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify-all", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_verify_all_has_no_thread_config_key(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("threads=2\n")
+    code, out, err = run(capsys, "verify-all", "--config", str(cfg))
+    assert code == 2 and not out
+    assert "unknown key 'threads'" in err
+
+
+def test_verify_all_ignores_the_old_thread_variable(capsys, monkeypatch):
+    """The grid is pure-Python exact arithmetic, so it runs its cells in
+    order whatever the environment says."""
+    _, plain, _ = run(capsys, *VERIFY_ALL_SMALL, "--format", "json")
+    monkeypatch.setenv("HOWE_FORGE_THREADS", "4")
+    code, out, _ = run(capsys, *VERIFY_ALL_SMALL, "--format", "json")
+    assert code == 0 and out == plain
 
 
 def test_verify_all_config_file_and_override(capsys, tmp_path):

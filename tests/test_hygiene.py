@@ -16,7 +16,10 @@ scipy, whose ``linalg`` once took most of the command line's start-up
 (``howe_forge.cli`` loads without it), no import of numpy at module
 level outside the float side ``classical.py`` (the exact command line
 loads it only where an orbit check or the projectors' int64 kernel
-runs), no module but ``fock.py`` that
+runs), no import of ``concurrent.futures``, ``threading`` or
+``multiprocessing`` (the grid is exact arithmetic in pure Python, which
+holds the GIL, and a thread pool over its cells was measured slower than
+running them in order), no module but ``fock.py`` that
 reads a Fock model's convention constants ``c_k``, ``c_m`` or ``c_n``
 (weights travel as weight keys, and ``FockModel.block`` takes the
 constants off), no ``.standard_normal(`` call inside a ``for``, a
@@ -60,6 +63,7 @@ ORACLE_MATRIX = "ExactOperator"  # lives in tests/bruteforce.py
 ORACLE_BASIS = "IndexedBasis"  # the same
 CONVENTION_HOME = "fock.py"
 CONVENTION_CONSTANTS = {"c_k", "c_m", "c_n"}
+POOL_MODULES = ("concurrent", "threading", "multiprocessing")
 
 
 def tree_of(path):
@@ -232,6 +236,13 @@ def scipy_imports(tree, path):
     return imports_of("scipy", ast.walk(tree), path)
 
 
+def pool_imports(tree, path):
+    """Imports of a thread or process pool: exact arithmetic holds the
+    GIL, so the grid runs its cells in order."""
+    return [hit for top in POOL_MODULES
+            for hit in imports_of(top, ast.walk(tree), path)]
+
+
 def numpy_at_load(tree, path):
     """Module-level imports of numpy outside the float side; an import
     inside a function runs only when the function does."""
@@ -333,8 +344,8 @@ def test_the_package_has_sources():
                                   span_ranks, fock_operator_calls,
                                   convention_constant_reads,
                                   oracle_matrix_names, ordinal_lookups,
-                                  scipy_imports, numpy_at_load,
-                                  loop_draws,
+                                  scipy_imports, pool_imports,
+                                  numpy_at_load, loop_draws,
                                   pytest.param(foreign_privates,
                                                id="foreign_privates")])
 def test_package_sources_keep_the_rule(rule):
@@ -404,6 +415,11 @@ def test_every_public_name_has_a_user_besides_the_tests():
                  id="scipy_imports-from-import"),
     pytest.param(scipy_imports, "import numpy as np, scipy.linalg as sla\n",
                  id="scipy_imports-plain-import"),
+    pytest.param(pool_imports,
+                 "from concurrent.futures import ThreadPoolExecutor\n",
+                 id="pool_imports-thread-pool"),
+    pytest.param(pool_imports, "import threading, multiprocessing.pool\n",
+                 id="pool_imports-threading-and-multiprocessing"),
     (numpy_at_load, "import numpy as np"),
     (numpy_at_load, "from numpy import linalg"),
     (loop_draws, "hs = [rng.standard_normal((3, 3)) for _ in range(4)]"),
@@ -444,7 +460,8 @@ def test_rules_pass_clean_code():
         + fock_operator_calls(tree, path) \
         + convention_constant_reads(tree, path) \
         + oracle_matrix_names(tree, path) + ordinal_lookups(tree, path) \
-        + scipy_imports(tree, path) + numpy_at_load(tree, path) \
+        + scipy_imports(tree, path) + pool_imports(tree, path) \
+        + numpy_at_load(tree, path) \
         + loop_draws(tree, path) \
         + unreferenced_privates(tree, path) \
         + unreferenced_publics(tree, path) + foreign_privates(tree, path)
