@@ -6,8 +6,10 @@ level-set spectrum checks per seed, and ``verify-all`` sweeps the whole
 verification grid (the CI entry point).
 
 Output is TSV for tables and JSON (sorted keys) for reports; neither
-carries color codes.  Exit codes: 0 all checks pass, 1 a mathematical
-check failed or the input is infeasible, 2 usage error.
+carries color codes.  Every subcommand prints through ``finish``, which
+writes the JSON report, or the table and a PASS/FAIL line, and returns
+the exit code: 0 all checks pass, 1 a mathematical check failed or the
+input is infeasible, 2 usage error.
 
 A config file of ``key=value`` lines (``#`` comments allowed) can seed
 the run parameters; explicit flags always win.  ``verify-all`` runs each
@@ -158,14 +160,6 @@ def halved_text(doubled) -> str:
     return ",".join(str(Fraction(d, 2)) for d in doubled)
 
 
-def emit(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def tsv(header, rows) -> str:
     lines = ["\t".join(header)]
     lines.extend("\t".join(str(c) for c in row) for row in rows)
@@ -175,6 +169,22 @@ def tsv(header, rows) -> str:
 def fail_usage(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return EXIT_USAGE
+
+
+def finish(js, ok, fmt: str, output: str, header=(), rows=()) -> int:
+    """Write a report to ``output``, or to stdout when that is empty, as
+    sorted-key JSON or as its TSV table and a PASS/FAIL line, and return
+    its exit code."""
+    if fmt == "json":
+        text = json.dumps(js, sort_keys=True, indent=2) + "\n"
+    else:
+        text = tsv(header, rows) + ("PASS\n" if ok else "FAIL\n")
+    if output:
+        with open(output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return EXIT_OK if ok else EXIT_FALSIFIED
 
 
 def grid_map(fn, cells, name: str) -> dict:
@@ -193,11 +203,7 @@ def cmd_decompose(args) -> int:
         return fail_usage("need k >= 1, m >= 1, deg >= 0, n >= 0")
     if args.n:
         rep = verify_kv(args.k, args.m, args.n, args.deg, args.convention)
-        js = rep.to_json()
-        if args.format == "json":
-            emit(json.dumps(js, sort_keys=True, indent=2) + "\n", args.output)
-            return EXIT_OK if rep.ok else EXIT_FALSIFIED
-        rows = []
+        js, rows = rep.to_json(), []
         for deg in js["bidegrees"]:
             p, q = deg["bidegree"]
             for match in deg["matches"]:
@@ -212,30 +218,20 @@ def cmd_decompose(args) -> int:
             if deg["unexplained"]:
                 rows.append((p, q, "-", "-", "-", "-",
                              f"{deg['unexplained']} unexplained"))
-        table = tsv(("p", "q", "label_m", "label_n", "mn_weight",
-                     "uk_weight", "status"), rows)
-        emit(table + ("PASS\n" if rep.ok else "FAIL\n"), args.output)
-        return EXIT_OK if rep.ok else EXIT_FALSIFIED
-    rep = verify_howe(args.k, args.m, args.deg, args.convention)
-    js = rep.to_json()
-    if args.format == "json":
-        emit(json.dumps(js, sort_keys=True, indent=2) + "\n", args.output)
-        return EXIT_OK if rep.ok else EXIT_FALSIFIED
-    rows = []
-    for deg in js["degrees"]:
-        for term in deg["cauchy"]["terms"]:
-            rows.append((
-                deg["degree"],
-                ",".join(str(x) for x in term["label"]) or "-",
-                term["dim_k"], term["dim_M"], term["product"],
-                deg["commutant"],
-                deg["commutant_route"],
-                "ok" if deg["ok"] else "FAIL",
-            ))
-    table = tsv(("degree", "label", "dim_k", "dim_m", "product",
-                 "commutant", "route", "status"), rows)
-    emit(table + ("PASS\n" if rep.ok else "FAIL\n"), args.output)
-    return EXIT_OK if rep.ok else EXIT_FALSIFIED
+        header = ("p", "q", "label_m", "label_n", "mn_weight", "uk_weight",
+                  "status")
+    else:
+        rep = verify_howe(args.k, args.m, args.deg, args.convention)
+        js = rep.to_json()
+        rows = [(deg["degree"],
+                 ",".join(str(x) for x in term["label"]) or "-",
+                 term["dim_k"], term["dim_M"], term["product"],
+                 deg["commutant"], deg["commutant_route"],
+                 "ok" if deg["ok"] else "FAIL")
+                for deg in js["degrees"] for term in deg["cauchy"]["terms"]]
+        header = ("degree", "label", "dim_k", "dim_m", "product", "commutant",
+                  "route", "status")
+    return finish(js, rep.ok, args.format, args.output, header, rows)
 
 
 def cmd_induce(args) -> int:
@@ -281,13 +277,8 @@ def cmd_induce(args) -> int:
             raw = args.weight if args.weight is not None else args.halfint
             weight = parse_fraction_tuple(raw)
         mod = induce_noncompact_graded(args.k, M, N, weight)
-    emit(json.dumps(mod.to_json(), sort_keys=True, indent=2) + "\n",
-         args.output)
-    if args.expect == "empty":
-        return EXIT_OK if mod.empty else EXIT_FALSIFIED
-    if args.expect == "nonempty":
-        return EXIT_OK if not mod.empty else EXIT_FALSIFIED
-    return EXIT_OK
+    ok = {"any": True, "empty": mod.empty, "nonempty": not mod.empty}
+    return finish(mod.to_json(), ok[args.expect], "json", args.output)
 
 
 def cmd_orbit(args) -> int:
@@ -301,20 +292,15 @@ def cmd_orbit(args) -> int:
                               args.tol)
                for seed in range(args.seed, args.seed + args.seeds)]
     ok = all(r["ok"] for r in reports)
-    if args.format == "json":
-        emit(json.dumps({"ok": ok, "cells": reports}, sort_keys=True,
-                        indent=2) + "\n", args.output)
-        return EXIT_OK if ok else EXIT_FALSIFIED
     rows = [(r["seed"],
              ",".join(f"{x:.6f}" for x in r["spectrum"]),
              f"{r['max_dev']:.3e}",
              *("ok" if r["checks"][c] else "FAIL"
                for c in ("pairing", "invariance", "stabilizer")),
              "ok" if r["ok"] else "FAIL") for r in reports]
-    table = tsv(("seed", "spectrum", "max_dev", "pairing", "invariance",
-                 "stabilizer", "status"), rows)
-    emit(table + ("PASS\n" if ok else "FAIL\n"), args.output)
-    return EXIT_OK if ok else EXIT_FALSIFIED
+    return finish({"ok": ok, "cells": reports}, ok, args.format, args.output,
+                  ("seed", "spectrum", "max_dev", "pairing", "invariance",
+                   "stabilizer", "status"), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -423,16 +409,10 @@ def cmd_verify_all(args) -> int:
         overrides["output"] = args.output
     cfg = RunConfig(**overrides)
     report = run_verify_all(cfg)
-    if cfg.fmt == "json":
-        emit(json.dumps(report, sort_keys=True, indent=2) + "\n",
-             cfg.output or None)
-    else:
-        rows = [(s["name"], len(s["cells"]),
-                 "ok" if s["ok"] else "FAIL") for s in report["sections"]]
-        table = tsv(("section", "cells", "status"), rows)
-        emit(table + ("PASS\n" if report["ok"] else "FAIL\n"),
-             cfg.output or None)
-    return EXIT_OK if report["ok"] else EXIT_FALSIFIED
+    rows = [(s["name"], len(s["cells"]), "ok" if s["ok"] else "FAIL")
+            for s in report["sections"]]
+    return finish(report, report["ok"], cfg.fmt, cfg.output,
+                  ("section", "cells", "status"), rows)
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,15 @@ only free normalization in the whole module.  Weights travel as integer
 weight keys, which ``FockModel.blocks`` alone builds:
 ``FockModel.dressed_weights`` adds the constants and ``FockModel.block``
 takes them off again, and no other module reads them.
+
+Every report here derives from ``_Report``: a report's JSON is its
+dataclass fields, in declaration order, plus ``ok``, so no report writes
+its own ``to_json``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
@@ -372,8 +376,28 @@ def compact_multiplicities(model: FockModel, blocks) -> dict[tuple, int]:
 # duality verification, compact case
 
 
+def _as_json(value):
+    """A report field as JSON: a tuple as a list, its entries converted
+    too, and a nested report as its ``to_json``."""
+    if isinstance(value, tuple):
+        return [_as_json(v) for v in value]
+    if isinstance(value, _Report):
+        return value.to_json()
+    return value
+
+
+class _Report:
+    """Base of the frozen report dataclasses: the JSON of a report is its
+    fields, in declaration order, then its ``ok`` verdict."""
+
+    def to_json(self) -> dict:
+        js = {f.name: _as_json(getattr(self, f.name)) for f in fields(self)}
+        js["ok"] = self.ok
+        return js
+
+
 @dataclass(frozen=True)
-class HoweDegreeReport:
+class HoweDegreeReport(_Report):
     degree: int
     dim: int
     labels: tuple
@@ -392,26 +416,9 @@ class HoweDegreeReport:
         return (self.labels_ok and self.pairing_ok and self.dims_ok
                 and self.mult_ok and self.commutant_ok)
 
-    def to_json(self) -> dict:
-        return {
-            "degree": self.degree,
-            "dim": self.dim,
-            "labels": [list(l) for l in self.labels],
-            "expected": [list(l) for l in self.expected],
-            "labels_ok": self.labels_ok,
-            "pairing_ok": self.pairing_ok,
-            "dims_ok": self.dims_ok,
-            "mult_ok": self.mult_ok,
-            "commutant": self.commutant,
-            "commutant_route": self.commutant_route,
-            "commutant_ok": self.commutant_ok,
-            "cauchy": self.cauchy,
-            "ok": self.ok,
-        }
-
 
 @dataclass(frozen=True)
-class HoweReport:
+class HoweReport(_Report):
     k: int
     M: int
     convention: str
@@ -423,15 +430,6 @@ class HoweReport:
 
     def labels_by_degree(self) -> dict[int, tuple]:
         return {d.degree: d.labels for d in self.degrees}
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "M": self.M,
-            "convention": self.convention,
-            "degrees": [d.to_json() for d in self.degrees],
-            "ok": self.ok,
-        }
 
 
 def weyl_commutant_dim(model: FockModel, blocks) -> int:
@@ -613,7 +611,7 @@ def expected_kv_labels(k: int, M: int, N: int, p: int, q: int) -> list[tuple]:
 
 
 @dataclass(frozen=True)
-class KvBidegreeReport:
+class KvBidegreeReport(_Report):
     bidegree: tuple[int, int]
     matches: tuple[dict, ...]
     expected_count: int
@@ -625,18 +623,9 @@ class KvBidegreeReport:
                 and len(self.matches) == self.expected_count
                 and all(m["ok"] for m in self.matches))
 
-    def to_json(self) -> dict:
-        return {
-            "bidegree": list(self.bidegree),
-            "matches": list(self.matches),
-            "expected_count": self.expected_count,
-            "unexplained": self.unexplained,
-            "ok": self.ok,
-        }
-
 
 @dataclass(frozen=True)
-class KvReport:
+class KvReport(_Report):
     k: int
     M: int
     N: int
@@ -648,18 +637,6 @@ class KvReport:
     @property
     def ok(self) -> bool:
         return self.renorm_ok and all(b.ok for b in self.bidegrees)
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "M": self.M,
-            "N": self.N,
-            "convention": self.convention,
-            "bidegrees": [b.to_json() for b in self.bidegrees],
-            "renorm_candidates": list(self.renorm_candidates),
-            "renorm_ok": self.renorm_ok,
-            "ok": self.ok,
-        }
 
 
 def _parse_kv_weight(rows, M, N) -> tuple | None:

@@ -94,6 +94,22 @@ MUTANTS = (
            "pm, pn = blocks.m, blocks.n",
            ("tests/test_cli.py::"
             "test_induce_signed_blocks_drop_trailing_zeros",)),
+    Mutant("report-json-keeps-inner-tuples",
+           "src/howe_forge/fock.py",
+           "        return [_as_json(v) for v in value]\n",
+           "        return list(value)\n",
+           ("tests/test_fock.py::test_verify_howe_small_report",)),
+    Mutant("finish-prints-pass-always",
+           "src/howe_forge/cli.py",
+           '("PASS\\n" if ok else "FAIL\\n")',
+           '"PASS\\n"',
+           ("tests/test_cli.py::"
+            "test_verify_all_tolerance_below_rounding_is_a_fail_verdict",)),
+    Mutant("finish-exits-ok-always",
+           "src/howe_forge/cli.py",
+           "    return EXIT_OK if ok else EXIT_FALSIFIED\n",
+           "    return EXIT_OK\n",
+           ("tests/test_cli.py::test_induce_expected_emptiness",)),
 )
 
 

@@ -5,7 +5,8 @@ import json
 import math
 import re
 from fractions import Fraction
-from itertools import product
+from itertools import product, takewhile
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,8 @@ from howe_forge import classical, cli
 from howe_forge import weights as W
 from howe_forge.errors import ShapeMismatch
 from howe_forge.rieffel import induce_compact
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -478,6 +481,71 @@ def test_induce_compact_grid_reports_are_frozen():
     assert digest.hexdigest() == INDUCE_COMPACT_GRID_SHA256
 
 
+# sha256 of stdout, then the exit code and a newline, of the other
+# subcommands, which print through ``cli.finish``.  The floats of an orbit
+# report are rounded to 9 places first, since their last bits depend on
+# the BLAS build.
+FINISH_SHA256 = {
+    "decompose-tsv": (
+        "decompose --k 3 --m 2 --deg 3",
+        "ee0363f7dc393a0e1196b8aa2d4c090180ee7b15988b29839ac66f2409423d7e"),
+    "decompose-json": (
+        "decompose --k 3 --m 2 --deg 3 --format json",
+        "c63c731a7bbc24a195d4526f98e26939eefb251ab3565c08328aadc57993ad80"),
+    "decompose-sq-tsv": (
+        "decompose --k 3 --m 2 --n 1 --deg 3",
+        "cbeaeb8504789e1510c97d7f514983d0e8f462433445416020e414c91a846c0c"),
+    "decompose-sq-json": (
+        "decompose --k 3 --m 2 --n 1 --deg 3 --format json",
+        "35ef4171cfc48fcc2b413786af1badb0cdb706a3855d7880d9454c10a5b8c549"),
+    "decompose-hf-tsv": (
+        "decompose --k 3 --m 2 --n 1 --deg 3 --convention hf",
+        "22c51a9c1333946e341a6a9479a678e7dc0fc8e2beed56e0c65a09dce5a1db32"),
+    "decompose-hf-json": (
+        "decompose --k 3 --m 2 --n 1 --deg 3 --convention hf --format json",
+        "ce3e26a22671e3a79b8172315afcb8b329b71d391787a5f55832b5c4f0c7518a"),
+    "orbit-tsv": (
+        "orbit --k 4 --m 2,1 --n 1 --seeds 3",
+        "0aa329c66483cb12c2607f42eb86978362b9a04c66d1f1f90880462756e950a0"),
+    "orbit-json": (
+        "orbit --k 4 --m 2,1 --n 1 --seeds 3 --format json",
+        "a4c07e72fb2ff721f8339de65e00dd916aeeef8e683f632de4fdb17dfa469995"),
+    "induce-nonempty-any": (
+        "induce --k 3 --mn-group 1,1 --weight 4,-1 --expect any",
+        "c9f9e550f2f7971151e8663f4d0294a52a4a65a984cf2ba42b22b0aa7266b53b"),
+    "induce-nonempty-empty": (
+        "induce --k 3 --mn-group 1,1 --weight 4,-1 --expect empty",
+        "e0aa62ac54cff51f468db7f48ccd29306a349354a6d93b47ec2ce3de0dd54b3e"),
+    "induce-nonempty-nonempty": (
+        "induce --k 3 --mn-group 1,1 --weight 4,-1 --expect nonempty",
+        "c9f9e550f2f7971151e8663f4d0294a52a4a65a984cf2ba42b22b0aa7266b53b"),
+    "induce-empty-any": (
+        "induce --k 3 --mn-group 1,1 --halfint 7/2,-3/2 --expect any",
+        "622f3a346c50f0d76cbf83e456dde087db18dd686271ccebede141634c553879"),
+    "induce-empty-empty": (
+        "induce --k 3 --mn-group 1,1 --halfint 7/2,-3/2 --expect empty",
+        "622f3a346c50f0d76cbf83e456dde087db18dd686271ccebede141634c553879"),
+    "induce-empty-nonempty": (
+        "induce --k 3 --mn-group 1,1 --halfint 7/2,-3/2 --expect nonempty",
+        "b75a44970a38d883efae8fc376b0820233324df4047d865a5782db38b1781118"),
+}
+FLOAT = re.compile(r"-?\d+(\.\d+)?e[-+]?\d+|-?\d+\.\d+")
+
+
+def finish_digest(capsys, line):
+    code, out, _ = run(capsys, *line.split())
+    if line.startswith("orbit"):
+        out = FLOAT.sub(
+            lambda m: f"{round(float(m[0]), 9) or 0.0:.9f}", out)
+    return hashlib.sha256(f"{out}{code}\n".encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(FINISH_SHA256))
+def test_finish_output_is_frozen(capsys, name):
+    line, digest = FINISH_SHA256[name]
+    assert finish_digest(capsys, line) == digest
+
+
 def test_verify_all_has_no_thread_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify-all", "--threads", "2"])
@@ -545,3 +613,43 @@ def test_output_flag_writes_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text().strip().endswith("PASS")
+
+
+# ---------------------------------------------------------------------------
+# README
+
+
+def readme_examples() -> list:
+    """(argv, shown lines as tokens) of each ``$ howe-forge`` example in
+    README.md that shows its output: the indented lines below it."""
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    examples = []
+    for i, line in enumerate(lines):
+        if line.startswith("    $ howe-forge "):
+            shown = [s.split() for s in takewhile(
+                lambda s: s.startswith("    ") and s.strip(), lines[i + 1:])]
+            if shown:
+                examples.append((line.split()[2:], shown))
+    return examples
+
+
+@pytest.mark.parametrize("command", ["decompose", "orbit", "verify-all"])
+def test_readme_examples_print_what_they_show(capsys, command):
+    """Token by token, ``...`` matching any one token.  An orbit row's
+    ``max_dev`` depends on the BLAS build, so it only has to be a float
+    below the default tolerance."""
+    examples = [ex for ex in readme_examples() if ex[0][0] == command]
+    assert examples
+    for argv, shown in examples:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        got = [line.split() for line in out.splitlines()]
+        assert len(got) == len(shown)
+        dev = shown[0].index("max_dev") if "max_dev" in shown[0] else None
+        for row, (have, want) in enumerate(zip(got, shown)):
+            assert len(have) == len(want), (have, want)
+            for col, (a, b) in enumerate(zip(have, want)):
+                if col == dev and 0 < row < len(shown) - 1:
+                    assert float(a) < 1e-9
+                else:
+                    assert b in (a, "..."), (row, col, a, b)

@@ -516,6 +516,23 @@ def test_criterion_2_reports_are_frozen():
     assert digest.hexdigest() == CRITERION_2_SHA256
 
 
+# sha256 of the lowest-type reports of verify-all's default grid:
+# verify_kv(k, M, N, 4) for k <= 3, M <= 2 and N <= min(M, 1) under both
+# conventions, each as sorted-key JSON and a newline.  verify-all shows
+# these only as ok flags.
+LOWEST_TYPE_SHA256 = \
+    "4c26111efa12dbf3f35039a2abd3e31cbd671e182b8ffe9b861fec407c8ccd38"
+
+
+def test_lowest_type_reports_are_frozen():
+    digest = hashlib.sha256()
+    for k, M in product((1, 2, 3), (1, 2)):
+        for N, convention in product(range(1, min(M, 1) + 1), ("sq", "hf")):
+            rep = verify_kv(k, M, N, 4, convention).to_json()
+            digest.update((json.dumps(rep, sort_keys=True) + "\n").encode())
+    assert digest.hexdigest() == LOWEST_TYPE_SHA256
+
+
 def test_verify_howe_builds_each_dominant_block_once(monkeypatch):
     """verify_howe(3, 3, 6) builds each piece's blocks once, for the
     dominant column sums alone, and hands them to every solve of the

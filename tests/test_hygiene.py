@@ -24,7 +24,9 @@ reads a Fock model's convention constants ``c_k``, ``c_m`` or ``c_n``
 (weights travel as weight keys, and ``FockModel.block`` takes the
 constants off), no ``.standard_normal(`` call inside a ``for``, a
 ``while`` or a comprehension (a batch of samples takes one draw), no
-private function or method
+``to_json`` in a class that derives from ``_Report`` (a fock report's
+JSON is its fields, which the base serializes), no private function or
+method
 that nothing in the package references, no public function, class
 or method that only the tests reference, and no import of another
 module's private name and no read of one as ``W._x`` (the elimination
@@ -64,6 +66,7 @@ ORACLE_BASIS = "IndexedBasis"  # the same
 CONVENTION_HOME = "fock.py"
 CONVENTION_CONSTANTS = {"c_k", "c_m", "c_n"}
 POOL_MODULES = ("concurrent", "threading", "multiprocessing")
+REPORT_BASE = "_Report"  # fock's report base, which serializes the fields
 
 
 def tree_of(path):
@@ -263,6 +266,17 @@ def loop_draws(tree, path):
     return sorted(where(path, c) for c in calls)
 
 
+def hand_serializers(tree, path):
+    """``to_json`` methods of classes that derive from ``_Report``, whose
+    JSON is their fields: the base writes it."""
+    return [f"{where(path, m)} {n.name}.to_json" for n in ast.walk(tree)
+            if isinstance(n, ast.ClassDef) and any(
+                REPORT_BASE in (getattr(b, "id", ""), getattr(b, "attr", ""))
+                for b in n.bases)
+            for m in n.body
+            if isinstance(m, ast.FunctionDef) and m.name == "to_json"]
+
+
 def referenced_names(trees):
     """Every name read as a variable or an attribute in the trees."""
     return {n.id if isinstance(n, ast.Name) else n.attr
@@ -346,6 +360,7 @@ def test_the_package_has_sources():
                                   oracle_matrix_names, ordinal_lookups,
                                   scipy_imports, pool_imports,
                                   numpy_at_load, loop_draws,
+                                  hand_serializers,
                                   pytest.param(foreign_privates,
                                                id="foreign_privates")])
 def test_package_sources_keep_the_rule(rule):
@@ -425,6 +440,10 @@ def test_every_public_name_has_a_user_besides_the_tests():
     (loop_draws, "hs = [rng.standard_normal((3, 3)) for _ in range(4)]"),
     pytest.param(loop_draws, "while x:\n    x = rng.standard_normal(2)[0]\n",
                  id="loop_draws-while-loop"),
+    pytest.param(hand_serializers,
+                 "class R(fock._Report):\n"
+                 "    def to_json(self):\n        return {}\n",
+                 id="hand_serializers-to-json-override"),
     pytest.param(unreferenced_privates, "def _gone(x):\n    return x\n",
                  id="unreferenced_privates-function"),
     pytest.param(unreferenced_privates,
@@ -452,7 +471,10 @@ def test_rules_pass_clean_code():
               "y = Fraction(x) / 3 + _F1 / x - x // 2\n"
               "r = len(span) + rank_of_rows(rows)\n"
               "z = rng.standard_normal((4, 3, 3))\n"
-              "w = span._own + os.__name__\n")
+              "w = span._own + os.__name__\n"
+              "class R(_Report):\n    pass\n"
+              "class Cauchy:\n    def to_json(self):\n        return R()\n"
+              "v = Cauchy().to_json()\n")
     tree, path = ast.parse(source), Path("example.py")
     assert not asserts(tree, path) + broad_handlers(tree, path) \
         + unused_imports(tree, path) + float_divisions(tree, path) \
@@ -462,7 +484,7 @@ def test_rules_pass_clean_code():
         + oracle_matrix_names(tree, path) + ordinal_lookups(tree, path) \
         + scipy_imports(tree, path) + pool_imports(tree, path) \
         + numpy_at_load(tree, path) \
-        + loop_draws(tree, path) \
+        + loop_draws(tree, path) + hand_serializers(tree, path) \
         + unreferenced_privates(tree, path) \
         + unreferenced_publics(tree, path) + foreign_privates(tree, path)
 
