@@ -104,8 +104,7 @@ def moment_left(p: ConstrainedPoint) -> np.ndarray:
 
 def target_matrix(w: W.SignedWeight, M: int, N: int) -> np.ndarray:
     """diag(m_1..m_M, -n_N..-n_1): the prescribed right-map value."""
-    diag = list(w.m[:M]) + [-x for x in reversed(w.n[:N])]
-    return np.diag(np.asarray(diag, dtype=float))
+    return np.diag(w.shifted(0, M, N))
 
 
 def target_spectrum(w: W.SignedWeight, k: int) -> np.ndarray:
@@ -113,17 +112,10 @@ def target_spectrum(w: W.SignedWeight, k: int) -> np.ndarray:
     return np.asarray(w.realize(k), dtype=float)
 
 
-def _normalize_weight(w) -> W.SignedWeight:
-    if isinstance(w, W.SignedWeight):
-        return w
-    m, n = w
-    return W.SignedWeight(tuple(m), tuple(n))
-
-
 def sample_level_set(w, k: int, seed: int = 0) -> ConstrainedPoint:
     """Seeded random frame of mutually orthogonal columns with squared
     norms m_1..m_M, n_N..n_1 (in that column order)."""
-    w = _normalize_weight(w)
+    w = W.SignedWeight.of(w)
     M, N = len(w.m), len(w.n)
     if k < M + N:
         raise RankTooSmall(f"need {M + N} orthogonal columns, rank is {k}")

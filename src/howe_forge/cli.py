@@ -269,10 +269,7 @@ def cmd_induce(args) -> int:
                 if 0 < cap < len(rows):  # a bad group fails in the induction
                     return fail_usage(f"block {block} has {len(rows)} rows, "
                                       f"the group only {cap}")
-            pm += (0,) * (M - len(pm))
-            pn += (0,) * (N - len(pn))
-            weight = tuple(x + args.k for x in pm) + tuple(
-                -x for x in reversed(pn))
+            weight = blocks.shifted(args.k, M, N)
         else:
             raw = args.weight if args.weight is not None else args.halfint
             weight = parse_fraction_tuple(raw)
@@ -351,7 +348,7 @@ def run_verify_all(cfg: RunConfig) -> dict:
         mod = induce_compact(k, M, m)
         good = mod.dimension == W.weyl_dim(m, k) and mod.sound
         if mod.dimension:
-            good = good and mod.highest_weight == m + (0,) * (k - len(m))
+            good = good and mod.highest_weight == W.padded(m, k)
         return {"cell": f"k={k} M={M} m={m}", "ok": good}
     sections.append(grid_map(compact, comp_cells, "compact-induction"))
 
@@ -493,7 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--seeds", type=int, default=None)
-    p.set_defaults(fn=cmd_verify_all, fmt_default="tsv")
+    # no default: the config file's fmt applies, else RunConfig's
+    p.set_defaults(fn=cmd_verify_all, fmt_default=None)
 
     return parser
 

@@ -236,8 +236,7 @@ class FockModel:
         dominant = {}
         for m, n in product(W.partitions_of(p, max_rows=M),
                             W.partitions_of(q, max_rows=N)):
-            blocks = self.blocks(piece, m + (0,) * (M - len(m)),
-                                 (0,) * (N - len(n)) + n[::-1])
+            blocks = self.blocks(piece, W.padded(m, M), W.padded(n, N)[::-1])
             dominant.update((key, members) for key, members in blocks.items()
                             if all(x >= y for x, y in zip(key[0], key[0][1:])))
         return dominant
@@ -363,7 +362,7 @@ def compact_multiplicities(model: FockModel, blocks) -> dict[tuple, int]:
     mult: dict[tuple, int] = {}
     for lam in parts_k:  # lex descending = dominance-compatible
         for mu in parts_m:
-            key = (lam + (0,) * (k - len(lam)), mu + (0,) * (M - len(mu)), ())
+            key = (W.padded(lam, k), W.padded(mu, M), ())
             val = len(blocks.get(key, ()))
             for (lam2, mu2), m2 in mult.items():
                 if m2:
@@ -606,7 +605,7 @@ def expected_kv_labels(k: int, M: int, N: int, p: int, q: int) -> list[tuple]:
     for m in W.partitions_of(p, max_rows=M):
         for n in W.partitions_of(q, max_rows=N):
             if len(m) + len(n) <= k:
-                out.append((m + (0,) * (M - len(m)), n + (0,) * (N - len(n))))
+                out.append((W.padded(m, M), W.padded(n, N)))
     return out
 
 
@@ -646,7 +645,7 @@ def _parse_kv_weight(rows, M, N) -> tuple | None:
     neg = tuple(-x for x in reversed(rows) if x < 0)
     if len(pos) > M or len(neg) > N:
         return None
-    return (pos + (0,) * (M - len(pos)), neg + (0,) * (N - len(neg)))
+    return W.padded(pos, M), W.padded(neg, N)
 
 
 def strict_signed_pairs(M: int, N: int, max_total: int):

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 
 from . import weights as W
@@ -49,8 +48,6 @@ from .fock import FockModel, raising_images, strict_signed_pairs
 from .tensor import BASIS_CAP, ReducedSpan, block_kernel, \
     gl_commutant_dim, gl_relation_failures, gram_matrix, linear_image, \
     perm_inverse, positive_definite, subgroup_perms
-
-_F1 = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +165,12 @@ def _inducing_irrep(shape: tuple[int, ...], M: int) -> InducingIrrep:
 
     # sanity: the highest weight is simple, and its vector, row 0, is
     # killed by the raisers
-    hw_wt = shape + (0,) * (M - len(shape))
+    hw_wt = W.padded(shape, M)
     if basis_weights.count(hw_wt) != 1:
         raise InvariantBroken(f"highest weight {hw_wt} is not simple")
     for a in range(M):
         for b in range(a + 1, M):
-            if linear_image(ops[(a, b)], {0: _F1}):
+            if linear_image(ops[(a, b)], {0: 1}):
                 raise InvariantBroken("highest vector not annihilated")
     return InducingIrrep(shape, M, span.rows, basis_weights, ops)
 
@@ -488,9 +485,8 @@ def emptiness_survey(k: int, M: int, N: int, window: int) -> dict:
                            "highest_weight": list(hw)})
 
     for n in W.partitions_upto(window, N):
-        neg = tuple(-x for x in reversed(n + (0,) * (N - len(n))))
         for t in sorted({0, k - 1}):
-            w = (t,) * M + neg
+            w = W.SignedWeight((), n).shifted(t, M, N)
             out = induce_noncompact_graded(k, M, N, w)
             good = out.empty and out.reason.startswith("entry below the rank")
             record("below-rank", str(w), good,
@@ -500,10 +496,10 @@ def emptiness_survey(k: int, M: int, N: int, window: int) -> dict:
         for n in W.partitions_upto(window - sum(m), N):
             if len(m) + len(n) > k:
                 continue
-            w = tuple(x + k for x in m + (0,) * (M - len(m)))
-            w += tuple(-x for x in reversed(n + (0,) * (N - len(n))))
+            label = W.SignedWeight(m, n)
+            w = label.shifted(k, M, N)
             out = induce_noncompact_graded(k, M, N, w)
-            want = W.SignedWeight(m, n).realize(k)
+            want = label.realize(k)
             good = (not out.empty and out.sound
                     and out.highest_weight == want
                     and out.dimension == W.signed_weight_dim(want, k))

@@ -13,6 +13,8 @@ form: ``linear_image`` extends a map linearly to a sparse vector,
 basis keys, ``gl_relation_failures``, the one bracket check, checks the
 relations of commuting gl families column by column, and
 ``commutant_dim`` solves for the joint commutant of maps on range(d).
+It rescales no map: its rational equation rows go to ``rank_of_rows``,
+whose span clears each row's denominators as it inserts it.
 The bracket check reads each pair with a diagonal E_ii off its
 eigenvalues, [E_ii, B] = s B holding exactly when E_ii moves by s from
 each column c of B to each target of B c, and compares products only for
@@ -101,7 +103,8 @@ def monomials(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
 def _cleared(vec: dict) -> tuple[dict, int]:
     """(den * vec, den) for the least positive den that makes every entry
     an integer, with the zero entries dropped, always in a new dict.  A
-    vector of nonzero ints, as every commutator row is, is only copied."""
+    vector of nonzero ints, as a commutator row of integer maps is, is
+    only copied."""
     if all(type(v) is int and v for v in vec.values()):
         return dict(vec), 1
     den = math.lcm(*(v.denominator for v in vec.values()))
@@ -485,15 +488,6 @@ def commutator_rows(terms, columns, block, var):
                 yield row
 
 
-def _integral_terms(terms, d: int):
-    """The map on range(d) scaled by the least positive integer that makes
-    every image value an integer, as image terms."""
-    cols = [terms(c) for c in range(d)]
-    den = math.lcm(*(v.denominator for col in cols for _, v in col))
-    return [[(t, v.numerator * (den // v.denominator)) for t, v in col]
-            for col in cols].__getitem__
-
-
 def commutant_dim(generators: list, d: int, cartans=()) -> int:
     """Dimension of the joint commutant of maps on range(d), each given by
     its image terms, by exact linear solve.
@@ -530,11 +524,8 @@ def commutant_dim(generators: list, d: int, cartans=()) -> int:
         raise TooLarge(
             f"commutant solve with {nvars} unknowns exceeds cap {BASIS_CAP}")
 
-    # X(cA) = (cA)X iff XA = AX: scaled by the lcm c of its denominators,
-    # A gives integer equation rows
     rows = (row for g in generators for row in commutator_rows(
-        _integral_terms(g, d), range(d), block_of.__getitem__,
-        lambda r, c: var_id[(r, c)]))
+        g, range(d), block_of.__getitem__, lambda r, c: var_id[(r, c)]))
     return nvars - rank_of_rows(rows)
 
 

@@ -9,6 +9,10 @@ half-integer arithmetic; no floats.
 Partitions are plain tuples of weakly decreasing nonnegative ints with
 trailing zeros stripped.  Half-integer weights store doubled entries so
 that equality stays exact.
+
+The two-block label layout lives here alone: ``padded`` fills a block
+out to its rows, and ``SignedWeight.realize`` and ``.shifted`` lay a
+label out as its U(k) and its inducing U(M, N) weight.
 """
 
 from __future__ import annotations
@@ -39,6 +43,11 @@ def partition(parts: Iterable[int]) -> Partition:
     while t and t[-1] == 0:
         t = t[:-1]
     return t
+
+
+def padded(parts: Sequence[int], rows: int) -> tuple[int, ...]:
+    """The parts followed by zeros, ``rows`` entries in all; never cut."""
+    return tuple(parts) + (0,) * (rows - len(parts))
 
 
 def partitions_of(n: int, max_rows: int | None = None) -> Iterator[Partition]:
@@ -330,17 +339,29 @@ class SignedWeight:
             if any(block[i] < block[i + 1] for i in range(len(block) - 1)):
                 raise ShapeMismatch(f"block not weakly decreasing: {block}")
 
+    @classmethod
+    def of(cls, w) -> "SignedWeight":
+        """``w`` itself, or the SignedWeight of an (m, n) pair."""
+        if isinstance(w, cls):
+            return w
+        m, n = w
+        return cls(tuple(m), tuple(n))
+
     def realize(self, k: int) -> tuple[int, ...]:
         """The length-k weight vector, most dominant order."""
-        lm = len(partition(self.m))
-        ln = len(partition(self.n))
-        if lm + ln > k:
-            raise ShapeMismatch(
-                f"blocks {self.m}/{self.n} need rank >= {lm + ln}, got {k}"
-            )
-        mid = (0,) * (k - lm - ln)
-        neg = tuple(-x for x in reversed(partition(self.n)))
-        return partition(self.m) + mid + neg
+        m, n = partition(self.m), partition(self.n)
+        if len(m) + len(n) > k:
+            raise ShapeMismatch(f"blocks {self.m}/{self.n} need rank >= "
+                                f"{len(m) + len(n)}, got {k}")
+        return padded(m, k - len(n)) + tuple(-x for x in reversed(n))
+
+    def shifted(self, k: int, M: int, N: int) -> tuple[int, ...]:
+        """(m_1+k, ..., m_M+k, -n_N, ..., -n_1): the U(M, N) weight the
+        label induces from at rank k, each block stripped of trailing
+        zeros and padded to M and N rows.  Block lengths are not checked
+        against M or N."""
+        m, n = padded(partition(self.m), M), padded(partition(self.n), N)
+        return tuple(x + k for x in m) + tuple(-x for x in reversed(n))
 
 
 @dataclass(frozen=True)
@@ -376,9 +397,7 @@ class HalfIntWeight:
         return f"({body})" if not self.group else f"{self.group}({body})"
 
 
-def renormalize_weight(
-    w: SignedWeight, M: int | None = None, N: int | None = None
-) -> HalfIntWeight:
+def renormalize_weight(w: SignedWeight, M: int, N: int) -> HalfIntWeight:
     """Half-form-corrected block weight attached to a strictly decreasing
     signed weight.
 
@@ -388,10 +407,6 @@ def renormalize_weight(
     output is weakly decreasing within each block but generically carries
     half-integer entries.
     """
-    if M is None:
-        M = len(w.m)
-    if N is None:
-        N = len(w.n)
     if M != len(w.m) or N != len(w.n):
         raise ShapeMismatch(
             f"block lengths ({len(w.m)}, {len(w.n)}) do not match (M, N)=({M}, {N})"
@@ -456,26 +471,15 @@ def shift_weight(
         lam = partition(w)
         if len(lam) > min(k, M):
             raise ShapeMismatch(f"label {lam} needs at most min(k, M) rows")
-        if side == "left":
-            padded = lam + (0,) * (k - len(lam))
-            shift = M if hf else 0
-            return HalfIntWeight(tuple(2 * p + shift for p in padded), group="U(k)")
-        padded = lam + (0,) * (M - len(lam))
-        shift = k if hf else 0
-        return HalfIntWeight(tuple(2 * p + shift for p in padded), group="U(M)")
+        rows, shift, group = (k, M, "U(k)") if side == "left" else \
+            (M, k, "U(M)")
+        return HalfIntWeight(tuple(2 * p + (shift if hf else 0)
+                                   for p in padded(lam, rows)), group=group)
 
     # kave / kave2
     if k is None or k <= 0:
         raise ShapeMismatch("indefinite contexts need a positive rank k")
-    if isinstance(w, SignedWeight):
-        sw = w
-    else:
-        m_part, n_part = w
-        sw = SignedWeight(tuple(m_part), tuple(n_part))
-    if M is None:
-        M = len(sw.m)
-    if N is None:
-        N = len(sw.n)
+    sw = SignedWeight.of(w)
     if M != len(sw.m) or N != len(sw.n):
         raise ShapeMismatch(
             f"blocks ({sw.m}, {sw.n}) do not match (M, N)=({M}, {N})"
@@ -484,8 +488,7 @@ def shift_weight(
         realized = sw.realize(k)
         shift = (M - N) if hf else 0  # doubled entries: (M-N)/2 each
         return HalfIntWeight(tuple(2 * x + shift for x in realized), group="U(k)")
-    shift = k if hf else 2 * k  # doubled: +k/2 each (hf) or +k each (sq)
-    doubled = [2 * mi + shift for mi in sw.m]
-    for nj in reversed(sw.n):
-        doubled.append(-2 * nj - (k if hf else 0))
-    return HalfIntWeight(tuple(doubled), group=f"U({M},{N})")
+    # doubled: the shifted weight, less k/2 in every entry under hf
+    return HalfIntWeight(tuple(2 * x - (k if hf else 0)
+                               for x in sw.shifted(k, M, N)),
+                         group=f"U({M},{N})")

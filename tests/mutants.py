@@ -110,6 +110,19 @@ MUTANTS = (
            "    return EXIT_OK if ok else EXIT_FALSIFIED\n",
            "    return EXIT_OK\n",
            ("tests/test_cli.py::test_induce_expected_emptiness",)),
+    Mutant("shifted-keeps-the-n-block-unreversed",
+           "src/howe_forge/weights.py",
+           "        return tuple(x + k for x in m)"
+           " + tuple(-x for x in reversed(n))\n",
+           "        return tuple(x + k for x in m) + tuple(-x for x in n)\n",
+           ("tests/test_rieffel.py::"
+            "test_k4_emptiness_survey_reports_are_frozen",)),
+    Mutant("verify-all-format-default-wins",
+           "src/howe_forge/cli.py",
+           "fmt_default=None)",
+           'fmt_default="tsv")',
+           ("tests/test_cli.py::"
+            "test_verify_all_config_file_format_applies[file-json]",)),
 )
 
 

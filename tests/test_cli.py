@@ -213,8 +213,14 @@ def test_induce_usage_errors(capsys):
     (("--mn-group", "1,-1", "--weight", "3"), "N >= 1, got -1"),
     (("--mn-group", "1,0", "--weight", "3"), "N >= 1, got 0"),
     (("--mn-group", "0,1", "--weight", "-1"), "M >= 1, got 0"),
-], ids=["negative-N", "zero-N", "zero-M"])
+    (("--mn-group", "0,1", "--signed", "1:"), "M >= 1, got 0"),
+    (("--mn-group", "1,-1", "--signed", "1:"), "N >= 1, got -1"),
+    (("--mn-group", "1,0", "--signed", ":1"), "N >= 1, got 0"),
+], ids=["negative-N", "zero-N", "zero-M", "signed-zero-M", "signed-negative-N",
+        "signed-zero-N"])
 def test_induce_graded_names_a_bad_group_or_window(capsys, argv, named):
+    """``--signed`` lays its blocks out unchecked against a group below 1,
+    and the induction names the bad group."""
     code, out, err = run(capsys, "induce", "--k", "2", *argv)
     assert code == 2 and out == ""
     assert named in err
@@ -579,6 +585,26 @@ def test_verify_all_config_file_and_override(capsys, tmp_path):
     bad.write_text("what=1\n")
     code, _, err = run(capsys, "verify-all", "--config", str(bad))
     assert code == 2 and "unknown key" in err
+
+
+@pytest.mark.parametrize("key,flags,code,shown", [
+    ("fmt = json", (), 0, "json"),
+    ("fmt = json", ("--format", "tsv"), 0, "tsv"),
+    ("fmt=yaml", (), 2, "unknown format 'yaml'"),
+], ids=["file-json", "flag-wins", "unknown-format"])
+def test_verify_all_config_file_format_applies(capsys, tmp_path, key, flags,
+                                               code, shown):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kmax=1\nmmax=1\nnmax=1\ndegree=2\nseeds=1\n" + key + "\n")
+    got, out, err = run(capsys, "verify-all", "--config", str(cfg), *flags)
+    assert got == code
+    if shown == "json":
+        assert json.loads(out)["ok"] is True
+    elif shown == "tsv":
+        assert out.startswith("section\tcells\tstatus\n")
+        assert out.strip().endswith("PASS")
+    else:
+        assert not out and shown in err
 
 
 @pytest.mark.parametrize("flag", ["--kmax", "--mmax", "--nmax", "--seeds"])

@@ -25,7 +25,9 @@ reads a Fock model's convention constants ``c_k``, ``c_m`` or ``c_n``
 constants off), no ``.standard_normal(`` call inside a ``for``, a
 ``while`` or a comprehension (a batch of samples takes one draw), no
 ``to_json`` in a class that derives from ``_Report`` (a fock report's
-JSON is its fields, which the base serializes), no private function or
+JSON is its fields, which the base serializes), no ``(0,) * n`` outside
+``weights.py`` (a label block is padded by ``weights.padded``, and the
+two-block label layout lives in ``weights`` alone), no private function or
 method
 that nothing in the package references, no public function, class
 or method that only the tests reference, and no import of another
@@ -55,7 +57,6 @@ TEST_ONLY_PUBLIC = {
 }
 BROAD = {"Exception", "BaseException"}
 FLOAT_SIDE = {"classical.py"}  # the seeded float64 orbit checks
-EXACT_CONSTANTS = {"_F1"}  # Fraction(1)
 SPAN_HOME = "tensor.py"
 # the span's private pivot index, and the (pivot, row) list it replaced
 SPAN_ECHELON = {"echelon"} | {
@@ -67,6 +68,7 @@ CONVENTION_HOME = "fock.py"
 CONVENTION_CONSTANTS = {"c_k", "c_m", "c_n"}
 POOL_MODULES = ("concurrent", "threading", "multiprocessing")
 REPORT_BASE = "_Report"  # fock's report base, which serializes the fields
+LAYOUT_HOME = "weights.py"  # owns the two-block label layout
 
 
 def tree_of(path):
@@ -118,8 +120,8 @@ def unused_imports(tree, path):
 
 def float_divisions(tree, path):
     """True divisions (``/`` and ``/=``) outside the float side whose left
-    operand is not a Fraction, i.e. neither a ``Fraction(...)`` call nor
-    ``_F1``: on two ints such a division makes a float."""
+    operand is not a ``Fraction(...)`` call: on two ints such a division
+    makes a float."""
     if path.name in FLOAT_SIDE:
         return []
     out = []
@@ -130,10 +132,8 @@ def float_divisions(tree, path):
             left = n.target
         else:
             continue
-        exact = (isinstance(left, ast.Call) and isinstance(left.func, ast.Name)
-                 and left.func.id == "Fraction") or (
-            isinstance(left, ast.Name) and left.id in EXACT_CONSTANTS)
-        if not exact:
+        if not (isinstance(left, ast.Call) and isinstance(left.func, ast.Name)
+                and left.func.id == "Fraction"):
             out.append(where(path, n))
     return out
 
@@ -277,6 +277,18 @@ def hand_serializers(tree, path):
             if isinstance(m, ast.FunctionDef) and m.name == "to_json"]
 
 
+def hand_padding(tree, path):
+    """``(0,) * n`` or ``n * (0,)`` outside ``weights.py``: a label block
+    is padded with ``weights.padded``."""
+    if path.name == LAYOUT_HOME:
+        return []
+    return [where(path, n) for n in ast.walk(tree)
+            if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult)
+            and any(isinstance(s, ast.Tuple) and len(s.elts) == 1
+                    and isinstance(s.elts[0], ast.Constant)
+                    and s.elts[0].value == 0 for s in (n.left, n.right))]
+
+
 def referenced_names(trees):
     """Every name read as a variable or an attribute in the trees."""
     return {n.id if isinstance(n, ast.Name) else n.attr
@@ -360,7 +372,7 @@ def test_the_package_has_sources():
                                   oracle_matrix_names, ordinal_lookups,
                                   scipy_imports, pool_imports,
                                   numpy_at_load, loop_draws,
-                                  hand_serializers,
+                                  hand_serializers, hand_padding,
                                   pytest.param(foreign_privates,
                                                id="foreign_privates")])
 def test_package_sources_keep_the_rule(rule):
@@ -444,6 +456,10 @@ def test_every_public_name_has_a_user_besides_the_tests():
                  "class R(fock._Report):\n"
                  "    def to_json(self):\n        return {}\n",
                  id="hand_serializers-to-json-override"),
+    pytest.param(hand_padding, "w = m + (0,) * (M - len(m))\n",
+                 id="hand_padding-zeros-times-rows"),
+    pytest.param(hand_padding, "w = (M - len(m)) * (0,) + m\n",
+                 id="hand_padding-rows-times-zeros"),
     pytest.param(unreferenced_privates, "def _gone(x):\n    return x\n",
                  id="unreferenced_privates-function"),
     pytest.param(unreferenced_privates,
@@ -468,7 +484,8 @@ def test_rules_pass_clean_code():
               "import os.path\nfrom math import gcd as g\n"
               "try:\n    x = g(os.path.sep, 2)\n"
               "except ValueError:\n    pass\n"
-              "y = Fraction(x) / 3 + _F1 / x - x // 2\n"
+              "y = Fraction(x) / 3 - x // 2\n"
+              "u = W.padded(m, 3) + (x,) * 2 + (1,) * 3\n"
               "r = len(span) + rank_of_rows(rows)\n"
               "z = rng.standard_normal((4, 3, 3))\n"
               "w = span._own + os.__name__\n"
@@ -485,6 +502,7 @@ def test_rules_pass_clean_code():
         + scipy_imports(tree, path) + pool_imports(tree, path) \
         + numpy_at_load(tree, path) \
         + loop_draws(tree, path) + hand_serializers(tree, path) \
+        + hand_padding(tree, path) \
         + unreferenced_privates(tree, path) \
         + unreferenced_publics(tree, path) + foreign_privates(tree, path)
 
@@ -517,6 +535,12 @@ def test_only_the_fock_module_reads_the_convention_constants():
     assert convention_constant_reads(tree, Path("rieffel.py")) == [
         "rieffel.py:1 .c_k"]
     assert convention_constant_reads(tree, Path("fock.py")) == []
+
+
+def test_only_the_layout_module_pads_by_hand():
+    tree = ast.parse("w = m + (0,) * (k - len(m))\n")
+    assert hand_padding(tree, Path("rieffel.py")) == ["rieffel.py:1"]
+    assert hand_padding(tree, Path("weights.py")) == []
 
 
 def test_no_module_builds_fock_operators():

@@ -203,6 +203,37 @@ def test_branch_dimension_identity(lam, k):
 
 
 # ---------------------------------------------------------------------------
+# the two-block label layout
+
+
+def test_two_block_layout_frozen():
+    assert W.SignedWeight((2, 1), (1,)).shifted(3, 2, 2) == (5, 4, 0, -1)
+    assert W.SignedWeight((1, 0), ()).shifted(2, 1, 1) == (3, 0)
+    assert W.SignedWeight((), (2,)).shifted(0, 2, 1) == (0, 0, -2)
+    assert W.padded((2, 1), 4) == (2, 1, 0, 0)
+    assert W.SignedWeight.of(([2, 1], [1])) == W.SignedWeight((2, 1), (1,))
+    w = W.SignedWeight((1,), ())
+    assert W.SignedWeight.of(w) is w
+
+
+@given(st.integers(min_value=0, max_value=4),
+       st.integers(min_value=1, max_value=3),
+       st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=2), st.data())
+@settings(max_examples=80, deadline=None)
+def test_shifted_matches_the_hand_built_layout(k, M, N, zeros, data):
+    """``shifted`` is the partitions padded to M and N rows, k added to
+    the m block and the n block reversed and negated; trailing zeros on a
+    block are no rows, even past M or N."""
+    m = data.draw(partition_strategy(max_size=5, max_rows=M))
+    n = data.draw(partition_strategy(max_size=5, max_rows=N))
+    pm, pn = m + (0,) * (M - len(m)), n + (0,) * (N - len(n))
+    want = tuple(x + k for x in pm) + tuple(-x for x in reversed(pn))
+    assert W.SignedWeight(m + (0,) * zeros, n).shifted(k, M, N) == want
+    assert W.SignedWeight(m, n + (0,) * zeros).shifted(k, M, N) == want
+
+
+# ---------------------------------------------------------------------------
 # renormalization
 
 
@@ -309,6 +340,16 @@ def test_shift_hf_sq_differ_by_constant_vector(context, side, k, data):
 def test_shift_rejects_unknown_context():
     with pytest.raises(ShapeMismatch):
         W.shift_weight((1,), "sq", "nonsense", k=2, M=1)
+
+
+@pytest.mark.parametrize("kwargs", [dict(N=1), dict(M=1)],
+                         ids=["no-M", "no-N"])
+def test_shift_kave_needs_both_group_sizes(kwargs):
+    """M and N are never read off the blocks: a missing one is a length
+    mismatch."""
+    with pytest.raises(ShapeMismatch, match="do not match"):
+        W.shift_weight(((1,), (1,)), "sq", "kave", k=3, side="right",
+                       **kwargs)
 
 
 # ---------------------------------------------------------------------------
