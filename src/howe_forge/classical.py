@@ -114,7 +114,7 @@ def target_spectrum(w: W.SignedWeight, k: int) -> np.ndarray:
 
 def sample_level_set(w, k: int, seed: int = 0) -> ConstrainedPoint:
     """Seeded random frame of mutually orthogonal columns with squared
-    norms m_1..m_M, n_N..n_1 (in that column order)."""
+    norms the label's ``columns``: m_1..m_M, then n_N..n_1."""
     w = W.SignedWeight.of(w)
     M, N = len(w.m), len(w.n)
     if k < M + N:
@@ -132,8 +132,8 @@ def sample_level_set(w, k: int, seed: int = 0) -> ConstrainedPoint:
         if norm < 1e-12:
             raise BadWeight("degenerate random frame; retry with another seed")
         raw[:, a] /= norm
-    norms = [math.sqrt(x) for x in w.m] + [math.sqrt(x) for x in reversed(w.n)]
-    psi = raw * np.asarray(norms)
+    xs, ys = w.columns(M, N)
+    psi = raw * np.sqrt(xs + ys)
     return ConstrainedPoint(psi, (M, N), w, seed)
 
 

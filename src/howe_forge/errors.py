@@ -30,7 +30,7 @@ class RankTooSmall(ForgeError):
 
 
 class BadWeight(ForgeError):
-    """Orbit weights must have strictly positive entries."""
+    """No orbit level set or quantized label has the given weight."""
 
 
 class InvariantBroken(ForgeError):

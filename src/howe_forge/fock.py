@@ -23,9 +23,8 @@ differentiation (lowerers, bidegree (-1,-1)).
 Convention constants ("sq" plain, "hf" symmetrized) are fixed here once
 and validated downstream against the expected label shifts; they are the
 only free normalization in the whole module.  Weights travel as integer
-weight keys, which ``FockModel.blocks`` alone builds:
-``FockModel.dressed_weights`` adds the constants and ``FockModel.block``
-takes them off again, and no other module reads them.
+weight keys, which ``FockModel.blocks`` alone builds and
+``FockModel.dressed_weights`` alone dresses; no other module reads them.
 
 Every report here derives from ``_Report``: a report's JSON is its
 dataclass fields, in declaration order, plus ``ok``, so no report writes
@@ -236,24 +235,23 @@ class FockModel:
         dominant = {}
         for m, n in product(W.partitions_of(p, max_rows=M),
                             W.partitions_of(q, max_rows=N)):
-            blocks = self.blocks(piece, W.padded(m, M), W.padded(n, N)[::-1])
+            blocks = self.blocks(piece, *W.SignedWeight(m, n).columns(M, N))
             dominant.update((key, members) for key, members in blocks.items()
                             if all(x >= y for x, y in zip(key[0], key[0][1:])))
         return dominant
 
     def blocks(self, piece, mw, nw) -> dict[tuple, list[tuple[int, ...]]]:
         """The weight blocks of a piece with x column sums ``mw`` and y
-        column sums ``nw``, none unless these are non-negative integers
-        adding up to the piece.  A block's weight key, its joint Cartan
-        data without the convention constants, is the row sums of x less
-        those of y, then ``mw``, then ``nw``; its members are in basis
-        order.  They are built from the k-row fillings of the column sums
+        column sums ``nw``, none unless these are non-negative and add up
+        to the piece.  A block's weight key, its joint Cartan data without
+        the convention constants, is the row sums of x less those of y,
+        then ``mw``, then ``nw``; its members are in basis order.  They
+        are built from the k-row fillings of the column sums
         (``_fillings``), not from a basis."""
         self.check_piece(*piece)
         if (len(mw), len(nw), sum(mw), sum(nw)) != (self.M, self.N, *piece) \
-                or any(c < 0 or c != int(c) for c in (*mw, *nw)):
+                or any(c < 0 for c in (*mw, *nw)):
             return {}
-        mw, nw = tuple(map(int, mw)), tuple(map(int, nw))
         ys, blocks = list(_fillings(nw, self.k)), {}
         for x, xrows in _fillings(mw, self.k):  # x, then y: basis order
             for y, yrows in ys:
@@ -264,23 +262,13 @@ class FockModel:
     def dressed_weights(self, key) -> tuple[tuple, tuple, tuple]:
         """The gl(k), gl(M) and gl(N) weights of a weight key, as
         Fractions: the convention constants added on, and the y column
-        sums negated, since gl(N) acts contragrediently.  ``block`` is the
-        inverse."""
+        sums negated, since gl(N) acts contragrediently."""
         kw, mw, nw = key
         return (
             tuple(Fraction(x) + self.c_k for x in kw),
             tuple(Fraction(x) + self.c_m for x in mw),
             tuple(-Fraction(x) + self.c_n for x in nw),
         )
-
-    def block(self, piece, kw, mw, nw) -> list[tuple[int, ...]]:
-        """Monomial labels of the block of a piece whose dressed weights
-        (``dressed_weights``) are (kw, mw, nw), in basis order; [] when the
-        piece has no such block."""
-        key = (tuple(x - self.c_k for x in kw),
-               tuple(x - self.c_m for x in mw),
-               tuple(self.c_n - x for x in nw))
-        return self.blocks(piece, key[1], key[2]).get(key, [])
 
 
 def _smoke_check(model: FockModel, piece) -> None:
@@ -638,16 +626,6 @@ class KvReport(_Report):
         return self.renorm_ok and all(b.ok for b in self.bidegrees)
 
 
-def _parse_kv_weight(rows, M, N) -> tuple | None:
-    """Split the gl(k) rows of a dominant weight key into its (m, n)
-    blocks."""
-    pos = tuple(x for x in rows if x > 0)
-    neg = tuple(-x for x in reversed(rows) if x < 0)
-    if len(pos) > M or len(neg) > N:
-        return None
-    return W.padded(pos, M), W.padded(neg, N)
-
-
 def strict_signed_pairs(M: int, N: int, max_total: int):
     """Strictly decreasing positive blocks (m, n) with |m|, |n| within the
     window; candidates for the half-form orbit labels."""
@@ -681,27 +659,26 @@ def verify_kv(k: int, M: int, N: int, degree: int,
         unexplained = 0
         seen = []
         for h in hwvs:
-            parsed = _parse_kv_weight(h.key[0], M, N)
-            if parsed is None:
+            label = W.SignedWeight.read(h.key[0], M, N)
+            if label is None:
                 unexplained += 1
                 continue
-            m_blk, n_blk = parsed
-            pred_left = W.shift_weight((m_blk, n_blk), convention, context,
+            pred_left = W.shift_weight(label, convention, context,
                                        k=k, M=M, N=N, side="left")
-            pred_right = W.shift_weight((m_blk, n_blk), convention, context,
+            pred_right = W.shift_weight(label, convention, context,
                                         k=k, M=M, N=N, side="right")
             kw, mw, nw = model.dressed_weights(h.key)
             got_left = W.HalfIntWeight.from_entries(kw)
             got_right = W.HalfIntWeight.from_entries(mw + nw)
             ok = (pred_left.doubled == got_left.doubled
                   and pred_right.doubled == got_right.doubled
-                  and (m_blk, n_blk) in expected
-                  and (m_blk, n_blk) not in seen)
-            seen.append((m_blk, n_blk))
+                  and (label.m, label.n) in expected
+                  and label not in seen)
+            seen.append(label)
             occurring.add(got_right.doubled)
             matches.append({
-                "label_m": list(m_blk),
-                "label_n": list(n_blk),
+                "label_m": list(label.m),
+                "label_n": list(label.n),
                 "uk_weight_doubled": list(got_left.doubled),
                 "mn_weight_doubled": list(got_right.doubled),
                 "predicted_mn_doubled": list(pred_right.doubled),

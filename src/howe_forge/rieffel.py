@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from . import weights as W
-from .errors import InvariantBroken, ShapeMismatch, TooLarge
+from .errors import BadWeight, InvariantBroken, ShapeMismatch, TooLarge
 from .fock import FockModel, raising_images, strict_signed_pairs
 from .tensor import BASIS_CAP, ReducedSpan, block_kernel, \
     gl_commutant_dim, gl_relation_failures, gram_matrix, linear_image, \
@@ -391,9 +391,9 @@ def induce_noncompact_graded(k: int, M: int, N: int,
 
     The plainly quantized labels all have the block form
     (m_1 + k, ..., m_M + k, -n_N, ..., -n_1) with partitions m, n whose
-    row counts sum to at most k.  Any half-integer entry, any leading
-    entry below k, and any row overflow therefore certify emptiness by
-    exact integer arithmetic.
+    row counts sum to at most k, so a half-integer entry certifies
+    emptiness by exact arithmetic, and so does any reason
+    ``SignedWeight.unshifted`` gives that no label shifts to a weight.
     """
     for name, value in (("k", k), ("M", M), ("N", N)):
         if value < 1:
@@ -408,28 +408,16 @@ def induce_noncompact_graded(k: int, M: int, N: int,
 
     if not w.is_integral:
         return Empty(inputs, "half-integer entries match no quantized label")
-    entries = [dd // 2 for dd in w.doubled]
-    a_blk = entries[:M]
-    b_blk = entries[M:]
-    m_cand = tuple(x - k for x in a_blk)
-    n_cand = tuple(-x for x in reversed(b_blk))
-    if any(x < 0 for x in m_cand):
-        return Empty(inputs, f"entry below the rank: {min(a_blk)} < {k}")
-    if any(m_cand[i] < m_cand[i + 1] for i in range(M - 1)) or \
-            any(n_cand[i] < n_cand[i + 1] for i in range(N - 1)):
-        return Empty(inputs, "weight blocks are not dominant")
-    if any(x < 0 for x in n_cand):
-        return Empty(inputs, "negative block entry matches no label")
-    rows_m = sum(1 for x in m_cand if x)
-    rows_n = sum(1 for x in n_cand if x)
-    if rows_m + rows_n > k:
-        return Empty(inputs,
-                     f"label needs {rows_m + rows_n} rows, rank is {k}")
+    try:
+        label = W.SignedWeight.unshifted([dd // 2 for dd in w.doubled],
+                                         k, M, N)
+    except BadWeight as exc:
+        return Empty(inputs, str(exc))
 
     model = FockModel(k, M, N, "sq")
-    piece = (sum(m_cand), sum(n_cand))
-    hw = W.SignedWeight(W.partition(m_cand), W.partition(n_cand)).realize(k)
-    kernel = block_kernel(model.block(piece, hw, a_blk, b_blk),
+    piece = (sum(label.m), sum(label.n))
+    hw, cols = label.realize(k), label.columns(M, N)
+    kernel = block_kernel(model.blocks(piece, *cols).get((hw, *cols), []),
                           raising_images(model))
     if len(kernel) != 1:
         raise InvariantBroken(f"block {hw}, {w} of bidegree {piece} has "

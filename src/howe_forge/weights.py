@@ -11,8 +11,8 @@ trailing zeros stripped.  Half-integer weights store doubled entries so
 that equality stays exact.
 
 The two-block label layout lives here alone: ``padded`` fills a block
-out to its rows, and ``SignedWeight.realize`` and ``.shifted`` lay a
-label out as its U(k) and its inducing U(M, N) weight.
+out to its rows, ``SignedWeight.columns``, ``.realize`` and ``.shifted``
+lay a label out, and ``.read`` and ``.unshifted`` read it back.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterable, Iterator, Sequence
 
-from .errors import EmptyShape, InvariantBroken, NotRenormalizable, \
-    ShapeMismatch
+from .errors import BadWeight, EmptyShape, InvariantBroken, \
+    NotRenormalizable, ShapeMismatch
 
 Partition = tuple[int, ...]
 
@@ -347,21 +347,55 @@ class SignedWeight:
         m, n = w
         return cls(tuple(m), tuple(n))
 
+    @classmethod
+    def read(cls, rows, M: int, N: int) -> "SignedWeight | None":
+        """The inverse of ``realize`` on dominant ``rows``, its blocks
+        padded to M and N rows; None when a block needs more."""
+        m = tuple(x for x in rows if x > 0)
+        n = tuple(-x for x in reversed(rows) if x < 0)
+        if len(m) > M or len(n) > N:
+            return None
+        return cls(padded(m, M), padded(n, N))
+
+    @classmethod
+    def unshifted(cls, entries, k: int, M: int, N: int) -> "SignedWeight":
+        """The inverse of ``shifted``, its blocks padded to M and N rows;
+        ``BadWeight`` names why no label induces from integer ``entries``."""
+        xs, ys = entries[:M], entries[M:]
+        m, n = tuple(x - k for x in xs), tuple(-y for y in reversed(ys))
+        if any(x < 0 for x in m):
+            raise BadWeight(f"entry below the rank: {min(xs)} < {k}")
+        if any(b[i] < b[i + 1] for b in (m, n) for i in range(len(b) - 1)):
+            raise BadWeight("weight blocks are not dominant")
+        if any(x < 0 for x in n):
+            raise BadWeight("negative block entry matches no label")
+        rows = sum(1 for x in m + n if x)
+        if rows > k:
+            raise BadWeight(f"label needs {rows} rows, rank is {k}")
+        return cls(m, n)
+
+    def columns(self, M: int, N: int) -> tuple[tuple[int, ...], ...]:
+        """The label's x and y column sums: each block stripped of trailing
+        zeros and padded to M and N rows, n then reversed, as gl(N) acts
+        contragrediently.  Block lengths are not checked against M or N."""
+        m, n = partition(self.m), partition(self.n)
+        return padded(m, M), padded(n, N)[::-1]
+
     def realize(self, k: int) -> tuple[int, ...]:
-        """The length-k weight vector, most dominant order."""
+        """The length-k weight vector, most dominant order: ``shifted``
+        at rank 0, with n on its nonzero rows and m padded to the rest."""
         m, n = partition(self.m), partition(self.n)
         if len(m) + len(n) > k:
             raise ShapeMismatch(f"blocks {self.m}/{self.n} need rank >= "
                                 f"{len(m) + len(n)}, got {k}")
-        return padded(m, k - len(n)) + tuple(-x for x in reversed(n))
+        return self.shifted(0, k - len(n), len(n))
 
     def shifted(self, k: int, M: int, N: int) -> tuple[int, ...]:
         """(m_1+k, ..., m_M+k, -n_N, ..., -n_1): the U(M, N) weight the
-        label induces from at rank k, each block stripped of trailing
-        zeros and padded to M and N rows.  Block lengths are not checked
-        against M or N."""
-        m, n = padded(partition(self.m), M), padded(partition(self.n), N)
-        return tuple(x + k for x in m) + tuple(-x for x in reversed(n))
+        label induces from at rank k, its ``columns`` with k added to the
+        x sums and the y sums negated."""
+        xs, ys = self.columns(M, N)
+        return tuple(x + k for x in xs) + tuple(-y for y in ys)
 
 
 @dataclass(frozen=True)

@@ -112,11 +112,33 @@ MUTANTS = (
            ("tests/test_cli.py::test_induce_expected_emptiness",)),
     Mutant("shifted-keeps-the-n-block-unreversed",
            "src/howe_forge/weights.py",
-           "        return tuple(x + k for x in m)"
-           " + tuple(-x for x in reversed(n))\n",
-           "        return tuple(x + k for x in m) + tuple(-x for x in n)\n",
+           "        return padded(m, M), padded(n, N)[::-1]\n",
+           "        return padded(m, M), padded(n, N)\n",
            ("tests/test_rieffel.py::"
             "test_k4_emptiness_survey_reports_are_frozen",)),
+    Mutant("unshifted-tests-dominance-before-the-rank",
+           "src/howe_forge/weights.py",
+           "        if any(x < 0 for x in m):\n"
+           "            raise BadWeight(f\"entry below the rank: {min(xs)}"
+           " < {k}\")\n"
+           "        if any(b[i] < b[i + 1] for b in (m, n)"
+           " for i in range(len(b) - 1)):\n"
+           "            raise BadWeight(\"weight blocks are not dominant\")\n",
+           "        if any(b[i] < b[i + 1] for b in (m, n)"
+           " for i in range(len(b) - 1)):\n"
+           "            raise BadWeight(\"weight blocks are not dominant\")\n"
+           "        if any(x < 0 for x in m):\n"
+           "            raise BadWeight(f\"entry below the rank: {min(xs)}"
+           " < {k}\")\n",
+           ("tests/test_weights.py::"
+            "test_unshifted_names_why_no_label_shifts_to_a_weight"
+            "[below-rank]",)),
+    Mutant("read-keeps-the-n-block-unreversed",
+           "src/howe_forge/weights.py",
+           "n = tuple(-x for x in reversed(rows) if x < 0)",
+           "n = tuple(-x for x in rows if x < 0)",
+           ("tests/test_fock.py::"
+            "test_labels_read_back_and_find_their_blocks[2-sq]",)),
     Mutant("verify-all-format-default-wins",
            "src/howe_forge/cli.py",
            "fmt_default=None)",

@@ -109,27 +109,36 @@ def test_dominant_blocks_check_the_cap_before_listing_column_sums():
 
 @pytest.mark.parametrize("convention", ["sq", "hf"])
 @pytest.mark.parametrize("N", [0, 1, 2])
-def test_block_inverts_dressed_weights(convention, N):
-    model = FockModel(2, 2, N, convention)
-    for piece in model.pieces(3):
-        blocks = bf.weight_blocks(model, piece)
-        for key, members in blocks.items():
-            kw, mw, nw = model.dressed_weights(key)
-            assert model.block(piece, kw, mw, nw) == members
-            # the gl(k) rows of a piece sum to p - q, so no block has this
-            off = (kw[0] + 1,) + kw[1:]
-            assert model.block(piece, off, mw, nw) == []
-            half = (kw[0] + Fraction(1, 2),) + kw[1:]
-            assert model.block(piece, half, mw, nw) == []
-            # x column 1 summing to -1, a wrong x total, a half-integer
-            # column; then a wrong y total and a half-integer y column
-            moved, h = key[1][1] + 1, Fraction(1, 2)
-            for bad in ((mw[0] + moved, mw[1] - moved), (mw[0] + 1, mw[1]),
-                        (mw[0] + h, mw[1] - h)):
-                assert model.block(piece, kw, bad, nw) == []
-            if N:
-                for bad in ((nw[0] - 1,) + nw[1:], (nw[0] + h,) + nw[1:]):
-                    assert model.block(piece, kw, mw, bad) == []
+def test_labels_read_back_and_find_their_blocks(convention, N):
+    """For every label (m, n) on M = 2 and N rows with |m| + |n| <= 3,
+    at every rank k <= 3 with rows for it: ``read`` inverts ``realize``,
+    ``unshifted`` inverts ``shifted``, the block that ``columns`` names
+    at the realized weight is the brute-force grouping's block with that
+    key, and the key dresses to the convention's predicted weights, the
+    compact ones when N = 0."""
+    M = 2
+    context = "howehf" if not N else "kave" if convention == "sq" else "kave2"
+    for k in range(1, 4):
+        model = FockModel(k, M, N, convention)
+        for piece in model.pieces(3):
+            blocks = bf.weight_blocks(model, piece)
+            for m, n in product(W.partitions_of(piece[0], max_rows=M),
+                                W.partitions_of(piece[1], max_rows=N)):
+                if len(m) + len(n) > k:
+                    continue
+                label = W.SignedWeight(W.padded(m, M), W.padded(n, N))
+                hw, cols = label.realize(k), label.columns(M, N)
+                assert W.SignedWeight.read(hw, M, N) == label
+                assert W.SignedWeight.unshifted(
+                    label.shifted(k, M, N), k, M, N) == label
+                key = (hw, *cols)
+                assert model.blocks(piece, *cols)[key] == blocks[key]
+                kw, mw, nw = model.dressed_weights(key)
+                for side, got in (("left", kw), ("right", mw + nw)):
+                    want = W.shift_weight(label if N else m, convention,
+                                          context, k=k, M=M, N=N, side=side)
+                    assert W.HalfIntWeight.from_entries(got).doubled \
+                        == want.doubled
 
 
 @pytest.mark.parametrize("k,M,N", [(1, 1, 1), (2, 1, 1), (2, 2, 1),

@@ -21,13 +21,16 @@ runs), no import of ``concurrent.futures``, ``threading`` or
 holds the GIL, and a thread pool over its cells was measured slower than
 running them in order), no module but ``fock.py`` that
 reads a Fock model's convention constants ``c_k``, ``c_m`` or ``c_n``
-(weights travel as weight keys, and ``FockModel.block`` takes the
-constants off), no ``.standard_normal(`` call inside a ``for``, a
+(weights travel as weight keys, which ``FockModel.dressed_weights``
+dresses), no ``.standard_normal(`` call inside a ``for``, a
 ``while`` or a comprehension (a batch of samples takes one draw), no
 ``to_json`` in a class that derives from ``_Report`` (a fock report's
 JSON is its fields, which the base serializes), no ``(0,) * n`` outside
 ``weights.py`` (a label block is padded by ``weights.padded``, and the
-two-block label layout lives in ``weights`` alone), no private function or
+two-block label layout lives in ``weights`` alone), no ``reversed(``
+call or ``[::-1]`` slice outside ``weights.py`` but the float side's
+descending sort of ``eigvalsh``'s eigenvalues (a label's n block is
+reversed in ``weights`` alone), no private function or
 method
 that nothing in the package references, no public function, class
 or method that only the tests reference, and no import of another
@@ -289,6 +292,27 @@ def hand_padding(tree, path):
                     and s.elts[0].value == 0 for s in (n.left, n.right))]
 
 
+def hand_reversals(tree, path):
+    """``reversed(`` calls and ``[::-1]`` slices outside ``weights.py``:
+    where a label's n block goes is decided there alone.  The float
+    side's ``eigvalsh(...)[::-1]``, which sorts eigenvalues descending,
+    is the one exemption."""
+    if path.name == LAYOUT_HOME:
+        return []
+    out = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Call) and getattr(n.func, "id", "") == "reversed":
+            out.append(where(path, n))
+        elif isinstance(n, ast.Subscript) \
+                and ast.unparse(n.slice) == "::-1" \
+                and not (path.name in FLOAT_SIDE
+                         and isinstance(n.value, ast.Call)
+                         and getattr(n.value.func, "attr", "")
+                         == "eigvalsh"):
+            out.append(where(path, n))
+    return out
+
+
 def referenced_names(trees):
     """Every name read as a variable or an attribute in the trees."""
     return {n.id if isinstance(n, ast.Name) else n.attr
@@ -373,6 +397,7 @@ def test_the_package_has_sources():
                                   scipy_imports, pool_imports,
                                   numpy_at_load, loop_draws,
                                   hand_serializers, hand_padding,
+                                  hand_reversals,
                                   pytest.param(foreign_privates,
                                                id="foreign_privates")])
 def test_package_sources_keep_the_rule(rule):
@@ -460,6 +485,10 @@ def test_every_public_name_has_a_user_besides_the_tests():
                  id="hand_padding-zeros-times-rows"),
     pytest.param(hand_padding, "w = (M - len(m)) * (0,) + m\n",
                  id="hand_padding-rows-times-zeros"),
+    pytest.param(hand_reversals, "n = tuple(-x for x in reversed(b))\n",
+                 id="hand_reversals-reversed-call"),
+    pytest.param(hand_reversals, "nw = W.padded(n, N)[::-1]\n",
+                 id="hand_reversals-reversing-slice"),
     pytest.param(unreferenced_privates, "def _gone(x):\n    return x\n",
                  id="unreferenced_privates-function"),
     pytest.param(unreferenced_privates,
@@ -485,7 +514,7 @@ def test_rules_pass_clean_code():
               "try:\n    x = g(os.path.sep, 2)\n"
               "except ValueError:\n    pass\n"
               "y = Fraction(x) / 3 - x // 2\n"
-              "u = W.padded(m, 3) + (x,) * 2 + (1,) * 3\n"
+              "u = W.padded(m, 3) + (x,) * 2 + (1,) * 3 + u[::2]\n"
               "r = len(span) + rank_of_rows(rows)\n"
               "z = rng.standard_normal((4, 3, 3))\n"
               "w = span._own + os.__name__\n"
@@ -502,7 +531,7 @@ def test_rules_pass_clean_code():
         + scipy_imports(tree, path) + pool_imports(tree, path) \
         + numpy_at_load(tree, path) \
         + loop_draws(tree, path) + hand_serializers(tree, path) \
-        + hand_padding(tree, path) \
+        + hand_padding(tree, path) + hand_reversals(tree, path) \
         + unreferenced_privates(tree, path) \
         + unreferenced_publics(tree, path) + foreign_privates(tree, path)
 
@@ -541,6 +570,15 @@ def test_only_the_layout_module_pads_by_hand():
     tree = ast.parse("w = m + (0,) * (k - len(m))\n")
     assert hand_padding(tree, Path("rieffel.py")) == ["rieffel.py:1"]
     assert hand_padding(tree, Path("weights.py")) == []
+
+
+def test_only_the_layout_module_reverses_a_block():
+    tree = ast.parse("norms = [x for x in m] + [x for x in reversed(n)]\n"
+                     "spec = np.linalg.eigvalsh(a)[::-1]\n")
+    assert hand_reversals(tree, Path("classical.py")) == ["classical.py:1"]
+    assert sorted(hand_reversals(tree, Path("fock.py"))) == [
+        "fock.py:1", "fock.py:2"]
+    assert hand_reversals(tree, Path("weights.py")) == []
 
 
 def test_no_module_builds_fock_operators():

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import bruteforce as bf
 from howe_forge import weights as W
-from howe_forge.errors import EmptyShape, NotRenormalizable, ShapeMismatch
+from howe_forge.errors import BadWeight, EmptyShape, NotRenormalizable, \
+    ShapeMismatch
 
 
 @st.composite
@@ -214,6 +215,23 @@ def test_two_block_layout_frozen():
     assert W.SignedWeight.of(([2, 1], [1])) == W.SignedWeight((2, 1), (1,))
     w = W.SignedWeight((1,), ())
     assert W.SignedWeight.of(w) is w
+    assert W.SignedWeight((), (2, 1)).columns(1, 3) == ((0,), (0, 1, 2))
+    assert W.SignedWeight.read((2, 0, -1), 1, 1) == W.SignedWeight((2,), (1,))
+    assert W.SignedWeight.read((1, 1, -1), 1, 1) is None
+
+
+@pytest.mark.parametrize("entries,k,reason", [
+    ((1, 3, -1), 2, "entry below the rank: 1 < 2"),  # nor dominant
+    ((3, 4, -1), 2, "weight blocks are not dominant"),
+    ((3, 2, 1), 2, "negative block entry matches no label"),
+    ((3, 3, -1), 1, "label needs 3 rows, rank is 1"),
+], ids=["below-rank", "not-dominant", "negative-entry", "too-many-rows"])
+def test_unshifted_names_why_no_label_shifts_to_a_weight(entries, k, reason):
+    """The four reasons, in the order ``unshifted`` tests them, for
+    U(2, 1) weights."""
+    with pytest.raises(BadWeight) as info:
+        W.SignedWeight.unshifted(entries, k, 2, 1)
+    assert str(info.value) == reason
 
 
 @given(st.integers(min_value=0, max_value=4),
