@@ -288,3 +288,12 @@ def verify_orbit(p: ConstrainedPoint, tol: float = DEFAULT_TOL) -> dict:
         "checks": checks,
         "ok": max_dev <= tol and all(checks.values()),
     }
+
+
+def orbit_report(w, k: int, seeds, tol: float) -> dict:
+    """``verify_orbit`` on the level-set sample of each seed, as one
+    report: ``cells``, the per-seed reports in seed order, and ``ok`` when
+    every one is."""
+    cells = [verify_orbit(sample_level_set(w, k, seed), tol)
+             for seed in seeds]
+    return {"ok": all(r["ok"] for r in cells), "cells": cells}

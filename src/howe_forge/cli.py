@@ -13,7 +13,9 @@ input is infeasible, 2 usage error.
 
 A config file of ``key=value`` lines (``#`` comments allowed) can seed
 the run parameters; explicit flags always win.  ``verify-all`` runs each
-section's cells in order through ``grid_map``.
+section's cells in order through ``grid_map``, and each cell's verdict is
+the ``ok`` of the check it runs: this module computes no dimension and
+samples no orbit.
 
 ``decompose`` and ``induce`` are exact and never load numpy; numpy
 loads only where it is used: for ``orbit``, and for the schur-weyl and
@@ -35,7 +37,7 @@ from .errors import (BadWeight, ForgeError, RankTooSmall, ShapeMismatch,
                      TooLarge)
 from .fock import verify_howe, verify_kv
 from .rieffel import emptiness_survey, induce_compact, \
-    induce_noncompact_graded
+    induce_noncompact_graded, irreducible
 from .tensor import projector_family_check
 
 EXIT_OK = 0
@@ -285,17 +287,15 @@ def cmd_orbit(args) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0):
         return fail_usage("tolerance must be finite and positive")
     weight = W.SignedWeight(parse_int_tuple(args.m), parse_int_tuple(args.n))
-    reports = [C.verify_orbit(C.sample_level_set(weight, args.k, seed),
-                              args.tol)
-               for seed in range(args.seed, args.seed + args.seeds)]
-    ok = all(r["ok"] for r in reports)
+    report = C.orbit_report(weight, args.k,
+                            range(args.seed, args.seed + args.seeds), args.tol)
     rows = [(r["seed"],
              ",".join(f"{x:.6f}" for x in r["spectrum"]),
              f"{r['max_dev']:.3e}",
              *("ok" if r["checks"][c] else "FAIL"
                for c in ("pairing", "invariance", "stabilizer")),
-             "ok" if r["ok"] else "FAIL") for r in reports]
-    return finish({"ok": ok, "cells": reports}, ok, args.format, args.output,
+             "ok" if r["ok"] else "FAIL") for r in report["cells"]]
+    return finish(report, report["ok"], args.format, args.output,
                   ("seed", "spectrum", "max_dev", "pairing", "invariance",
                    "stabilizer", "status"), rows)
 
@@ -305,79 +305,42 @@ def cmd_orbit(args) -> int:
 
 
 def run_verify_all(cfg: RunConfig) -> dict:
-    sections = []
+    from . import classical as C
+    pairs = [(k, M) for k in range(1, cfg.kmax + 1)
+             for M in range(1, cfg.mmax + 1)]
+    signatures = [(k, M, N) for k, M in pairs
+                  for N in range(1, min(M, cfg.nmax) + 1)]
+    seeds = range(cfg.seed, cfg.seed + cfg.seeds)
 
-    pf_cells = [(n, k) for n in (2, 3, 4) for k in (2, 3) if k <= cfg.kmax + 1]
     def pf(cell):
         n, k = cell
-        rep = projector_family_check(n, k)
-        good = rep["complete"] and rep["idempotent"] and rep["orthogonal"]
-        good = good and sum(rep["ranks"].values()) == k ** n
-        good = good and all(
-            rank == W.sn_dim(lam) * W.weyl_dim(lam, k)
-            for lam, rank in rep["ranks"].items())
-        return {"cell": f"n={n} k={k}", "ok": good}
-    sections.append(grid_map(pf, pf_cells, "schur-weyl"))
+        return {"cell": f"n={n} k={k}",
+                "ok": projector_family_check(n, k)["ok"]}
 
-    howe_cells = [(k, M) for k in range(1, cfg.kmax + 1)
-                  for M in range(1, cfg.mmax + 1)]
     def howe(cell):
         k, M = cell
-        rep = verify_howe(k, M, cfg.degree)
-        return {"cell": f"k={k} M={M}", "ok": rep.ok}
-    sections.append(grid_map(howe, howe_cells, "howe"))
+        return {"cell": f"k={k} M={M}", "ok": verify_howe(k, M, cfg.degree).ok}
 
-    kv_cells = [(k, M, N, conv)
-                for k in range(1, cfg.kmax + 1)
-                for M in range(1, cfg.mmax + 1)
-                for N in range(1, min(M, cfg.nmax) + 1)
-                for conv in ("sq", "hf")]
     def kv(cell):
         k, M, N, conv = cell
         rep = verify_kv(k, M, N, cfg.degree, conv)
         return {"cell": f"k={k} M={M} N={N} {conv}", "ok": rep.ok}
-    sections.append(grid_map(kv, kv_cells, "lowest-type"))
 
-    comp_cells = [(k, M, m)
-                  for k in range(1, cfg.kmax + 1)
-                  for M in range(1, cfg.mmax + 1)
-                  for tot in range(0, min(cfg.degree, 3) + 1)
-                  for m in W.partitions_of(tot, max_rows=M)]
     def compact(cell):
         k, M, m = cell
-        mod = induce_compact(k, M, m)
-        good = mod.dimension == W.weyl_dim(m, k) and mod.sound
-        if mod.dimension:
-            good = good and mod.highest_weight == W.padded(m, k)
-        return {"cell": f"k={k} M={M} m={m}", "ok": good}
-    sections.append(grid_map(compact, comp_cells, "compact-induction"))
+        return {"cell": f"k={k} M={M} m={m}",
+                "ok": irreducible(induce_compact(k, M, m), m)}
 
-    empt_cells = [(k, M, N) for k in range(1, cfg.kmax + 1)
-                  for M in range(1, cfg.mmax + 1)
-                  for N in range(1, min(M, cfg.nmax) + 1)]
     def empt(cell):
         k, M, N = cell
         rep = emptiness_survey(k, M, N, cfg.degree)
         return {"cell": f"k={k} M={M} N={N}", "ok": rep["ok"],
                 "collisions": len(rep["collisions"])}
-    sections.append(grid_map(empt, empt_cells, "emptiness"))
 
-    orb_cells = []
-    for m, n in CLASSICAL_WEIGHTS:
-        rows = len(m) + len(n)
-        for k in range(rows, max(rows, cfg.kmax) + 1):
-            orb_cells.append((m, n, k))
-    from . import classical as C
     def orbit(cell):
         m, n, k = cell
-        good = True
-        for seed in range(cfg.seed, cfg.seed + cfg.seeds):
-            rep = C.verify_orbit(
-                C.sample_level_set(W.SignedWeight(m, n), k, seed),
-                cfg.tolerance)
-            good = good and rep["ok"]
-        return {"cell": f"m={m} n={n} k={k}", "ok": good}
-    sections.append(grid_map(orbit, orb_cells, "orbit"))
+        rep = C.orbit_report(W.SignedWeight(m, n), k, seeds, cfg.tolerance)
+        return {"cell": f"m={m} n={n} k={k}", "ok": rep["ok"]}
 
     def shift(check):
         context, arg, kwargs, side, expected = check
@@ -385,8 +348,23 @@ def run_verify_all(cfg: RunConfig) -> dict:
         got = W.shift_weight(arg, conv, context, side=side, **kwargs)
         return {"cell": f"{context} {arg} {side}",
                 "ok": got.entries == expected}
-    sections.append(grid_map(shift, SHIFT_CHECKS, "shift-bookkeeping"))
 
+    sections = [
+        grid_map(pf, [(n, k) for n in (2, 3, 4) for k in (2, 3)
+                      if k <= cfg.kmax + 1], "schur-weyl"),
+        grid_map(howe, pairs, "howe"),
+        grid_map(kv, [(*sig, conv) for sig in signatures
+                      for conv in ("sq", "hf")], "lowest-type"),
+        grid_map(compact, [(k, M, m) for k, M in pairs
+                           for m in W.partitions_upto(min(cfg.degree, 3), M)],
+                 "compact-induction"),
+        grid_map(empt, signatures, "emptiness"),
+        grid_map(orbit, [(m, n, k) for m, n in CLASSICAL_WEIGHTS
+                         for k in range(len(m + n),
+                                        max(len(m + n), cfg.kmax) + 1)],
+                 "orbit"),
+        grid_map(shift, SHIFT_CHECKS, "shift-bookkeeping"),
+    ]
     return {"ok": all(s["ok"] for s in sections), "seed": cfg.seed,
             "sections": sections}
 

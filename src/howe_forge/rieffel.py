@@ -249,6 +249,21 @@ class Empty:
         }
 
 
+def irreducible(mod, weight) -> bool:
+    """Whether an induced module of rank k is the irreducible U(k) module
+    of highest weight ``weight`` (padded with zeros to k entries): sound,
+    of that highest weight and of its Weyl dimension.  An ``Empty`` fails;
+    a label of more than k rows names no irrep, and only an empty module
+    meets it."""
+    if isinstance(mod, Empty):
+        return False
+    hw = W.padded(weight, mod.k)
+    if len(hw) > mod.k:
+        return mod.empty
+    return (mod.sound and mod.highest_weight == hw
+            and mod.dimension == W.signed_weight_dim(hw, mod.k))
+
+
 def _checked_module(ambient: str, k: int, inputs: dict, basis: list[dict],
                     gl_k: dict, highest_weight, gram: list[dict]
                     ) -> InducedModule:
@@ -442,17 +457,15 @@ def emptiness_survey(k: int, M: int, N: int, window: int) -> dict:
     module); weights whose leading entry sits below the rank (always
     empty); and shifted labels with m+k on the left block (always the
     module with the label's realized highest weight).  Every nonempty
-    module must also have commutant 1, a positive Gram matrix and a gl(k)
-    action that satisfies the brackets.  The ``window`` bounds the block
+    module must be ``irreducible`` with its highest weight: commutant 1,
+    a positive Gram matrix, a gl(k) action that satisfies the brackets,
+    and the Weyl dimension.  The ``window`` bounds the block
     sizes of the three families; graded induction itself has no window,
     and a ``TooLarge`` from a piece past ``BASIS_CAP`` leaves the survey."""
     cells = []
     collisions = []
-    ok = True
 
     def record(branch, weight_text, good, detail):
-        nonlocal ok
-        ok = ok and good
         cells.append({"branch": branch, "weight": weight_text,
                       "ok": good, "detail": detail})
 
@@ -464,9 +477,8 @@ def emptiness_survey(k: int, M: int, N: int, window: int) -> dict:
             record("renormalized", text, True, out.reason)
             continue
         hw = out.highest_weight
-        good = (out.sound and out.dimension == W.signed_weight_dim(hw, k)
-                and (len(m) + len(n) > k
-                     or hw != W.SignedWeight(m, n).realize(k)))
+        good = irreducible(out, hw) and (
+            len(m) + len(n) > k or hw != W.SignedWeight(m, n).realize(k))
         record("renormalized", text, good,
                f"collision: highest weight {hw}, dim {out.dimension}")
         collisions.append({"blocks": [list(m), list(n)], "weight": text,
@@ -487,12 +499,10 @@ def emptiness_survey(k: int, M: int, N: int, window: int) -> dict:
             label = W.SignedWeight(m, n)
             w = label.shifted(k, M, N)
             out = induce_noncompact_graded(k, M, N, w)
-            want = label.realize(k)
-            good = (not out.empty and out.sound
-                    and out.highest_weight == want
-                    and out.dimension == W.signed_weight_dim(want, k))
+            good = irreducible(out, label.realize(k))
             record("shifted-label", str(w), good,
                    f"dim {out.dimension}" if not out.empty else out.reason)
 
-    return {"k": k, "M": M, "N": N, "window": window, "ok": ok,
-            "collisions": collisions, "cells": cells}
+    return {"k": k, "M": M, "N": N, "window": window,
+            "ok": all(c["ok"] for c in cells), "collisions": collisions,
+            "cells": cells}

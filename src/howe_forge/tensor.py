@@ -544,7 +544,8 @@ def _orbit_count(pattern, k: int) -> int:
 
 def projector_family_check(n: int, k: int) -> dict:
     """Exact verification that the central projectors on the tensor power
-    are idempotent, mutually orthogonal and complete.
+    are idempotent, mutually orthogonal and complete; ``ok`` also needs
+    ranks f^lambda * dim V_lambda(k) that sum to k^n (Schur-Weyl duality).
 
     Slot permutations preserve the multiset of letters, so the projectors
     are block diagonal over those orbits.  Relabelling the letters
@@ -622,4 +623,8 @@ def projector_family_check(n: int, k: int) -> dict:
         "idempotent": idempotent,
         "orthogonal": orthogonal,
         "ranks": ranks,
+        "ok": complete and idempotent and orthogonal
+        and sum(ranks.values()) == k ** n
+        and all(rank == W.sn_dim(lam) * W.weyl_dim(lam, k)
+                for lam, rank in ranks.items()),
     }

@@ -122,20 +122,14 @@ def weyl_dim(shape: Partition, k: int) -> int:
 
 
 def signed_weight_dim(w: Sequence[int], k: int) -> int:
-    """Weyl dimension of the U(k) irrep with a possibly negative
-    weakly decreasing integer highest weight of length k."""
-    ww = tuple(int(x) for x in w)
-    if len(ww) != k:
-        raise ShapeMismatch(f"weight length {len(ww)} != rank {k}")
-    if any(ww[i] < ww[i + 1] for i in range(k - 1)):
-        raise ShapeMismatch(f"weight not weakly decreasing: {ww}")
-    d = Fraction(1)
-    for i in range(k):
-        for j in range(i + 1, k):
-            d *= Fraction(ww[i] - ww[j] + j - i, j - i)
-    if d.denominator != 1:
-        raise InvariantBroken(f"Weyl dimension {d} is not an integer")
-    return int(d)
+    """Weyl dimension of the U(k) irrep with a possibly negative dominant
+    integer highest weight w of length k: ``weyl_dim`` of the partition
+    w - w_k (1, ..., 1), as the determinant power twisting one irrep into
+    the other keeps the dimension.  The empty weight at rank 0 has
+    dimension 1, and ``partition`` refuses a weight that is not dominant."""
+    if len(w) != k:
+        raise ShapeMismatch(f"weight length {len(w)} != rank {k}")
+    return weyl_dim(partition(x - w[-1] for x in w), k) if k else 1
 
 
 def sn_dim(shape: Partition) -> int:

@@ -223,6 +223,18 @@ def count_ssyt_content(shape: tuple[int, ...], content: tuple[int, ...]) -> int:
     return hits
 
 
+def weyl_product_dim(w: tuple[int, ...]) -> int:
+    """Weyl's product formula for the U(k) irrep of dominant integer
+    highest weight w, k = len(w): the product over i < j of
+    (w_i - w_j + j - i) / (j - i), over Fractions."""
+    d = Fraction(1)
+    for i in range(len(w)):
+        for j in range(i + 1, len(w)):
+            d *= Fraction(w[i] - w[j] + j - i, j - i)
+    assert d.denominator == 1, (w, d)
+    return int(d)
+
+
 def count_standard_tableaux(shape: tuple[int, ...]) -> int:
     """Standard tableaux by brute-force placement of 1..n."""
     n = sum(shape)

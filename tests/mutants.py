@@ -145,6 +145,27 @@ MUTANTS = (
            'fmt_default="tsv")',
            ("tests/test_cli.py::"
             "test_verify_all_config_file_format_applies[file-json]",)),
+    Mutant("projector-family-ok-drops-the-rank-rule",
+           "src/howe_forge/tensor.py",
+           "        and sum(ranks.values()) == k ** n\n"
+           "        and all(rank == W.sn_dim(lam) * W.weyl_dim(lam, k)\n"
+           "                for lam, rank in ranks.items()),\n",
+           "        and sum(ranks.values()) == k ** n,\n",
+           ("tests/test_tensor.py::"
+            "test_projector_family_check_ok_needs_every_rank",)),
+    Mutant("irreducible-skips-the-dimension",
+           "src/howe_forge/rieffel.py",
+           "    return (mod.sound and mod.highest_weight == hw\n"
+           "            and mod.dimension == W.signed_weight_dim(hw, mod.k))\n",
+           "    return mod.sound and mod.highest_weight == hw\n",
+           ("tests/test_rieffel.py::"
+            "test_irreducible_rejects_a_module_off_its_label"
+            "[wrong-dimension]",)),
+    Mutant("orbit-report-reads-its-first-seed-only",
+           "src/howe_forge/classical.py",
+           'return {"ok": all(r["ok"] for r in cells), "cells": cells}',
+           'return {"ok": cells[0]["ok"], "cells": cells}',
+           ("tests/test_classical.py::test_orbit_report_needs_every_seed",)),
 )
 
 

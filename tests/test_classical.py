@@ -368,6 +368,23 @@ def test_verify_orbit_ok_needs_the_deviation_and_every_check(monkeypatch):
     assert rep["ok"] is False
 
 
+def test_orbit_report_needs_every_seed(monkeypatch):
+    w = ((2, 1), (1,))
+    rep = C.orbit_report(w, 4, range(3, 6), TOL)
+    assert rep["ok"] is True
+    assert [c["seed"] for c in rep["cells"]] == [3, 4, 5]
+    exact = C.verify_orbit
+
+    def last_seed_fails(p, tol):
+        out = exact(p, tol)
+        return dict(out, ok=False) if p.seed == 5 else out
+
+    monkeypatch.setattr(C, "verify_orbit", last_seed_fails)
+    rep = C.orbit_report(w, 4, range(3, 6), TOL)
+    assert [c["ok"] for c in rep["cells"]] == [True, True, False]
+    assert rep["ok"] is False
+
+
 def test_verify_orbit_handles_degenerate_weights():
     rep = C.verify_orbit(C.sample_level_set(((2, 2), (1,)), 4, seed=3))
     assert rep["max_dev"] < TOL

@@ -35,7 +35,11 @@ method
 that nothing in the package references, no public function, class
 or method that only the tests reference, and no import of another
 module's private name and no read of one as ``W._x`` (the elimination
-helpers of ``tensor`` stay behind its public routines)."""
+helpers of ``tensor`` stay behind its public routines), and no mention
+in ``cli.py`` of a dimension formula (``weyl_dim``, ``sn_dim``,
+``signed_weight_dim``) or of the per-seed orbit check (``verify_orbit``,
+``sample_level_set``): every verdict the command line prints is the
+``ok`` of the module that runs the check."""
 
 import ast
 import os
@@ -72,6 +76,10 @@ CONVENTION_CONSTANTS = {"c_k", "c_m", "c_n"}
 POOL_MODULES = ("concurrent", "threading", "multiprocessing")
 REPORT_BASE = "_Report"  # fock's report base, which serializes the fields
 LAYOUT_HOME = "weights.py"  # owns the two-block label layout
+CLI = "cli.py"
+# what a verdict is computed from, in the modules that own the checks
+VERDICT_HELPERS = ("weyl_dim", "sn_dim", "signed_weight_dim", "verify_orbit",
+                   "sample_level_set")
 
 
 def tree_of(path):
@@ -313,6 +321,15 @@ def hand_reversals(tree, path):
     return out
 
 
+def cli_verdicts(tree, path):
+    """Mentions in ``cli.py`` of a dimension formula or of the per-seed
+    orbit check: the command line reads each verdict off its check."""
+    if path.name != CLI:
+        return []
+    return [f"{hit} {name}" for name in VERDICT_HELPERS
+            for hit in mentions(tree, path, name)]
+
+
 def referenced_names(trees):
     """Every name read as a variable or an attribute in the trees."""
     return {n.id if isinstance(n, ast.Name) else n.attr
@@ -397,7 +414,7 @@ def test_the_package_has_sources():
                                   scipy_imports, pool_imports,
                                   numpy_at_load, loop_draws,
                                   hand_serializers, hand_padding,
-                                  hand_reversals,
+                                  hand_reversals, cli_verdicts,
                                   pytest.param(foreign_privates,
                                                id="foreign_privates")])
 def test_package_sources_keep_the_rule(rule):
@@ -579,6 +596,29 @@ def test_only_the_layout_module_reverses_a_block():
     assert sorted(hand_reversals(tree, Path("fock.py"))) == [
         "fock.py:1", "fock.py:2"]
     assert hand_reversals(tree, Path("weights.py")) == []
+
+
+@pytest.mark.parametrize("source", [
+    pytest.param("ok = rank == W.sn_dim(lam) * W.weyl_dim(lam, k)\n",
+                 id="dimension-formulas"),
+    pytest.param("from .weights import signed_weight_dim\n",
+                 id="imported-formula"),
+    pytest.param("rep = C.verify_orbit(C.sample_level_set(w, k, 0), tol)\n",
+                 id="orbit-check"),
+    pytest.param('"""Each seed runs verify_orbit."""\n', id="docstring"),
+])
+def test_only_the_command_line_is_kept_from_the_verdict_helpers(source):
+    tree = ast.parse(source)
+    assert cli_verdicts(tree, Path("cli.py"))
+    assert cli_verdicts(tree, Path("rieffel.py")) == []
+
+
+def test_cli_verdicts_pass_clean_code():
+    source = ("ok = projector_family_check(n, k)['ok']\n"
+              "good = irreducible(induce_compact(k, M, m), m)\n"
+              "rep = C.orbit_report(w, k, seeds, tol)\n"
+              "weyl_dimension = dim_of(lam)\n")
+    assert cli_verdicts(ast.parse(source), Path("cli.py")) == []
 
 
 def test_no_module_builds_fock_operators():

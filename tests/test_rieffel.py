@@ -1,6 +1,7 @@
 """Induced modules from finite-rank data: compact case and the graded
 indefinite case, where emptiness is a value rather than an error."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -23,6 +24,7 @@ from howe_forge.rieffel import (
     emptiness_survey,
     induce_compact,
     induce_noncompact_graded,
+    irreducible,
 )
 
 
@@ -335,6 +337,39 @@ def test_noncompact_induction_has_no_degree_window():
     assert f"bidegree {(10, 3)}" in mod.ambient
     assert mod.highest_weight == (10, -3) and mod.sound
     assert mod.dimension == W.signed_weight_dim((10, -3), 2) == 14
+
+
+def test_irreducible_accepts_the_module_of_its_label():
+    assert irreducible(induce_noncompact_graded(2, 1, 1, (4, -2)), (2, -2))
+    assert irreducible(induce_compact(3, 2, (2, 1)), (2, 1))
+    assert irreducible(induce_compact(3, 2, (2, 1)), (2, 1, 0))
+    # a label of more rows than the rank names no U(k) irrep
+    empty = induce_compact(1, 2, (1, 1))
+    assert empty.empty and irreducible(empty, (1, 1))
+    assert not irreducible(induce_compact(1, 2, (2,)), (1, 1))
+
+
+GRADED_2_2 = induce_noncompact_graded(2, 1, 1, (4, -2))  # (2, -2), dim 5
+
+
+@pytest.mark.parametrize("mod,weight", [
+    # (3, -1) also has dimension 5 at rank 2: only the weight is off
+    pytest.param(dataclasses.replace(GRADED_2_2, highest_weight=(3, -1)),
+                 (2, -2), id="wrong-highest-weight"),
+    pytest.param(dataclasses.replace(GRADED_2_2,
+                                     basis=GRADED_2_2.basis[:-1]),
+                 (2, -2), id="wrong-dimension"),
+    pytest.param(dataclasses.replace(GRADED_2_2, bracket_ok=False),
+                 (2, -2), id="unsound"),
+    pytest.param(dataclasses.replace(GRADED_2_2, commutant=2),
+                 (2, -2), id="reducible"),
+    pytest.param(induce_noncompact_graded(2, 1, 1, ("7/2", "-3/2")),
+                 (2, -2), id="empty"),
+    pytest.param(induce_noncompact_graded(2, 1, 1, ("7/2", "-3/2")),
+                 (1, 1, 1), id="empty-for-a-label-past-the-rank"),
+])
+def test_irreducible_rejects_a_module_off_its_label(mod, weight):
+    assert not irreducible(mod, weight)
 
 
 def test_graded_induction_builds_only_the_piece_it_solves(monkeypatch):

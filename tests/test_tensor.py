@@ -405,6 +405,7 @@ def test_projector_ranks_match_dimension_count():
 def test_projector_family_fast_path_agrees_with_exact_operators(n, k):
     rep = T.projector_family_check(n, k)
     assert rep["complete"] and rep["idempotent"] and rep["orthogonal"]
+    assert rep["ok"] is True
     assert set(rep["ranks"]) == set(W.partitions_of(n))
     for lam, rank in rep["ranks"].items():
         assert rank == bf.rank(bf.isotypic_projector(lam, k))
@@ -433,6 +434,20 @@ def test_projector_family_check_catches_a_wrong_character(monkeypatch):
     monkeypatch.setattr(T, "_character_by_type", perturbed)
     rep = T.projector_family_check(3, 2)
     assert not (rep["complete"] and rep["idempotent"])
+    assert rep["ok"] is False
+
+
+def test_projector_family_check_ok_needs_every_rank(monkeypatch):
+    """A family that is complete, idempotent and orthogonal still fails
+    when one rank is not f^lambda * dim V_lambda(k)."""
+    assert T.projector_family_check(3, 2)["ok"] is True
+    exact = W.weyl_dim
+    monkeypatch.setattr(W, "weyl_dim",
+                        lambda lam, k: exact(lam, k) + (lam == (2, 1)))
+    rep = T.projector_family_check(3, 2)
+    assert rep["complete"] and rep["idempotent"] and rep["orthogonal"]
+    assert sum(rep["ranks"].values()) == 2 ** 3
+    assert rep["ok"] is False
 
 
 def test_projector_family_check_refuses_past_the_int64_guard(monkeypatch):

@@ -2,7 +2,7 @@
 
 import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -83,6 +83,23 @@ def test_signed_weight_dim_agrees_with_hook_content_on_partitions():
 def test_signed_weight_dim_examples():
     assert W.signed_weight_dim((1, 0, -1), 3) == 8
     assert W.signed_weight_dim((0, -2), 2) == 3
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_signed_weight_dim_against_the_weyl_product_formula(k):
+    """Every dominant weight of length k with entries in -3..3."""
+    weights = list(combinations_with_replacement(range(3, -4, -1), k))
+    assert len(weights) == math.comb(k + 6, k)
+    for w in weights:
+        assert W.signed_weight_dim(w, k) == bf.weyl_product_dim(w), w
+
+
+def test_signed_weight_dim_edge_cases():
+    assert W.signed_weight_dim((), 0) == 1 == bf.weyl_product_dim(())
+    for w, k in (((0, 1), 2), ((1, -1, 0), 3), ((1,), 2), ((), 1),
+                 ((0,), -1)):
+        with pytest.raises(ShapeMismatch):
+            W.signed_weight_dim(w, k)
 
 
 # ---------------------------------------------------------------------------
