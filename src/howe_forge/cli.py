@@ -173,12 +173,12 @@ def fail_usage(message: str) -> int:
     return EXIT_USAGE
 
 
-def finish(js, ok, fmt: str, output: str, header=(), rows=()) -> int:
+def finish(report, ok, fmt: str, output: str, header=(), rows=()) -> int:
     """Write a report to ``output``, or to stdout when that is empty, as
-    sorted-key JSON or as its TSV table and a PASS/FAIL line, and return
-    its exit code."""
+    its sorted-key JSON (``weights.as_json``) or as its TSV table and a
+    PASS/FAIL line, and return its exit code."""
     if fmt == "json":
-        text = json.dumps(js, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(W.as_json(report), sort_keys=True, indent=2) + "\n"
     else:
         text = tsv(header, rows) + ("PASS\n" if ok else "FAIL\n")
     if output:
@@ -205,10 +205,10 @@ def cmd_decompose(args) -> int:
         return fail_usage("need k >= 1, m >= 1, deg >= 0, n >= 0")
     if args.n:
         rep = verify_kv(args.k, args.m, args.n, args.deg, args.convention)
-        js, rows = rep.to_json(), []
-        for deg in js["bidegrees"]:
-            p, q = deg["bidegree"]
-            for match in deg["matches"]:
+        rows = []
+        for deg in rep.bidegrees:
+            p, q = deg.bidegree
+            for match in deg.matches:
                 rows.append((
                     p, q,
                     ",".join(str(x) for x in match["label_m"]),
@@ -217,23 +217,21 @@ def cmd_decompose(args) -> int:
                     halved_text(match["uk_weight_doubled"]),
                     "ok" if match["ok"] else "FAIL",
                 ))
-            if deg["unexplained"]:
+            if deg.unexplained:
                 rows.append((p, q, "-", "-", "-", "-",
-                             f"{deg['unexplained']} unexplained"))
+                             f"{deg.unexplained} unexplained"))
         header = ("p", "q", "label_m", "label_n", "mn_weight", "uk_weight",
                   "status")
     else:
         rep = verify_howe(args.k, args.m, args.deg, args.convention)
-        js = rep.to_json()
-        rows = [(deg["degree"],
-                 ",".join(str(x) for x in term["label"]) or "-",
-                 term["dim_k"], term["dim_M"], term["product"],
-                 deg["commutant"], deg["commutant_route"],
-                 "ok" if deg["ok"] else "FAIL")
-                for deg in js["degrees"] for term in deg["cauchy"]["terms"]]
+        rows = [(deg.degree, ",".join(str(x) for x in term.label) or "-",
+                 term.dim_k, term.dim_M, term.product,
+                 deg.commutant, deg.commutant_route,
+                 "ok" if deg.ok else "FAIL")
+                for deg in rep.degrees for term in deg.cauchy.terms]
         header = ("degree", "label", "dim_k", "dim_m", "product", "commutant",
                   "route", "status")
-    return finish(js, rep.ok, args.format, args.output, header, rows)
+    return finish(rep, rep.ok, args.format, args.output, header, rows)
 
 
 def cmd_induce(args) -> int:
@@ -277,7 +275,7 @@ def cmd_induce(args) -> int:
             weight = parse_fraction_tuple(raw)
         mod = induce_noncompact_graded(args.k, M, N, weight)
     ok = {"any": True, "empty": mod.empty, "nonempty": not mod.empty}
-    return finish(mod.to_json(), ok[args.expect], "json", args.output)
+    return finish(mod, ok[args.expect], "json", args.output)
 
 
 def cmd_orbit(args) -> int:

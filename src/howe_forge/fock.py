@@ -28,15 +28,11 @@ weight keys, which ``FockModel.dressed_weights`` alone dresses.
 ``compact_multiplicities``, ``weyl_commutant_dim`` and
 ``rieffel.induce_noncompact_graded`` assemble the key of the block they
 look up, and ``rieffel`` reads the gl(k) part off a compact block's key.
-
-Every report here derives from ``_Report``: a report's JSON is its
-dataclass fields, in declaration order, plus ``ok``, so no report writes
-its own ``to_json``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
@@ -366,28 +362,8 @@ def compact_multiplicities(model: FockModel, blocks) -> dict[tuple, int]:
 # duality verification, compact case
 
 
-def _as_json(value):
-    """A report field as JSON: a tuple as a list, its entries converted
-    too, and a nested report as its ``to_json``."""
-    if isinstance(value, tuple):
-        return [_as_json(v) for v in value]
-    if isinstance(value, _Report):
-        return value.to_json()
-    return value
-
-
-class _Report:
-    """Base of the frozen report dataclasses: the JSON of a report is its
-    fields, in declaration order, then its ``ok`` verdict."""
-
-    def to_json(self) -> dict:
-        js = {f.name: _as_json(getattr(self, f.name)) for f in fields(self)}
-        js["ok"] = self.ok
-        return js
-
-
 @dataclass(frozen=True)
-class HoweDegreeReport(_Report):
+class HoweDegreeReport(W.Report):
     degree: int
     dim: int
     labels: tuple
@@ -399,7 +375,7 @@ class HoweDegreeReport(_Report):
     commutant: int
     commutant_route: str
     commutant_ok: bool
-    cauchy: dict
+    cauchy: W.CauchyReport
 
     @property
     def ok(self) -> bool:
@@ -408,7 +384,7 @@ class HoweDegreeReport(_Report):
 
 
 @dataclass(frozen=True)
-class HoweReport(_Report):
+class HoweReport(W.Report):
     k: int
     M: int
     convention: str
@@ -564,13 +540,14 @@ def verify_howe(k: int, M: int, degree: int,
             commutant=commutant,
             commutant_route="matrix",
             commutant_ok=commutant == len(expected),
-            cauchy=cauchy.to_json(),
+            cauchy=cauchy,
         ))
     return HoweReport(k, M, convention, tuple(reports))
 
 
 def howe_stability_check(M: int, degree: int, kmax: int) -> dict:
-    """Label sets must be k-independent in the stable range n <= k."""
+    """Label sets must be k-independent in the stable range n <= k; the
+    check is ok when they are and every rank's ``verify_howe`` is ok."""
     reports = {k: verify_howe(k, M, degree) for k in range(1, kmax + 1)}
     stable = True
     details = []
@@ -582,7 +559,8 @@ def howe_stability_check(M: int, degree: int, kmax: int) -> dict:
             stable = stable and same
             details.append({"k": k, "degree": n, "stable": same})
     return {"M": M, "kmax": kmax, "stable": stable, "details": details,
-            "reports": {k: r.to_json() for k, r in reports.items()}}
+            "reports": {k: r.to_json() for k, r in reports.items()},
+            "ok": stable and all(r.ok for r in reports.values())}
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +579,7 @@ def expected_kv_labels(k: int, M: int, N: int, p: int, q: int) -> list[tuple]:
 
 
 @dataclass(frozen=True)
-class KvBidegreeReport(_Report):
+class KvBidegreeReport(W.Report):
     bidegree: tuple[int, int]
     matches: tuple[dict, ...]
     expected_count: int
@@ -615,7 +593,7 @@ class KvBidegreeReport(_Report):
 
 
 @dataclass(frozen=True)
-class KvReport(_Report):
+class KvReport(W.Report):
     k: int
     M: int
     N: int

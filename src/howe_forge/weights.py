@@ -13,15 +13,21 @@ that equality stays exact.
 The two-block label layout lives here alone: ``padded`` fills a block
 out to its rows, ``SignedWeight.columns``, ``.realize`` and ``.shifted``
 lay a label out, and ``.read`` and ``.unshifted`` read it back.
+
+Every report dataclass of the package derives from ``Report``: its
+JSON is its fields, in declaration order, plus ``ok``, so no report
+writes its own ``to_json``.  ``as_json`` is the one serializer; only
+the induced modules of ``rieffel`` write their own JSON, which renames
+their fields.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import BadWeight, EmptyShape, InvariantBroken, \
     NotRenormalizable, ShapeMismatch
@@ -264,35 +270,51 @@ def _horizontal_strip_removals(lam: Partition, size: int) -> Iterator[Partition]
 # duality bookkeeping: paired dimension sums
 
 
+def as_json(value):
+    """A value as JSON data: what has a ``to_json`` as that, a named tuple
+    as a dict of its fields, any other tuple as a list, their entries
+    converted too; anything else as it stands."""
+    if hasattr(value, "to_json"):
+        return value.to_json()
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        return {f: as_json(v) for f, v in zip(value._fields, value)}
+    if isinstance(value, tuple):
+        return [as_json(v) for v in value]
+    return value
+
+
+class Report:
+    """Base of the frozen report dataclasses: the JSON of a report is its
+    fields, in declaration order, then its ``ok`` verdict."""
+
+    def to_json(self) -> dict:
+        js = {f.name: as_json(getattr(self, f.name)) for f in fields(self)}
+        js["ok"] = self.ok
+        return js
+
+
+class CauchyTerm(NamedTuple):
+    label: Partition
+    dim_k: int
+    dim_M: int
+    product: int
+
+
 @dataclass(frozen=True)
-class CauchyReport:
+class CauchyReport(Report):
     """Per-label dimension products for one graded degree, against the
     closed-form count of monomials."""
 
     k: int
     M: int
     degree: int
-    terms: tuple[tuple[Partition, int, int, int], ...]
+    terms: tuple[CauchyTerm, ...]
     total: int
     expected: int
 
     @property
     def ok(self) -> bool:
         return self.total == self.expected
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "M": self.M,
-            "degree": self.degree,
-            "terms": [
-                {"label": list(lab), "dim_k": dk, "dim_M": dm, "product": pr}
-                for (lab, dk, dm, pr) in self.terms
-            ],
-            "total": self.total,
-            "expected": self.expected,
-            "ok": self.ok,
-        }
 
 
 def cauchy_check(k: int, M: int, n: int) -> CauchyReport:
@@ -305,7 +327,7 @@ def cauchy_check(k: int, M: int, n: int) -> CauchyReport:
     for lam in partitions_of(n, max_rows=min(k, M)):
         dk = weyl_dim(lam, k)
         dm = weyl_dim(lam, M)
-        terms.append((lam, dk, dm, dk * dm))
+        terms.append(CauchyTerm(lam, dk, dm, dk * dm))
         total += dk * dm
     expected = math.comb(k * M + n - 1, n)
     return CauchyReport(k, M, n, tuple(terms), total, expected)

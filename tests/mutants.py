@@ -95,10 +95,23 @@ MUTANTS = (
            ("tests/test_cli.py::"
             "test_induce_signed_blocks_drop_trailing_zeros",)),
     Mutant("report-json-keeps-inner-tuples",
-           "src/howe_forge/fock.py",
-           "        return [_as_json(v) for v in value]\n",
+           "src/howe_forge/weights.py",
+           "        return [as_json(v) for v in value]\n",
            "        return list(value)\n",
            ("tests/test_fock.py::test_verify_howe_small_report",)),
+    Mutant("as-json-lists-named-tuples",
+           "src/howe_forge/weights.py",
+           "    if isinstance(value, tuple) and hasattr(value, \"_fields\"):\n"
+           "        return {f: as_json(v) for f, v in zip(value._fields,"
+           " value)}\n",
+           "",
+           ("tests/test_weights.py::test_cauchy_json_is_frozen",)),
+    Mutant("stability-ok-ignores-stable",
+           "src/howe_forge/fock.py",
+           '"ok": stable and all(r.ok for r in reports.values())',
+           '"ok": all(r.ok for r in reports.values())',
+           ("tests/test_fock.py::"
+            "test_stability_ok_needs_stable_labels_and_every_rank[labels]",)),
     Mutant("finish-prints-pass-always",
            "src/howe_forge/cli.py",
            '("PASS\\n" if ok else "FAIL\\n")',

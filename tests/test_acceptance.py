@@ -55,7 +55,7 @@ def test_criterion_2_paired_decomposition():
         for M in range(1, 4):
             ok = ok and verify_howe(k, M, 6).ok
     for M in range(1, 4):
-        ok = ok and howe_stability_check(M, 4, 4)["stable"]
+        ok = ok and howe_stability_check(M, 4, 4)["ok"]
     elapsed = time.monotonic() - t0
     report(2, "paired decomposition and label stability", ok, elapsed,
            budget=10)

@@ -511,7 +511,7 @@ def test_verify_howe_small_report():
 # for M in 1..3, each as sorted-key JSON and a newline.  verify-all shows
 # these only as ok flags and stops at degree 4.
 CRITERION_2_SHA256 = \
-    "3096da3c159bf1cdc3d473c58a10f2ff8040f97da4cfa26392df290571eba9dc"
+    "811aa995037cdb77cbd3b8b83fb802dc27a2db65e24fd7ce91dc66cbe14d020b"
 
 
 def test_criterion_2_reports_are_frozen():
@@ -813,6 +813,32 @@ def test_labels_do_not_depend_on_the_rank_once_it_is_large():
     out = howe_stability_check(2, 3, 4)
     assert out["stable"]
     assert all(d["stable"] for d in out["details"])
+
+
+@pytest.mark.parametrize("fault", [{}, {"labels": ((1,),)},
+                                   {"commutant_ok": False}],
+                         ids=["none", "labels", "verdict"])
+def test_stability_ok_needs_stable_labels_and_every_rank(monkeypatch, fault):
+    """The stability check is ok only when the label sets agree across the
+    ranks and every rank's ``verify_howe`` is ok: a rank-2 report whose
+    degree-0 labels move, or whose commutant check fails, makes it fail
+    while the other half holds."""
+    verify = fock.verify_howe
+
+    def faulty(k, M, degree):
+        rep = verify(k, M, degree)
+        if k != 2:
+            return rep
+        first, *rest = rep.degrees
+        return dataclasses.replace(
+            rep, degrees=(dataclasses.replace(first, **fault), *rest))
+
+    monkeypatch.setattr(fock, "verify_howe", faulty)
+    out = howe_stability_check(2, 3, 3)
+    assert out["stable"] == ("labels" not in fault)
+    assert all(r["ok"] for r in out["reports"].values()) \
+        == ("commutant_ok" not in fault)
+    assert out["ok"] == (not fault)
 
 
 def test_verify_kv_sq_small():

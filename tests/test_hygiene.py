@@ -24,8 +24,10 @@ reads a Fock model's convention constants ``c_k``, ``c_m`` or ``c_n``
 (weights travel as weight keys, which ``FockModel.dressed_weights``
 dresses), no ``.standard_normal(`` call inside a ``for``, a
 ``while`` or a comprehension (a batch of samples takes one draw), no
-``to_json`` in a class that derives from ``_Report`` (a fock report's
-JSON is its fields, which the base serializes), no ``(0,) * n`` outside
+``to_json`` in a class but ``weights.Report`` and the induced modules
+``InducedModule`` and ``Empty``, whose JSON renames their fields, and
+none in a class that derives from ``Report`` (a report's JSON is its
+fields, which the base serializes), no ``(0,) * n`` outside
 ``weights.py`` (a label block is padded by ``weights.padded``, and the
 two-block label layout lives in ``weights`` alone), no ``reversed(``
 call or ``[::-1]`` slice outside ``weights.py`` but the float side's
@@ -74,7 +76,8 @@ ORACLE_BASIS = "IndexedBasis"  # the same
 CONVENTION_HOME = "fock.py"
 CONVENTION_CONSTANTS = {"c_k", "c_m", "c_n"}
 POOL_MODULES = ("concurrent", "threading", "multiprocessing")
-REPORT_BASE = "_Report"  # fock's report base, which serializes the fields
+REPORT_BASE = "Report"  # weights' report base, which serializes the fields
+OWN_JSON = {"InducedModule", "Empty"}  # rieffel's, whose JSON renames fields
 LAYOUT_HOME = "weights.py"  # owns the two-block label layout
 CLI = "cli.py"
 # what a verdict is computed from, in the modules that own the checks
@@ -278,12 +281,15 @@ def loop_draws(tree, path):
 
 
 def hand_serializers(tree, path):
-    """``to_json`` methods of classes that derive from ``_Report``, whose
-    JSON is their fields: the base writes it."""
+    """``to_json`` methods of any class but ``Report`` and those in
+    ``OWN_JSON``, and of every class that derives from ``Report``: a
+    report's JSON is its fields, which the base writes."""
     return [f"{where(path, m)} {n.name}.to_json" for n in ast.walk(tree)
-            if isinstance(n, ast.ClassDef) and any(
-                REPORT_BASE in (getattr(b, "id", ""), getattr(b, "attr", ""))
-                for b in n.bases)
+            if isinstance(n, ast.ClassDef) and (
+                n.name not in OWN_JSON | {REPORT_BASE} or any(
+                    REPORT_BASE in (getattr(b, "id", ""),
+                                    getattr(b, "attr", ""))
+                    for b in n.bases))
             for m in n.body
             if isinstance(m, ast.FunctionDef) and m.name == "to_json"]
 
@@ -495,9 +501,17 @@ def test_every_public_name_has_a_user_besides_the_tests():
     pytest.param(loop_draws, "while x:\n    x = rng.standard_normal(2)[0]\n",
                  id="loop_draws-while-loop"),
     pytest.param(hand_serializers,
-                 "class R(fock._Report):\n"
+                 "class R(W.Report):\n"
                  "    def to_json(self):\n        return {}\n",
                  id="hand_serializers-to-json-override"),
+    pytest.param(hand_serializers,
+                 "class Empty(Report):\n"
+                 "    def to_json(self):\n        return {}\n",
+                 id="hand_serializers-exempt-name-on-a-report"),
+    pytest.param(hand_serializers,
+                 "class CauchyReport:\n"
+                 "    def to_json(self):\n        return {}\n",
+                 id="hand_serializers-plain-class"),
     pytest.param(hand_padding, "w = m + (0,) * (M - len(m))\n",
                  id="hand_padding-zeros-times-rows"),
     pytest.param(hand_padding, "w = (M - len(m)) * (0,) + m\n",
@@ -535,9 +549,10 @@ def test_rules_pass_clean_code():
               "r = len(span) + rank_of_rows(rows)\n"
               "z = rng.standard_normal((4, 3, 3))\n"
               "w = span._own + os.__name__\n"
-              "class R(_Report):\n    pass\n"
-              "class Cauchy:\n    def to_json(self):\n        return R()\n"
-              "v = Cauchy().to_json()\n")
+              "class R(Report):\n    pass\n"
+              "class Report:\n    def to_json(self):\n        return {}\n"
+              "class Empty:\n    def to_json(self):\n        return R()\n"
+              "v = Empty().to_json()\n")
     tree, path = ast.parse(source), Path("example.py")
     assert not asserts(tree, path) + broad_handlers(tree, path) \
         + unused_imports(tree, path) + float_divisions(tree, path) \

@@ -1,5 +1,7 @@
 """Weight and partition combinatorics against brute-force oracles."""
 
+import hashlib
+import json
 import math
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
@@ -188,6 +190,21 @@ def test_cauchy_identity_property(k, M, n):
 def test_cauchy_degree_zero():
     rep = W.cauchy_check(3, 2, 0)
     assert rep.total == rep.expected == 1
+
+
+# sha256 of cauchy_check(k, M, n) for k, M <= 4 and n <= 5, as one
+# sorted-key JSON list of the reports' to_json.  Frozen from the
+# hand-written serializer the report had before it derived from
+# ``Report``, so it pins the JSON read off the fields and terms.
+CAUCHY_JSON_SHA256 = \
+    "d9c8cb1fa86f6761fbac133cf277373b7f2b91904448f4e6ff32f200f411a29f"
+
+
+def test_cauchy_json_is_frozen():
+    reports = [W.cauchy_check(k, M, n).to_json()
+               for k in range(1, 5) for M in range(1, 5) for n in range(6)]
+    blob = json.dumps(reports, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == CAUCHY_JSON_SHA256
 
 
 # ---------------------------------------------------------------------------
